@@ -10,15 +10,14 @@
  * multi-reactor scaling shows up in the JSON.
  *
  * Three correctness gates ride along:
- *  - byte identity: for every model in the mix and every
- *    (reactors, sweep threads) combination, the raw Response payload
- *    bytes from the server must equal the locally encoded result of
- *    an in-process recommend() on the same model, catalog and
- *    constraints — including across a hot reload.
+ *  - byte identity: for every model in the mix at 1 and 2 reactors,
+ *    the raw Response payload bytes from the server must equal the
+ *    locally encoded result of an in-process recommend() on the same
+ *    model, catalog and constraints — including across a hot reload.
  *  - hot reload: reloading the identical model mid-run must bump the
  *    engine generation and keep the reply bytes unchanged.
  *  - allocation budget: a warm recommend request against a
- *    single-reactor inline server must perform at most --alloc-budget
+ *    single-reactor server must perform at most --alloc-budget
  *    heap allocations, counted by a replaced operator new. This pins
  *    the zero-allocation steady state the server documents.
  */
@@ -247,7 +246,8 @@ struct AllocGate
 
 /**
  * Counts heap allocations per warm recommend request against
- * @p server (which must run reactors=1/threads=1, the inline path).
+ * @p server (which must run one reactor over the AWS catalog, so the
+ * sweep is serial).
  * The client side of this loop is allocation-free by construction —
  * a pre-encoded frame, recvAll into reused buffers — so the counter
  * sees the serving path plus nothing.
@@ -407,38 +407,35 @@ main(int argc, char **argv)
         model.save(out);
     }
 
-    // --- Identity + reload gate grid ----------------------------------
-    // Every (reactors, sweep threads) combination must produce the
-    // same bytes, before and after a hot reload. Reactor/thread counts
-    // above 1 still run on a 1-core host — correctness does not need
-    // spare cores, only the throughput rows do.
+    // --- Identity + reload gates -------------------------------------
+    // Every reactor count must produce the same bytes, before and
+    // after a hot reload. Two reactors still run on a 1-core host —
+    // correctness does not need spare cores, only the throughput rows
+    // do.
     bool identity_ok = true;
     std::string error;
     for (const int reactors : {1, 2}) {
-        for (const int threads : {1, 2}) {
-            serve::ServerOptions options;
-            options.port = 0;
-            options.reactors = reactors;
-            options.sweepThreads = threads;
-            serve::Server server(model, catalog, options);
-            if (!server.tryStart(&error)) {
-                std::cerr << "micro_serve: " << error << "\n";
-                return 1;
-            }
-            const std::string label = util::format(
-                "reactors=%d threads=%d%s", reactors, threads,
-                server.usingReusePort() ? "" : " (single listener)");
-            if (!runIdentityAndReloadGates(server, mix, expected,
-                                           reload_path, label))
-                identity_ok = false;
-            server.stop();
+        serve::ServerOptions options;
+        options.port = 0;
+        options.reactors = reactors;
+        serve::Server server(model, catalog, options);
+        if (!server.tryStart(&error)) {
+            std::cerr << "micro_serve: " << error << "\n";
+            return 1;
         }
+        const std::string label = util::format(
+            "reactors=%d%s", reactors,
+            server.usingReusePort() ? "" : " (single listener)");
+        if (!runIdentityAndReloadGates(server, mix, expected,
+                                       reload_path, label))
+            identity_ok = false;
+        server.stop();
     }
     std::remove(reload_path.c_str());
     std::cout << (identity_ok ? "[PASS]" : "[FAIL]")
               << " replies byte-identical to in-process recommend() "
-                 "across every reactor/thread combination, including "
-                 "across hot reload\n";
+                 "at every reactor count, including across hot "
+                 "reload\n";
 
     // --- Allocation-budget gate ---------------------------------------
     const double alloc_budget = flags.getDouble("alloc-budget");
@@ -447,7 +444,6 @@ main(int argc, char **argv)
         serve::ServerOptions options;
         options.port = 0;
         options.reactors = 1;
-        options.sweepThreads = 1;
         serve::Server server(model, catalog, options);
         if (!server.tryStart(&error)) {
             std::cerr << "micro_serve: " << error << "\n";

@@ -16,12 +16,23 @@
 #include "serve/net.h"
 #include "util/logging.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace ceer {
 namespace serve {
 
 namespace {
+
+/**
+ * Catalogs at least this large sweep their candidates on the shared
+ * pool; smaller ones sweep serially on the reactor. Single-connection
+ * p50 of `gen-catalog` fleets on a 4-vCPU host, serial -> parallel
+ * sweep (three 3-s runs each): 256 instances 47-67 -> 64-78 us, 512
+ * 98-106 -> 97-104 us, 1024 131-180 -> 135-150 us, 1536 256-280 ->
+ * 167-205 us, 2048 260-365 -> 233-263 us. 1024 is where the fork-join
+ * stops losing. The 16-instance AWS catalog stays far below, keeping
+ * its allocation-free sweep.
+ */
+constexpr std::size_t kParallelSweepMinCandidates = 1024;
 
 /**
  * models::buildModel fatals on unknown names, so the server validates
@@ -78,8 +89,7 @@ Server::Server(core::CeerModel model, cloud::InstanceCatalog catalog,
     : options_(std::move(options)),
       candidates_(catalog.instances()),
       engine_(std::make_shared<const Engine>(std::move(model), 1)),
-      planCache_(options_.planCacheCapacity, options_.planCacheShards),
-      inlineExecute_(options_.sweepThreads == 1)
+      planCache_(options_.planCacheCapacity, options_.planCacheShards)
 {
 }
 
@@ -210,17 +220,11 @@ Server::stop()
     stopping_ = true;
     for (auto &reactor : reactors_)
         wake(*reactor);
+    // Requests execute on their reactor, so every admitted request has
+    // been answered once its reactor joins.
     for (auto &reactor : reactors_)
         if (reactor->thread.joinable())
             reactor->thread.join();
-    {
-        // Pool-mode requests finish on the shared pool; their
-        // sessions stay alive through the workers' shared_ptrs even
-        // though the reactors dropped their session maps on exit.
-        // (Inline requests completed before their reactor joined.)
-        std::unique_lock<std::mutex> lock(drainMutex_);
-        drainCv_.wait(lock, [this] { return activeTasks_ == 0; });
-    }
     for (auto &reactor : reactors_) {
         closeFd(reactor->listenFd);
         closeFd(reactor->wakeRead);
@@ -268,9 +272,8 @@ Server::adoptSession(Reactor &reactor, int fd)
         closeFd(fd);
         return;
     }
-    auto session = std::make_shared<Session>();
+    auto session = std::make_unique<Session>();
     session->fd = fd;
-    session->reactorIndex = reactor.index;
     session->lastActivity = std::chrono::steady_clock::now();
     session->id =
         nextSessionId_.fetch_add(1, std::memory_order_relaxed);
@@ -283,52 +286,18 @@ Server::reactorLoop(Reactor &reactor)
 {
     // Everything below is hoisted so a steady-state iteration reuses
     // capacity instead of allocating.
-    std::vector<std::pair<std::uint64_t, bool>> rearm;
     std::vector<int> inbox;
-    std::vector<std::shared_ptr<Session>> pending;
     std::vector<pollfd> fds;
-    std::vector<std::shared_ptr<Session>> polled;
+    std::vector<Session *> polled;
     while (true) {
-        // Re-arm sessions whose worker finished since the last pass
-        // (pool mode) and adopt fds handed over by reactor 0
-        // (single-listener mode).
-        rearm.clear();
+        // Adopt fds handed over by reactor 0 (single-listener mode).
         inbox.clear();
-        pending.clear();
         {
             std::lock_guard<std::mutex> lock(reactor.mutex);
-            rearm.swap(reactor.rearm);
             inbox.swap(reactor.inbox);
-        }
-        for (const auto &[id, close] : rearm) {
-            auto it = reactor.sessions.find(id);
-            if (it == reactor.sessions.end())
-                continue;
-            Session &session = *it->second;
-            if (close) {
-                reactor.sessions.erase(it);
-                continue;
-            }
-            // The worker decoded the frame in place; drop it now that
-            // the session is back under reactor control.
-            if (session.pendingEraseBytes > 0) {
-                session.inBuf.erase(0, session.pendingEraseBytes);
-                session.pendingEraseBytes = 0;
-            }
-            session.inFlight = false;
-            session.lastActivity = std::chrono::steady_clock::now();
-            if (!session.inBuf.empty())
-                pending.push_back(it->second);
         }
         for (const int fd : inbox)
             adoptSession(reactor, fd);
-        // A client that pipelined its next request before the reply
-        // already has it buffered; parse it now rather than waiting
-        // for more socket data.
-        for (const auto &session : pending) {
-            if (!processSession(reactor, session))
-                reactor.sessions.erase(session->id);
-        }
         if (stopping_.load())
             break;
 
@@ -341,10 +310,8 @@ Server::reactorLoop(Reactor &reactor)
         int timeout_ms = -1;
         const auto now = std::chrono::steady_clock::now();
         for (const auto &[id, session] : reactor.sessions) {
-            if (session->inFlight)
-                continue;
             fds.push_back(pollfd{session->fd, POLLIN, 0});
-            polled.push_back(session);
+            polled.push_back(session.get());
             if (options_.readTimeoutMs > 0 &&
                 !session->inBuf.empty()) {
                 const auto deadline =
@@ -406,14 +373,12 @@ Server::reactorLoop(Reactor &reactor)
 
         for (std::size_t i = 0; i < polled.size(); ++i) {
             const pollfd &entry = fds[fixed + i];
-            const std::shared_ptr<Session> &session = polled[i];
-            if (session->inFlight)
-                continue; // Admitted by the pipelined-parse pass.
+            Session *session = polled[i];
             bool keep = true;
             if (entry.revents & (POLLIN | POLLHUP | POLLERR))
-                keep = readSession(reactor, session);
+                keep = readSession(*session);
             if (keep && options_.readTimeoutMs > 0 &&
-                !session->inBuf.empty() && !session->inFlight) {
+                !session->inBuf.empty()) {
                 const auto stalled =
                     std::chrono::steady_clock::now() -
                     session->lastActivity;
@@ -425,14 +390,16 @@ Server::reactorLoop(Reactor &reactor)
                     keep = false;
                 }
             }
-            if (!keep)
-                reactor.sessions.erase(session->id);
+            if (!keep) {
+                // Copy the key: erase destroys the session holding it.
+                const std::uint64_t id = session->id;
+                reactor.sessions.erase(id);
+            }
         }
     }
 
-    // Shutdown: drop every session this reactor owns. Idle
-    // connections close here (their destructor closes the fd);
-    // pool-mode in-flight ones live on until their worker replies.
+    // Shutdown: drop every session this reactor owns; the destructor
+    // closes the fd.
     reactor.sessions.clear();
     // Close any handed-over fds that never became sessions.
     inbox.clear();
@@ -445,15 +412,14 @@ Server::reactorLoop(Reactor &reactor)
 }
 
 bool
-Server::readSession(Reactor &reactor,
-                    const std::shared_ptr<Session> &session)
+Server::readSession(Session &session)
 {
     char chunk[65536];
     bool got_data = false;
     while (true) {
-        const ssize_t n = ::recv(session->fd, chunk, sizeof chunk, 0);
+        const ssize_t n = ::recv(session.fd, chunk, sizeof chunk, 0);
         if (n > 0) {
-            session->inBuf.append(chunk, static_cast<std::size_t>(n));
+            session.inBuf.append(chunk, static_cast<std::size_t>(n));
             got_data = true;
             continue;
         }
@@ -466,20 +432,19 @@ Server::readSession(Reactor &reactor,
         return false;
     }
     if (got_data)
-        session->lastActivity = std::chrono::steady_clock::now();
-    return processSession(reactor, session);
+        session.lastActivity = std::chrono::steady_clock::now();
+    return processSession(session);
 }
 
 bool
-Server::processSession(Reactor &reactor,
-                       const std::shared_ptr<Session> &session)
+Server::processSession(Session &session)
 {
-    while (session->inBuf.size() >= kFrameHeaderBytes) {
+    while (session.inBuf.size() >= kFrameHeaderBytes) {
         FrameHeader header;
         std::string decode_error;
-        if (!decodeFrameHeader(session->inBuf.data(), &header,
+        if (!decodeFrameHeader(session.inBuf.data(), &header,
                                &decode_error)) {
-            sendTypedError(session->fd, errc::kBadFrame, decode_error);
+            sendTypedError(session.fd, errc::kBadFrame, decode_error);
             return false;
         }
         // Length check straight off the header: a hostile length
@@ -487,7 +452,7 @@ Server::processSession(Reactor &reactor,
         // or allocated.
         if (header.payloadBytes > options_.maxPayloadBytes) {
             sendTypedError(
-                session->fd, errc::kPayloadTooLarge,
+                session.fd, errc::kPayloadTooLarge,
                 util::format("payload of %u bytes exceeds limit %zu",
                              header.payloadBytes,
                              options_.maxPayloadBytes));
@@ -495,16 +460,16 @@ Server::processSession(Reactor &reactor,
         }
         const std::size_t frame_bytes =
             kFrameHeaderBytes + header.payloadBytes;
-        if (session->inBuf.size() < frame_bytes)
+        if (session.inBuf.size() < frame_bytes)
             return true; // Wait for the rest of the frame.
         // The payload is decoded IN PLACE from the input buffer (it
         // sits at offset 24, which keeps CBF's 8-byte alignment); the
         // frame is erased only after it has been fully handled.
         const char *payload =
-            session->inBuf.data() + kFrameHeaderBytes;
+            session.inBuf.data() + kFrameHeaderBytes;
         if (io::xxhash64(payload, header.payloadBytes) !=
             header.checksum) {
-            sendTypedError(session->fd, errc::kChecksumMismatch,
+            sendTypedError(session.fd, errc::kChecksumMismatch,
                            "payload checksum mismatch");
             return false;
         }
@@ -515,10 +480,10 @@ Server::processSession(Reactor &reactor,
             static const std::string pong =
                 buildFrame(FrameType::Pong, "");
             std::string send_error;
-            if (!sendAll(session->fd, pong.data(), pong.size(),
+            if (!sendAll(session.fd, pong.data(), pong.size(),
                          &send_error))
                 return false;
-            session->inBuf.erase(0, frame_bytes);
+            session.inBuf.erase(0, frame_bytes);
             continue;
           }
           case FrameType::Request:
@@ -527,7 +492,7 @@ Server::processSession(Reactor &reactor,
                 options_.maxQueueDepth) {
                 // Explicit backpressure: the client sees a typed
                 // `overloaded` reply, never a silent drop.
-                sendTypedError(session->fd, errc::kOverloaded,
+                sendTypedError(session.fd, errc::kOverloaded,
                                util::format(
                                    "admission queue full (depth %zu)",
                                    options_.maxQueueDepth));
@@ -537,45 +502,21 @@ Server::processSession(Reactor &reactor,
                 inFlight_.fetch_add(1, std::memory_order_relaxed) + 1;
             OBS_GAUGE_SET("serve.queue_depth",
                           static_cast<double>(depth));
-            if (inlineExecute_) {
-                // Inline mode: run the request right here on the
-                // reactor thread — no handoff, no task allocation.
-                const bool ok = dispatch(*session, header.type,
-                                         payload,
-                                         header.payloadBytes);
-                const std::size_t after =
-                    inFlight_.fetch_sub(1, std::memory_order_relaxed) -
-                    1;
-                OBS_GAUGE_SET("serve.queue_depth",
-                              static_cast<double>(after));
-                if (!ok)
-                    return false;
-                session->inBuf.erase(0, frame_bytes);
-                session->lastActivity =
-                    std::chrono::steady_clock::now();
-                continue;
-            }
-            // Pool mode: park the frame at the front of inBuf (the
-            // worker decodes it in place) and hand the session to the
-            // shared pool; the reactor stops polling it until the
-            // worker re-arms it.
-            session->inFlight = true;
-            session->pendingType = header.type;
-            session->pendingPayloadBytes = header.payloadBytes;
-            session->pendingEraseBytes = frame_bytes;
-            {
-                std::lock_guard<std::mutex> lock(drainMutex_);
-                ++activeTasks_;
-            }
-            util::ThreadPool::shared().submit(
-                [this, owned = session]() mutable {
-                    execute(std::move(owned));
-                });
-            return true; // Not polled again until the worker re-arms.
+            const bool ok = dispatch(session, header.type, payload,
+                                     header.payloadBytes);
+            const std::size_t after =
+                inFlight_.fetch_sub(1, std::memory_order_relaxed) - 1;
+            OBS_GAUGE_SET("serve.queue_depth",
+                          static_cast<double>(after));
+            if (!ok)
+                return false;
+            session.inBuf.erase(0, frame_bytes);
+            session.lastActivity = std::chrono::steady_clock::now();
+            continue;
           }
           default:
             sendTypedError(
-                session->fd, errc::kBadFrame,
+                session.fd, errc::kBadFrame,
                 util::format("frame type %u is not a client request",
                              static_cast<unsigned>(header.type)));
             return false;
@@ -600,19 +541,6 @@ Server::dispatch(Session &session, FrameType type, const char *payload,
     return type == FrameType::Request
                ? handleRequest(session, payload, size)
                : handleReload(session, payload, size);
-}
-
-void
-Server::execute(std::shared_ptr<Session> session)
-{
-    const char *payload =
-        session->inBuf.data() + kFrameHeaderBytes;
-    const bool ok = dispatch(*session, session->pendingType, payload,
-                             session->pendingPayloadBytes);
-    const std::size_t depth =
-        inFlight_.fetch_sub(1, std::memory_order_relaxed) - 1;
-    OBS_GAUGE_SET("serve.queue_depth", static_cast<double>(depth));
-    finishTask(session, !ok);
 }
 
 bool
@@ -736,10 +664,13 @@ Server::handleRequest(Session &session, const char *payload,
                                     : core::Objective::MinCost);
 
     // The sweep, projection and encode all write into per-session
-    // scratch: a warm request allocates nothing from here on.
+    // scratch: a warm request allocates nothing from here on (a
+    // parallel sweep's fork-join aside).
+    const int sweep_threads =
+        candidates_.size() >= kParallelSweepMinCandidates ? 0 : 1;
     core::recommendInto(engine->predictor, *entry->plan, workload,
                         candidates_, objective, constraints,
-                        options_.sweepThreads, &session.sweepScratch,
+                        sweep_threads, &session.sweepScratch,
                         &entry->fits);
     responseFromRecommendationInto(session.sweepScratch,
                                    &session.responseScratch);
@@ -787,26 +718,6 @@ Server::handleReload(Session &session, const char *payload,
         return false;
     OBS_COUNTER_INC("serve.requests");
     return true;
-}
-
-void
-Server::finishTask(const std::shared_ptr<Session> &session, bool close)
-{
-    Reactor &reactor = *reactors_[session->reactorIndex];
-    {
-        std::lock_guard<std::mutex> lock(reactor.mutex);
-        reactor.rearm.emplace_back(session->id, close);
-    }
-    wake(reactor);
-    {
-        // Notify while still holding the mutex: stop() may destroy
-        // this Server the instant it observes activeTasks_ == 0, and
-        // the waiter cannot get past its wait() until we release the
-        // lock — which sequences the notify before any destruction.
-        std::lock_guard<std::mutex> lock(drainMutex_);
-        --activeTasks_;
-        drainCv_.notify_all();
-    }
 }
 
 } // namespace serve

@@ -10,15 +10,14 @@
  * when that is unavailable or disabled, reactor 0 owns the single
  * listener and hands accepted fds to its peers round-robin.
  *
- * Request execution has two modes. With `sweepThreads == 1` (the
- * default) a complete request executes INLINE on its reactor thread:
- * no handoff, no wake-pipe round trip, no task allocation — request
- * parallelism comes from running one reactor per core. With
- * `sweepThreads != 1` requests are submitted to
- * util::ThreadPool::shared() as before, and the worker→reactor
- * re-arm handoff (mutex-guarded, per reactor) provides the
- * happens-before edge for the session state. Either way a session has
- * at most one request in flight.
+ * Every request executes INLINE on the reactor thread that owns its
+ * session: no handoff, no task allocation. Request parallelism comes
+ * from running one reactor per core. The
+ * candidate sweep inside a request forks onto util::ThreadPool::shared()
+ * only when the catalog is large enough for the fork-join to pay for
+ * itself (kParallelSweepMinCandidates in server.cc); smaller catalogs —
+ * the 16-instance AWS one included — sweep serially. A session has at
+ * most one request in flight.
  *
  * Compiled plans live in one process-wide sharded PlanCache
  * (plan_cache.h) keyed by structural graph fingerprint: identical
@@ -50,7 +49,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -76,10 +74,9 @@ struct ServerOptions
     int backlog = 64;               ///< listen(2) backlog.
 
     /**
-     * Reactor threads. Each owns its accepted sessions; with
-     * `sweepThreads == 1` requests also execute on their reactor, so
-     * this is the request-parallelism knob (one per core is the
-     * intended production shape).
+     * Reactor threads. Each owns its accepted sessions and executes
+     * their requests, so this is the request-parallelism knob (one per
+     * core is the intended production shape).
      */
     int reactors = 1;
 
@@ -107,14 +104,6 @@ struct ServerOptions
      * with `read_timeout`. <= 0 disables the guard.
      */
     int readTimeoutMs = 5000;
-
-    /**
-     * Thread hint for the per-request candidate sweep. 1 (default)
-     * executes the whole request inline on its reactor; any other
-     * value routes requests through the shared thread pool with this
-     * sweep parallelism.
-     */
-    int sweepThreads = 1;
 
     /** Shared plan cache: total entry cap across shards. */
     std::size_t planCacheCapacity = 256;
@@ -195,27 +184,17 @@ class Server
     {
         std::uint64_t id = 0;
         int fd = -1;
-        std::size_t reactorIndex = 0;
         std::string inBuf;
-        bool inFlight = false;
         std::chrono::steady_clock::time_point lastActivity;
-
-        /** Pool mode: frame handed to the worker, still at the front
-         *  of inBuf (the worker decodes it in place); the reactor
-         *  erases it at re-arm time. */
-        FrameType pendingType = FrameType::Request;
-        std::uint32_t pendingPayloadBytes = 0;
-        std::size_t pendingEraseBytes = 0;
 
         /** Fingerprint memo keyed by "model:batch" request key —
          *  avoids rebuilding the graph just to hash it. */
         std::unordered_map<std::string, std::uint64_t> requestKeys;
 
         /**
-         * Reusable request-path scratch. Touched only by whichever
-         * thread currently executes this session's request (reactor
-         * in inline mode, worker in pool mode — never both). Once
-         * warm, a recommend request allocates nothing.
+         * Reusable request-path scratch, touched only by the owning
+         * reactor thread. Once warm, a recommend request allocates
+         * nothing.
          */
         RecommendRequest requestScratch;     ///< Decoded request.
         io::CbfFile requestFile;             ///< View-parse scratch.
@@ -238,36 +217,29 @@ class Server
         int wakeWrite = -1;
         std::thread thread;
 
-        /** Guards rearm and inbox — the only state other threads
-         *  touch. sessions is reactor-thread-private. */
+        /** Guards inbox — the only state other threads touch.
+         *  sessions is reactor-thread-private. */
         std::mutex mutex;
-        /** (session id, close?) handoffs from workers (pool mode). */
-        std::vector<std::pair<std::uint64_t, bool>> rearm;
         /** Accepted fds handed over in single-listener mode. */
         std::vector<int> inbox;
 
-        std::unordered_map<std::uint64_t, std::shared_ptr<Session>>
+        std::unordered_map<std::uint64_t, std::unique_ptr<Session>>
             sessions;
     };
 
     void reactorLoop(Reactor &reactor);
     void wake(Reactor &reactor);
     void adoptSession(Reactor &reactor, int fd);
-    bool processSession(Reactor &reactor,
-                        const std::shared_ptr<Session> &session);
-    bool readSession(Reactor &reactor,
-                     const std::shared_ptr<Session> &session);
+    bool processSession(Session &session);
+    bool readSession(Session &session);
     /** Runs one admitted frame; returns false when the session must
-     *  close. Shared by the inline and pool paths. */
+     *  close. */
     bool dispatch(Session &session, FrameType type, const char *payload,
                   std::size_t size);
-    void execute(std::shared_ptr<Session> session);
     bool handleRequest(Session &session, const char *payload,
                        std::size_t size);
     bool handleReload(Session &session, const char *payload,
                       std::size_t size);
-    void finishTask(const std::shared_ptr<Session> &session,
-                    bool close);
     std::shared_ptr<const Engine> currentEngine() const;
 
     ServerOptions options_;
@@ -281,7 +253,6 @@ class Server
 
     std::vector<std::unique_ptr<Reactor>> reactors_;
     bool singleListener_ = false;
-    bool inlineExecute_ = true;
     int port_ = 0;
     std::atomic<bool> stopping_{false};
     bool started_ = false;
@@ -290,14 +261,8 @@ class Server
     /** Single-listener round-robin cursor; reactor 0 only. */
     std::uint64_t nextReactorRR_ = 0;
 
-    /** Admitted (queued or executing) requests, all reactors. */
+    /** Admitted (executing) requests, all reactors. */
     std::atomic<std::size_t> inFlight_{0};
-
-    /** Drain bookkeeping for stop() (pool-mode tasks only; inline
-     *  requests finish before their reactor joins). */
-    std::mutex drainMutex_;
-    std::condition_variable drainCv_;
-    std::size_t activeTasks_ = 0;
 };
 
 } // namespace serve

@@ -362,7 +362,7 @@ ThreadPool::workerLoop(std::size_t index)
 }
 
 // ---------------------------------------------------------------------------
-// parallelFor
+// parallelForRange
 
 namespace {
 
@@ -474,17 +474,6 @@ struct ParallelJob
 };
 
 } // namespace
-
-void
-ThreadPool::parallelFor(std::size_t n,
-                        const std::function<void(std::size_t)> &body)
-{
-    parallelForRange(n, ParallelOptions{},
-                     [&body](std::size_t lo, std::size_t hi) {
-                         for (std::size_t i = lo; i < hi; ++i)
-                             body(i);
-                     });
-}
 
 void
 ThreadPool::parallelForRangeImpl(std::size_t n,

@@ -37,7 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -179,7 +178,7 @@ struct ParallelOptions
 /**
  * Work-stealing worker pool.
  *
- * Thread-safe: submit() and the parallelFor family may be called from
+ * Thread-safe: submit() and parallelForRange() may be called from
  * any thread, including from inside a task running on this pool
  * (nested parallel sections do not deadlock: the nested caller claims
  * chunks itself, and abandoned helper tasks exit without touching the
@@ -191,9 +190,9 @@ class ThreadPool
     /**
      * @param workers Worker thread count. kAutoWorkers picks
      *                hardware_concurrency() - 1 (the caller counts as
-     *                one executor via parallelFor); 0 creates no
-     *                threads, makes parallelFor a serial loop, and
-     *                runs submit() tasks inline on the caller.
+     *                one executor via parallelForRange); 0 creates no
+     *                threads, makes parallelForRange a serial call,
+     *                and runs submit() tasks inline on the caller.
      */
     explicit ThreadPool(std::size_t workers = kAutoWorkers);
 
@@ -243,23 +242,10 @@ class ThreadPool
     }
 
     /**
-     * Runs body(i) for every i in [0, n), blocking until all complete.
-     *
-     * Compatibility per-index form: indices are claimed in contiguous
-     * chunks (adaptive grain, measured from the first chunk), so the
-     * assignment of index to thread is nondeterministic — the body
-     * must not depend on execution order. The calling thread executes
-     * chunks too. The first exception thrown by any body is rethrown
-     * here after every other chunk finishes or is abandoned.
-     */
-    void parallelFor(std::size_t n,
-                     const std::function<void(std::size_t)> &body);
-
-    /**
      * Runs body(lo, hi) over disjoint chunks covering [0, n),
-     * blocking until all complete. The preferred form for fine-grained
-     * items: the body amortizes per-chunk scheduling over a tight
-     * local loop. Chunk boundaries are scheduling artifacts — the body
+     * blocking until all complete. The body amortizes per-chunk
+     * scheduling over a tight local loop; the calling thread executes
+     * chunks too. Chunk boundaries are scheduling artifacts — the body
      * must produce the same result for any partition of [0, n).
      *
      * Exceptions: the first exception thrown by any chunk is rethrown

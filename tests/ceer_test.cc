@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -226,6 +227,15 @@ struct AccuracyCase
     const char *model;
     int numGpus;
 };
+
+// Print the fields, not the raw bytes: gtest's default dump includes
+// the model-name pointer, which ASLR changes from run to run, and the
+// dump becomes part of the test name ctest registers.
+void
+PrintTo(const AccuracyCase &test_case, std::ostream *os)
+{
+    *os << test_case.model << " k=" << test_case.numGpus;
+}
 
 class AccuracyTest : public ::testing::TestWithParam<AccuracyCase>
 {

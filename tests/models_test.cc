@@ -5,6 +5,7 @@
  */
 
 #include <map>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -121,6 +122,16 @@ struct ParamExpectation
     const char *name;
     double expected_millions;
 };
+
+// Print the fields, not the raw bytes: gtest's default dump includes
+// the name pointer, which ASLR changes from run to run, and the dump
+// becomes part of the test name ctest registers. The name is already
+// the test's suffix, so only the expected count is printed.
+void
+PrintTo(const ParamExpectation &expectation, std::ostream *os)
+{
+    *os << expectation.expected_millions << "M params";
+}
 
 class ParamCountTest : public ::testing::TestWithParam<ParamExpectation>
 {

@@ -57,11 +57,13 @@ cheapModel()
 
 /** Boots a server on an ephemeral port; asserts the bind worked. */
 std::unique_ptr<Server>
-startServer(ServerOptions options = {})
+startServer(ServerOptions options = {},
+            cloud::InstanceCatalog catalog =
+                cloud::InstanceCatalog::awsOnDemand())
 {
     options.port = 0;
     auto server = std::make_unique<Server>(
-        cheapModel(), cloud::InstanceCatalog::awsOnDemand(), options);
+        cheapModel(), std::move(catalog), options);
     std::string error;
     EXPECT_TRUE(server->tryStart(&error)) << error;
     return server;
@@ -131,13 +133,13 @@ waitForCounter(const std::string &name, std::uint64_t at_least)
     return false;
 }
 
-/** The reply bytes an in-process recommend() would produce. */
+/** The reply bytes a serial in-process recommend() would produce. */
 std::string
-localReplyBytes(const RecommendRequest &request)
+localReplyBytes(const RecommendRequest &request,
+                const cloud::InstanceCatalog &catalog =
+                    cloud::InstanceCatalog::awsOnDemand())
 {
     const core::CeerPredictor predictor(cheapModel());
-    const cloud::InstanceCatalog catalog =
-        cloud::InstanceCatalog::awsOnDemand();
     const graph::Graph g =
         models::buildModel(request.model, request.batch);
     core::WorkloadSpec workload{&g, request.datasetSamples,
@@ -153,7 +155,8 @@ localReplyBytes(const RecommendRequest &request)
     return encodeRecommendResponse(
         responseFromRecommendation(core::recommend(
             predictor, workload, catalog.instances(),
-            core::objectiveFunction(objective), constraints)));
+            core::objectiveFunction(objective), constraints,
+            /*threads=*/1)));
 }
 
 // --- Protocol codecs ---------------------------------------------------
@@ -867,6 +870,59 @@ TEST(ServeServerTest, MultiReactorStopsCleanlyUnderLoad)
     EXPECT_EQ(result.transportErrors, 0);
     server->stop();
     server->stop(); // Idempotent with reactors too.
+}
+
+TEST(ServeServerTest, FleetCatalogParallelSweepMatchesSerialRecommend)
+{
+    // 2048 instances is above the server's parallel-sweep threshold,
+    // so each request forks its candidate sweep onto the shared pool
+    // from its reactor thread — with two reactors, from both at once.
+    // Replies must equal a serial in-process sweep byte for byte.
+    obs::ScopedEnable metrics(true);
+    const cloud::InstanceCatalog fleet =
+        cloud::InstanceCatalog::syntheticFleet(2048);
+    RecommendRequest request;
+    request.model = "alexnet";
+    const std::string expected = localReplyBytes(request, fleet);
+
+    for (const int reactors : {1, 2}) {
+        SCOPED_TRACE(reactors);
+        obs::counter("pool.tasks").reset();
+        ServerOptions options;
+        options.reactors = reactors;
+        // The single listener hands accepts out round-robin, so with
+        // two reactors the two connections land on different ones.
+        options.reusePort = false;
+        auto server = startServer(options, fleet);
+        std::vector<std::thread> clients;
+        for (int c = 0; c < 2; ++c) {
+            clients.emplace_back([&] {
+                ServeClient client;
+                std::string error;
+                if (!client.tryConnect("127.0.0.1", server->port(),
+                                       30000, &error)) {
+                    ADD_FAILURE() << error;
+                    return;
+                }
+                for (int i = 0; i < 4; ++i) {
+                    RecommendResponse response;
+                    std::string raw;
+                    const CallOutcome outcome =
+                        client.recommend(request, &response, &raw);
+                    EXPECT_TRUE(outcome.ok) << outcome.errorMessage;
+                    EXPECT_EQ(raw, expected);
+                }
+            });
+        }
+        for (std::thread &client : clients)
+            client.join();
+        server->stop();
+        // The sweep fans out only where the host has spare cores.
+        if (std::thread::hardware_concurrency() > 1) {
+            EXPECT_GT(obs::snapshotMetrics().counterValue("pool.tasks"),
+                      0u);
+        }
+    }
 }
 
 // --- Percentile resolvability ------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for util::ThreadPool: task submission, parallelFor coverage,
- * exception propagation, and a contended stress loop that doubles as
- * the ThreadSanitizer workload for tools/check.sh.
+ * Tests for util::ThreadPool: task submission, parallelForRange
+ * coverage, exception propagation, and a contended stress loop that
+ * doubles as the ThreadSanitizer workload for tools/check.sh.
  */
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +23,19 @@
 namespace ceer {
 namespace util {
 namespace {
+
+/** Runs body(i) for every i in [0, n) through parallelForRange with
+ *  default options (measured grain, every worker). */
+template <typename Body>
+void
+forEachIndex(ThreadPool &pool, std::size_t n, Body &&body)
+{
+    pool.parallelForRange(n, ParallelOptions{},
+                          [&](std::size_t lo, std::size_t hi) {
+                              for (std::size_t i = lo; i < hi; ++i)
+                                  body(i);
+                          });
+}
 
 TEST(ThreadPoolTest, SubmitReturnsFutureResults)
 {
@@ -38,9 +52,12 @@ TEST(ThreadPoolTest, ZeroWorkerPoolRunsOnCaller)
 {
     ThreadPool pool(0);
     EXPECT_EQ(pool.workerCount(), 0u);
+    const std::thread::id caller = std::this_thread::get_id();
     std::vector<int> hits(10, 0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i] = 1; });
+    forEachIndex(pool, hits.size(), [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        hits[i] = 1;
+    });
     EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
 }
 
@@ -51,7 +68,7 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce)
     std::vector<std::atomic<int>> hits(kN);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < kN; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -60,9 +77,14 @@ TEST(ThreadPoolTest, ParallelForHandlesEmptyAndSingle)
 {
     ThreadPool pool(2);
     int calls = 0;
-    pool.parallelFor(0, [&](std::size_t) { ++calls; });
+    auto count = [&](std::size_t lo, std::size_t hi) {
+        EXPECT_EQ(lo, 0u);
+        EXPECT_EQ(hi, 1u);
+        ++calls;
+    };
+    pool.parallelForRange(0, ParallelOptions{}, count);
     EXPECT_EQ(calls, 0);
-    pool.parallelFor(1, [&](std::size_t) { ++calls; });
+    pool.parallelForRange(1, ParallelOptions{}, count);
     EXPECT_EQ(calls, 1);
 }
 
@@ -77,32 +99,32 @@ TEST(ThreadPoolTest, SubmitPropagatesExceptions)
 TEST(ThreadPoolTest, ParallelForPropagatesExceptions)
 {
     ThreadPool pool(3);
-    EXPECT_THROW(pool.parallelFor(100,
-                                  [](std::size_t i) {
-                                      if (i == 37)
-                                          throw std::runtime_error(
-                                              "task 37 failed");
-                                  }),
+    EXPECT_THROW(forEachIndex(pool, 100,
+                              [](std::size_t i) {
+                                  if (i == 37)
+                                      throw std::runtime_error(
+                                          "task 37 failed");
+                              }),
                  std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ZeroWorkerParallelForPropagatesExceptions)
 {
     ThreadPool pool(0);
-    EXPECT_THROW(pool.parallelFor(10,
-                                  [](std::size_t i) {
-                                      if (i == 3)
-                                          throw std::runtime_error(
-                                              "serial task failed");
-                                  }),
+    EXPECT_THROW(forEachIndex(pool, 10,
+                              [](std::size_t i) {
+                                  if (i == 3)
+                                      throw std::runtime_error(
+                                          "serial task failed");
+                              }),
                  std::runtime_error);
 }
 
 TEST(ThreadPoolTest, PoolIsReusableAfterParallelForThrows)
 {
     ThreadPool pool(3);
-    EXPECT_THROW(pool.parallelFor(
-                     50,
+    EXPECT_THROW(forEachIndex(
+                     pool, 50,
                      [](std::size_t i) {
                          if (i % 10 == 5)
                              throw std::runtime_error("partial");
@@ -114,8 +136,8 @@ TEST(ThreadPoolTest, PoolIsReusableAfterParallelForThrows)
     std::vector<std::atomic<int>> hits(200);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
     EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
@@ -140,8 +162,8 @@ TEST(ThreadPoolTest, FewerItemsThanWorkersCoversEveryIndex)
     std::vector<std::atomic<int>> hits(3);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -212,20 +234,28 @@ TEST(ThreadPoolTest, ExceptionAbandonsRemainingChunks)
 {
     // A throw in one chunk must stop other executors from claiming
     // further chunks: with the failure in the very first index, the
-    // executed count stays far below n.
+    // executed count stays far below n. The other chunks start only
+    // once the first one has, and each takes 1 ms, so executors racing
+    // through empty chunks cannot outrun the throw (which is slow when
+    // it is the process's first and the unwinder still has to load).
     ThreadPool pool(4);
     constexpr std::size_t kN = 1'000'000;
     std::atomic<std::size_t> executed{0};
+    std::atomic<bool> firstStarted{false};
     ParallelOptions options;
     options.costHintUs = 0.01; // fine grain: many chunks to abandon
     try {
-        pool.parallelForRange(kN, options,
-                              [&](std::size_t lo, std::size_t hi) {
-                                  if (lo == 0)
-                                      throw std::runtime_error(
-                                          "first chunk failed");
-                                  executed.fetch_add(hi - lo);
-                              });
+        pool.parallelForRange(
+            kN, options, [&](std::size_t lo, std::size_t hi) {
+                if (lo == 0) {
+                    firstStarted.store(true);
+                    throw std::runtime_error("first chunk failed");
+                }
+                while (!firstStarted.load())
+                    std::this_thread::yield();
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                executed.fetch_add(hi - lo);
+            });
         FAIL() << "expected the chunk's exception to propagate";
     } catch (const std::runtime_error &error) {
         EXPECT_STREQ(error.what(), "first chunk failed");
@@ -251,16 +281,16 @@ TEST(ThreadPoolTest, RangeFormPropagatesExceptionFromLastChunk)
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock)
 {
     // Outer chunks run on workers; each body opens a nested
-    // parallelFor on the same pool. The nested caller claims chunks
-    // itself, so this terminates even with every worker busy.
+    // parallelForRange on the same pool. The nested caller claims
+    // chunks itself, so this terminates even with every worker busy.
     ThreadPool pool(3);
     constexpr std::size_t kOuter = 16;
     constexpr std::size_t kInner = 64;
     std::vector<std::atomic<std::size_t>> inner_sums(kOuter);
     for (auto &sum : inner_sums)
         sum.store(0);
-    pool.parallelFor(kOuter, [&](std::size_t o) {
-        pool.parallelFor(kInner, [&](std::size_t i) {
+    forEachIndex(pool, kOuter, [&](std::size_t o) {
+        forEachIndex(pool, kInner, [&](std::size_t i) {
             inner_sums[o].fetch_add(i + 1);
         });
     });
@@ -277,8 +307,8 @@ TEST(ThreadPoolTest, SharedPoolHasWorkersAndRuns)
     std::vector<std::atomic<int>> hits(512);
     for (auto &hit : hits)
         hit.store(0);
-    pool.parallelFor(hits.size(),
-                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    forEachIndex(pool, hits.size(),
+                 [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
@@ -402,7 +432,7 @@ TEST(ThreadPoolTest, ContendedSharedStateStress)
         std::mutex mutex;
         std::set<std::size_t> seen;
         std::atomic<std::size_t> total{0};
-        pool.parallelFor(500, [&](std::size_t i) {
+        forEachIndex(pool, 500, [&](std::size_t i) {
             total.fetch_add(i);
             std::lock_guard<std::mutex> lock(mutex);
             seen.insert(i);

@@ -722,9 +722,6 @@ cmdServe(int argc, char **argv)
     flags.defineInt("read-timeout-ms", 5000,
                     "disconnect clients stalled mid-frame after this "
                     "long (<= 0 disables)");
-    flags.defineInt("threads", 1,
-                    "candidate-sweep worker threads per request; 1 "
-                    "executes requests inline on their reactor");
     flags.defineInt("reactors", 1,
                     "reactor threads (accept sharding via "
                     "SO_REUSEPORT; one per core is typical)");
@@ -750,7 +747,6 @@ cmdServe(int argc, char **argv)
         static_cast<std::size_t>(flags.getInt("max-payload"));
     options.readTimeoutMs =
         static_cast<int>(flags.getInt("read-timeout-ms"));
-    options.sweepThreads = static_cast<int>(flags.getInt("threads"));
     options.reactors = static_cast<int>(flags.getInt("reactors"));
     options.reusePort = !flags.getBool("no-reuseport");
     options.planCacheCapacity =

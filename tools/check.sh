@@ -205,9 +205,9 @@ pass_tsan() {
         --gtest_filter='EvalSweepTest.ParallelSweepIsByteIdentical'
     # The full ceerd stack under TSan: multi-reactor accept sharding
     # and fd handoff, the shared plan cache's concurrent compile-once
-    # path, reactor/worker re-arm handoff, engine hot-swap, admission
-    # counters and the loadgen's dedicated client threads all
-    # race-checked end to end.
+    # path, large-catalog sweeps forking from reactor threads onto the
+    # shared pool, engine hot-swap, admission counters and the
+    # loadgen's dedicated client threads all race-checked end to end.
     ./build-tsan/tests/serve_test
 }
 
