@@ -42,13 +42,14 @@ main(int argc, char **argv)
     std::uint64_t salt = 500;
     for (const std::string &name : models::testSetNames()) {
         const graph::Graph g = models::buildModel(name, config.batch);
+        const core::PredictPlan plan = predictor.compile(g);
         for (GpuModel gpu : hw::allGpuModels()) {
             const double observed = bench::observedIterationUs(
                 g, gpu, 1, config, ++salt);
             const double full =
-                predictor.predictIterationUs(g, gpu, 1);
+                predictor.predictIterationUs(plan, gpu, 1);
             const double ablated = predictor.predictIterationUs(
-                g, gpu, 1, baselines::heavyOnlyOptions());
+                plan, gpu, 1, baselines::heavyOnlyOptions());
             const double fe = std::abs(full / observed - 1.0);
             const double ae = std::abs(ablated / observed - 1.0);
             full_error += fe;

@@ -35,17 +35,17 @@ main(int argc, char **argv)
     int k4_points = 0;
     std::uint64_t salt = 700;
     for (const std::string &name : models::testSetNames()) {
+        const graph::Graph g = models::buildModel(name, config.batch);
+        const core::PredictPlan plan = predictor.compile(g);
         for (int k : {1, 4}) {
-            const graph::Graph g =
-                models::buildModel(name, config.batch);
             double full_sum = 0.0, ablated_sum = 0.0;
             for (GpuModel gpu : hw::allGpuModels()) {
                 const double observed = bench::observedIterationUs(
                     g, gpu, k, config, ++salt);
                 const double full =
-                    predictor.predictIterationUs(g, gpu, k);
+                    predictor.predictIterationUs(plan, gpu, k);
                 const double ablated = predictor.predictIterationUs(
-                    g, gpu, k, baselines::noCommOptions());
+                    plan, gpu, k, baselines::noCommOptions());
                 full_sum += std::abs(full / observed - 1.0);
                 ablated_sum += std::abs(ablated / observed - 1.0);
             }

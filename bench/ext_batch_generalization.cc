@@ -40,12 +40,13 @@ main(int argc, char **argv)
     for (const std::string &name : models::testSetNames()) {
         for (std::int64_t batch : {16, 32, 48, 64}) {
             const graph::Graph g = models::buildModel(name, batch);
+            const core::PredictPlan plan = predictor.compile(g);
             double error_sum = 0.0;
             for (GpuModel gpu : hw::allGpuModels()) {
                 const double observed = bench::observedIterationUs(
                     g, gpu, 1, config, ++salt);
                 const double predicted =
-                    predictor.predictIterationUs(g, gpu, 1);
+                    predictor.predictIterationUs(plan, gpu, 1);
                 error_sum += std::abs(predicted / observed - 1.0);
             }
             const double mean_error = error_sum / 4.0;

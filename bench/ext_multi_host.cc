@@ -75,6 +75,9 @@ main(int argc, char **argv)
     std::uint64_t salt = 1300;
     for (const std::string &name : models::testSetNames()) {
         const graph::Graph g = models::buildModel(name, config.batch);
+        const core::PredictPlan stale_plan = single_predictor.compile(g);
+        const core::PredictPlan fresh_plan =
+            retrained_predictor.compile(g);
         for (GpuModel gpu : hw::allGpuModels()) {
             const double single_obs = observedMultiHostUs(
                 g, gpu, 4, 8, config.evalIterations,
@@ -83,9 +86,10 @@ main(int argc, char **argv)
                 g, gpu, 4, 1, config.evalIterations,
                 config.seed + ++salt);
             const double stale =
-                single_predictor.predictIterationUs(g, gpu, 4);
+                single_predictor.predictIterationUs(stale_plan, gpu, 4);
             const double fresh =
-                retrained_predictor.predictIterationUs(g, gpu, 4);
+                retrained_predictor.predictIterationUs(fresh_plan, gpu,
+                                                       4);
             const double stale_err = stale / multi_obs - 1.0;
             const double fresh_err = fresh / multi_obs - 1.0;
             slowdown_sum += multi_obs / single_obs;

@@ -38,7 +38,7 @@ main(int argc, char **argv)
 
     // Ceer's predictions are price-independent; compute them once.
     const core::TrainingPrediction p2_prediction =
-        predictor.predictTraining(g, GpuModel::K80, 1,
+        predictor.predictTraining(predictor.compile(g), GpuModel::K80, 1,
                                   bench::kImageNetSamples, config.batch);
 
     util::TablePrinter table({"P2 $/GPU-hr", "P2 cost", "winner",

@@ -72,15 +72,17 @@ main(int argc, char **argv)
     util::TablePrinter table({"GPU", "observed", "CNN-only Ceer",
                               "retrained", "CNN-only err",
                               "retrained err"});
+    const core::PredictPlan stale_plan = cnn_predictor.compile(g);
+    const core::PredictPlan fresh_plan = retrained_predictor.compile(g);
     double stale_bias = 0.0, stale_error = 0.0, retrained_error = 0.0;
     std::uint64_t salt = 0;
     for (GpuModel gpu : hw::allGpuModels()) {
         const double observed = bench::observedIterationUs(
             g, gpu, 1, config, 1500 + ++salt);
         const double stale =
-            cnn_predictor.predictIterationUs(g, gpu, 1);
+            cnn_predictor.predictIterationUs(stale_plan, gpu, 1);
         const double fresh =
-            retrained_predictor.predictIterationUs(g, gpu, 1);
+            retrained_predictor.predictIterationUs(fresh_plan, gpu, 1);
         const double stale_err = stale / observed - 1.0;
         const double fresh_err = fresh / observed - 1.0;
         stale_bias += stale_err;
@@ -102,12 +104,13 @@ main(int argc, char **argv)
     // about non-CNN topology per se.
     const graph::Graph lstm =
         models::buildLstmClassifier(config.batch);
+    const core::PredictPlan lstm_plan = cnn_predictor.compile(lstm);
     double lstm_error = 0.0;
     for (GpuModel gpu : hw::allGpuModels()) {
         const double observed = bench::observedIterationUs(
             lstm, gpu, 1, config, 1700 + ++salt);
         const double predicted =
-            cnn_predictor.predictIterationUs(lstm, gpu, 1);
+            cnn_predictor.predictIterationUs(lstm_plan, gpu, 1);
         lstm_error += std::abs(predicted / observed - 1.0);
     }
     std::cout << util::format(
@@ -120,12 +123,14 @@ main(int argc, char **argv)
     // developed over time" case (Sec. IV-D) inside the CNN family.
     const graph::Graph mobilenet =
         models::buildMobileNetV1(config.batch);
+    const core::PredictPlan mobilenet_plan =
+        cnn_predictor.compile(mobilenet);
     double mobilenet_bias = 0.0;
     for (GpuModel gpu : hw::allGpuModels()) {
         const double observed = bench::observedIterationUs(
             mobilenet, gpu, 1, config, 1900 + ++salt);
         const double predicted =
-            cnn_predictor.predictIterationUs(mobilenet, gpu, 1);
+            cnn_predictor.predictIterationUs(mobilenet_plan, gpu, 1);
         mobilenet_bias += predicted / observed - 1.0;
     }
     std::cout << util::format(

@@ -47,6 +47,7 @@ main(int argc, char **argv)
     std::uint64_t salt = 0;
     for (const std::string &name : models::testSetNames()) {
         const graph::Graph g = models::buildModel(name, config.batch);
+        const core::PredictPlan plan = predictor.compile(g);
         const std::int64_t iterations =
             bench::kImageNetSamples / (4 * config.batch);
         std::map<GpuModel, double> observed_hours, predicted_hours,
@@ -58,7 +59,7 @@ main(int argc, char **argv)
             observed_hours[gpu] =
                 obs_iter_us * static_cast<double>(iterations) / 3.6e9;
             const core::TrainingPrediction prediction =
-                predictor.predictTraining(g, gpu, 4,
+                predictor.predictTraining(plan, gpu, 4,
                                           bench::kImageNetSamples,
                                           config.batch);
             predicted_hours[gpu] = prediction.hours;

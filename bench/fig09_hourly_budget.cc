@@ -70,6 +70,7 @@ main(int argc, char **argv)
     std::uint64_t salt = 100;
     for (const std::string &name : models::testSetNames()) {
         const graph::Graph g = models::buildModel(name, config.batch);
+        const core::PredictPlan plan = predictor.compile(g);
         std::map<GpuModel, double> observed_tput, predicted_tput;
         const GpuInstance *best_observed = nullptr;
         double best_observed_tput = 0.0;
@@ -77,7 +78,7 @@ main(int argc, char **argv)
             const double obs_iter_us = bench::observedIterationUs(
                 g, instance.gpu, instance.numGpus, config, ++salt);
             const double pred_iter_us = predictor.predictIterationUs(
-                g, instance.gpu, instance.numGpus);
+                plan, instance.gpu, instance.numGpus);
             const double samples_per_iter = static_cast<double>(
                 config.batch * instance.numGpus);
             observed_tput[instance.gpu] =

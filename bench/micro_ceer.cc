@@ -3,12 +3,12 @@
  * Prediction-path throughput microbenchmark.
  *
  * Measures the compiled-plan predictor (CeerPredictor::compile +
- * predictBatch) against the scalar node walk it replaces, and the
- * parallel recommender sweep against the serial one, verifying both
- * determinism contracts along the way: every compiled prediction must
- * be bit-identical to the node walk, and the Recommendation — winner
- * and full evaluation list — must be byte-identical at every thread
- * count. Writes BENCH_ceer.json so future PRs can track the perf
+ * predictBatch) and the parallel recommender sweep against the serial
+ * one, verifying the sweep's determinism contract along the way: the
+ * Recommendation — winner and full evaluation list — must be
+ * byte-identical at every thread count. (Bit-identity of the plan
+ * itself is pinned by the scalar reference in predict_plan_test.)
+ * Writes BENCH_ceer.json so future changes can track the perf
  * trajectory.
  *
  * Thread counts beyond the hardware are not swept: on an
@@ -72,9 +72,6 @@ main(int argc, char **argv)
 {
     util::Flags flags;
     flags.defineString("model", "resnet_101", "CNN to predict");
-    // Large enough that the scalar walk's timed region is hundreds of
-    // milliseconds; the compiled path then resolves well above timer
-    // noise even at >100x speedups.
     flags.defineInt("iters", 2000,
                     "prediction rounds per timed run (each round "
                     "evaluates every GPU x k candidate)");
@@ -120,17 +117,7 @@ main(int argc, char **argv)
         for (int k : {1, 2, 4, 8})
             requests.push_back({gpu, k});
 
-    // --- Scalar node walk vs compiled plan. ---
-    double scalar_checksum = 0.0;
-    const auto scalar_start = Clock::now();
-    for (int i = 0; i < iters; ++i)
-        for (const core::PredictRequest &request : requests)
-            scalar_checksum += predictor.predictIterationUs(
-                g, request.gpu, request.numGpus);
-    const double scalar_wall =
-        std::chrono::duration<double>(Clock::now() - scalar_start)
-            .count();
-
+    // --- Compiled plan: one compile, then evaluation rounds. ---
     const auto compile_start = Clock::now();
     const core::PredictPlan plan = predictor.compile(g);
     const double compile_wall =
@@ -147,42 +134,13 @@ main(int argc, char **argv)
         std::chrono::duration<double>(Clock::now() - compiled_start)
             .count();
 
-    // Bit-identity of every candidate (the checksums above only keep
-    // the loops from being optimized away — equality of sums would
-    // not prove per-candidate equality).
-    bool predict_identical = true;
-    const std::vector<double> batch =
-        predictor.predictBatch(plan, requests);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        const double scalar = predictor.predictIterationUs(
-            g, requests[i].gpu, requests[i].numGpus);
-        if (bits(scalar) != bits(batch[i])) {
-            predict_identical = false;
-            std::cerr << "FAIL: candidate " << i
-                      << " compiled prediction differs from the "
-                         "node walk\n";
-        }
-    }
-
-    const double rounds_per_sec_scalar = iters / scalar_wall;
+    // The checksum only keeps the loop from being optimized away.
     const double rounds_per_sec_compiled = iters / compiled_wall;
-    const double predict_speedup = scalar_wall / compiled_wall;
-
-    util::TablePrinter predict_table(
-        {"predictor", "wall (s)", "rounds/sec", "speedup"});
-    predict_table.addRow({"scalar node walk",
-                          util::format("%.3f", scalar_wall),
-                          util::format("%.1f", rounds_per_sec_scalar),
-                          "1.00x"});
-    predict_table.addRow({"compiled plan",
-                          util::format("%.3f", compiled_wall),
-                          util::format("%.1f", rounds_per_sec_compiled),
-                          util::format("%.2fx", predict_speedup)});
-    predict_table.print(std::cout);
     std::cout << util::format(
-        "compile() cost: %.1f us (amortized over %d rounds); "
-        "checksums: scalar %.6e, compiled %.6e\n",
-        compile_wall * 1e6, iters, scalar_checksum, compiled_checksum);
+        "compiled plan: %.3f ms wall, %.1f rounds/sec; compile() cost: "
+        "%.1f us (amortized over %d rounds); checksum %.6e\n",
+        compiled_wall * 1e3, rounds_per_sec_compiled, compile_wall * 1e6,
+        iters, compiled_checksum);
 
     // --- Recommender sweep: serial vs parallel over a big catalog. ---
     // The real AWS catalog has 16 candidates — too few for a thread
@@ -277,7 +235,6 @@ main(int argc, char **argv)
                      "skipped (identity still enforced)\n";
     }
 
-    const bool all_identical = predict_identical && sweep_identical;
     int below_serial = 0;
     for (const Result &r : results)
         below_serial += r.belowSerial ? 1 : 0;
@@ -288,11 +245,8 @@ main(int argc, char **argv)
         .num("candidates_per_round",
              static_cast<std::int64_t>(requests.size()));
     bench::addScalingFields(doc, hardware, scaling_meaningful);
-    doc.num("scalar_rounds_per_sec", rounds_per_sec_scalar, "%.1f")
-        .num("compiled_rounds_per_sec", rounds_per_sec_compiled, "%.1f")
+    doc.num("compiled_rounds_per_sec", rounds_per_sec_compiled, "%.1f")
         .num("compile_us", compile_wall * 1e6, "%.1f")
-        .num("predict_speedup", predict_speedup, "%.4f")
-        .boolean("predict_identity_ok", predict_identical)
         .num("recommender_candidates",
              static_cast<std::int64_t>(candidates.size()))
         .boolean("recommender_identity_ok", sweep_identical)
@@ -311,5 +265,5 @@ main(int argc, char **argv)
     if (!bench::writeBenchJson(flags.getString("out"), doc))
         return 1;
     bench::flushBenchMetrics();
-    return all_identical ? 0 : 1;
+    return sweep_identical ? 0 : 1;
 }

@@ -2,12 +2,11 @@
  * @file
  * Simulation-kernel throughput microbenchmark.
  *
- * Measures iterations/sec of TrainingSimulator's batched counter-based
- * kernel against a faithful reimplementation of the pre-SoA scalar
- * kernel (array-of-structs node walk + stateful per-replica Rng), and
- * verifies the parallel-run determinism contract: RunStats from
- * run(n, threads) must be byte-identical at every thread count. Writes
- * BENCH_sim.json so future PRs can track the perf trajectory.
+ * Measures single-thread iterations/sec of TrainingSimulator's batched
+ * counter-based kernel, and verifies the parallel-run determinism
+ * contract: RunStats from run(n, threads) must be byte-identical at
+ * every thread count. Writes BENCH_sim.json so future changes can
+ * track the perf trajectory.
  *
  * The swept thread counts are capped at hardware_concurrency(): on an
  * oversubscribed host a "parallel speedup" below 1.0 is a scheduling
@@ -23,11 +22,9 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "hw/interconnect.h"
 #include "models/model_zoo.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
-#include "util/random.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -35,83 +32,6 @@ namespace {
 
 using namespace ceer;
 using Clock = std::chrono::steady_clock;
-
-/**
- * The pre-SoA scalar kernel, kept verbatim as the speedup baseline:
- * one stateful lognormal/gamma draw per node per replica, strictly
- * serial across iterations, AoS timing records.
- */
-class ScalarReferenceSimulator
-{
-  public:
-    ScalarReferenceSimulator(const graph::Graph &g,
-                             const sim::SimConfig &config)
-        : config_(config), commRng_(config.seed, 0xC0FFEEull)
-    {
-        const hw::GpuTimingModel gpu_model(config.gpu);
-        const hw::CpuTimingModel cpu_model(
-            hw::hostSpeedFactor(config.gpu));
-        timings_.reserve(g.size());
-        for (const graph::Node &node : g.nodes()) {
-            NodeTiming timing{};
-            timing.onGpu = node.device() == graph::Device::Gpu;
-            if (timing.onGpu) {
-                timing.baseUs = gpu_model.meanTimeUs(node);
-                timing.sigma = gpu_model.effectiveSigma(node);
-            } else {
-                timing.cpuMean = cpu_model.meanTimeUs(node);
-            }
-            timings_.push_back(timing);
-            if (node.type == graph::OpType::IteratorGetNext)
-                inputBytes_ += static_cast<double>(node.outputBytes());
-        }
-        paramBytes_ = static_cast<double>(g.totalParameters()) * 4.0;
-        for (int r = 0; r < config.numGpus; ++r)
-            replicaRngs_.emplace_back(config.seed,
-                                      static_cast<std::uint64_t>(r) + 1);
-    }
-
-    sim::IterationResult runIteration()
-    {
-        sim::IterationResult result;
-        double slowest = 0.0;
-        for (auto &rng : replicaRngs_) {
-            double total = 0.0;
-            for (const NodeTiming &timing : timings_) {
-                if (timing.onGpu) {
-                    total += timing.baseUs *
-                             rng.lognormalFactor(timing.sigma);
-                } else {
-                    constexpr double kShape = 2.78;
-                    total += timing.cpuMean *
-                             rng.gamma(kShape, 1.0 / kShape);
-                }
-            }
-            slowest = std::max(slowest, total);
-        }
-        result.computeUs = slowest;
-        result.commUs = hw::sampleCommOverheadUs(
-            config_.gpu, config_.numGpus, paramBytes_, inputBytes_,
-            commRng_, config_.gpusPerHost);
-        return result;
-    }
-
-  private:
-    struct NodeTiming
-    {
-        double baseUs;
-        double sigma;
-        bool onGpu;
-        double cpuMean;
-    };
-
-    sim::SimConfig config_;
-    std::vector<NodeTiming> timings_;
-    std::vector<util::Rng> replicaRngs_;
-    util::Rng commRng_;
-    double paramBytes_ = 0.0;
-    double inputBytes_ = 0.0;
-};
 
 /** Bit pattern of a double (== would conflate +0.0 and -0.0). */
 std::uint64_t
@@ -147,7 +67,7 @@ main(int argc, char **argv)
     flags.defineString("model", "inception_v1", "CNN to simulate");
     // Large enough that the batched kernel's timed region is hundreds
     // of milliseconds; at a few hundred iterations it finishes in
-    // single-digit milliseconds and the speedup is mostly timer noise.
+    // single-digit milliseconds and the rate is mostly timer noise.
     flags.defineInt("iters", 20000, "iterations per timed run");
     flags.defineInt("gpus", 1, "data-parallel replicas");
     flags.defineString("out", "BENCH_sim.json",
@@ -172,16 +92,7 @@ main(int argc, char **argv)
                           " iterations)");
     std::cout << "hardware threads: " << hardware << "\n";
 
-    // --- Single-thread kernel comparison: scalar vs batched. ---
-    ScalarReferenceSimulator scalar(g, config);
-    double scalar_checksum = 0.0;
-    const auto scalar_start = Clock::now();
-    for (int i = 0; i < iters; ++i)
-        scalar_checksum += scalar.runIteration().totalUs();
-    const double scalar_wall =
-        std::chrono::duration<double>(Clock::now() - scalar_start)
-            .count();
-
+    // --- Single-thread kernel throughput. ---
     sim::TrainingSimulator batched(g, config);
     double batched_checksum = 0.0;
     const auto batched_start = Clock::now();
@@ -191,22 +102,11 @@ main(int argc, char **argv)
         std::chrono::duration<double>(Clock::now() - batched_start)
             .count();
 
-    const double scalar_ips = iters / scalar_wall;
     const double batched_ips = iters / batched_wall;
-    const double kernel_speedup = batched_ips / scalar_ips;
-
-    util::TablePrinter kernel_table(
-        {"kernel", "wall (s)", "iters/sec", "speedup"});
-    kernel_table.addRow({"scalar (pre-SoA)",
-                         util::format("%.3f", scalar_wall),
-                         util::format("%.1f", scalar_ips), "1.00x"});
-    kernel_table.addRow({"batched SoA", util::format("%.3f", batched_wall),
-                         util::format("%.1f", batched_ips),
-                         util::format("%.2fx", kernel_speedup)});
-    kernel_table.print(std::cout);
-    // Checksums keep the loops from being optimized away.
-    std::cout << util::format("checksums: scalar %.3e, batched %.3e\n",
-                              scalar_checksum, batched_checksum);
+    // The checksum keeps the loop from being optimized away.
+    std::cout << util::format(
+        "batched kernel: %.3f s wall, %.1f iters/sec; checksum %.3e\n",
+        batched_wall, batched_ips, batched_checksum);
 
     // --- Iteration-parallel runs: identity + scaling. ---
     // Identity is always checked at 1/2/4 threads — the determinism
@@ -283,9 +183,7 @@ main(int argc, char **argv)
         .num("iterations", iters)
         .num("num_gpus", config.numGpus);
     bench::addScalingFields(doc, hardware, scaling_meaningful);
-    doc.num("scalar_iters_per_sec", scalar_ips, "%.1f")
-        .num("batched_iters_per_sec", batched_ips, "%.1f")
-        .num("single_thread_speedup", kernel_speedup, "%.4f")
+    doc.num("batched_iters_per_sec", batched_ips, "%.1f")
         .boolean("parallel_identity_ok", all_identical)
         .num("below_serial_measurements", below_serial);
     std::vector<bench::JsonObject> rows;

@@ -51,15 +51,16 @@ main(int argc, char **argv)
             predictor, workload, catalog.instances(),
             core::Objective::MinCost);
         const auto &best = recommendation.best();
+        const core::PredictPlan plan = predictor.compile(g);
 
         const double cheapest_cost =
             predictor
-                .predictTraining(g, cheapest, bench::kImageNetSamples,
+                .predictTraining(plan, cheapest, bench::kImageNetSamples,
                                  config.batch)
                 .costUsd(cheapest.hourlyUsd);
         const double latest_cost =
             predictor
-                .predictTraining(g, latest, bench::kImageNetSamples,
+                .predictTraining(plan, latest, bench::kImageNetSamples,
                                  config.batch)
                 .costUsd(latest.hourlyUsd);
         const double saving_cheapest =

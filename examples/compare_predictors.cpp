@@ -51,6 +51,7 @@ main(int argc, char **argv)
     int points = 0;
     for (const std::string &name : models::testSetNames()) {
         const graph::Graph g = models::buildModel(name, batch);
+        const core::PredictPlan plan = predictor.compile(g);
         for (hw::GpuModel gpu : hw::allGpuModels()) {
             sim::SimConfig config;
             config.gpu = gpu;
@@ -61,11 +62,11 @@ main(int argc, char **argv)
                 simulator.run(options.iterations).iterationUs.mean();
 
             const double predictions[4] = {
-                predictor.predictIterationUs(g, gpu, k),
+                predictor.predictIterationUs(plan, gpu, k),
                 predictor.predictIterationUs(
-                    g, gpu, k, baselines::heavyOnlyOptions()),
+                    plan, gpu, k, baselines::heavyOnlyOptions()),
                 predictor.predictIterationUs(
-                    g, gpu, k, baselines::noCommOptions()),
+                    plan, gpu, k, baselines::noCommOptions()),
                 paleo.predictIterationUs(g, gpu),
             };
             std::vector<std::string> row{name, hw::gpuModelName(gpu)};

@@ -64,6 +64,7 @@ main(int argc, char **argv)
     const std::int64_t samples = flags.getInt("samples");
     const int max_gpus = static_cast<int>(flags.getInt("max-gpus"));
     const graph::Graph g = models::buildModel(target, batch);
+    const core::PredictPlan plan = predictor.compile(g);
     const cloud::InstanceCatalog catalog =
         cloud::InstanceCatalog::awsOnDemand();
 
@@ -77,7 +78,7 @@ main(int argc, char **argv)
         double base_hours = 0.0;
         for (int k = 1; k <= max_gpus; ++k) {
             const core::TrainingPrediction prediction =
-                predictor.predictTraining(g, gpu, k, samples, batch);
+                predictor.predictTraining(plan, gpu, k, samples, batch);
             // Instances beyond 4 GPUs are priced linearly per GPU, as
             // the paper does for its proxies.
             const double hourly =

@@ -71,6 +71,7 @@ main(int argc, char **argv)
     //    per-iteration time on every 4-GPU instance.
     const std::string target = flags.getString("model");
     const graph::Graph g = models::buildModel(target, batch);
+    const core::PredictPlan plan = predictor.compile(g);
     std::cout << "validation on held-out " << target << " (4 GPUs):\n";
     util::TablePrinter validation(
         {"GPU", "observed/iter", "predicted/iter", "error"});
@@ -82,7 +83,8 @@ main(int argc, char **argv)
         sim::TrainingSimulator simulator(g, config);
         const double observed =
             simulator.run(collect.iterations).iterationUs.mean();
-        const double predicted = predictor.predictIterationUs(g, gpu, 4);
+        const double predicted =
+            predictor.predictIterationUs(plan, gpu, 4);
         validation.addRow(
             {hw::gpuModelName(gpu), util::humanMicros(observed),
              util::humanMicros(predicted),
@@ -132,7 +134,7 @@ main(int argc, char **argv)
 
         // Explain where Ceer thinks the time goes on that instance.
         const core::PredictionBreakdown breakdown =
-            predictor.breakdown(g, best.instance.gpu,
+            predictor.breakdown(plan, best.instance.gpu,
                                 best.instance.numGpus);
         std::cout << "per-iteration breakdown: heavy "
                   << util::humanMicros(breakdown.heavyUs) << ", light "
@@ -155,7 +157,7 @@ main(int argc, char **argv)
         const auto &cheap =
             baselines::cheapestInstance(catalog.instances());
         const auto cheap_prediction =
-            predictor.predictTraining(g, cheap, samples, batch);
+            predictor.predictTraining(plan, cheap, samples, batch);
         std::cout << "baseline (cheapest instance, " << cheap.name
                   << "): "
                   << util::format("%.2fh", cheap_prediction.hours)

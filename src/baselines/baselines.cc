@@ -77,17 +77,5 @@ FlopsPredictor::predictIterationUs(const graph::Graph &g,
     return total_flops / (spec.peakTflops * utilization_ * 1e6);
 }
 
-double
-FlopsPredictor::predictTrainingHours(const graph::Graph &g,
-                                     hw::GpuModel gpu, int num_gpus,
-                                     std::int64_t dataset_samples,
-                                     std::int64_t batch_per_gpu) const
-{
-    return core::makeTrainingPrediction(predictIterationUs(g, gpu),
-                                        num_gpus, dataset_samples,
-                                        batch_per_gpu)
-        .hours;
-}
-
 } // namespace baselines
 } // namespace ceer

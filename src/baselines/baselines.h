@@ -62,12 +62,6 @@ class FlopsPredictor
     double predictIterationUs(const graph::Graph &g,
                               hw::GpuModel gpu) const;
 
-    /** Predicted full-training time in hours. */
-    double predictTrainingHours(const graph::Graph &g, hw::GpuModel gpu,
-                                int num_gpus,
-                                std::int64_t dataset_samples,
-                                std::int64_t batch_per_gpu) const;
-
   private:
     double utilization_;
 };

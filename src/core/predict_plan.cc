@@ -11,7 +11,7 @@
 // The evaluation kernel is multiversioned via the shared macro; this
 // TU is compiled with -ffp-contract=off (see CMakeLists.txt) so no
 // clone fuses multiply-add into FMA and every clone returns the same
-// bits as the scalar node walk.
+// bits as a scalar per-node accumulation.
 #include "util/target_clones.h"
 
 namespace ceer {
@@ -55,6 +55,33 @@ dotClampSum(const double *x, std::size_t n, std::size_t d,
 
 } // namespace plan_kernel
 
+graph::OpType
+PredictPlan::groupOp(std::size_t i) const
+{
+    if (i >= groups_.size())
+        util::panic("PredictPlan::groupOp: bad group index");
+    return groups_[i].op;
+}
+
+double
+PredictPlan::groupHeavyUs(std::size_t i, hw::GpuModel gpu) const
+{
+    const std::size_t slot = static_cast<std::size_t>(gpu);
+    if (i >= groups_.size() || slot >= groups_[i].recipes.size())
+        util::panic("PredictPlan::groupHeavyUs: bad group or GPU slot");
+    const OpGroup &group = groups_[i];
+    const GpuRecipe &recipe = group.recipes[slot];
+    if (!recipe.viaModel)
+        return static_cast<double>(group.rows) * recipe.flatUs;
+    const double *matrix = recipe.quadratic ? group.quadFeatures.data()
+                                            : group.features.data();
+    return plan_kernel::dotClampSum(matrix, group.rows,
+                                    recipe.weights.size(),
+                                    recipe.weights.data(),
+                                    recipe.scales.data(),
+                                    recipe.intercept);
+}
+
 double
 PredictPlan::heavyUs(hw::GpuModel gpu) const
 {
@@ -74,20 +101,8 @@ PredictPlan::heavyUs(hw::GpuModel gpu) const
     }
 
     double heavy = 0.0;
-    for (const OpGroup &group : groups_) {
-        const GpuRecipe &recipe = group.recipes[slot];
-        if (recipe.viaModel) {
-            const double *matrix = recipe.quadratic
-                                       ? group.quadFeatures.data()
-                                       : group.features.data();
-            heavy += plan_kernel::dotClampSum(
-                matrix, group.rows, recipe.weights.size(),
-                recipe.weights.data(), recipe.scales.data(),
-                recipe.intercept);
-        } else {
-            heavy += static_cast<double>(group.rows) * recipe.flatUs;
-        }
-    }
+    for (std::size_t i = 0; i < groups_.size(); ++i)
+        heavy += groupHeavyUs(i, gpu);
     memo.value[slot] = heavy;
     memo.ready[slot].store(true, std::memory_order_release);
     OBS_COUNTER_INC("predictor.memo_fills");

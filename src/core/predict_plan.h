@@ -1,13 +1,14 @@
 /**
  * @file
  * Compiled prediction plans: the one-time workload featurization half
- * of the predictor's compile -> evaluate split.
+ * of the predictor's compile -> evaluate split, and the only Eq. 2
+ * evaluator in the library.
  *
  * Eq. 2 is additive over graph operations, so nothing about a CNN's
  * contribution to a prediction depends on the candidate (GPU, k)
- * being scored — yet the scalar path re-walks the graph, re-classifies
- * every node and re-extracts features per call. CeerPredictor::compile
- * walks the graph exactly once and produces a PredictPlan:
+ * being scored. CeerPredictor::compile walks the graph exactly once —
+ * classifying every node and extracting its features — and produces a
+ * PredictPlan:
  *
  *  - per heavy op type, a dense row-major feature matrix (one row per
  *    node instance, profile::kNumOpFeatures columns) plus the
@@ -23,11 +24,15 @@
  * per-(plan, GPU) memo caches that heavy sum, so scoring the same GPU
  * at another k recomputes only the communication-overhead term.
  *
- * Determinism contract: evaluating a plan is bit-identical to the
- * scalar node walk (predictIterationUs(graph, ...)) for every graph,
- * GPU and k — the kernel replays LinearModel::predict's exact
- * operation sequence per lane and both paths accumulate in the same
- * grouped order (pinned by PredictorTest.CompiledPlanMatchesNodeWalk*).
+ * Determinism contract: evaluating a plan is bit-identical to a
+ * per-node scalar reference built from the public model API
+ * (OpTimeModel::predictUs per heavy node, summed per op-type group in
+ * first-appearance order with nodes in graph order; flat groups as
+ * count * fallback) for every graph, GPU and k — the kernel replays
+ * LinearModel::predict's exact operation sequence per lane. The
+ * reference lives in tests/predict_plan_test.cc
+ * (PredictPlanTest.MatchesScalarWalkBitForBit) and is checked across
+ * the whole model zoo.
  * Plans are immutable after compile() apart from the memo, whose
  * lazy fill is thread-safe (double-checked atomics + mutex), so one
  * plan may be evaluated from many threads concurrently.
@@ -52,10 +57,10 @@ class CeerPredictor;
 
 /**
  * A graph compiled against one predictor's model. Obtain via
- * CeerPredictor::compile(); evaluate via the plan overloads of
- * predictIterationUs / predictTraining / predictBatch on the SAME
- * predictor (the plan snapshots the op models, but the communication
- * model is read from the live predictor at evaluation time).
+ * CeerPredictor::compile(); evaluate via predictIterationUs /
+ * predictTraining / predictBatch / breakdown on the SAME predictor
+ * (the plan snapshots the op models, but the communication model is
+ * read from the live predictor at evaluation time).
  */
 class PredictPlan
 {
@@ -68,6 +73,17 @@ class PredictPlan
 
     /** Heavy op-type groups (first-appearance order). */
     std::size_t groupCount() const { return groups_.size(); }
+
+    /** Op type of heavy group @p i. */
+    graph::OpType groupOp(std::size_t i) const;
+
+    /**
+     * Heavy-term contribution of group @p i on @p gpu: its nodes'
+     * clamped regression estimates summed in graph order, or rows *
+     * the flat fallback. heavyUs() is the sum of these in group
+     * order. Not memoized.
+     */
+    double groupHeavyUs(std::size_t i, hw::GpuModel gpu) const;
 
     /** Total heavy node instances across all groups. */
     std::size_t heavyCount() const { return heavyCount_; }
@@ -164,8 +180,8 @@ namespace plan_kernel {
  * and returns the left-to-right sum over rows. The per-lane operation
  * sequence is exactly LinearModel::predict followed by OpTimeModel's
  * clamp, and the translation unit is compiled with -ffp-contract=off,
- * so the result is bit-identical to the scalar per-node walk on every
- * clone the runtime dispatches to.
+ * so the result is bit-identical to a scalar per-node accumulation on
+ * every clone the runtime dispatches to.
  */
 double dotClampSum(const double *x, std::size_t n, std::size_t d,
                    const double *w, const double *s, double intercept);

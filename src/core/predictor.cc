@@ -1,123 +1,17 @@
 #include "core/predictor.h"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/metrics.h"
-#include "profile/features.h"
 #include "util/logging.h"
 
 namespace ceer {
 namespace core {
 
-using graph::Graph;
-using graph::Node;
 using hw::GpuModel;
 
 CeerPredictor::CeerPredictor(CeerModel model) : model_(std::move(model))
 {
-}
-
-double
-CeerPredictor::predictOpUs(const Node &node, GpuModel gpu) const
-{
-    switch (model_.classify(node.type)) {
-      case OpClass::Cpu:
-        return model_.cpuMedianUs;
-      case OpClass::Light:
-        return model_.lightMedianUs;
-      case OpClass::Heavy: {
-        const OpTimeModel *op_model = model_.opModel(gpu, node.type);
-        if (!op_model) {
-            // Heavy op never profiled on this GPU: the paper's
-            // fallback for unseen operations is the median estimate.
-            return model_.lightMedianUs;
-        }
-        return op_model->predictUs(profile::opFeatures(node));
-      }
-    }
-    util::panic("CeerPredictor::predictOpUs: bad class");
-}
-
-double
-CeerPredictor::predictIterationUs(const Graph &g, GpuModel gpu,
-                                  int num_gpus,
-                                  const PredictOptions &options) const
-{
-    // The scalar node walk. Each node is classified exactly once and
-    // dispatched; heavy contributions are grouped per op type in
-    // first-appearance order with nodes accumulated in graph order —
-    // the accumulation-order contract the compiled plan replays
-    // bit-for-bit (see predict_plan.h). Light and CPU terms are
-    // count * median, as in the plan.
-    struct Group
-    {
-        graph::OpType op;
-        const OpTimeModel *model; ///< Null: every node adds flatUs.
-        double flatUs;
-        double sumUs = 0.0;
-        std::size_t count = 0;
-    };
-    std::vector<Group> groups;
-    std::size_t light = 0, cpu = 0;
-    for (const Node &node : g.nodes()) {
-        switch (model_.classify(node.type)) {
-          case OpClass::Cpu:
-            ++cpu;
-            break;
-          case OpClass::Light:
-            ++light;
-            break;
-          case OpClass::Heavy: {
-            Group *group = nullptr;
-            for (Group &candidate : groups) {
-                if (candidate.op == node.type) {
-                    group = &candidate;
-                    break;
-                }
-            }
-            if (!group) {
-                const OpTimeModel *op_model =
-                    model_.opModel(gpu, node.type);
-                Group fresh{node.type, nullptr, 0.0};
-                if (!op_model) {
-                    // Heavy op never profiled on this GPU: the paper's
-                    // fallback for unseen operations is the median
-                    // estimate.
-                    fresh.flatUs = model_.lightMedianUs;
-                } else if (!op_model->usable) {
-                    fresh.flatUs = std::max(op_model->medianUs, 1.0);
-                } else {
-                    fresh.model = op_model;
-                }
-                groups.push_back(std::move(fresh));
-                group = &groups.back();
-            }
-            ++group->count;
-            if (group->model) {
-                group->sumUs +=
-                    group->model->predictUs(profile::opFeatures(node));
-            }
-            break;
-          }
-        }
-    }
-
-    double total = 0.0;
-    for (const Group &group : groups) {
-        total += group.model
-                     ? group.sumUs
-                     : static_cast<double>(group.count) * group.flatUs;
-    }
-    if (options.includeLightAndCpu) {
-        total += static_cast<double>(light) * model_.lightMedianUs;
-        total += static_cast<double>(cpu) * model_.cpuMedianUs;
-    }
-    if (options.includeComm) {
-        total += model_.comm.overheadUs(
-            gpu, num_gpus, static_cast<double>(g.totalParameters()));
-    }
-    return total;
 }
 
 double
@@ -138,33 +32,26 @@ CeerPredictor::predictIterationUs(const PredictPlan &plan, GpuModel gpu,
 }
 
 PredictionBreakdown
-CeerPredictor::breakdown(const Graph &g, GpuModel gpu,
+CeerPredictor::breakdown(const PredictPlan &plan, GpuModel gpu,
                          int num_gpus) const
 {
+    // Same terms, in the same order, as predictIterationUs(plan, ...),
+    // so totalUs() is bit-equal to the prediction.
     PredictionBreakdown result;
-    std::map<graph::OpType, double> by_type;
-    for (const Node &node : g.nodes()) {
-        const double estimate = predictOpUs(node, gpu);
-        switch (model_.classify(node.type)) {
-          case OpClass::Heavy:
-            result.heavyUs += estimate;
-            by_type[node.type] += estimate;
-            break;
-          case OpClass::Light:
-            result.lightUs += estimate;
-            break;
-          case OpClass::Cpu:
-            result.cpuUs += estimate;
-            break;
-        }
+    result.heavyUs = plan.heavyUs(gpu);
+    result.lightUs = plan.lightUs();
+    result.cpuUs = plan.cpuUs();
+    result.commUs =
+        model_.comm.overheadUs(gpu, num_gpus, plan.paramCount());
+    for (std::size_t i = 0; i < plan.groupCount(); ++i) {
+        result.heavyByType.emplace_back(plan.groupOp(i),
+                                        plan.groupHeavyUs(i, gpu));
     }
-    result.commUs = model_.comm.overheadUs(
-        gpu, num_gpus, static_cast<double>(g.totalParameters()));
-    result.heavyByType.assign(by_type.begin(), by_type.end());
-    std::sort(result.heavyByType.begin(), result.heavyByType.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second > b.second;
-              });
+    std::stable_sort(result.heavyByType.begin(),
+                     result.heavyByType.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.second > b.second;
+                     });
     return result;
 }
 
@@ -185,29 +72,6 @@ makeTrainingPrediction(double iteration_us, int num_gpus,
                        static_cast<double>(prediction.iterations) /
                        3.6e9;
     return prediction;
-}
-
-TrainingPrediction
-CeerPredictor::predictTraining(const Graph &g, GpuModel gpu,
-                               int num_gpus,
-                               std::int64_t dataset_samples,
-                               std::int64_t batch_per_gpu,
-                               const PredictOptions &options) const
-{
-    return makeTrainingPrediction(
-        predictIterationUs(g, gpu, num_gpus, options), num_gpus,
-        dataset_samples, batch_per_gpu);
-}
-
-TrainingPrediction
-CeerPredictor::predictTraining(const Graph &g,
-                               const cloud::GpuInstance &instance,
-                               std::int64_t dataset_samples,
-                               std::int64_t batch_per_gpu,
-                               const PredictOptions &options) const
-{
-    return predictTraining(g, instance.gpu, instance.numGpus,
-                           dataset_samples, batch_per_gpu, options);
 }
 
 TrainingPrediction

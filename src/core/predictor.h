@@ -6,7 +6,8 @@
  * estimated compute times — regression for heavy ops, medians for
  * light/CPU ops — plus the communication overhead S_GPU(k, params).
  * Total time scales by the iteration count D / (k * B); cost is time
- * multiplied by the instance's hourly price.
+ * multiplied by the instance's hourly price. Every prediction goes
+ * through a PredictPlan compiled from the graph (predict_plan.h).
  */
 
 #ifndef CEER_CORE_PREDICTOR_H
@@ -66,16 +67,20 @@ struct PredictionBreakdown
         return heavyUs + lightUs + cpuUs + commUs;
     }
 
-    /** Per-op-type contribution of the heavy term, descending. */
+    /**
+     * Per-op-type contribution of the heavy term, descending; ties
+     * keep the graph's first-appearance order.
+     */
     std::vector<std::pair<graph::OpType, double>> heavyByType;
 };
 
 /**
  * Scales a per-iteration prediction into a full TrainingPrediction:
  * iterations = ceil(D / (k * B)), hours = iterations * iterationUs /
- * 3.6e9. Shared by CeerPredictor, the baseline predictors and the
- * evaluation harness so every engine's hour/cost arithmetic is
- * identical by construction. Panics when D or B is non-positive.
+ * 3.6e9. Shared by CeerPredictor and the evaluation harness (which
+ * scores every baseline engine) so every engine's hour/cost
+ * arithmetic is identical by construction. Panics when D or B is
+ * non-positive.
  */
 TrainingPrediction makeTrainingPrediction(double iteration_us,
                                           int num_gpus,
@@ -89,7 +94,13 @@ struct PredictRequest
     int numGpus = 1;                       ///< Data-parallel width k.
 };
 
-/** Applies a trained CeerModel to unseen CNNs. */
+/**
+ * Applies a trained CeerModel to unseen CNNs: compile() a graph once,
+ * then evaluate the plan for any (GPU, k). Heavy ops with no trained
+ * model on a GPU fall back to the light median (the paper's rule for
+ * unseen operations, Sec. IV-D); heavy ops whose fit was unusable
+ * contribute their clamped median.
+ */
 class CeerPredictor
 {
   public:
@@ -100,32 +111,32 @@ class CeerPredictor
     const CeerModel &model() const { return model_; }
 
     /**
-     * Predicted compute time of a single op instance on @p gpu.
-     * Heavy ops with no trained model fall back to the light median
-     * (the paper's rule for unseen operations, Sec. IV-D).
+     * Compiles @p g against this predictor's model: one graph walk
+     * produces a PredictPlan (dense per-op-type feature matrices,
+     * per-GPU evaluation recipes, cached counts) that the members
+     * below evaluate in a handful of dense matrix-vector products;
+     * see predict_plan.h for the determinism contract. The plan is
+     * only meaningful with the predictor that compiled it.
      */
-    double predictOpUs(const graph::Node &node, hw::GpuModel gpu) const;
+    PredictPlan compile(const graph::Graph &g) const;
 
     /**
-     * Predicted per-iteration training time (Eq. 2), via the scalar
-     * node walk: one classification per node, heavy terms grouped per
-     * op type. For repeated evaluations of one graph, compile() a
-     * PredictPlan instead — bit-identical and orders of magnitude
-     * faster.
+     * Predicted per-iteration training time (Eq. 2). The heavy term
+     * is memoized per GPU in the plan.
      *
-     * @param g        Training graph at the per-GPU batch size.
+     * @param plan     Training graph (per-GPU batch) compiled here.
      * @param gpu      GPU model.
      * @param num_gpus Data-parallel width k.
      * @param options  Ablation switches.
      */
-    double predictIterationUs(const graph::Graph &g, hw::GpuModel gpu,
+    double predictIterationUs(const PredictPlan &plan, hw::GpuModel gpu,
                               int num_gpus,
                               const PredictOptions &options = {}) const;
 
     /**
      * Predicted full-training time (Eq. 2 scaled by D / (k * B)).
      *
-     * @param g               Training graph at the per-GPU batch.
+     * @param plan            Training graph compiled here.
      * @param gpu             GPU model.
      * @param num_gpus        Data-parallel width.
      * @param dataset_samples Dataset size D.
@@ -133,51 +144,12 @@ class CeerPredictor
      * @param options         Ablation switches.
      */
     TrainingPrediction
-    predictTraining(const graph::Graph &g, hw::GpuModel gpu,
-                    int num_gpus, std::int64_t dataset_samples,
-                    std::int64_t batch_per_gpu,
-                    const PredictOptions &options = {}) const;
-
-    /**
-     * Attributes a per-iteration prediction to heavy ops (per type),
-     * light ops, CPU ops and communication. The breakdown's total
-     * equals predictIterationUs with default options.
-     */
-    PredictionBreakdown breakdown(const graph::Graph &g,
-                                  hw::GpuModel gpu, int num_gpus) const;
-
-    /** Convenience: predictTraining for a catalog instance. */
-    TrainingPrediction
-    predictTraining(const graph::Graph &g,
-                    const cloud::GpuInstance &instance,
-                    std::int64_t dataset_samples,
-                    std::int64_t batch_per_gpu,
-                    const PredictOptions &options = {}) const;
-
-    /**
-     * Compiles @p g against this predictor's model: one graph walk
-     * produces a PredictPlan (dense per-op-type feature matrices,
-     * per-GPU evaluation recipes, cached counts) that the plan
-     * overloads below evaluate in a handful of dense matrix-vector
-     * products. Bit-identical to the scalar node walk; see
-     * predict_plan.h for the determinism contract. The plan is only
-     * meaningful with the predictor that compiled it.
-     */
-    PredictPlan compile(const graph::Graph &g) const;
-
-    /** Plan overload of predictIterationUs (Eq. 2, memoized). */
-    double predictIterationUs(const PredictPlan &plan, hw::GpuModel gpu,
-                              int num_gpus,
-                              const PredictOptions &options = {}) const;
-
-    /** Plan overload of predictTraining. */
-    TrainingPrediction
     predictTraining(const PredictPlan &plan, hw::GpuModel gpu,
                     int num_gpus, std::int64_t dataset_samples,
                     std::int64_t batch_per_gpu,
                     const PredictOptions &options = {}) const;
 
-    /** Plan overload of predictTraining for a catalog instance. */
+    /** Convenience: predictTraining for a catalog instance. */
     TrainingPrediction
     predictTraining(const PredictPlan &plan,
                     const cloud::GpuInstance &instance,
@@ -195,6 +167,14 @@ class CeerPredictor
     predictBatch(const PredictPlan &plan,
                  const std::vector<PredictRequest> &requests,
                  const PredictOptions &options = {}) const;
+
+    /**
+     * Attributes a per-iteration prediction to heavy ops (per type),
+     * light ops, CPU ops and communication. totalUs() is bit-equal to
+     * predictIterationUs(plan, gpu, num_gpus) with default options.
+     */
+    PredictionBreakdown breakdown(const PredictPlan &plan,
+                                  hw::GpuModel gpu, int num_gpus) const;
 
   private:
     CeerModel model_;

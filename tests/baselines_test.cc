@@ -78,17 +78,6 @@ TEST(FlopsPredictorTest, OrdersGpusByPeakOnly)
     EXPECT_NEAR(p2 / p3, 14.0 / 2.8, 0.1);
 }
 
-TEST(FlopsPredictorTest, TrainingHoursArithmetic)
-{
-    const graph::Graph g = models::buildInceptionV1(32);
-    const FlopsPredictor predictor(0.5);
-    const double iteration =
-        predictor.predictIterationUs(g, GpuModel::V100);
-    const double hours = predictor.predictTrainingHours(
-        g, GpuModel::V100, 4, 1'200'000, 32);
-    EXPECT_NEAR(hours, iteration * (1'200'000 / 128) / 3.6e9, 1e-9);
-}
-
 TEST(FlopsPredictorTest, RejectsBadUtilization)
 {
     EXPECT_DEATH(FlopsPredictor(0.0), "utilization");

@@ -1,14 +1,19 @@
 /**
  * @file
  * Compiled-prediction-plan tests: bit-identity of the plan evaluator
- * against the scalar node walk, predictBatch equivalence, byte-identity
- * of the parallel recommender sweep and the parallel trainer at every
- * thread count, and recommender constraint edge cases under serial AND
- * parallel sweeps.
+ * against a per-node scalar reference, predictBatch equivalence,
+ * byte-identity of the parallel recommender sweep and the parallel
+ * trainer at every thread count, and recommender constraint edge cases
+ * under serial AND parallel sweeps.
+ *
+ * Built with -ffp-contract=off (see tests/CMakeLists.txt) so the
+ * scalar reference cannot fuse multiply-add where the plan does not.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include "core/trainer.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
+#include "profile/features.h"
 #include "profile/profiler.h"
 
 namespace ceer {
@@ -78,20 +84,119 @@ allOptions()
     return combos;
 }
 
+/**
+ * Scalar Eq. 2 reference built only from the public model API: one
+ * classification per node; heavy estimates from OpTimeModel::predictUs
+ * grouped per op type in first-appearance order, nodes in graph order;
+ * a group with no usable fit on @p gpu (never profiled: light median;
+ * unusable fit: clamped median) adds count * its flat estimate.
+ */
+double
+referenceIterationUs(const CeerModel &model, const Graph &g,
+                     GpuModel gpu, int num_gpus,
+                     const PredictOptions &options = {})
+{
+    struct Group
+    {
+        graph::OpType op;
+        const OpTimeModel *fit; ///< Null for a flat group.
+        double flatUs;
+        double sumUs = 0.0;
+        std::size_t count = 0;
+    };
+    std::vector<Group> groups;
+    std::size_t light = 0, cpu = 0;
+    for (const graph::Node &node : g.nodes()) {
+        switch (model.classify(node.type)) {
+          case OpClass::Cpu:
+            ++cpu;
+            break;
+          case OpClass::Light:
+            ++light;
+            break;
+          case OpClass::Heavy: {
+            const std::vector<double> features =
+                profile::opFeatures(node);
+            auto group = std::find_if(
+                groups.begin(), groups.end(),
+                [&](const Group &candidate) {
+                    return candidate.op == node.type;
+                });
+            if (group == groups.end()) {
+                const OpTimeModel *fit = model.opModel(gpu, node.type);
+                if (!fit) {
+                    groups.push_back({node.type, nullptr,
+                                      model.lightMedianUs});
+                } else if (!fit->usable) {
+                    groups.push_back(
+                        {node.type, nullptr, fit->predictUs(features)});
+                } else {
+                    groups.push_back({node.type, fit, 0.0});
+                }
+                group = groups.end() - 1;
+            }
+            ++group->count;
+            if (group->fit)
+                group->sumUs += group->fit->predictUs(features);
+            break;
+          }
+        }
+    }
+
+    double total = 0.0;
+    for (const Group &group : groups) {
+        total += group.fit
+                     ? group.sumUs
+                     : static_cast<double>(group.count) * group.flatUs;
+    }
+    if (options.includeLightAndCpu) {
+        total += static_cast<double>(light) * model.lightMedianUs;
+        total += static_cast<double>(cpu) * model.cpuMedianUs;
+    }
+    if (options.includeComm) {
+        total += model.comm.overheadUs(
+            gpu, num_gpus, static_cast<double>(g.totalParameters()));
+    }
+    return total;
+}
+
+/** How the plan evaluates one heavy (GPU, op) group. */
+enum class Recipe { Linear, Quadratic, UnusableMedian, LightFallback };
+
+Recipe
+recipeOf(const CeerModel &model, GpuModel gpu, graph::OpType op)
+{
+    const OpTimeModel *fit = model.opModel(gpu, op);
+    if (!fit)
+        return Recipe::LightFallback;
+    if (!fit->usable)
+        return Recipe::UnusableMedian;
+    return fit->quadratic ? Recipe::Quadratic : Recipe::Linear;
+}
+
 TEST(PredictPlanTest, MatchesScalarWalkBitForBit)
 {
-    const CeerPredictor &predictor = cheapPredictor();
-    // vgg_11 is in-training-set, vgg_19 and resnet_50 are held out —
-    // the latter exercise the no-model/unusable fallbacks too.
-    for (const char *name : {"vgg_11", "inception_v1", "vgg_19",
-                             "resnet_50"}) {
+    // The cheap fixture profiles every heavy op on every GPU; erase
+    // one fit (LRN on V100, as if never profiled there) so the
+    // light-median fallback recipe is part of the proof too.
+    CeerModel model = cheapModel();
+    model.opModels.erase({GpuModel::V100, graph::OpType::Lrn});
+    model.heavyOps.insert(graph::OpType::Lrn);
+    const CeerPredictor predictor(std::move(model));
+    // vgg_11 and inception_v1 are in the training set; every other zoo
+    // model is held out and exercises the fallback recipes too.
+    std::set<Recipe> seen;
+    for (const std::string &name : models::allModelNames()) {
         const Graph g = models::buildModel(name, 32);
         const PredictPlan plan = predictor.compile(g);
         for (GpuModel gpu : hw::allGpuModels()) {
+            for (std::size_t i = 0; i < plan.groupCount(); ++i)
+                seen.insert(
+                    recipeOf(predictor.model(), gpu, plan.groupOp(i)));
             for (int k : {1, 2, 4, 8}) {
                 for (const PredictOptions &options : allOptions()) {
-                    const double scalar = predictor.predictIterationUs(
-                        g, gpu, k, options);
+                    const double scalar = referenceIterationUs(
+                        predictor.model(), g, gpu, k, options);
                     const double compiled =
                         predictor.predictIterationUs(plan, gpu, k,
                                                      options);
@@ -101,6 +206,34 @@ TEST(PredictPlanTest, MatchesScalarWalkBitForBit)
                         << " comm=" << options.includeComm
                         << " light=" << options.includeLightAndCpu;
                 }
+            }
+        }
+    }
+    // The proof above is only as wide as the recipes it touched.
+    EXPECT_TRUE(seen.count(Recipe::Linear));
+    EXPECT_TRUE(seen.count(Recipe::Quadratic));
+    EXPECT_TRUE(seen.count(Recipe::UnusableMedian));
+    EXPECT_TRUE(seen.count(Recipe::LightFallback));
+}
+
+TEST(PredictorTest, CompiledPlanMatchesNodeWalkAcrossZoo)
+{
+    // The acceptance bar of the compiled-plan path on the unmodified
+    // fixture and default options (what the recommender evaluates):
+    // for every zoo model, GPU and data-parallel width, the plan
+    // evaluator must reproduce the scalar node walk bit for bit.
+    const CeerPredictor &predictor = cheapPredictor();
+    for (const std::string &name : models::allModelNames()) {
+        const Graph g = models::buildModel(name, 32);
+        const PredictPlan plan = predictor.compile(g);
+        for (GpuModel gpu : hw::allGpuModels()) {
+            for (int k : {1, 2, 4, 8}) {
+                EXPECT_EQ(bits(referenceIterationUs(predictor.model(), g,
+                                                    gpu, k)),
+                          bits(predictor.predictIterationUs(plan, gpu,
+                                                            k)))
+                    << name << " " << hw::gpuModelName(gpu)
+                    << " k=" << k;
             }
         }
     }
@@ -126,8 +259,10 @@ TEST(PredictPlanTest, TrainingPredictionMatchesScalar)
     const cloud::InstanceCatalog catalog =
         cloud::InstanceCatalog::awsOnDemand();
     for (const cloud::GpuInstance &instance : catalog.instances()) {
-        const TrainingPrediction scalar = predictor.predictTraining(
-            g, instance, 1'200'000, 32);
+        const TrainingPrediction scalar = makeTrainingPrediction(
+            referenceIterationUs(predictor.model(), g, instance.gpu,
+                                 instance.numGpus),
+            instance.numGpus, 1'200'000, 32);
         const TrainingPrediction compiled = predictor.predictTraining(
             plan, instance, 1'200'000, 32);
         EXPECT_EQ(scalar.iterations, compiled.iterations);
@@ -151,7 +286,7 @@ TEST(PredictPlanTest, PredictBatchMatchesIndividualCalls)
     for (std::size_t i = 0; i < requests.size(); ++i) {
         EXPECT_EQ(bits(batch[i]),
                   bits(predictor.predictIterationUs(
-                      g, requests[i].gpu, requests[i].numGpus)))
+                      plan, requests[i].gpu, requests[i].numGpus)))
             << "request " << i;
     }
 }

@@ -389,7 +389,7 @@ cmdPredict(int argc, char **argv)
     const graph::Graph g = models::buildModel(flags.getString("model"),
                                               flags.getInt("batch"));
     const core::TrainingPrediction prediction =
-        predictor.predictTraining(g, gpu,
+        predictor.predictTraining(predictor.compile(g), gpu,
                                   static_cast<int>(flags.getInt("gpus")),
                                   flags.getInt("samples"),
                                   flags.getInt("batch"));

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 #
-# CI-style check driver. Default mode runs four passes:
+# CI-style check driver. Default mode runs five passes:
 #
 #   release   Release build + full ctest suite
 #   bench     microbenchmark smoke runs (tiny iteration counts)
@@ -10,6 +10,8 @@
 #             the parallel cross-predictor evaluation sweep, the ceerd
 #             serving stack)
 #   ubsan     UBSanitizer build of the serialization/I-O boundary
+#   asan      AddressSanitizer build of the prediction path (compiled
+#             plans, the predictor, the baseline engines)
 #
 # `tools/check.sh coverage` instead builds with -DCEER_COVERAGE=ON,
 # runs the test suite, and summarizes gcov line coverage for src/
@@ -82,7 +84,8 @@ pass_bench_smoke() {
     ./build/bench/micro_sim --iters 50 --out ''
     ./build/bench/micro_profile --iters 5 --out ''
     # micro_ceer's nonzero exit asserts the serial==parallel
-    # recommender identity and the plan-vs-node-walk bit identity.
+    # recommender identity. (Plan bit-identity is proven by the scalar
+    # reference in predict_plan_test, which the release pass runs.)
     ./build/bench/micro_ceer --iters 50 --train-iters 10 \
         --catalog-copies 8 --out ''
     # micro_obs doubles as a smoke test of the --metrics-out plumbing.
@@ -235,6 +238,22 @@ pass_ubsan() {
     ./build-ubsan/tests/io_test
 }
 
+pass_asan() {
+    cmake -B build-asan -S . -DCEER_SANITIZE=address \
+          -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
+    cmake --build build-asan -j "$JOBS" \
+          --target predict_plan_test ceer_test baselines_test
+
+    # The compiled-plan evaluator end to end: the kernel's blocked
+    # reads over the feature matrices, per-group/per-GPU recipe
+    # indexing, the breakdown, and every engine built on top of them.
+    # halt_on_error turns any report into a hard failure.
+    export ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}"
+    ./build-asan/tests/predict_plan_test
+    ./build-asan/tests/ceer_test
+    ./build-asan/tests/baselines_test
+}
+
 pass_scaling() {
     cmake -B build -S . >/dev/null
     cmake --build build -j "$JOBS" \
@@ -306,6 +325,7 @@ else
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
     run_pass "UBSanitizer (serialization/I-O boundary)" pass_ubsan
+    run_pass "AddressSanitizer (prediction path)" pass_asan
 fi
 
 echo
