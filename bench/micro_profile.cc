@@ -5,7 +5,8 @@
  * Profiles one CNN across all four GPU models at increasing thread
  * counts and reports ops-profiled/sec plus the speedup over the serial
  * run. Also asserts that every thread count produced a byte-identical
- * dataset (the engine's determinism contract) and writes a
+ * dataset in CBF, which carries every accumulator's exact bits (the
+ * engine's determinism contract), and writes a
  * machine-readable BENCH_profile.json so future PRs can track the
  * perf trajectory.
  */
@@ -92,7 +93,7 @@ main(int argc, char **argv)
     // below-serial flag is suppressed and the JSON says so.
     const bool scaling_meaningful = hardware >= 2;
     std::vector<Result> results;
-    std::string reference_csv;
+    std::string reference_cbf;
     double serial_wall = 0.0;
 
     util::TablePrinter table(
@@ -110,13 +111,13 @@ main(int argc, char **argv)
         for (const auto &profile : dataset.ops())
             executions += static_cast<double>(profile.timeUs.count());
 
-        std::ostringstream csv;
-        dataset.saveCsv(csv);
+        std::ostringstream cbf;
+        dataset.saveCbf(cbf);
         if (threads == 1) {
-            reference_csv = csv.str();
+            reference_cbf = cbf.str();
             serial_wall = wall;
         }
-        const bool identical = csv.str() == reference_csv;
+        const bool identical = cbf.str() == reference_cbf;
 
         Result r;
         r.threads = threads;

@@ -1,5 +1,7 @@
 #include "profile/features.h"
 
+#include <charconv>
+
 #include "hw/op_cost.h"
 #include "util/strings.h"
 
@@ -26,10 +28,16 @@ opFeatures(const graph::Node &node)
 std::string
 opInstanceKey(const graph::Node &node)
 {
-    std::string key = graph::opTypeName(node.type);
+    std::string key;
+    key.reserve(64);
+    key += graph::opTypeInfo(node.type).name;
     for (const auto &shape : node.inputShapes) {
+        char digits[24];
+        const auto end = std::to_chars(digits, digits + sizeof(digits),
+                                       shape.numBytes(node.dtype))
+                             .ptr;
         key += '|';
-        key += std::to_string(shape.numBytes(node.dtype));
+        key.append(digits, end);
     }
     return key;
 }

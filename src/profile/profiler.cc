@@ -4,7 +4,10 @@
 #include <cmath>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <numeric>
 #include <set>
+#include <unordered_map>
 
 #include "io/cbf.h"
 #include "models/model_zoo.h"
@@ -26,43 +29,81 @@ using graph::Graph;
 using graph::Node;
 using graph::OpType;
 
-Profiler::Profiler(const Graph &g, std::string model, hw::GpuModel gpu)
-    : graph_(&g), model_(std::move(model)), gpu_(gpu)
+InstanceIndex::InstanceIndex(const Graph &g)
 {
-    // Pre-bucket nodes by instance key so observe() is an array index.
-    std::map<std::string, std::size_t> index;
-    nodeToProfile_.reserve(g.size());
+    std::unordered_map<std::string, std::uint32_t> index;
+    index.reserve(g.size());
+    nodeInstance.reserve(g.size());
     for (const Node &node : g.nodes()) {
-        const std::string key = opInstanceKey(node);
-        auto it = index.find(key);
-        if (it == index.end()) {
-            OpProfile profile;
-            profile.model = model_;
-            profile.gpu = gpu_;
-            profile.op = node.type;
-            profile.onCpu = node.device() == Device::Cpu;
-            profile.features = opFeatures(node);
-            it = index.emplace(key, profiles_.size()).first;
-            profiles_.push_back(std::move(profile));
+        const auto [it, inserted] = index.try_emplace(
+            opInstanceKey(node),
+            static_cast<std::uint32_t>(instances.size()));
+        if (inserted) {
+            OpInstance instance;
+            instance.op = node.type;
+            instance.onCpu = node.device() == Device::Cpu;
+            instance.features = opFeatures(node);
+            instances.push_back(std::move(instance));
         }
-        profiles_[it->second].occurrences++;
-        nodeToProfile_.push_back(it->second);
+        const std::size_t occurrences = ++instances[it->second].occurrences;
+        maxOccurrences = std::max(maxOccurrences, occurrences);
+        nodeInstance.push_back(it->second);
     }
 }
 
-void
-Profiler::observe(const Node &node, double time_us)
+Profiler::Profiler(const InstanceIndex &index,
+                   const util::ReservoirSchedule &schedule,
+                   std::string model, hw::GpuModel gpu)
+    : index_(&index), schedule_(&schedule), model_(std::move(model)),
+      gpu_(gpu), stats_(index.instances.size()),
+      samples_(index.instances.size())
 {
-    OpProfile &profile =
-        profiles_[nodeToProfile_[static_cast<std::size_t>(node.id)]];
-    profile.timeUs.add(time_us);
-    profile.samples.add(time_us);
+    if (schedule.capacity() != kProfileSamples)
+        util::panic("Profiler: reservoir schedule has the wrong capacity");
+}
+
+void
+Profiler::observe(std::span<const double> times_us)
+{
+    if (times_us.size() != index_->nodeInstance.size())
+        util::panic("Profiler::observe: op times do not match the graph");
+    ++iterations_;
+    if (iterations_ * index_->maxOccurrences > schedule_->maxOffered())
+        util::panic("Profiler::observe: reservoir schedule too short");
+    const std::uint32_t *instance_of = index_->nodeInstance.data();
+    for (std::size_t i = 0; i < times_us.size(); ++i) {
+        const std::uint32_t instance = instance_of[i];
+        const double t = times_us[i];
+        stats_[instance].add(t);
+        // SampleReservoir::add, branch-free: the schedule sends a
+        // dropped offer to the block's spare last slot.
+        SampleBlock &block = samples_[instance];
+        block.slots[schedule_->slot(++block.offered)] = t;
+    }
 }
 
 std::vector<OpProfile>
-Profiler::takeProfiles()
+Profiler::takeProfiles() const
 {
-    return std::move(profiles_);
+    std::vector<OpProfile> profiles(index_->instances.size());
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const OpInstance &instance = index_->instances[i];
+        const SampleBlock &block = samples_[i];
+        OpProfile &profile = profiles[i];
+        profile.model = model_;
+        profile.gpu = gpu_;
+        profile.op = instance.op;
+        profile.onCpu = instance.onCpu;
+        profile.features = instance.features;
+        profile.occurrences = instance.occurrences;
+        profile.timeUs = stats_[i];
+        profile.samples = schedule_->reservoir(
+            block.offered,
+            std::vector<double>(
+                block.slots,
+                block.slots + std::min(block.offered, kProfileSamples)));
+    }
+    return profiles;
 }
 
 void
@@ -272,6 +313,12 @@ ProfileDataset::tryLoadCsv(std::istream &in, ProfileDataset *dataset,
         }
         if (!graph::opTypeFromName(row[3], profile.op)) {
             *error = "bad op " + row[3];
+            return false;
+        }
+        if (row[4] != "cpu" && row[4] != "gpu") {
+            *error = util::format(
+                "row %zu column 5 (device): expected 'cpu' or 'gpu': "
+                "'%s'", i, row[4].c_str());
             return false;
         }
         profile.onCpu = row[4] == "cpu";
@@ -611,30 +658,6 @@ ProfileDataset::loadFile(const std::string &path)
     return dataset;
 }
 
-std::pair<std::vector<OpProfile>, IterationProfile>
-profileRun(const Graph &g, const std::string &model_name,
-           const sim::SimConfig &config, int iterations)
-{
-    Profiler profiler(g, model_name, config.gpu);
-    sim::TrainingSimulator simulator(g, config);
-    // Observed runs execute serially and in graph order (the observer
-    // contract): parallelism lives one level up, across the sweep's
-    // run tasks, so profile datasets stay byte-identical regardless
-    // of either thread count.
-    const sim::RunStats stats =
-        simulator.run(iterations, profiler.observer());
-
-    IterationProfile run;
-    run.model = model_name;
-    run.gpu = config.gpu;
-    run.numGpus = config.numGpus;
-    run.paramCount = g.totalParameters();
-    run.meanIterationUs = stats.iterationUs.mean();
-    run.meanComputeUs = stats.computeUs.mean();
-    run.meanCommUs = stats.commUs.mean();
-    return {profiler.takeProfiles(), run};
-}
-
 std::uint64_t
 runSeed(std::uint64_t base_seed, const std::string &model,
         hw::GpuModel gpu, int num_gpus)
@@ -648,46 +671,42 @@ runSeed(std::uint64_t base_seed, const std::string &model,
 
 namespace {
 
-/** One independent (CNN, GPU, k) profiling run of the sweep. */
-struct RunTask
-{
-    std::size_t modelIndex = 0;
-    hw::GpuModel gpu = hw::GpuModel::V100;
-    int numGpus = 1;
-};
-
-/** What one task produces (op profiles only at k = 1). */
+/** What one run produces (op profiles only for the observed run). */
 struct RunResult
 {
     std::vector<OpProfile> ops;
     IterationProfile run;
 };
 
+/**
+ * Runs @p iterations iterations of @p g on @p plan, observed through a
+ * Profiler when @p index is set. Every run of the sweep, and
+ * profileRun(), goes through here.
+ */
 RunResult
-executeRunTask(const Graph &g, const std::string &name,
-               const RunTask &task, const CollectOptions &options)
+simulateRun(const Graph &g, const std::shared_ptr<const sim::ExecPlan> &plan,
+            const InstanceIndex *index,
+            const util::ReservoirSchedule &schedule,
+            const std::string &name, const sim::SimConfig &config,
+            int iterations)
 {
-    sim::SimConfig config;
-    config.gpu = task.gpu;
-    config.numGpus = task.numGpus;
-    config.gpusPerHost = options.gpusPerHost;
-    config.seed = runSeed(options.seed, name, task.gpu, task.numGpus);
-
+    sim::TrainingSimulator simulator(plan, config);
     RunResult result;
-    if (task.numGpus == 1) {
-        auto [profiles, run] =
-            profileRun(g, name, config, options.iterations);
-        result.ops = std::move(profiles);
-        result.run = run;
-        return result;
+    sim::RunStats stats;
+    if (index) {
+        // Observed runs execute serially and in graph order (the
+        // observer contract): parallelism lives one level up, across
+        // the sweep's (CNN, GPU) tasks, so profile datasets stay
+        // byte-identical regardless of either thread count.
+        Profiler profiler(*index, schedule, name, config.gpu);
+        stats = simulator.run(iterations, profiler.observer());
+        result.ops = profiler.takeProfiles();
+    } else {
+        stats = simulator.run(iterations);
     }
-    // k >= 2 is run-level only: op times match the k=1 case by
-    // construction (same per-GPU batch), as in the paper.
-    sim::TrainingSimulator simulator(g, config);
-    const sim::RunStats stats = simulator.run(options.iterations);
     result.run.model = name;
-    result.run.gpu = task.gpu;
-    result.run.numGpus = task.numGpus;
+    result.run.gpu = config.gpu;
+    result.run.numGpus = config.numGpus;
     result.run.paramCount = g.totalParameters();
     result.run.meanIterationUs = stats.iterationUs.mean();
     result.run.meanComputeUs = stats.computeUs.mean();
@@ -697,70 +716,147 @@ executeRunTask(const Graph &g, const std::string &name,
 
 } // namespace
 
-ProfileDataset
-collectProfiles(const std::vector<std::string> &model_names,
-                const CollectOptions &options)
+std::pair<std::vector<OpProfile>, IterationProfile>
+profileRun(const Graph &g, const std::string &model_name,
+           const sim::SimConfig &config, int iterations)
 {
-    // Enumerate the sweep as independent tasks in canonical order;
-    // results merge back in this exact order, so the dataset is
-    // bit-identical for any thread count.
-    std::vector<RunTask> tasks;
-    for (std::size_t m = 0; m < model_names.size(); ++m) {
-        for (hw::GpuModel gpu : hw::allGpuModels()) {
-            tasks.push_back({m, gpu, 1});
-            if (!options.multiGpuRuns)
-                continue;
-            for (int k = 2; k <= options.maxGpus; ++k)
-                tasks.push_back({m, gpu, k});
-        }
-    }
+    if (iterations < 1)
+        util::panic("profileRun: iterations must be >= 1");
+    const InstanceIndex index(g);
+    const util::ReservoirSchedule schedule(
+        kProfileSamples,
+        index.maxOccurrences * static_cast<std::size_t>(iterations));
+    RunResult result = simulateRun(
+        g,
+        std::make_shared<const sim::ExecPlan>(
+            sim::ExecPlan::build(g, config.gpu)),
+        &index, schedule, model_name, config, iterations);
+    return {std::move(result.ops), std::move(result.run)};
+}
 
-    // Build each graph once and share it read-only across tasks.
-    // consumers() is the only lazily-built Graph cache; pre-warm it so
-    // concurrent readers never mutate shared state.
-    std::vector<Graph> graphs;
-    graphs.reserve(model_names.size());
-    for (const auto &name : model_names) {
-        graphs.push_back(models::buildModel(name, options.batch));
-        graphs.back().consumers();
-    }
+namespace {
 
-    std::vector<RunResult> results(tasks.size());
-    auto execute = [&](std::size_t i) {
-        const RunTask &task = tasks[i];
+/**
+ * One (CNN, GPU) task of the sweep: the observed k = 1 run plus the
+ * run-level k = 2..maxGpus runs, all on one shared ExecPlan.
+ */
+struct SweepUnit
+{
+    std::size_t modelIndex = 0;
+    hw::GpuModel gpu = hw::GpuModel::V100;
+    std::vector<RunResult> runs; ///< Index k - 1.
+};
+
+/** What collectProfiles prepares once per CNN, shared by its units. */
+struct ModelInputs
+{
+    Graph graph;
+    InstanceIndex index;
+};
+
+void
+executeUnit(SweepUnit &unit, const std::string &name,
+            const ModelInputs &inputs,
+            const util::ReservoirSchedule &schedule,
+            const CollectOptions &options)
+{
+    const int max_k = options.multiGpuRuns ? std::max(options.maxGpus, 1)
+                                           : 1;
+    unit.runs.resize(static_cast<std::size_t>(max_k));
+    std::shared_ptr<const sim::ExecPlan> plan;
+    for (int k = 1; k <= max_k; ++k) {
         // The span name is formatted only when observability is on;
         // recording never feeds back into the run, so the dataset is
         // byte-identical with obs enabled or disabled.
         std::optional<obs::ScopedSpan> span;
         if (obs::enabled())
-            span.emplace(util::format(
-                             "profile %s %s k=%d",
-                             model_names[task.modelIndex].c_str(),
-                             hw::gpuModelName(task.gpu).c_str(),
-                             task.numGpus),
+            span.emplace(util::format("profile %s %s k=%d", name.c_str(),
+                                      hw::gpuModelName(unit.gpu).c_str(),
+                                      k),
                          "profile");
         OBS_TIMER("profile.run_us");
-        results[i] = executeRunTask(graphs[task.modelIndex],
-                                    model_names[task.modelIndex], task,
-                                    options);
+        if (!plan)
+            plan = std::make_shared<const sim::ExecPlan>(
+                sim::ExecPlan::build(inputs.graph, unit.gpu));
+        sim::SimConfig config;
+        config.gpu = unit.gpu;
+        config.numGpus = k;
+        config.gpusPerHost = options.gpusPerHost;
+        config.seed = runSeed(options.seed, name, unit.gpu, k);
+        // k >= 2 is run-level only: op times match the k=1 case by
+        // construction (same per-GPU batch), as in the paper.
+        unit.runs[static_cast<std::size_t>(k - 1)] = simulateRun(
+            inputs.graph, plan, k == 1 ? &inputs.index : nullptr,
+            schedule, name, config, options.iterations);
         OBS_COUNTER_INC("profile.runs");
+    }
+}
+
+} // namespace
+
+ProfileDataset
+collectProfiles(const std::vector<std::string> &model_names,
+                const CollectOptions &options)
+{
+    if (options.iterations < 1)
+        util::panic("collectProfiles: iterations must be >= 1");
+    // Build each graph and its instance index once, on this thread,
+    // and share them read-only across the CNN's four GPU units.
+    // consumers() is the only lazily-built Graph cache; pre-warm it so
+    // concurrent readers never mutate shared state.
+    std::vector<ModelInputs> inputs;
+    inputs.reserve(model_names.size());
+    std::size_t max_offered = 0;
+    for (const auto &name : model_names) {
+        Graph g = models::buildModel(name, options.batch);
+        g.consumers();
+        InstanceIndex index(g);
+        max_offered = std::max(max_offered, index.maxOccurrences);
+        inputs.push_back({std::move(g), std::move(index)});
+    }
+    // Every observed run replays the same reservoir draws; draw them
+    // once for the longest instance stream of the sweep.
+    const util::ReservoirSchedule schedule(
+        kProfileSamples,
+        max_offered * static_cast<std::size_t>(options.iterations));
+
+    // Enumerate the (CNN, GPU) units in canonical order; results merge
+    // back in (CNN, GPU, k) order, so the dataset is bit-identical for
+    // any thread count.
+    std::vector<SweepUnit> units;
+    for (std::size_t m = 0; m < model_names.size(); ++m)
+        for (hw::GpuModel gpu : hw::allGpuModels())
+            units.push_back({m, gpu, {}});
+    // Dispatch the largest graphs first so the last units to finish
+    // are the short ones.
+    std::vector<std::size_t> order(units.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return inputs[units[a].modelIndex].graph.size() >
+                                inputs[units[b].modelIndex].graph.size();
+                     });
+    auto execute = [&](std::size_t i) {
+        SweepUnit &unit = units[order[i]];
+        executeUnit(unit, model_names[unit.modelIndex],
+                    inputs[unit.modelIndex], schedule, options);
     };
 
     const std::size_t threads =
         util::ThreadPool::effectiveThreads(options.threads);
-    if (threads <= 1 || tasks.size() <= 1) {
-        for (std::size_t i = 0; i < tasks.size(); ++i)
+    if (threads <= 1 || units.size() <= 1) {
+        for (std::size_t i = 0; i < units.size(); ++i)
             execute(i);
     } else {
-        // Profiling runs are multi-millisecond tasks: the static cost
-        // hint keeps the grain at one run per claim (no batching win
-        // to be had), and the shared pool's parked workers make the
-        // fan-out cost independent of how often this is called.
+        // Units are tens-of-milliseconds tasks: the static cost hint
+        // keeps the grain at one unit per claim (no batching win to be
+        // had), and the shared pool's parked workers make the fan-out
+        // cost independent of how often this is called.
         util::ParallelOptions parallel;
         parallel.costHintUs = 2000.0;
         parallel.maxThreads = threads;
         util::ThreadPool::shared().parallelForRange(
-            tasks.size(), parallel,
+            units.size(), parallel,
             [&](std::size_t lo, std::size_t hi) {
                 for (std::size_t i = lo; i < hi; ++i)
                     execute(i);
@@ -768,10 +864,12 @@ collectProfiles(const std::vector<std::string> &model_names,
     }
 
     ProfileDataset dataset;
-    for (RunResult &result : results) {
-        if (!result.ops.empty())
-            dataset.add(std::move(result.ops));
-        dataset.addIteration(result.run);
+    for (SweepUnit &unit : units) {
+        for (RunResult &result : unit.runs) {
+            if (!result.ops.empty())
+                dataset.add(std::move(result.ops));
+            dataset.addIteration(result.run);
+        }
     }
     for (const auto &name : model_names)
         CEER_LOG(Info) << "profiled " << name << " on "

@@ -9,7 +9,9 @@
 #ifndef CEER_PROFILE_PROFILER_H
 #define CEER_PROFILE_PROFILER_H
 
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,9 @@ class CbfFile;
 
 namespace profile {
 
+/** Capacity of every OpProfile's sample reservoir. */
+constexpr std::size_t kProfileSamples = 64;
+
 /**
  * Aggregated timings of one {op type, input sizes} instance within one
  * (CNN, GPU) profiling run.
@@ -39,7 +44,8 @@ struct OpProfile
     std::vector<double> features; ///< Input-size features (bytes).
     std::size_t occurrences = 0;  ///< Graph nodes mapping to this entry.
     util::RunningStats timeUs;    ///< Per-execution compute times.
-    util::SampleReservoir samples{64}; ///< Bounded samples for medians.
+    /// Bounded samples for medians.
+    util::SampleReservoir samples{kProfileSamples};
 
     /** Total input bytes (features[0]). */
     double inputBytes() const
@@ -63,45 +69,91 @@ struct IterationProfile
     double meanCommUs = 0.0;      ///< Mean comm part ("GPU logs").
 };
 
+/** One {op type, input sizes} instance of a graph. */
+struct OpInstance
+{
+    graph::OpType op;             ///< Operation type.
+    bool onCpu = false;           ///< Device placement.
+    std::vector<double> features; ///< Input-size features (bytes).
+    std::size_t occurrences = 0;  ///< Graph nodes mapping to it.
+};
+
 /**
- * Observer that buckets op executions by instance key.
+ * A graph's nodes bucketed into op instances by opInstanceKey(), in
+ * first-appearance order. It depends only on the graph, so one index
+ * serves the profiling runs of every GPU.
+ */
+struct InstanceIndex
+{
+    /** Buckets the nodes of @p g. */
+    explicit InstanceIndex(const graph::Graph &g);
+
+    std::vector<OpInstance> instances;      ///< Distinct instances.
+    std::vector<std::uint32_t> nodeInstance; ///< Node index -> instance.
+    std::size_t maxOccurrences = 0;          ///< Largest occurrences.
+};
+
+/**
+ * Observer that accumulates op executions per instance.
  *
- * Bind one profiler per (graph, run); pass observer() to
+ * Each instance keeps one RunningStats and one fixed block of
+ * kProfileSamples reservoir slots, replayed through a shared
+ * util::ReservoirSchedule, so takeProfiles() returns exactly what
+ * per-instance RunningStats::add and SampleReservoir::add would have
+ * produced. Bind one profiler per run; pass observer() to
  * TrainingSimulator::run.
  */
 class Profiler
 {
   public:
     /**
-     * @param g     Graph being profiled (must outlive the profiler).
-     * @param model CNN name recorded into profiles.
-     * @param gpu   GPU model recorded into profiles.
+     * @param index    Instance index of the profiled graph.
+     * @param schedule Replacement draws of capacity kProfileSamples;
+     *                 it must cover every offer of the run (panics
+     *                 otherwise).
+     * @param model    CNN name recorded into profiles.
+     * @param gpu      GPU model recorded into profiles.
+     *
+     * @p index and @p schedule must outlive the profiler.
      */
-    Profiler(const graph::Graph &g, std::string model, hw::GpuModel gpu);
+    Profiler(const InstanceIndex &index,
+             const util::ReservoirSchedule &schedule, std::string model,
+             hw::GpuModel gpu);
 
-    /** Records one execution of @p node. */
-    void observe(const graph::Node &node, double time_us);
+    // observer() hands out callbacks holding this object's address.
+    Profiler(const Profiler &) = delete;
+    Profiler &operator=(const Profiler &) = delete;
+
+    /** Records one iteration's op times, indexed by node position. */
+    void observe(std::span<const double> times_us);
 
     /** Adapter for TrainingSimulator. */
     sim::OpObserver
     observer()
     {
-        return [this](const graph::Node &node, double t) {
-            observe(node, t);
+        return [this](std::span<const double> times_us) {
+            observe(times_us);
         };
     }
 
-    /** Finished per-instance profiles (moves them out). */
-    std::vector<OpProfile> takeProfiles();
+    /** Finished per-instance profiles. */
+    std::vector<OpProfile> takeProfiles() const;
 
   private:
-    const graph::Graph *graph_;
+    /** Reservoir state of one instance; the last slot is a sink. */
+    struct SampleBlock
+    {
+        std::size_t offered = 0;
+        double slots[kProfileSamples + 1] = {};
+    };
+
+    const InstanceIndex *index_;
+    const util::ReservoirSchedule *schedule_;
     std::string model_;
     hw::GpuModel gpu_;
-    /// node id -> index into profiles_ (instances are shared between
-    /// identical nodes).
-    std::vector<std::size_t> nodeToProfile_;
-    std::vector<OpProfile> profiles_;
+    std::size_t iterations_ = 0;
+    std::vector<util::RunningStats> stats_; ///< Per instance.
+    std::vector<SampleBlock> samples_;      ///< Per instance.
 };
 
 /**
@@ -208,7 +260,8 @@ class ProfileDataset
 };
 
 /**
- * Profiles one CNN on one GPU configuration.
+ * Profiles one CNN on one GPU configuration, through the same observed
+ * run collectProfiles() uses for k = 1.
  *
  * @param g          Training graph.
  * @param model_name CNN name for the records.
@@ -253,9 +306,9 @@ std::uint64_t runSeed(std::uint64_t base_seed, const std::string &model,
  * Runs the paper's empirical study: profiles every named CNN on all
  * four GPU models (op level at k=1; run level at k=1..maxGpus).
  *
- * Runs are independent tasks executed on a thread pool
- * (options.threads); the result is identical regardless of thread
- * count or schedule.
+ * Each (CNN, GPU) pair is one task on a thread pool (options.threads):
+ * it builds one ExecPlan and runs k = 1..maxGpus on it. The result is
+ * identical regardless of thread count or schedule.
  */
 ProfileDataset collectProfiles(const std::vector<std::string> &models,
                                const CollectOptions &options);

@@ -19,10 +19,12 @@ ExecPlan::meanComputeUs() const
 }
 
 ExecPlan
-ExecPlan::build(const graph::Graph &g, const hw::GpuTimingModel &gpu_model,
-                const hw::CpuTimingModel &cpu_model)
+ExecPlan::build(const graph::Graph &g, hw::GpuModel gpu)
 {
+    const hw::GpuTimingModel gpu_model(gpu);
+    const hw::CpuTimingModel cpu_model(hw::hostSpeedFactor(gpu));
     ExecPlan plan;
+    plan.gpu = gpu;
     const std::size_t n = g.size();
     plan.nodeSlot.reserve(n);
     plan.nodeOnGpu.reserve(n);

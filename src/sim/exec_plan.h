@@ -24,9 +24,16 @@
 namespace ceer {
 namespace sim {
 
-/** Immutable SoA view of one training graph on one device model. */
+/**
+ * Immutable SoA view of one training graph on one GPU model. It
+ * depends on nothing else, so every data-parallel width k of a
+ * (graph, GPU) pair can share one plan.
+ */
 struct ExecPlan
 {
+    /// GPU model the timings were derived for.
+    hw::GpuModel gpu = hw::GpuModel::V100;
+
     /// Median GPU-op times in microseconds, in graph order (dense).
     std::vector<double> gpuBaseUs;
     /// Lognormal sigma per GPU op, parallel to gpuBaseUs.
@@ -55,15 +62,13 @@ struct ExecPlan
     double meanComputeUs() const;
 
     /**
-     * Builds the plan for @p g under the given timing models.
+     * Builds the plan for @p g on @p gpu: GPU-placed nodes use that
+     * GPU's timing model, CPU-placed nodes its host's.
      *
-     * @param g         Training graph (not retained).
-     * @param gpu_model Timing model for GPU-placed nodes.
-     * @param cpu_model Timing model for CPU-placed nodes.
+     * @param g   Training graph (not retained).
+     * @param gpu GPU model.
      */
-    static ExecPlan build(const graph::Graph &g,
-                          const hw::GpuTimingModel &gpu_model,
-                          const hw::CpuTimingModel &cpu_model);
+    static ExecPlan build(const graph::Graph &g, hw::GpuModel gpu);
 };
 
 } // namespace sim

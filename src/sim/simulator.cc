@@ -13,16 +13,22 @@ namespace sim {
 
 TrainingSimulator::TrainingSimulator(const graph::Graph &g,
                                      const SimConfig &config)
-    : graph_(&g), config_(config)
+    : TrainingSimulator(
+          std::make_shared<const ExecPlan>(ExecPlan::build(g, config.gpu)),
+          config)
+{
+}
+
+TrainingSimulator::TrainingSimulator(std::shared_ptr<const ExecPlan> plan,
+                                     const SimConfig &config)
+    : plan_(std::move(plan)), config_(config)
 {
     if (config.numGpus < 1)
         util::panic("TrainingSimulator: numGpus must be >= 1");
     if (config.gpusPerHost < 1)
         util::panic("TrainingSimulator: gpusPerHost must be >= 1");
-
-    const hw::GpuTimingModel gpu_model(config.gpu);
-    const hw::CpuTimingModel cpu_model(hw::hostSpeedFactor(config.gpu));
-    plan_ = ExecPlan::build(g, gpu_model, cpu_model);
+    if (!plan_ || plan_->gpu != config.gpu)
+        util::panic("TrainingSimulator: plan was built for another GPU");
 }
 
 IterationResult
@@ -30,8 +36,9 @@ TrainingSimulator::simulateIteration(std::int64_t iteration,
                                      const OpObserver *observer,
                                      Scratch &scratch) const
 {
-    const std::size_t gpu_n = plan_.gpuBaseUs.size();
-    const std::size_t cpu_n = plan_.cpuMeanUs.size();
+    const ExecPlan &plan = *plan_;
+    const std::size_t gpu_n = plan.gpuBaseUs.size();
+    const std::size_t cpu_n = plan.cpuMeanUs.size();
     scratch.z.resize(std::min(kernel::kBlock, std::max<std::size_t>(gpu_n, 1)));
 
     const bool observing = observer && *observer;
@@ -40,33 +47,34 @@ TrainingSimulator::simulateIteration(std::int64_t iteration,
         const std::uint64_t stream_key =
             kernel::replicaStreamKey(config_.seed, iteration, r);
         if (r == 0 && observing) {
-            // Observer path: materialize per-slot times, then emit and
-            // accumulate in graph order so the observed sum equals
-            // computeUs exactly (single replica).
+            // Observer path: materialize per-slot times, gather them
+            // into graph order and accumulate in that order, so the
+            // observed sum equals computeUs exactly (single replica).
             scratch.gpuTimes.resize(gpu_n);
             scratch.cpuTimes.resize(cpu_n);
-            kernel::gpuLaneUs(stream_key, plan_.gpuBaseUs.data(),
-                              plan_.gpuSigma.data(), gpu_n,
+            scratch.nodeTimes.resize(plan.nodeCount());
+            kernel::gpuLaneUs(stream_key, plan.gpuBaseUs.data(),
+                              plan.gpuSigma.data(), gpu_n,
                               scratch.z.data(), scratch.gpuTimes.data());
-            kernel::cpuLaneUs(stream_key, plan_.cpuMeanUs.data(), cpu_n,
+            kernel::cpuLaneUs(stream_key, plan.cpuMeanUs.data(), cpu_n,
                               scratch.cpuTimes.data());
             double total = 0.0;
-            const auto &nodes = graph_->nodes();
-            for (std::size_t i = 0; i < plan_.nodeCount(); ++i) {
-                const double t = plan_.nodeOnGpu[i]
-                                     ? scratch.gpuTimes[plan_.nodeSlot[i]]
-                                     : scratch.cpuTimes[plan_.nodeSlot[i]];
+            for (std::size_t i = 0; i < plan.nodeCount(); ++i) {
+                const double t = plan.nodeOnGpu[i]
+                                     ? scratch.gpuTimes[plan.nodeSlot[i]]
+                                     : scratch.cpuTimes[plan.nodeSlot[i]];
+                scratch.nodeTimes[i] = t;
                 total += t;
-                (*observer)(nodes[i], t);
             }
+            (*observer)(scratch.nodeTimes);
             slowest = std::max(slowest, total);
         } else {
             // Hot path: fused block accumulation over the SoA lanes.
             const double total =
-                kernel::gpuLaneUs(stream_key, plan_.gpuBaseUs.data(),
-                                  plan_.gpuSigma.data(), gpu_n,
+                kernel::gpuLaneUs(stream_key, plan.gpuBaseUs.data(),
+                                  plan.gpuSigma.data(), gpu_n,
                                   scratch.z.data(), nullptr) +
-                kernel::cpuLaneUs(stream_key, plan_.cpuMeanUs.data(),
+                kernel::cpuLaneUs(stream_key, plan.cpuMeanUs.data(),
                                   cpu_n, nullptr);
             slowest = std::max(slowest, total);
         }
@@ -75,7 +83,7 @@ TrainingSimulator::simulateIteration(std::int64_t iteration,
     IterationResult result;
     result.computeUs = slowest;
     result.commUs = hw::sampleCommOverheadUs(
-        config_.gpu, config_.numGpus, plan_.paramBytes, plan_.inputBytes,
+        config_.gpu, config_.numGpus, plan.paramBytes, plan.inputBytes,
         config_.seed, iteration, config_.gpusPerHost);
     return result;
 }
@@ -207,9 +215,9 @@ TrainingSimulator::run(int iterations, int threads,
 double
 TrainingSimulator::meanIterationUs() const
 {
-    return plan_.meanComputeUs() +
+    return plan_->meanComputeUs() +
            hw::commOverheadUs(config_.gpu, config_.numGpus,
-                              plan_.paramBytes, plan_.inputBytes,
+                              plan_->paramBytes, plan_->inputBytes,
                               config_.gpusPerHost);
 }
 

@@ -23,6 +23,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -49,13 +51,14 @@ struct SimConfig
 };
 
 /**
- * Callback invoked for every op execution on replica 0.
+ * Callback invoked once per observed iteration with replica 0's op
+ * times.
  *
- * @param node   The executed node.
- * @param timeUs Sampled compute time in microseconds.
+ * @param timesUs Sampled compute time in microseconds of every graph
+ *                node, indexed by node position (graph order). The
+ *                span is valid only for the duration of the call.
  */
-using OpObserver =
-    std::function<void(const graph::Node &node, double timeUs)>;
+using OpObserver = std::function<void(std::span<const double> timesUs)>;
 
 /** Timing of one training iteration. */
 struct IterationResult
@@ -78,19 +81,28 @@ struct RunStats
 /**
  * Simulates training of one graph on one instance configuration.
  *
- * Per-node base times and noise levels are precomputed at construction
- * into a structure-of-arrays ExecPlan, so iterations are cheap enough
- * to run the paper's 1000-iteration profiling studies by default.
+ * Per-node base times and noise levels are precomputed into a
+ * structure-of-arrays ExecPlan, so iterations are cheap enough to run
+ * the paper's 1000-iteration profiling studies by default.
  */
 class TrainingSimulator
 {
   public:
     /**
-     * @param g      Training graph (forward+backward), which must
-     *               outlive the simulator.
+     * Builds the ExecPlan of @p g on config.gpu.
+     *
+     * @param g      Training graph (forward+backward; not retained).
      * @param config Deployment to simulate.
      */
     TrainingSimulator(const graph::Graph &g, const SimConfig &config);
+
+    /**
+     * Simulates on a prebuilt plan, which several simulators may share
+     * (the plan depends only on (graph, GPU), not on numGpus or the
+     * seed). Panics unless plan->gpu == config.gpu.
+     */
+    TrainingSimulator(std::shared_ptr<const ExecPlan> plan,
+                      const SimConfig &config);
 
     /** Runs the next iteration without observation. */
     IterationResult runIteration();
@@ -111,7 +123,7 @@ class TrainingSimulator
      * timings. Equivalent to run(iterations, 1, observer).
      *
      * @param iterations Number of iterations (>= 1).
-     * @param observer   Optional per-op observer (replica 0).
+     * @param observer   Optional per-iteration observer (replica 0).
      */
     RunStats run(int iterations, const OpObserver &observer = nullptr);
 
@@ -130,10 +142,10 @@ class TrainingSimulator
                  const OpObserver &observer = nullptr);
 
     /** Trainable parameter bytes of the graph (comm-model feature). */
-    double paramBytes() const { return plan_.paramBytes; }
+    double paramBytes() const { return plan_->paramBytes; }
 
     /** Per-replica input batch bytes moved host->device per iteration. */
-    double inputBytes() const { return plan_.inputBytes; }
+    double inputBytes() const { return plan_->inputBytes; }
 
     /** Noise-free per-iteration mean (compute sum + mean comm). */
     double meanIterationUs() const;
@@ -142,7 +154,7 @@ class TrainingSimulator
     const SimConfig &config() const { return config_; }
 
     /** The structure-of-arrays execution plan (tests, benches). */
-    const ExecPlan &plan() const { return plan_; }
+    const ExecPlan &plan() const { return *plan_; }
 
   private:
     /** Reusable per-thread buffers for one iteration's samples. */
@@ -151,15 +163,15 @@ class TrainingSimulator
         std::vector<double> z;        ///< Normal block (kernel::kBlock).
         std::vector<double> gpuTimes; ///< Observer path, GPU lane.
         std::vector<double> cpuTimes; ///< Observer path, CPU lane.
+        std::vector<double> nodeTimes; ///< Observer path, graph order.
     };
 
     IterationResult simulateIteration(std::int64_t iteration,
                                       const OpObserver *observer,
                                       Scratch &scratch) const;
 
-    const graph::Graph *graph_;
+    std::shared_ptr<const ExecPlan> plan_;
     SimConfig config_;
-    ExecPlan plan_;
     std::int64_t nextIteration_ = 0;
 };
 

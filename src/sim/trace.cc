@@ -71,21 +71,24 @@ traceIteration(const graph::Graph &g, const SimConfig &config)
     double gpu_cursor = 0.0;
     double cpu_cursor = 0.0;
     const IterationResult result = simulator.runIteration(
-        [&](const Node &node, double time_us) {
-            TraceEvent event;
-            event.name = node.name;
-            event.category = graph::opTypeName(node.type);
-            event.durationUs = time_us;
-            if (node.device() == Device::Gpu) {
-                event.lane = 0;
-                event.startUs = gpu_cursor;
-                gpu_cursor += time_us;
-            } else {
-                event.lane = 1;
-                event.startUs = cpu_cursor;
-                cpu_cursor += time_us;
+        [&](std::span<const double> times_us) {
+            for (std::size_t i = 0; i < times_us.size(); ++i) {
+                const Node &node = g.nodes()[i];
+                TraceEvent event;
+                event.name = node.name;
+                event.category = graph::opTypeName(node.type);
+                event.durationUs = times_us[i];
+                if (node.device() == Device::Gpu) {
+                    event.lane = 0;
+                    event.startUs = gpu_cursor;
+                    gpu_cursor += times_us[i];
+                } else {
+                    event.lane = 1;
+                    event.startUs = cpu_cursor;
+                    cpu_cursor += times_us[i];
+                }
+                trace.add(std::move(event));
             }
-            trace.add(std::move(event));
         });
 
     TraceEvent sync;

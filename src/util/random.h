@@ -22,6 +22,9 @@
 namespace ceer {
 namespace util {
 
+/// Increment SplitMix64 adds to its state on every step.
+constexpr std::uint64_t kSplitMix64Gamma = 0x9E3779B97F4A7C15ull;
+
 /**
  * SplitMix64 step; used for seeding and for cheap stateless hashing of
  * (seed, stream) pairs into independent generator states.
@@ -32,10 +35,20 @@ namespace util {
 inline std::uint64_t
 splitMix64(std::uint64_t &state)
 {
-    std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    std::uint64_t z = (state += kSplitMix64Gamma);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
+}
+
+/**
+ * The state @p steps calls of splitMix64() leave behind, starting from
+ * @p state, in O(1): each step only adds kSplitMix64Gamma.
+ */
+inline std::uint64_t
+splitMix64Skip(std::uint64_t state, std::uint64_t steps)
+{
+    return state + steps * kSplitMix64Gamma;
 }
 
 /**

@@ -11,22 +11,6 @@ namespace ceer {
 namespace util {
 
 void
-RunningStats::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
 RunningStats::merge(const RunningStats &other)
 {
     if (other.count_ == 0)
@@ -95,8 +79,27 @@ RunningStats::max() const
     return count_ ? max_ : -std::numeric_limits<double>::infinity();
 }
 
+namespace {
+
+/// Replacement-RNG state of a default-constructed reservoir.
+constexpr std::uint64_t kReservoirSeed = 0xA02BDBF7BB3C0A7ull;
+
+/**
+ * The reservoir's replacement rule, shared by SampleReservoir::add()
+ * and ReservoirSchedule: advances @p state and returns the slot the
+ * offer that brings the count to @p offered replaces, which is below
+ * the capacity with probability capacity / offered.
+ */
+std::uint64_t
+replacementDraw(std::uint64_t &state, std::uint64_t offered)
+{
+    return splitMix64(state) % offered;
+}
+
+} // namespace
+
 SampleReservoir::SampleReservoir(std::size_t capacity)
-    : capacity_(capacity), rngState_(0xA02BDBF7BB3C0A7ull)
+    : capacity_(capacity), rngState_(kReservoirSeed)
 {
     if (capacity_ == 0)
         panic("SampleReservoir capacity must be positive");
@@ -113,7 +116,7 @@ SampleReservoir::add(double x)
     }
     // Classic reservoir sampling: replace a random slot with probability
     // capacity / offered.
-    const std::uint64_t pick = splitMix64(rngState_) % offered_;
+    const std::uint64_t pick = replacementDraw(rngState_, offered_);
     if (pick < capacity_)
         samples_[pick] = x;
 }
@@ -133,6 +136,33 @@ SampleReservoir::fromState(std::size_t capacity, std::size_t offered,
     reservoir.rngState_ = rng_state;
     reservoir.samples_ = std::move(samples);
     return reservoir;
+}
+
+ReservoirSchedule::ReservoirSchedule(std::size_t capacity,
+                                     std::size_t max_offered)
+    : capacity_(capacity), slots_(max_offered)
+{
+    if (capacity_ == 0 || capacity_ > 255)
+        panic("ReservoirSchedule capacity must be in [1, 255]");
+    std::uint64_t state = kReservoirSeed;
+    for (std::size_t i = 0; i < max_offered; ++i) {
+        const std::uint64_t offered = i + 1;
+        const std::uint64_t pick = offered <= capacity_
+                                       ? i
+                                       : replacementDraw(state, offered);
+        slots_[i] = static_cast<std::uint8_t>(
+            std::min<std::uint64_t>(pick, capacity_));
+    }
+}
+
+SampleReservoir
+ReservoirSchedule::reservoir(std::size_t offered,
+                             std::vector<double> samples) const
+{
+    const std::size_t draws = offered > capacity_ ? offered - capacity_ : 0;
+    return SampleReservoir::fromState(capacity_, offered,
+                                      splitMix64Skip(kReservoirSeed, draws),
+                                      std::move(samples));
 }
 
 double

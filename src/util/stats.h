@@ -6,6 +6,7 @@
 #ifndef CEER_UTIL_STATS_H
 #define CEER_UTIL_STATS_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -79,6 +80,23 @@ class RunningStats
     double max_ = 0.0;
 };
 
+// Inline: the profiler calls this once per observed op execution.
+inline void
+RunningStats::add(double x)
+{
+    if (count_ == 0) {
+        min_ = x;
+        max_ = x;
+    } else {
+        min_ = std::min(min_, x);
+        max_ = std::max(max_, x);
+    }
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+}
+
 /**
  * Bounded reservoir of samples supporting order statistics.
  *
@@ -138,6 +156,57 @@ class SampleReservoir
     std::size_t offered_ = 0;
     std::uint64_t rngState_;
     std::vector<double> samples_;
+};
+
+/**
+ * Precomputed slot sequence of a default-constructed reservoir.
+ *
+ * A default SampleReservoir starts its replacement RNG from a fixed
+ * constant and advances it once per offer past capacity, so the slot
+ * that offer number j writes depends only on (capacity, j), never on
+ * the values offered. Drawing that sequence once lets any number of
+ * equal-capacity reservoirs replay add() exactly: offer j stores its
+ * value at slot(j) of a (capacity + 1)-slot block, whose last slot
+ * absorbs the dropped offers, and reservoir() rebuilds the finished
+ * reservoir with the RNG state add() would have reached.
+ */
+class ReservoirSchedule
+{
+  public:
+    /**
+     * Draws the slots of offers 1 .. @p max_offered.
+     *
+     * @param capacity    Reservoir capacity, in [1, 255].
+     * @param max_offered Largest offer count the schedule covers.
+     */
+    ReservoirSchedule(std::size_t capacity, std::size_t max_offered);
+
+    /** Capacity of the reservoirs this schedule replays. */
+    std::size_t capacity() const { return capacity_; }
+
+    /** Largest offer count covered. */
+    std::size_t maxOffered() const { return slots_.size(); }
+
+    /**
+     * Slot written by offer number @p offered (1 <= @p offered <=
+     * maxOffered()): offered - 1 while the reservoir fills, then the
+     * replaced slot, or capacity() when the offer is dropped.
+     */
+    std::size_t slot(std::size_t offered) const
+    {
+        return slots_[offered - 1];
+    }
+
+    /**
+     * The reservoir add() leaves after @p offered offers that retained
+     * @p samples (the first min(offered, capacity()) slots).
+     */
+    SampleReservoir reservoir(std::size_t offered,
+                              std::vector<double> samples) const;
+
+  private:
+    std::size_t capacity_;
+    std::vector<std::uint8_t> slots_;
 };
 
 /** Returns the median of @p values (copied and partially sorted). */

@@ -6,10 +6,12 @@
  * contribution).
  */
 
+#include <bit>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "io/cbf.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
 #include "profile/features.h"
@@ -89,6 +91,72 @@ TEST(ProfilerTest, AggregatesEveryExecution)
     EXPECT_GT(run.meanCommUs, 0.0);
     EXPECT_NEAR(run.meanIterationUs,
                 run.meanComputeUs + run.meanCommUs, 1e-6);
+}
+
+TEST(ProfilerTest, CompactSlotsMatchPerInstanceAccumulators)
+{
+    // The profiler's contiguous stats and scheduled sample blocks must
+    // equal one RunningStats plus one SampleReservoir per instance fed
+    // through add(), bit for bit. 100 iterations take every instance
+    // past the 64-sample capacity.
+    const Graph g = models::buildResNetV2(50, 8);
+    const InstanceIndex index(g);
+    const util::ReservoirSchedule schedule(
+        kProfileSamples, index.maxOccurrences * 100);
+    std::vector<util::RunningStats> stats(index.instances.size());
+    std::vector<util::SampleReservoir> samples(
+        index.instances.size(), util::SampleReservoir(kProfileSamples));
+    Profiler profiler(index, schedule, "resnet_50", hw::GpuModel::T4);
+    sim::SimConfig config;
+    config.gpu = hw::GpuModel::T4;
+    sim::TrainingSimulator simulator(g, config);
+    simulator.run(100, [&](std::span<const double> times_us) {
+        profiler.observe(times_us);
+        for (std::size_t i = 0; i < times_us.size(); ++i) {
+            stats[index.nodeInstance[i]].add(times_us[i]);
+            samples[index.nodeInstance[i]].add(times_us[i]);
+        }
+    });
+
+    const std::vector<OpProfile> profiles = profiler.takeProfiles();
+    ASSERT_EQ(profiles.size(), index.instances.size());
+    for (std::size_t i = 0; i < profiles.size(); ++i) {
+        const OpProfile &profile = profiles[i];
+        EXPECT_EQ(profile.model, "resnet_50");
+        EXPECT_EQ(profile.gpu, hw::GpuModel::T4);
+        EXPECT_EQ(profile.occurrences, index.instances[i].occurrences);
+        EXPECT_EQ(profile.timeUs.count(), stats[i].count());
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(profile.timeUs.mean()),
+                  std::bit_cast<std::uint64_t>(stats[i].mean()));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      profile.timeUs.sumSquaredDeviations()),
+                  std::bit_cast<std::uint64_t>(
+                      stats[i].sumSquaredDeviations()));
+        EXPECT_EQ(profile.timeUs.min(), stats[i].min());
+        EXPECT_EQ(profile.timeUs.max(), stats[i].max());
+        EXPECT_GT(profile.samples.offered(), kProfileSamples);
+        EXPECT_EQ(profile.samples.offered(), samples[i].offered());
+        EXPECT_EQ(profile.samples.rngState(), samples[i].rngState());
+        EXPECT_EQ(profile.samples.samples(), samples[i].samples());
+    }
+}
+
+TEST(ProfilerTest, ShortScheduleOrWrongSizeDies)
+{
+    const Graph g = models::buildAlexNet(4);
+    const InstanceIndex index(g);
+    const std::vector<double> times(g.size(), 1.0);
+    // The schedule covers one iteration; the second must not run off
+    // its end.
+    const util::ReservoirSchedule schedule(kProfileSamples,
+                                           index.maxOccurrences);
+    Profiler profiler(index, schedule, "alexnet", hw::GpuModel::V100);
+    profiler.observe(times);
+    EXPECT_DEATH(profiler.observe(times), "schedule too short");
+
+    Profiler sized(index, schedule, "alexnet", hw::GpuModel::V100);
+    const std::vector<double> wrong(g.size() + 1, 1.0);
+    EXPECT_DEATH(sized.observe(wrong), "do not match");
 }
 
 TEST(ProfilerTest, HeavyInstancesHaveLowVariability)
@@ -245,19 +313,45 @@ TEST(SeedingTest, ParallelCollectionMatchesSerialByteForByte)
     options.iterations = 12;
     options.maxGpus = 2;
 
+    // CBF carries every accumulator's exact bits; CSV rounds, so it
+    // could hide a last-bit difference.
     options.threads = 1;
     const ProfileDataset serial =
         collectProfiles({"alexnet", "vgg_11"}, options);
-    std::stringstream serial_csv;
-    serial.saveCsv(serial_csv);
+    std::stringstream serial_cbf;
+    serial.saveCbf(serial_cbf);
 
     options.threads = 4;
     const ProfileDataset parallel =
         collectProfiles({"alexnet", "vgg_11"}, options);
-    std::stringstream parallel_csv;
-    parallel.saveCsv(parallel_csv);
+    std::stringstream parallel_cbf;
+    parallel.saveCbf(parallel_cbf);
 
-    EXPECT_EQ(serial_csv.str(), parallel_csv.str());
+    EXPECT_EQ(serial_cbf.str(), parallel_cbf.str());
+}
+
+TEST(SeedingTest, CollectionMatchesGoldenDigest)
+{
+    // Pins the collected dataset's exact bytes. 80 iterations offer
+    // every instance more than the reservoir's 64 slots, so the
+    // replacement draws are pinned too.
+    CollectOptions options;
+    options.iterations = 80;
+    options.maxGpus = 3;
+    options.seed = 42;
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        options.threads = threads;
+        const ProfileDataset dataset =
+            collectProfiles({"vgg_11", "resnet_50"}, options);
+        std::stringstream cbf;
+        dataset.saveCbf(cbf);
+        const std::string bytes = cbf.str();
+        EXPECT_EQ(dataset.ops().size(), 1012u);
+        EXPECT_EQ(bytes.size(), 692264u);
+        EXPECT_EQ(io::xxhash64(bytes.data(), bytes.size()),
+                  0x0c995c9825867405ull);
+    }
 }
 
 TEST(SeedingTest, CollectionIsByteIdenticalWithObservabilityOn)
@@ -272,16 +366,16 @@ TEST(SeedingTest, CollectionIsByteIdenticalWithObservabilityOn)
     for (int threads : {1, 2, 4, 8}) {
         SCOPED_TRACE(threads);
         options.threads = threads;
-        std::stringstream off_csv, on_csv;
+        std::stringstream off_cbf, on_cbf;
         {
             obs::ScopedEnable off(false);
-            collectProfiles(models, options).saveCsv(off_csv);
+            collectProfiles(models, options).saveCbf(off_cbf);
         }
         {
             obs::ScopedEnable on(true);
-            collectProfiles(models, options).saveCsv(on_csv);
+            collectProfiles(models, options).saveCbf(on_cbf);
         }
-        EXPECT_EQ(on_csv.str(), off_csv.str());
+        EXPECT_EQ(on_cbf.str(), off_cbf.str());
     }
 }
 

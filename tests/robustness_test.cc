@@ -58,6 +58,32 @@ TEST(CsvRobustnessTest, UnknownRowKindIsFatal)
     EXPECT_DEATH(profile::ProfileDataset::loadCsv(in), "row kind");
 }
 
+TEST(CsvRobustnessTest, UnknownDeviceIsFatal)
+{
+    // Only "cpu" and "gpu" name a placement; anything else used to
+    // load silently as a GPU op.
+    for (const char *device : {"GPU", "tpu", ""}) {
+        SCOPED_TRACE(device);
+        std::istringstream in(
+            std::string("kind,model,gpu,op,device,occurrences,count,"
+                        "mean_us,stddev_us,features,samples\n"
+                        "op,vgg_11,V100,Conv2D,") +
+            device + ",1,1,5,0,1;1;0;1,5\n");
+        profile::ProfileDataset dataset;
+        std::string error;
+        EXPECT_FALSE(
+            profile::ProfileDataset::tryLoadCsv(in, &dataset, &error));
+        EXPECT_NE(error.find("row 1 column 5 (device)"),
+                  std::string::npos)
+            << error;
+    }
+    std::istringstream fatal(
+        "kind,model,gpu,op,device,occurrences,count,mean_us,stddev_us,"
+        "features,samples\n"
+        "op,vgg_11,V100,Conv2D,gpu0,1,1,5,0,1;1;0;1,5\n");
+    EXPECT_DEATH(profile::ProfileDataset::loadCsv(fatal), "device");
+}
+
 TEST(CsvRobustnessTest, EmptyDocumentLoadsEmptyDataset)
 {
     std::istringstream in(
@@ -266,6 +292,8 @@ TEST(GraphRobustnessTest, ZeroBatchPanics)
 TEST(StatsRobustnessTest, ZeroCapacityReservoirPanics)
 {
     EXPECT_DEATH(util::SampleReservoir(0), "capacity");
+    EXPECT_DEATH(util::ReservoirSchedule(0, 10), "capacity");
+    EXPECT_DEATH(util::ReservoirSchedule(256, 10), "capacity");
 }
 
 TEST(StatsRobustnessTest, MapeSizeMismatchPanics)

@@ -78,14 +78,60 @@ TEST(SimulatorTest, ObserverSeesEveryNode)
     TrainingSimulator simulator(inceptionV1(), config);
     std::size_t observed = 0;
     double observed_total = 0.0;
+    std::size_t calls = 0;
     const IterationResult result = simulator.runIteration(
-        [&](const graph::Node &, double t) {
-            ++observed;
-            observed_total += t;
+        [&](std::span<const double> times_us) {
+            ++calls;
+            for (double t : times_us) {
+                ++observed;
+                observed_total += t;
+            }
         });
+    EXPECT_EQ(calls, 1u);
     EXPECT_EQ(observed, inceptionV1().size());
     // Single replica: observed sum is exactly the compute part.
     EXPECT_DOUBLE_EQ(observed_total, result.computeUs);
+}
+
+TEST(SimulatorTest, SharedPlanMatchesOwnPlanBitForBit)
+{
+    // One plan serves every k of a (graph, GPU) pair: simulators on a
+    // shared plan reproduce simulators that built their own, observed
+    // and unobserved.
+    for (hw::GpuModel gpu : hw::allGpuModels()) {
+        const auto plan = std::make_shared<const ExecPlan>(
+            ExecPlan::build(inceptionV1(), gpu));
+        for (int k = 1; k <= 4; ++k) {
+            SCOPED_TRACE(k);
+            SimConfig config;
+            config.gpu = gpu;
+            config.numGpus = k;
+            config.seed = 11 + k;
+            TrainingSimulator own(inceptionV1(), config);
+            TrainingSimulator shared(plan, config);
+            std::vector<double> own_times, shared_times;
+            const RunStats a = own.run(6, [&](std::span<const double> t) {
+                own_times.insert(own_times.end(), t.begin(), t.end());
+            });
+            const RunStats b =
+                shared.run(6, [&](std::span<const double> t) {
+                    shared_times.insert(shared_times.end(), t.begin(),
+                                        t.end());
+                });
+            EXPECT_EQ(own_times, shared_times);
+            expectStatsBitIdentical(a.iterationUs, b.iterationUs);
+            expectStatsBitIdentical(a.commUs, b.commUs);
+            expectStatsBitIdentical(own.run(40, 2).iterationUs,
+                                    shared.run(40, 2).iterationUs);
+        }
+    }
+    SimConfig other;
+    other.gpu = hw::GpuModel::K80;
+    EXPECT_DEATH(TrainingSimulator(std::make_shared<const ExecPlan>(
+                                       ExecPlan::build(inceptionV1(),
+                                                       hw::GpuModel::T4)),
+                                   other),
+                 "another GPU");
 }
 
 TEST(SimulatorTest, IterationTimeRankingAcrossGpus)

@@ -187,6 +187,36 @@ TEST(SampleReservoirTest, BoundedAboveCapacityAndRepresentative)
     EXPECT_NEAR(reservoir.median(), 500.0, 80.0);
 }
 
+TEST(ReservoirScheduleTest, ReplaysAddBitForBit)
+{
+    // A (capacity + 1)-slot block written at schedule.slot(j) must
+    // rebuild exactly the reservoir add() keeps: same samples in the
+    // same slots, same offered count, same RNG state.
+    for (std::size_t capacity : {1u, 7u, 64u}) {
+        const ReservoirSchedule schedule(capacity, 5000);
+        ASSERT_EQ(schedule.maxOffered(), 5000u);
+        for (std::size_t offered :
+             {std::size_t{0}, std::size_t{1}, capacity, capacity + 1,
+              std::size_t{777}, std::size_t{5000}}) {
+            SCOPED_TRACE(testing::Message() << capacity << "/" << offered);
+            SampleReservoir expected(capacity);
+            std::vector<double> block(capacity + 1, 0.0);
+            for (std::size_t j = 1; j <= offered; ++j) {
+                const double x = std::sin(static_cast<double>(j)) * 100.0;
+                expected.add(x);
+                block[schedule.slot(j)] = x;
+            }
+            block.resize(std::min(offered, capacity));
+            const SampleReservoir replayed =
+                schedule.reservoir(offered, block);
+            EXPECT_EQ(replayed.capacity(), expected.capacity());
+            EXPECT_EQ(replayed.offered(), expected.offered());
+            EXPECT_EQ(replayed.rngState(), expected.rngState());
+            EXPECT_EQ(replayed.samples(), expected.samples());
+        }
+    }
+}
+
 TEST(EmpiricalCdfTest, MonotoneAndBounded)
 {
     std::vector<double> values;

@@ -11,7 +11,8 @@
 #             serving stack)
 #   ubsan     UBSanitizer build of the serialization/I-O boundary
 #   asan      AddressSanitizer build of the prediction path (compiled
-#             plans, the predictor, the baseline engines)
+#             plans, the predictor, the baseline engines) and of the
+#             profiling path (simulator observer, profiler slot blocks)
 #
 # `tools/check.sh coverage` instead builds with -DCEER_COVERAGE=ON,
 # runs the test suite, and summarizes gcov line coverage for src/
@@ -242,7 +243,8 @@ pass_asan() {
     cmake -B build-asan -S . -DCEER_SANITIZE=address \
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-asan -j "$JOBS" \
-          --target predict_plan_test ceer_test baselines_test
+          --target predict_plan_test ceer_test baselines_test \
+                   profile_test sim_test
 
     # The compiled-plan evaluator end to end: the kernel's blocked
     # reads over the feature matrices, per-group/per-GPU recipe
@@ -252,6 +254,11 @@ pass_asan() {
     ./build-asan/tests/predict_plan_test
     ./build-asan/tests/ceer_test
     ./build-asan/tests/baselines_test
+    # The profiling sweep: the simulator's graph-order gather, the
+    # profiler's node -> instance table, its fixed per-instance sample
+    # blocks and the reservoir schedule they index.
+    ./build-asan/tests/profile_test
+    ./build-asan/tests/sim_test
 }
 
 pass_scaling() {
@@ -325,7 +332,7 @@ else
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
     run_pass "UBSanitizer (serialization/I-O boundary)" pass_ubsan
-    run_pass "AddressSanitizer (prediction path)" pass_asan
+    run_pass "AddressSanitizer (prediction + profiling paths)" pass_asan
 fi
 
 echo
