@@ -574,23 +574,14 @@ runEvaluation(const profile::ProfileDataset &dataset,
         }
         OBS_COUNTER_INC("eval.cells");
     };
-    const std::size_t effective =
-        options.threads == 1
-            ? 1
-            : util::ThreadPool::effectiveThreads(options.threads);
-    if (effective <= 1 || n_cells <= 1) {
-        for (std::size_t i = 0; i < n_cells; ++i)
-            evaluateCell(i);
-    } else {
-        util::ParallelOptions parallel;
-        parallel.costHintUs = 2000.0;
-        parallel.maxThreads = effective;
-        util::ThreadPool::shared().parallelForRange(
-            n_cells, parallel, [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    evaluateCell(i);
-            });
-    }
+    util::ParallelOptions parallel;
+    parallel.costHintUs = 2000.0;
+    parallel.maxThreads = util::ThreadPool::effectiveThreads(options.threads);
+    util::ThreadPool::shared().parallelForRange(
+        n_cells, parallel, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                evaluateCell(i);
+        });
 
     // The recommendation-agreement candidates: catalog instances whose
     // (GPU, width) lies on the evaluated grid, in catalog order.

@@ -150,29 +150,24 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
             evaluation.costUsd <= constraints.totalBudgetUsd;
     };
 
-    const std::size_t effective =
-        threads == 1 ? 1 : util::ThreadPool::effectiveThreads(threads);
-    if (effective <= 1 || candidates.size() <= 1) {
-        for (std::size_t i = 0; i < candidates.size(); ++i)
-            evaluate(i);
-    } else {
-        // One candidate scores in well under a microsecond once the
-        // plan's heavy term is memoized, so per-candidate tasks would
-        // drown in scheduling overhead. The measured-first-chunk
-        // grain controller coarsens the sweep into contiguous blocks
-        // (minGrain keeps the probe itself above timer noise), and
-        // the shared pool's parked workers keep the fan-out cost of
-        // this sub-millisecond section to one wake.
-        util::ParallelOptions parallel;
-        parallel.minGrain = 8;
-        parallel.maxThreads = effective;
-        util::ThreadPool::shared().parallelForRange(
-            candidates.size(), parallel,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    evaluate(i);
-            });
-    }
+    // One candidate scores in well under a microsecond once the plan's
+    // heavy term is memoized, so per-candidate chunks would drown in
+    // scheduling overhead. The measured-first-chunk grain controller
+    // coarsens the sweep into contiguous blocks (minGrain keeps the
+    // probe itself above timer noise), and the shared pool's parked
+    // workers keep the fan-out cost of this sub-millisecond section to
+    // one wake. threads == 0 forks only at the break-even size.
+    util::ParallelOptions parallel;
+    parallel.minGrain = 8;
+    parallel.maxThreads =
+        threads == 0 && candidates.size() < kParallelSweepMinCandidates
+            ? 1
+            : util::ThreadPool::effectiveThreads(threads);
+    util::ThreadPool::shared().parallelForRange(
+        candidates.size(), parallel, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                evaluate(i);
+        });
 
     for (std::size_t i = 0; i < result.evaluations.size(); ++i) {
         const CandidateEvaluation &candidate = result.evaluations[i];

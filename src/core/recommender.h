@@ -10,6 +10,7 @@
 #define CEER_CORE_RECOMMENDER_H
 
 #include <array>
+#include <cstddef>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -108,12 +109,24 @@ struct Recommendation
 };
 
 /**
+ * Candidate count at which an automatic (threads = 0) sweep forks onto
+ * the shared pool; smaller sweeps run serially on the caller.
+ * Single-connection ceerd p50 of `gen-catalog` fleets on a 4-vCPU
+ * host, serial -> parallel sweep (three 3-s runs each): 256 instances
+ * 47-67 -> 64-78 us, 512 98-106 -> 97-104 us, 1024 131-180 -> 135-150
+ * us, 1536 256-280 -> 167-205 us, 2048 260-365 -> 233-263 us. 1024 is
+ * where the fork-join stops losing. The 16-instance AWS catalog stays
+ * far below, keeping its allocation-free sweep.
+ */
+constexpr std::size_t kParallelSweepMinCandidates = 1024;
+
+/**
  * Evaluates every candidate and picks the best feasible one.
  *
  * The workload graph is compiled once (CeerPredictor::compile) and
  * every candidate is scored against the shared plan. With
- * @p threads != 1 the candidate evaluations fan out across a
- * util::ThreadPool; the winner is still selected by a serial
+ * @p threads != 1 the candidate evaluations may fan out across
+ * util::ThreadPool::shared(); the winner is still selected by a serial
  * candidate-order reduction, so the Recommendation — winner and the
  * full Evaluation list — is byte-identical at any thread count.
  *
@@ -122,8 +135,10 @@ struct Recommendation
  * @param candidates  Candidate instances (e.g. a whole catalog).
  * @param objective   Metric to minimize.
  * @param constraints Budget constraints.
- * @param threads     Sweep parallelism: 1 = serial (default), 0 = one
- *                    per hardware thread, n > 1 = exactly n.
+ * @param threads     Sweep parallelism: 1 = serial (default), n > 1 =
+ *                    exactly n, 0 = automatic: serial below
+ *                    kParallelSweepMinCandidates candidates, one per
+ *                    hardware thread at or above it.
  */
 Recommendation recommend(const CeerPredictor &predictor,
                          const WorkloadSpec &workload,

@@ -229,27 +229,17 @@ trainCeer(const ProfileDataset &dataset, const TrainOptions &options)
                                cells[i].instances, options);
         OBS_COUNTER_INC("trainer.cells");
     };
-    const std::size_t threads =
-        options.threads == 1
-            ? 1
-            : util::ThreadPool::effectiveThreads(options.threads);
-    if (threads <= 1 || cells.size() <= 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            fit_cell(i);
-    } else {
-        // Regression fits are hundreds of microseconds each; the
-        // static hint keeps the grain at one cell per claim so the
-        // slowest cells still balance across workers.
-        util::ParallelOptions parallel;
-        parallel.costHintUs = 500.0;
-        parallel.maxThreads = threads;
-        util::ThreadPool::shared().parallelForRange(
-            cells.size(), parallel,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    fit_cell(i);
-            });
-    }
+    // Regression fits are hundreds of microseconds each; the static
+    // hint keeps the grain at one cell per claim so the slowest cells
+    // still balance across workers.
+    util::ParallelOptions parallel;
+    parallel.costHintUs = 500.0;
+    parallel.maxThreads = util::ThreadPool::effectiveThreads(options.threads);
+    util::ThreadPool::shared().parallelForRange(
+        cells.size(), parallel, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                fit_cell(i);
+        });
     for (std::size_t i = 0; i < cells.size(); ++i) {
         model.opModels.emplace(std::make_pair(cells[i].gpu,
                                               cells[i].op),

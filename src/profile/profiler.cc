@@ -842,26 +842,18 @@ collectProfiles(const std::vector<std::string> &model_names,
                     inputs[unit.modelIndex], schedule, options);
     };
 
-    const std::size_t threads =
-        util::ThreadPool::effectiveThreads(options.threads);
-    if (threads <= 1 || units.size() <= 1) {
-        for (std::size_t i = 0; i < units.size(); ++i)
-            execute(i);
-    } else {
-        // Units are tens-of-milliseconds tasks: the static cost hint
-        // keeps the grain at one unit per claim (no batching win to be
-        // had), and the shared pool's parked workers make the fan-out
-        // cost independent of how often this is called.
-        util::ParallelOptions parallel;
-        parallel.costHintUs = 2000.0;
-        parallel.maxThreads = threads;
-        util::ThreadPool::shared().parallelForRange(
-            units.size(), parallel,
-            [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i)
-                    execute(i);
-            });
-    }
+    // Units are tens-of-milliseconds tasks: the static cost hint
+    // keeps the grain at one unit per claim (no batching win to be
+    // had), and the shared pool's parked workers make the fan-out
+    // cost independent of how often this is called.
+    util::ParallelOptions parallel;
+    parallel.costHintUs = 2000.0;
+    parallel.maxThreads = util::ThreadPool::effectiveThreads(options.threads);
+    util::ThreadPool::shared().parallelForRange(
+        units.size(), parallel, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i)
+                execute(i);
+        });
 
     ProfileDataset dataset;
     for (SweepUnit &unit : units) {

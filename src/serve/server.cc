@@ -23,18 +23,6 @@ namespace serve {
 namespace {
 
 /**
- * Catalogs at least this large sweep their candidates on the shared
- * pool; smaller ones sweep serially on the reactor. Single-connection
- * p50 of `gen-catalog` fleets on a 4-vCPU host, serial -> parallel
- * sweep (three 3-s runs each): 256 instances 47-67 -> 64-78 us, 512
- * 98-106 -> 97-104 us, 1024 131-180 -> 135-150 us, 1536 256-280 ->
- * 167-205 us, 2048 260-365 -> 233-263 us. 1024 is where the fork-join
- * stops losing. The 16-instance AWS catalog stays far below, keeping
- * its allocation-free sweep.
- */
-constexpr std::size_t kParallelSweepMinCandidates = 1024;
-
-/**
  * models::buildModel fatals on unknown names, so the server validates
  * against the full buildable set (the 12-CNN zoo plus the
  * out-of-family extras) and answers `unknown_model` instead of dying.
@@ -664,13 +652,12 @@ Server::handleRequest(Session &session, const char *payload,
                                     : core::Objective::MinCost);
 
     // The sweep, projection and encode all write into per-session
-    // scratch: a warm request allocates nothing from here on (a
-    // parallel sweep's fork-join aside).
-    const int sweep_threads =
-        candidates_.size() >= kParallelSweepMinCandidates ? 0 : 1;
+    // scratch: a warm request allocates nothing from here on. The
+    // automatic sweep (threads = 0) forks onto the shared pool only for
+    // catalogs at or above core::kParallelSweepMinCandidates.
     core::recommendInto(engine->predictor, *entry->plan, workload,
                         candidates_, objective, constraints,
-                        sweep_threads, &session.sweepScratch,
+                        /*threads=*/0, &session.sweepScratch,
                         &entry->fits);
     responseFromRecommendationInto(session.sweepScratch,
                                    &session.responseScratch);

@@ -15,7 +15,7 @@
  * from running one reactor per core. The
  * candidate sweep inside a request forks onto util::ThreadPool::shared()
  * only when the catalog is large enough for the fork-join to pay for
- * itself (kParallelSweepMinCandidates in server.cc); smaller catalogs —
+ * itself (core::kParallelSweepMinCandidates); smaller catalogs —
  * the 16-instance AWS one included — sweep serially. A session has at
  * most one request in flight.
  *

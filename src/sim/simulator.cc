@@ -184,24 +184,17 @@ TrainingSimulator::run(int iterations, int threads,
         parts[c] = part;
     };
 
-    const std::size_t effective =
-        util::ThreadPool::effectiveThreads(threads);
-    if (effective <= 1 || chunks <= 1) {
-        for (std::size_t c = 0; c < chunks; ++c)
-            run_chunk(c);
-    } else {
-        // Per-chunk cost is model-dependent (graph size times 32
-        // iterations), so let the scheduler measure the first chunk
-        // and coarsen: small graphs get several statistical chunks
-        // per claim, big graphs stay at one.
-        util::ParallelOptions parallel;
-        parallel.maxThreads = effective;
-        util::ThreadPool::shared().parallelForRange(
-            chunks, parallel, [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t c = lo; c < hi; ++c)
-                    run_chunk(c);
-            });
-    }
+    // Per-chunk cost is model-dependent (graph size times 32
+    // iterations), so let the scheduler measure the first chunk and
+    // coarsen: small graphs get several statistical chunks per claim,
+    // big graphs stay at one.
+    util::ParallelOptions parallel;
+    parallel.maxThreads = util::ThreadPool::effectiveThreads(threads);
+    util::ThreadPool::shared().parallelForRange(
+        chunks, parallel, [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t c = lo; c < hi; ++c)
+                run_chunk(c);
+        });
 
     for (const RunStats &part : parts) {
         stats.iterationUs.merge(part.iterationUs);

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -345,6 +346,53 @@ TEST(ParallelRecommenderTest, ByteIdenticalAtAnyThreadCount)
                          << threads << " threads, candidate " << i);
             expectEvaluationsIdentical(serial.evaluations[i],
                                        parallel.evaluations[i]);
+        }
+    }
+}
+
+TEST(ParallelRecommenderTest, AutoThreadsForkOnlyAtBreakEven)
+{
+    // threads = 0 sweeps serially below kParallelSweepMinCandidates
+    // (no helper seat is posted) and forks at or above it whenever the
+    // host has a second hardware thread. Either way the result matches
+    // the serial sweep byte for byte.
+    obs::ScopedEnable on(true);
+    const CeerPredictor &predictor = cheapPredictor();
+    const Graph g = models::buildModel("inception_v3", 32);
+    WorkloadSpec workload{&g, 1'200'000, 32};
+    const bool multi_core = std::thread::hardware_concurrency() >= 2;
+    struct Case
+    {
+        cloud::InstanceCatalog catalog;
+        bool forks;
+    };
+    const Case cases[] = {
+        {cloud::InstanceCatalog::awsOnDemand(), false},
+        {cloud::InstanceCatalog::syntheticFleet(2048), multi_core},
+    };
+    for (const Case &c : cases) {
+        const std::vector<cloud::GpuInstance> &candidates =
+            c.catalog.instances();
+        SCOPED_TRACE(testing::Message() << candidates.size()
+                                        << " candidates");
+        const Recommendation serial =
+            recommend(predictor, workload, candidates, Objective::MinCost,
+                      Constraints{}, /*threads=*/1);
+        const std::uint64_t seats_before =
+            obs::snapshotMetrics().counterValue("pool.tasks");
+        const Recommendation automatic =
+            recommend(predictor, workload, candidates, Objective::MinCost,
+                      Constraints{}, /*threads=*/0);
+        const std::uint64_t seats =
+            obs::snapshotMetrics().counterValue("pool.tasks") -
+            seats_before;
+        EXPECT_EQ(seats > 0, c.forks) << seats << " seats posted";
+        EXPECT_EQ(automatic.bestIndex, serial.bestIndex);
+        ASSERT_EQ(automatic.evaluations.size(), serial.evaluations.size());
+        for (std::size_t i = 0; i < serial.evaluations.size(); ++i) {
+            SCOPED_TRACE(testing::Message() << "candidate " << i);
+            expectEvaluationsIdentical(serial.evaluations[i],
+                                       automatic.evaluations[i]);
         }
     }
 }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Tests for util::ThreadPool: task submission, parallelForRange
- * coverage, exception propagation, and a contended stress loop that
- * doubles as the ThreadSanitizer workload for tools/check.sh.
+ * Tests for util::ThreadPool: parallelForRange coverage, the job
+ * board's wakeup and seat protocol, exception propagation and
+ * abandonment, and a contended stress loop that doubles as the
+ * ThreadSanitizer workload for tools/check.sh.
  */
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -35,17 +35,6 @@ forEachIndex(ThreadPool &pool, std::size_t n, Body &&body)
                               for (std::size_t i = lo; i < hi; ++i)
                                   body(i);
                           });
-}
-
-TEST(ThreadPoolTest, SubmitReturnsFutureResults)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.workerCount(), 3u);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 32; ++i)
-        futures.push_back(pool.submit([i] { return i * i; }));
-    for (int i = 0; i < 32; ++i)
-        EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * i);
 }
 
 TEST(ThreadPoolTest, ZeroWorkerPoolRunsOnCaller)
@@ -86,14 +75,6 @@ TEST(ThreadPoolTest, ParallelForHandlesEmptyAndSingle)
     EXPECT_EQ(calls, 0);
     pool.parallelForRange(1, ParallelOptions{}, count);
     EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions)
-{
-    ThreadPool pool(2);
-    auto future = pool.submit(
-        []() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ParallelForPropagatesExceptions)
@@ -140,20 +121,19 @@ TEST(ThreadPoolTest, PoolIsReusableAfterParallelForThrows)
                  [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-    EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
 }
 
 TEST(ThreadPoolTest, TaskCounterTracksSubmissions)
 {
+    // pool.tasks counts helper seats posted: two workers plus the
+    // caller make three executors, so one section posts two seats.
     obs::ScopedEnable on(true);
     obs::counter("pool.tasks").reset();
     ThreadPool pool(2);
-    std::vector<std::future<int>> futures;
-    for (int i = 0; i < 5; ++i)
-        futures.push_back(pool.submit([i] { return i; }));
-    for (auto &future : futures)
-        (void)future.get();
-    EXPECT_EQ(obs::snapshotMetrics().counterValue("pool.tasks"), 5u);
+    std::atomic<std::size_t> total{0};
+    forEachIndex(pool, 100, [&](std::size_t i) { total.fetch_add(i); });
+    EXPECT_EQ(total.load(), 100u * 99u / 2);
+    EXPECT_EQ(obs::snapshotMetrics().counterValue("pool.tasks"), 2u);
 }
 
 TEST(ThreadPoolTest, FewerItemsThanWorkersCoversEveryIndex)
@@ -166,15 +146,6 @@ TEST(ThreadPoolTest, FewerItemsThanWorkersCoversEveryIndex)
                  [&](std::size_t i) { hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-}
-
-TEST(ThreadPoolTest, SubmitAcceptsMoveOnlyCallables)
-{
-    ThreadPool pool(2);
-    auto value = std::make_unique<int>(41);
-    auto future = pool.submit(
-        [v = std::move(value)] { return *v + 1; });
-    EXPECT_EQ(future.get(), 42);
 }
 
 TEST(ThreadPoolTest, RangeFormCoversEveryIndexOnceWithStaticGrain)
@@ -232,28 +203,37 @@ TEST(ThreadPoolTest, MaxThreadsOneRunsSerially)
 
 TEST(ThreadPoolTest, ExceptionAbandonsRemainingChunks)
 {
-    // A throw in one chunk must stop other executors from claiming
-    // further chunks: with the failure in the very first index, the
-    // executed count stays far below n. The other chunks start only
-    // once the first one has, and each takes 1 ms, so executors racing
-    // through empty chunks cannot outrun the throw (which is slow when
-    // it is the process's first and the unwinder still has to load).
+    // Protocol invariant: once a chunk's exception is recorded, no
+    // executor claims another chunk. Every chunk is one item; chunk 0
+    // throws, and every other chunk first waits until chunk 0's
+    // unwinding has begun (the guard's destructor), so no executor
+    // can race through the range before the throw. After the failure
+    // is recorded the cursor is exhausted: only the few chunks
+    // claimed in the window between the guard and the catch can run,
+    // far below n. Without the abandonment every item would run.
     ThreadPool pool(4);
     constexpr std::size_t kN = 1'000'000;
     std::atomic<std::size_t> executed{0};
-    std::atomic<bool> firstStarted{false};
+    std::atomic<bool> unwinding{false};
+    struct SetOnUnwind
+    {
+        std::atomic<bool> &flag;
+        ~SetOnUnwind()
+        {
+            flag.store(true);
+            flag.notify_all();
+        }
+    };
     ParallelOptions options;
-    options.costHintUs = 0.01; // fine grain: many chunks to abandon
+    options.costHintUs = 1000.0; // one item per chunk
     try {
         pool.parallelForRange(
             kN, options, [&](std::size_t lo, std::size_t hi) {
                 if (lo == 0) {
-                    firstStarted.store(true);
+                    SetOnUnwind guard{unwinding};
                     throw std::runtime_error("first chunk failed");
                 }
-                while (!firstStarted.load())
-                    std::this_thread::yield();
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                unwinding.wait(false);
                 executed.fetch_add(hi - lo);
             });
         FAIL() << "expected the chunk's exception to propagate";
@@ -318,12 +298,12 @@ TEST(ThreadPoolTest, SchedulerMetricsAreObservable)
     obs::ScopedEnable on(true);
     {
         ThreadPool pool(4);
-        // Many short parallel sections. Steal and park counts are
-        // schedule-dependent (zero is legitimate on a single-core
-        // host), so the contract tested here is the deterministic
-        // part: helper tasks are counted, the grain controller
-        // publishes its decision, and the destructor records the
-        // per-worker task distribution.
+        // Many short parallel sections. Park counts are schedule-
+        // dependent (zero is legitimate on a single-core host), so
+        // the contract tested here is the deterministic part: helper
+        // seats are counted, the grain controller publishes its
+        // decision, and the destructor records the per-worker job
+        // distribution.
         for (int round = 0; round < 20; ++round) {
             std::atomic<std::size_t> total{0};
             ParallelOptions options;
@@ -341,47 +321,44 @@ TEST(ThreadPoolTest, SchedulerMetricsAreObservable)
     EXPECT_NE(snapshot.findHistogram("pool.worker_tasks"), nullptr);
 }
 
-TEST(ThreadPoolTest, ZeroWorkerSubmitRunsInline)
-{
-    // With no workers a submitted task must still execute (inline on
-    // the caller): queueing it would deadlock future.get() until the
-    // destructor's drain.
-    ThreadPool pool(0);
-    auto future = pool.submit([] { return 42; });
-    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(future.get(), 42);
-    auto failing = pool.submit(
-        []() -> int { throw std::runtime_error("inline boom"); });
-    EXPECT_THROW(failing.get(), std::runtime_error);
-}
-
 TEST(ThreadPoolTest, SubmitWakeupIsNeverLost)
 {
-    // Regression for a lost-wakeup race in the park protocol: a task
-    // enqueued between a worker's final queue scan and its parked_
-    // announcement was folded into the worker's epoch snapshot, so it
-    // slept on a non-empty queue and the future never resolved. A
-    // single worker maximizes park/unpark round trips; every future
-    // must resolve promptly.
+    // Regression for lost wakeups in the park protocol. With one
+    // worker and n = 2, each section's two chunks rendezvous: a chunk
+    // counts itself in, then waits until both have started. The
+    // caller runs one chunk, so only a helper woken by the post can
+    // run the other; a lost wakeup leaves the caller waiting out the
+    // bound. Thousands of sections maximize park/post round trips.
     ThreadPool pool(1);
-    for (int i = 0; i < 3000; ++i) {
-        auto future = pool.submit([i] { return i; });
-        ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
-                  std::future_status::ready)
-            << "submission " << i << " was lost by the scheduler";
-        ASSERT_EQ(future.get(), i);
+    ParallelOptions options;
+    options.costHintUs = 1000.0; // one item per chunk
+    for (int section = 0; section < 3000; ++section) {
+        std::atomic<int> started{0};
+        std::atomic<bool> rendezvous{true};
+        pool.parallelForRange(2, options, [&](std::size_t, std::size_t) {
+            started.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (started.load() < 2) {
+                if (std::chrono::steady_clock::now() > deadline) {
+                    rendezvous.store(false);
+                    return;
+                }
+                std::this_thread::yield();
+            }
+        });
+        ASSERT_TRUE(rendezvous.load())
+            << "section " << section << ": no helper ran the second chunk";
     }
 }
 
 TEST(ThreadPoolTest, ExceptionExhaustsCursorBeforeRethrow)
 {
-    // Regression for a use-after-free window: helpers that start
-    // after the caller rethrew must be gated by the claim cursor (an
-    // RMW), not by relaxed visibility of the failure flag. Tight
-    // repeated sections keep stale helper tasks in flight while the
-    // next iteration reuses the stack frame; TSan (tools/check.sh)
-    // flags any touch of a dead frame.
+    // The job lives in the caller's frame: after a throw the caller
+    // must withdraw untaken seats and wait out every seated helper
+    // before it rethrows. Tight repeated sections reuse the stack
+    // frame while workers are still waking for the previous post;
+    // TSan (tools/check.sh) flags any touch of a dead frame.
     ThreadPool pool(4);
     for (int round = 0; round < 200; ++round) {
         std::atomic<std::size_t> executed{0};

@@ -422,7 +422,8 @@ cmdRecommend(int argc, char **argv)
     flags.defineInt("samples", 1200000, "dataset size");
     flags.defineInt("threads", 1,
                     "candidate-sweep worker threads (1 = serial, 0 = "
-                    "one per hardware thread); the recommendation is "
+                    "automatic: serial below 1024 candidates, else one "
+                    "per hardware thread); the recommendation is "
                     "byte-identical at any count");
     flags.defineBool("auto-train", false,
                      "profile and train in-process instead of loading "

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 #
-# CI-style check driver. Default mode runs five passes:
+# CI-style check driver. Default mode runs six passes:
 #
 #   release   Release build + full ctest suite
+#   flake     the concurrency tests repeated 20 times in a row, in
+#             parallel, against the release build
 #   bench     microbenchmark smoke runs (tiny iteration counts)
 #   tsan      ThreadSanitizer build of the concurrency-sensitive pieces
 #             (thread pool, metrics registry, parallel profiling,
@@ -76,6 +78,15 @@ pass_release() {
     cmake -B build -S . >/dev/null
     cmake --build build -j "$JOBS"
     ctest --test-dir build --output-on-failure -j "$JOBS"
+}
+
+pass_flake() {
+    # A test that depends on scheduling luck fails here sooner or
+    # later: each concurrency test must pass 20 runs in a row while
+    # the others contend for the cores.
+    ctest --test-dir build --output-on-failure -j "$JOBS" \
+          --repeat until-fail:20 \
+          -R '^(ThreadPoolTest|SeedingTest|ParallelRecommenderTest|ParallelTrainerTest|EvalSweepTest)\.'
 }
 
 pass_bench_smoke() {
@@ -190,7 +201,7 @@ pass_tsan() {
     # The sharded metrics registry: 16-thread hammer, snapshots taken
     # mid-record, and the span sink under concurrent writers.
     ./build-tsan/tests/obs_test
-    ./build-tsan/tests/thread_pool_test
+    ./build-tsan/tests/thread_pool_test --gtest_repeat=3
     ./build-tsan/tests/profile_test \
         --gtest_filter='SeedingTest.*:DatasetTest.LoadedDatasetServesIndexedQueries'
     # Exercise the iteration-parallel run() under TSan: chunked
@@ -329,6 +340,7 @@ elif [[ "$MODE" == "scaling" ]]; then
     run_pass "micro-bench scaling gate (below-serial rows)" pass_scaling
 else
     run_pass "release build + tests" pass_release
+    run_pass "flake pass (concurrency tests x20)" pass_flake
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
     run_pass "UBSanitizer (serialization/I-O boundary)" pass_ubsan
