@@ -4,13 +4,20 @@
  * parameter counts, op mixes and batch-size behaviour.
  */
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "models/model_zoo.h"
+#include "serve/protocol.h"
+#include "util/random.h"
 
 namespace ceer {
 namespace models {
@@ -267,6 +274,127 @@ TEST_P(EveryModelTest, GradientNodesAreMarked)
                 << "forward node after gradient region: " << node.name;
     }
     EXPECT_TRUE(seen_gradient);
+}
+
+// --- Golden graph digests ---
+
+/**
+ * One pinned graph: the serving fingerprint (structure, shapes, attrs,
+ * parameter shapes) plus a digest of every node and parameter-variable
+ * name, which the fingerprint leaves out.
+ */
+struct GraphDigest
+{
+    const char *model;
+    std::int64_t batch;
+    std::uint64_t fingerprint;
+    std::uint64_t names;
+};
+
+/** The zoo plus the three extension builders, by graph name. */
+Graph
+buildForDigest(const std::string &model, std::int64_t batch)
+{
+    if (model == "transformer_encoder")
+        return buildTransformerEncoder(batch);
+    if (model == "lstm_classifier")
+        return buildLstmClassifier(batch);
+    if (model == "mobilenet_v1")
+        return buildMobileNetV1(batch);
+    return buildModel(model, batch);
+}
+
+std::uint64_t
+nameDigest(const Graph &g)
+{
+    std::uint64_t h = util::hashMix(0x6e616d6573ULL, g.size());
+    for (const auto &node : g.nodes())
+        h = util::hashMix(h, node.name);
+    h = util::hashMix(h, g.paramVars().size());
+    for (const auto &param : g.paramVars())
+        h = util::hashMix(h, param.name);
+    return h;
+}
+
+// Computed before graph construction was reworked for allocation-light
+// builds; every graph must stay byte-identical, names included.
+const GraphDigest kGoldenDigests[] = {
+    {"alexnet", 1, 0xa68bb031ca34d57dULL, 0xc930ee4d7efc1020ULL},
+    {"alexnet", 32, 0xe8d3c42af9ae809dULL, 0xc930ee4d7efc1020ULL},
+    {"alexnet", 512, 0xf7dbb13119667848ULL, 0xc930ee4d7efc1020ULL},
+    {"vgg_11", 1, 0x8b5c1c8346cc979bULL, 0xb4033c4a5c1c1550ULL},
+    {"vgg_11", 32, 0x19641bdbf8c8aa50ULL, 0xb4033c4a5c1c1550ULL},
+    {"vgg_11", 512, 0xe3300ae27dec2505ULL, 0xb4033c4a5c1c1550ULL},
+    {"vgg_16", 1, 0x8b760bf74787aff0ULL, 0x579f726ba350c7ccULL},
+    {"vgg_16", 32, 0x0600484fbcfc1de7ULL, 0x579f726ba350c7ccULL},
+    {"vgg_16", 512, 0x9a646a3a9e978f77ULL, 0x579f726ba350c7ccULL},
+    {"vgg_19", 1, 0x8033622ba0703700ULL, 0x07761a49c83fa870ULL},
+    {"vgg_19", 32, 0x699ec2f2c6dcd426ULL, 0x07761a49c83fa870ULL},
+    {"vgg_19", 512, 0x3ec0836e6810c1f8ULL, 0x07761a49c83fa870ULL},
+    {"inception_v1", 1, 0xc9286b2523abb954ULL, 0xbddfc4dd212da3a5ULL},
+    {"inception_v1", 32, 0x569b701003538b6eULL, 0xbddfc4dd212da3a5ULL},
+    {"inception_v1", 512, 0x4582e74d40437942ULL, 0xbddfc4dd212da3a5ULL},
+    {"inception_v3", 1, 0x1a42a32504005ae4ULL, 0x3e66950c6b01d469ULL},
+    {"inception_v3", 32, 0xd6c53064a2716710ULL, 0x3e66950c6b01d469ULL},
+    {"inception_v3", 512, 0x16c775d342f265d0ULL, 0x3e66950c6b01d469ULL},
+    {"inception_v4", 1, 0x49666f1861e54cafULL, 0x6edbfa390d164243ULL},
+    {"inception_v4", 32, 0xf0a9671bdb1fcddcULL, 0x6edbfa390d164243ULL},
+    {"inception_v4", 512, 0xd0803dc9313f6378ULL, 0x6edbfa390d164243ULL},
+    {"resnet_50", 1, 0xfac299d5f1b5c07dULL, 0xbe773fffc1835671ULL},
+    {"resnet_50", 32, 0x993635c25cddbb8fULL, 0xbe773fffc1835671ULL},
+    {"resnet_50", 512, 0xd9f538d478b0892dULL, 0xbe773fffc1835671ULL},
+    {"resnet_101", 1, 0x9db98a8828b015c0ULL, 0x6e08cf5c9b18f0a4ULL},
+    {"resnet_101", 32, 0xda4970db96afce21ULL, 0x6e08cf5c9b18f0a4ULL},
+    {"resnet_101", 512, 0x7fe868102f926c73ULL, 0x6e08cf5c9b18f0a4ULL},
+    {"resnet_152", 1, 0x302e58db369c15daULL, 0xf68de035db77df47ULL},
+    {"resnet_152", 32, 0x804fae05fa5319c7ULL, 0xf68de035db77df47ULL},
+    {"resnet_152", 512, 0x45fb9be4c1a785afULL, 0xf68de035db77df47ULL},
+    {"resnet_200", 1, 0x34933489b9d323b3ULL, 0xc19f984610978620ULL},
+    {"resnet_200", 32, 0x0d73cd4398cfb6b5ULL, 0xc19f984610978620ULL},
+    {"resnet_200", 512, 0x0b3f760e1886a406ULL, 0xc19f984610978620ULL},
+    {"inception_resnet_v2", 1, 0x8faff4c36b12dc79ULL, 0xd35733e0cd024461ULL},
+    {"inception_resnet_v2", 32, 0xd9efc9aeab52a31bULL, 0xd35733e0cd024461ULL},
+    {"inception_resnet_v2", 512, 0xcc7632f099c50036ULL, 0xd35733e0cd024461ULL},
+    {"transformer_encoder", 1, 0x0cf32ef3861fef22ULL, 0xf59a60a712bae75dULL},
+    {"transformer_encoder", 32, 0x67849a741d5ecdb2ULL, 0xf59a60a712bae75dULL},
+    {"transformer_encoder", 512, 0xed45cb4e81fff0e7ULL, 0xf59a60a712bae75dULL},
+    {"lstm_classifier", 1, 0xe4244378f38ff4e1ULL, 0xdaeeff76b313332fULL},
+    {"lstm_classifier", 32, 0x61ef5030e83b00aeULL, 0xdaeeff76b313332fULL},
+    {"lstm_classifier", 512, 0xbea5ad5c625e4c5fULL, 0xdaeeff76b313332fULL},
+    {"mobilenet_v1", 1, 0xd91c9063bba44e1aULL, 0x59a592a185ed283cULL},
+    {"mobilenet_v1", 32, 0xac79ff8d017ba6a3ULL, 0x59a592a185ed283cULL},
+    {"mobilenet_v1", 512, 0x1018069d84e1c22bULL, 0x59a592a185ed283cULL},
+};
+
+TEST(GraphDigestTest, EveryBuilderMatchesItsGoldenDigest)
+{
+    for (const GraphDigest &golden : kGoldenDigests) {
+        const Graph g = buildForDigest(golden.model, golden.batch);
+        EXPECT_EQ(serve::graphFingerprint(g), golden.fingerprint)
+            << golden.model << " at batch " << golden.batch;
+        EXPECT_EQ(nameDigest(g), golden.names)
+            << golden.model << " at batch " << golden.batch;
+    }
+}
+
+TEST(GraphDigestTest, GoldenTableCoversZooAndExtensions)
+{
+    std::vector<std::string> models = allModelNames();
+    models.insert(models.end(), {"transformer_encoder", "lstm_classifier",
+                                 "mobilenet_v1"});
+    for (const std::string &model : models) {
+        for (std::int64_t batch : {1, 32, 512}) {
+            EXPECT_EQ(std::count_if(std::begin(kGoldenDigests),
+                                    std::end(kGoldenDigests),
+                                    [&](const GraphDigest &d) {
+                                        return d.model == model &&
+                                               d.batch == batch;
+                                    }),
+                      1)
+                << model << " at batch " << batch;
+        }
+    }
+    EXPECT_EQ(std::size(kGoldenDigests), models.size() * 3);
 }
 
 TEST(ModelZooTest, UnknownModelNameIsFatal)
