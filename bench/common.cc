@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "core/trainer.h"
 #include "models/model_zoo.h"
@@ -197,6 +198,15 @@ JsonObject &
 JsonObject::nul(const std::string &key)
 {
     fields_.push_back({key, "null", {}, false});
+    return *this;
+}
+
+JsonObject &
+JsonObject::object(const std::string &key, const JsonObject &value)
+{
+    std::ostringstream out;
+    value.writeCompact(out);
+    fields_.push_back({key, out.str(), {}, false});
     return *this;
 }
 

@@ -148,6 +148,9 @@ class JsonObject
     JsonObject &boolean(const std::string &key, bool value);
     /** Literal null field (e.g. an unresolvable tail quantile). */
     JsonObject &nul(const std::string &key);
+    /** Nested object field, rendered compact on one line; @p value
+     *  holds no array fields. */
+    JsonObject &object(const std::string &key, const JsonObject &value);
     /** Array-of-objects field; each row is one compact line. */
     JsonObject &array(const std::string &key,
                       std::vector<JsonObject> rows);

@@ -8,6 +8,10 @@
  * Recommendation — winner and full evaluation list — must be
  * byte-identical at every thread count. (Bit-identity of the plan
  * itself is pinned by the scalar reference in predict_plan_test.)
+ * It also times graph construction of the 12-CNN zoo at batch 32
+ * (the cold cost ahead of every first-time plan compile) and fails
+ * the run when a build makes more than kGraphBuildAllocBudget heap
+ * allocations per node, counted by a replaced operator new.
  * Writes BENCH_ceer.json so future changes can track the perf
  * trajectory.
  *
@@ -17,13 +21,16 @@
  * in the JSON rather than reported as a silent regression.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ctime>
 #include <iostream>
 #include <thread>
 #include <vector>
 
+#include "bench/alloc_count.h"
 #include "bench/common.h"
 #include "cloud/instances.h"
 #include "core/predictor.h"
@@ -65,6 +72,111 @@ evaluationsIdentical(const core::CandidateEvaluation &a,
            a.fitsMemory == b.fitsMemory;
 }
 
+/** Heap allocations allowed per node of a zoo graph build. */
+constexpr double kGraphBuildAllocBudget = 8.0;
+
+/** Timed zoo builds; the block reports their median, min and max. */
+constexpr int kGraphBuildTrials = 21;
+
+/** Batch size of the timed zoo builds (the paper's default). */
+constexpr std::int64_t kGraphBuildBatch = 32;
+
+/** CPU time consumed by the calling thread, in seconds. */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/** Median/min/max of sorted trials, rendered as one JSON object. */
+bench::JsonObject
+spreadJson(const std::vector<double> &sorted)
+{
+    bench::JsonObject spread;
+    spread.num("median", sorted[sorted.size() / 2], "%.3f")
+        .num("min", sorted.front(), "%.3f")
+        .num("max", sorted.back(), "%.3f");
+    return spread;
+}
+
+/** Builds every zoo CNN once and returns the total node count. */
+std::size_t
+buildZoo()
+{
+    std::size_t nodes = 0;
+    for (const std::string &name : models::allModelNames())
+        nodes += models::buildModel(name, kGraphBuildBatch).size();
+    return nodes;
+}
+
+/**
+ * Times kGraphBuildTrials builds of the zoo after one untimed build
+ * that counts allocations. Fills @p block with the results and returns
+ * false when the allocation budget is exceeded.
+ */
+bool
+measureGraphBuild(bench::JsonObject &block)
+{
+    bench::startAllocCount();
+    const std::size_t nodes = buildZoo();
+    const std::uint64_t allocs = bench::stopAllocCount();
+    const bool hooked = bench::allocHookAvailable();
+    const double allocs_per_node =
+        static_cast<double>(allocs) / static_cast<double>(nodes);
+    const bool ok = !hooked || allocs_per_node <= kGraphBuildAllocBudget;
+
+    std::vector<double> wall_ms, cpu_ms;
+    for (int t = 0; t < kGraphBuildTrials; ++t) {
+        const double cpu_start = threadCpuSeconds();
+        const auto start = Clock::now();
+        buildZoo();
+        wall_ms.push_back(std::chrono::duration<double, std::milli>(
+                              Clock::now() - start)
+                              .count());
+        cpu_ms.push_back((threadCpuSeconds() - cpu_start) * 1e3);
+    }
+    std::sort(wall_ms.begin(), wall_ms.end());
+    std::sort(cpu_ms.begin(), cpu_ms.end());
+    const double median_ms = wall_ms[wall_ms.size() / 2];
+    const double us_per_node =
+        median_ms * 1e3 / static_cast<double>(nodes);
+
+    std::cout << util::format(
+        "graph build (%zu CNNs, batch %lld, %zu nodes): median %.2f ms "
+        "wall over %d trials, %.3f us/node\n",
+        models::allModelNames().size(),
+        static_cast<long long>(kGraphBuildBatch), nodes, median_ms,
+        kGraphBuildTrials, us_per_node);
+    if (hooked)
+        std::cout << (ok ? "[PASS]" : "[FAIL]")
+                  << util::format(" graph build allocates %.2f times "
+                                  "per node (budget %.0f)\n",
+                                  allocs_per_node,
+                                  kGraphBuildAllocBudget);
+    else
+        std::cout << "[SKIP] graph allocation budget (sanitizer build "
+                     "owns operator new)\n";
+
+    block.num("models",
+              static_cast<std::int64_t>(models::allModelNames().size()))
+        .num("batch", kGraphBuildBatch)
+        .num("nodes", static_cast<std::int64_t>(nodes))
+        .num("trials", kGraphBuildTrials)
+        .object("wall_ms", spreadJson(wall_ms))
+        .object("thread_cpu_ms", spreadJson(cpu_ms))
+        .num("us_per_node", us_per_node, "%.4f");
+    if (hooked)
+        block.num("allocs_per_node", allocs_per_node, "%.2f");
+    else
+        block.nul("allocs_per_node");
+    block.num("alloc_budget", kGraphBuildAllocBudget, "%.0f")
+        .boolean("alloc_budget_ok", ok);
+    return ok;
+}
+
 } // namespace
 
 int
@@ -103,6 +215,10 @@ main(int argc, char **argv)
                           model_name + ", " + std::to_string(iters) +
                           " rounds)");
     std::cout << "hardware threads: " << hardware << "\n";
+
+    // Before anything else allocates: the zoo's graph-build cost.
+    bench::JsonObject graph_build;
+    const bool graph_build_ok = measureGraphBuild(graph_build);
 
     profile::CollectOptions collect;
     collect.iterations = static_cast<int>(flags.getInt("train-iters"));
@@ -250,7 +366,8 @@ main(int argc, char **argv)
         .num("recommender_candidates",
              static_cast<std::int64_t>(candidates.size()))
         .boolean("recommender_identity_ok", sweep_identical)
-        .num("below_serial_measurements", below_serial);
+        .num("below_serial_measurements", below_serial)
+        .object("graph_build", graph_build);
     std::vector<bench::JsonObject> rows;
     for (const Result &r : results) {
         bench::JsonObject row;
@@ -265,5 +382,5 @@ main(int argc, char **argv)
     if (!bench::writeBenchJson(flags.getString("out"), doc))
         return 1;
     bench::flushBenchMetrics();
-    return sweep_identical ? 0 : 1;
+    return sweep_identical && graph_build_ok ? 0 : 1;
 }

@@ -22,15 +22,13 @@
  *    the zero-allocation steady state the server documents.
  */
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <thread>
 #include <vector>
 
+#include "bench/alloc_count.h"
 #include "bench/common.h"
 #include "cloud/instances.h"
 #include "core/recommender.h"
@@ -46,107 +44,6 @@
 #include "util/flags.h"
 #include "util/strings.h"
 #include "util/table.h"
-
-// ---------------------------------------------------------------------
-// Allocation-counting operator new. Global and process-wide: while
-// g_count_allocs is set, every path through the replaceable operator
-// new bumps the counter. The measurement below keeps every other
-// thread idle, so the count is the serving path's. Sanitizer builds
-// keep the default operators (the sanitizers interpose their own).
-// ---------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-void *
-countedAlloc(std::size_t size)
-{
-    if (g_count_allocs.load(std::memory_order_relaxed))
-        g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size ? size : 1);
-}
-} // namespace
-
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-#define CEER_ALLOC_HOOK 0
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-#define CEER_ALLOC_HOOK 0
-#else
-#define CEER_ALLOC_HOOK 1
-#endif
-#else
-#define CEER_ALLOC_HOOK 1
-#endif
-
-#if CEER_ALLOC_HOOK
-void *
-operator new(std::size_t size)
-{
-    void *p = countedAlloc(size);
-    if (!p)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t size)
-{
-    void *p = countedAlloc(size);
-    if (!p)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new(std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-
-void *
-operator new[](std::size_t size, const std::nothrow_t &) noexcept
-{
-    return countedAlloc(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, const std::nothrow_t &) noexcept
-{
-    std::free(p);
-}
-#endif // CEER_ALLOC_HOOK
 
 namespace {
 
@@ -258,7 +155,7 @@ measureAllocBudget(serve::Server &server,
                    double budget)
 {
     AllocGate gate;
-    gate.hookAvailable = CEER_ALLOC_HOOK != 0;
+    gate.hookAvailable = bench::allocHookAvailable();
     if (!gate.hookAvailable)
         return gate;
 
@@ -300,14 +197,14 @@ measureAllocBudget(serve::Server &server,
     constexpr int kWarm = 64;
     constexpr int kMeasured = 256;
     bool ok = true;
+    std::uint64_t allocs = 0;
     for (int i = 0; i < kWarm && ok; ++i)
         ok = roundtrip();
     if (ok) {
-        g_alloc_count.store(0, std::memory_order_relaxed);
-        g_count_allocs.store(true, std::memory_order_relaxed);
+        bench::startAllocCount();
         for (int i = 0; i < kMeasured && ok; ++i)
             ok = roundtrip();
-        g_count_allocs.store(false, std::memory_order_relaxed);
+        allocs = bench::stopAllocCount();
     }
     serve::closeFd(fd);
     if (!ok) {
@@ -316,10 +213,7 @@ measureAllocBudget(serve::Server &server,
         gate.ok = false;
         return gate;
     }
-    gate.allocsPerRequest =
-        static_cast<double>(
-            g_alloc_count.load(std::memory_order_relaxed)) /
-        kMeasured;
+    gate.allocsPerRequest = static_cast<double>(allocs) / kMeasured;
     gate.ok = gate.allocsPerRequest <= budget;
     return gate;
 }

@@ -1,5 +1,6 @@
 #include "graph/autodiff.h"
 
+#include <string_view>
 #include <vector>
 
 #include "util/logging.h"
@@ -37,6 +38,18 @@ isDifferentiable(OpType type)
 
 namespace {
 
+/** "<scope><node><suffix>", e.g. "grad/conv1/Relu/ReluGrad", built in
+ *  one buffer. */
+std::string
+scopedName(std::string_view scope, std::string_view node,
+           std::string_view suffix)
+{
+    std::string out;
+    out.reserve(scope.size() + node.size() + suffix.size());
+    out.append(scope).append(node).append(suffix);
+    return out;
+}
+
 /**
  * Shared state of one backward-pass construction.
  */
@@ -65,18 +78,19 @@ class BackwardBuilder
             if (contribs.empty())
                 continue;
             // Copy: addNode below may reallocate the node vector.
-            const Node fwd = graph_.node(id);
+            // Assigning into the member reuses its buffers.
+            fwd_ = graph_.node(id);
             NodeId grad;
             if (contribs.size() == 1) {
                 grad = contribs.front();
             } else {
                 // Multiple consumers (e.g. residual shortcut): sum the
                 // incoming gradients, as TF does with AddN.
-                grad = graph_.addNode("grad/" + fwd.name + "/AddN",
-                                      OpType::AddN, contribs, {},
-                                      fwd.outputShape);
+                grad = graph_.addNode(
+                    scopedName("grad/", fwd_.name, "/AddN"),
+                    OpType::AddN, contribs, {}, fwd_.outputShape);
             }
-            emitBackward(fwd, grad);
+            emitBackward(fwd_, grad);
         }
         return graph_.size() - before;
     }
@@ -108,18 +122,20 @@ class BackwardBuilder
             update = OpType::ApplyAdam;
             slots = {var_shape, var_shape};
         }
-        graph_.addNode("train/" + fwd.name + suffix, update,
+        graph_.addNode(scopedName("train/", fwd.name, suffix), update,
                        {param_grad}, slots, var_shape, attrs);
     }
 
     void
     emitBackward(const Node &fwd, NodeId grad)
     {
-        const std::string prefix = "grad/" + fwd.name;
+        auto gradName = [&](std::string_view suffix) {
+            return scopedName("grad/", fwd.name, suffix);
+        };
         switch (fwd.type) {
           case OpType::Conv2D: {
             const NodeId filter_grad = graph_.addNode(
-                prefix + "/Conv2DBackpropFilter",
+                gradName("/Conv2DBackpropFilter"),
                 OpType::Conv2DBackpropFilter, {fwd.inputs[0], grad}, {},
                 fwd.attrs.filterShape, fwd.attrs);
             applyUpdate(fwd, filter_grad, fwd.attrs.filterShape,
@@ -127,7 +143,7 @@ class BackwardBuilder
             if (isDifferentiable(
                     graph_.node(fwd.inputs[0]).type)) {
                 const NodeId input_grad = graph_.addNode(
-                    prefix + "/Conv2DBackpropInput",
+                    gradName("/Conv2DBackpropInput"),
                     OpType::Conv2DBackpropInput, {grad},
                     {fwd.attrs.filterShape}, fwd.inputShapes[0],
                     fwd.attrs);
@@ -144,7 +160,7 @@ class BackwardBuilder
                     continue;
                 }
                 const NodeId bmm_grad = graph_.addNode(
-                    prefix + util::format("/BatchMatMul_grad%zu", i),
+                    gradName(util::format("/BatchMatMul_grad%zu", i)),
                     OpType::BatchMatMul,
                     {grad, fwd.inputs[1 - i]}, {}, fwd.inputShapes[i],
                     fwd.attrs);
@@ -154,7 +170,7 @@ class BackwardBuilder
           }
           case OpType::LayerNorm: {
             const NodeId ln_grad = graph_.addNode(
-                prefix + "/LayerNormGrad", OpType::LayerNormGrad,
+                gradName("/LayerNormGrad"), OpType::LayerNormGrad,
                 {grad, fwd.inputs[0]}, {fwd.attrs.filterShape},
                 fwd.inputShapes[0], fwd.attrs);
             propagate(fwd, 0, ln_grad);
@@ -166,7 +182,7 @@ class BackwardBuilder
           }
           case OpType::Gelu: {
             const NodeId gelu_grad = graph_.addNode(
-                prefix + "/GeluGrad", OpType::GeluGrad,
+                gradName("/GeluGrad"), OpType::GeluGrad,
                 {grad, fwd.inputs[0]}, {}, fwd.inputShapes[0]);
             propagate(fwd, 0, gelu_grad);
             break;
@@ -176,7 +192,7 @@ class BackwardBuilder
             // d tanh(x) = (1 - y^2) dy; d sigmoid = y(1-y) dy: one
             // elementwise Mul against the forward output either way.
             const NodeId tanh_grad = graph_.addNode(
-                prefix + "/Mul", OpType::Mul, {grad, fwd.id}, {},
+                gradName("/Mul"), OpType::Mul, {grad, fwd.id}, {},
                 fwd.inputShapes[0]);
             propagate(fwd, 0, tanh_grad);
             break;
@@ -189,7 +205,7 @@ class BackwardBuilder
           }
           case OpType::DepthwiseConv2dNative: {
             const NodeId filter_grad = graph_.addNode(
-                prefix + "/DepthwiseConv2dNativeBackpropFilter",
+                gradName("/DepthwiseConv2dNativeBackpropFilter"),
                 OpType::DepthwiseConv2dNativeBackpropFilter,
                 {fwd.inputs[0], grad}, {}, fwd.attrs.filterShape,
                 fwd.attrs);
@@ -197,7 +213,7 @@ class BackwardBuilder
                         "/update");
             if (isDifferentiable(graph_.node(fwd.inputs[0]).type)) {
                 const NodeId input_grad = graph_.addNode(
-                    prefix + "/DepthwiseConv2dNativeBackpropInput",
+                    gradName("/DepthwiseConv2dNativeBackpropInput"),
                     OpType::DepthwiseConv2dNativeBackpropInput, {grad},
                     {fwd.attrs.filterShape}, fwd.inputShapes[0],
                     fwd.attrs);
@@ -207,7 +223,7 @@ class BackwardBuilder
           }
           case OpType::FusedBatchNormV3: {
             const NodeId bn_grad = graph_.addNode(
-                prefix + "/FusedBatchNormGradV3",
+                gradName("/FusedBatchNormGradV3"),
                 OpType::FusedBatchNormGradV3, {grad, fwd.inputs[0]},
                 {fwd.attrs.filterShape}, fwd.inputShapes[0], fwd.attrs);
             propagate(fwd, 0, bn_grad);
@@ -219,7 +235,7 @@ class BackwardBuilder
           }
           case OpType::BiasAdd: {
             const NodeId bias_grad = graph_.addNode(
-                prefix + "/BiasAddGrad", OpType::BiasAddGrad, {grad}, {},
+                gradName("/BiasAddGrad"), OpType::BiasAddGrad, {grad}, {},
                 fwd.attrs.filterShape);
             applyUpdate(fwd, bias_grad, fwd.attrs.filterShape, "/update");
             propagate(fwd, 0, grad);
@@ -227,14 +243,14 @@ class BackwardBuilder
           }
           case OpType::Relu: {
             const NodeId relu_grad = graph_.addNode(
-                prefix + "/ReluGrad", OpType::ReluGrad, {grad, fwd.id},
+                gradName("/ReluGrad"), OpType::ReluGrad, {grad, fwd.id},
                 {}, fwd.inputShapes[0]);
             propagate(fwd, 0, relu_grad);
             break;
           }
           case OpType::MaxPool: {
             const NodeId pool_grad = graph_.addNode(
-                prefix + "/MaxPoolGrad", OpType::MaxPoolGrad,
+                gradName("/MaxPoolGrad"), OpType::MaxPoolGrad,
                 {fwd.inputs[0], fwd.id, grad}, {}, fwd.inputShapes[0],
                 fwd.attrs);
             propagate(fwd, 0, pool_grad);
@@ -242,7 +258,7 @@ class BackwardBuilder
           }
           case OpType::AvgPool: {
             const NodeId pool_grad = graph_.addNode(
-                prefix + "/AvgPoolGrad", OpType::AvgPoolGrad, {grad}, {},
+                gradName("/AvgPoolGrad"), OpType::AvgPoolGrad, {grad}, {},
                 fwd.inputShapes[0], fwd.attrs);
             propagate(fwd, 0, pool_grad);
             break;
@@ -274,7 +290,7 @@ class BackwardBuilder
                 if (fwd.inputs.size() > 1)
                     ins.push_back(fwd.inputs[1 - i]);
                 const NodeId mul_grad = graph_.addNode(
-                    prefix + util::format("/Mul_grad%zu", i),
+                    gradName(util::format("/Mul_grad%zu", i)),
                     OpType::Mul, ins, {}, fwd.inputShapes[i]);
                 propagate(fwd, i, mul_grad);
             }
@@ -282,12 +298,12 @@ class BackwardBuilder
           }
           case OpType::MatMul: {
             const NodeId input_grad = graph_.addNode(
-                prefix + "/MatMul_grad_input", OpType::MatMul, {grad},
+                gradName("/MatMul_grad_input"), OpType::MatMul, {grad},
                 {fwd.attrs.filterShape}, fwd.inputShapes[0], fwd.attrs);
             propagate(fwd, 0, input_grad);
             OpAttrs wattrs = fwd.attrs;
             const NodeId weight_grad = graph_.addNode(
-                prefix + "/MatMul_grad_weights", OpType::MatMul,
+                gradName("/MatMul_grad_weights"), OpType::MatMul,
                 {fwd.inputs[0], grad}, {}, fwd.attrs.filterShape, wattrs);
             applyUpdate(fwd, weight_grad, fwd.attrs.filterShape,
                         "/update");
@@ -296,7 +312,7 @@ class BackwardBuilder
           case OpType::ConcatV2: {
             for (std::size_t i = 0; i < fwd.inputs.size(); ++i) {
                 const NodeId slice_grad = graph_.addNode(
-                    prefix + util::format("/Slice_%zu", i), OpType::Slice,
+                    gradName(util::format("/Slice_%zu", i)), OpType::Slice,
                     {grad}, {}, fwd.inputShapes[i]);
                 propagate(fwd, i, slice_grad);
             }
@@ -306,7 +322,7 @@ class BackwardBuilder
           case OpType::Squeeze:
           case OpType::ExpandDims: {
             const NodeId reshaped = graph_.addNode(
-                prefix + "/Reshape", OpType::Reshape, {grad}, {},
+                gradName("/Reshape"), OpType::Reshape, {grad}, {},
                 fwd.inputShapes[0]);
             propagate(fwd, 0, reshaped);
             break;
@@ -317,14 +333,14 @@ class BackwardBuilder
           }
           case OpType::Pad: {
             const NodeId sliced = graph_.addNode(
-                prefix + "/Slice", OpType::Slice, {grad}, {},
+                gradName("/Slice"), OpType::Slice, {grad}, {},
                 fwd.inputShapes[0]);
             propagate(fwd, 0, sliced);
             break;
           }
           case OpType::Transpose: {
             const NodeId transposed = graph_.addNode(
-                prefix + "/Transpose", OpType::Transpose, {grad}, {},
+                gradName("/Transpose"), OpType::Transpose, {grad}, {},
                 fwd.inputShapes[0]);
             propagate(fwd, 0, transposed);
             break;
@@ -332,14 +348,14 @@ class BackwardBuilder
           case OpType::Mean:
           case OpType::Sum: {
             const NodeId tiled = graph_.addNode(
-                prefix + "/Tile", OpType::Tile, {grad}, {},
+                gradName("/Tile"), OpType::Tile, {grad}, {},
                 fwd.inputShapes[0]);
             propagate(fwd, 0, tiled);
             break;
           }
           case OpType::Lrn: {
             const NodeId lrn_grad = graph_.addNode(
-                prefix + "/LRNGrad", OpType::LrnGrad,
+                gradName("/LRNGrad"), OpType::LrnGrad,
                 {grad, fwd.inputs[0], fwd.id}, {}, fwd.inputShapes[0],
                 fwd.attrs);
             propagate(fwd, 0, lrn_grad);
@@ -349,7 +365,7 @@ class BackwardBuilder
             // TF materializes the logits gradient from the op's second
             // output scaled by the incoming gradient (a Mul kernel).
             const NodeId logits_grad = graph_.addNode(
-                prefix + "/Mul", OpType::Mul, {grad},
+                gradName("/Mul"), OpType::Mul, {grad},
                 {fwd.inputShapes[0]}, fwd.inputShapes[0]);
             propagate(fwd, 0, logits_grad);
             break;
@@ -361,7 +377,7 @@ class BackwardBuilder
                 break;
             NodeId out_grad = grad;
             if (!(fwd.inputShapes[0] == fwd.outputShape)) {
-                out_grad = graph_.addNode(prefix + "/Reshape",
+                out_grad = graph_.addNode(gradName("/Reshape"),
                                           OpType::Reshape, {grad}, {},
                                           fwd.inputShapes[0]);
             }
@@ -375,6 +391,7 @@ class BackwardBuilder
     NodeId loss_;
     Optimizer optimizer_;
     std::vector<std::vector<NodeId>> pending_;
+    Node fwd_; ///< Copy of the forward node being differentiated.
 };
 
 } // namespace

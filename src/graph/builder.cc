@@ -44,7 +44,7 @@ GraphBuilder::conv2d(NodeId x, std::int64_t out_channels, int kernel_h,
                      int kernel_w, const ConvOptions &options,
                      const std::string &name)
 {
-    const TensorShape &input = shapeOf(x);
+    const TensorShape input = shapeOf(x);
     if (options.strideH != options.strideW) {
         util::panic("conv2d: anisotropic strides are not supported by "
                     "the shape helpers");
@@ -99,7 +99,7 @@ NodeId
 GraphBuilder::depthwiseConv2d(NodeId x, int kernel, int stride,
                               const std::string &name)
 {
-    const TensorShape &input = shapeOf(x);
+    const TensorShape input = shapeOf(x);
     const TensorShape output = poolOutputShape(
         input, kernel, kernel, stride, PaddingMode::Same);
     const TensorShape filter{kernel, kernel, input.channels(), 1};
@@ -131,21 +131,21 @@ NodeId
 GraphBuilder::embedding(NodeId indices, std::int64_t vocab,
                         std::int64_t dim, const std::string &name)
 {
-    const TensorShape &ids = shapeOf(indices);
+    const TensorShape ids = shapeOf(indices);
     const TensorShape table{vocab, dim};
     graph_.addParamVar(name + "/table", table);
-    std::vector<std::int64_t> dims = ids.dims();
+    std::vector<std::int64_t> dims(ids.dims().begin(), ids.dims().end());
     dims.push_back(dim);
     OpAttrs attrs;
     attrs.filterShape = table;
     return graph_.addNode(name + "/Gather", OpType::Gather, {indices},
-                          {}, TensorShape(std::move(dims)), attrs);
+                          {}, TensorShape(dims), attrs);
 }
 
 NodeId
 GraphBuilder::positionalEmbedding(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     if (shape.rank() != 3)
         util::panic("positionalEmbedding: input must be [N, S, D]");
     const TensorShape table{shape.dim(1), shape.dim(2)};
@@ -157,7 +157,7 @@ GraphBuilder::positionalEmbedding(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::layerNorm(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     const TensorShape vec = TensorShape::vector(shape.dim(-1));
     graph_.addParamVar(name + "/ln/scale", vec);
     graph_.addParamVar(name + "/ln/bias", vec);
@@ -170,21 +170,21 @@ GraphBuilder::layerNorm(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::gelu(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     return graph_.addNode(name + "/Gelu", OpType::Gelu, {x}, {}, shape);
 }
 
 NodeId
 GraphBuilder::tanh(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     return graph_.addNode(name + "/Tanh", OpType::Tanh, {x}, {}, shape);
 }
 
 NodeId
 GraphBuilder::sigmoid(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     return graph_.addNode(name + "/Sigmoid", OpType::Sigmoid, {x}, {},
                           shape);
 }
@@ -192,7 +192,7 @@ GraphBuilder::sigmoid(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::timeStep(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     if (shape.rank() != 3)
         util::panic("timeStep: input must be [N, S, D]");
     return graph_.addNode(name + "/Slice", OpType::Slice, {x}, {},
@@ -225,7 +225,7 @@ GraphBuilder::reshape(NodeId x, const TensorShape &shape,
 NodeId
 GraphBuilder::firstToken(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     if (shape.rank() != 3)
         util::panic("firstToken: input must be [N, S, D]");
     return graph_.addNode(name + "/Slice", OpType::Slice, {x}, {},
@@ -236,7 +236,7 @@ GraphBuilder::firstToken(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::batchNorm(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     const TensorShape channel_vec =
         TensorShape::vector(shape.channels());
     graph_.addParamVar(name + "/bn/scale", channel_vec);
@@ -252,7 +252,7 @@ GraphBuilder::batchNorm(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::relu(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     return graph_.addNode(name + "/Relu", OpType::Relu, {x}, {}, shape);
 }
 
@@ -291,7 +291,7 @@ GraphBuilder::avgPool(NodeId x, int window, int stride,
 NodeId
 GraphBuilder::globalAvgPool(NodeId x, const std::string &name)
 {
-    const TensorShape &input = shapeOf(x);
+    const TensorShape input = shapeOf(x);
     if (input.rank() != 4)
         util::panic("globalAvgPool: input must be NHWC");
     const TensorShape output =
@@ -302,7 +302,7 @@ GraphBuilder::globalAvgPool(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::lrn(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     OpAttrs attrs;
     attrs.depthRadius = 5;
     return graph_.addNode(name + "/LRN", OpType::Lrn, {x}, {}, shape,
@@ -312,7 +312,7 @@ GraphBuilder::lrn(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::dropout(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     const NodeId uniform = graph_.addNode(
         name + "/random_uniform", OpType::RandomUniform, {}, {}, shape);
     const NodeId ge = graph_.addNode(name + "/GreaterEqual",
@@ -327,7 +327,7 @@ GraphBuilder::dropout(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::flatten(NodeId x, const std::string &name)
 {
-    const TensorShape &input = shapeOf(x);
+    const TensorShape input = shapeOf(x);
     if (input.rank() == 2)
         return x;
     return graph_.addNode(name + "/Reshape", OpType::Reshape, {x}, {},
@@ -339,7 +339,7 @@ GraphBuilder::fullyConnected(NodeId x, std::int64_t units, bool relu,
                              const std::string &name)
 {
     NodeId flat = flatten(x, name);
-    const TensorShape &input = shapeOf(flat);
+    const TensorShape input = shapeOf(flat);
     const TensorShape weight =
         TensorShape::matrix(input.dim(1), units);
     const TensorShape output = TensorShape::matrix(input.batch(), units);
@@ -380,7 +380,7 @@ GraphBuilder::concat(const std::vector<NodeId> &inputs,
 NodeId
 GraphBuilder::add(NodeId a, NodeId b, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(a);
+    const TensorShape shape = shapeOf(a);
     if (!(shape == shapeOf(b))) {
         util::panic(util::format(
             "add '%s': shape mismatch %s vs %s", name.c_str(),
@@ -393,7 +393,7 @@ GraphBuilder::add(NodeId a, NodeId b, const std::string &name)
 NodeId
 GraphBuilder::pad(NodeId x, int padPixels, const std::string &name)
 {
-    const TensorShape &input = shapeOf(x);
+    const TensorShape input = shapeOf(x);
     if (input.rank() != 4)
         util::panic("pad: input must be NHWC");
     const TensorShape output = TensorShape::nhwc(
@@ -405,7 +405,7 @@ GraphBuilder::pad(NodeId x, int padPixels, const std::string &name)
 NodeId
 GraphBuilder::transpose(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     return graph_.addNode(name + "/Transpose", OpType::Transpose, {x},
                           {}, shape);
 }
@@ -413,7 +413,7 @@ GraphBuilder::transpose(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::scale(NodeId x, const std::string &name)
 {
-    const TensorShape &shape = shapeOf(x);
+    const TensorShape shape = shapeOf(x);
     return graph_.addNode(name + "/Mul", OpType::Mul, {x},
                           {TensorShape{}}, shape);
 }
@@ -421,7 +421,7 @@ GraphBuilder::scale(NodeId x, const std::string &name)
 NodeId
 GraphBuilder::softmaxLoss(NodeId logits)
 {
-    const TensorShape &logit_shape = shapeOf(logits);
+    const TensorShape logit_shape = shapeOf(logits);
     if (logit_shape.rank() != 2)
         util::panic("softmaxLoss: logits must be [N, classes]");
     const std::int64_t classes = logit_shape.dim(1);
@@ -460,7 +460,7 @@ GraphBuilder::softmaxLoss(NodeId logits)
     return loss_;
 }
 
-const TensorShape &
+TensorShape
 GraphBuilder::shapeOf(NodeId id) const
 {
     return graph_.node(id).outputShape;

@@ -210,8 +210,11 @@ class GraphBuilder
      */
     NodeId softmaxLoss(NodeId logits);
 
-    /** Shape of the tensor produced by @p id. */
-    const TensorShape &shapeOf(NodeId id) const;
+    /**
+     * Shape of the tensor produced by @p id. Returned by value: a
+     * reference into the graph would dangle once addNode() grows it.
+     */
+    TensorShape shapeOf(NodeId id) const;
 
     /** The loss node (valid after softmaxLoss). */
     NodeId lossNode() const { return loss_; }

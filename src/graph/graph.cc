@@ -1,7 +1,9 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <set>
+#include <functional>
+#include <map>
+#include <utility>
 
 #include "util/logging.h"
 #include "util/strings.h"
@@ -24,39 +26,115 @@ Node::outputBytes() const
     return outputShape.numBytes(dtype);
 }
 
+namespace {
+
+std::uint32_t
+nameHash(std::string_view name)
+{
+    return static_cast<std::uint32_t>(
+        std::hash<std::string_view>{}(name));
+}
+
+} // namespace
+
+void
+Graph::NameIndex::reserve(std::size_t n)
+{
+    std::size_t capacity = 16;
+    while (capacity < 2 * n)
+        capacity *= 2;
+    if (capacity <= slots_.size())
+        return;
+    const std::vector<Slot> old = std::exchange(slots_, {});
+    slots_.resize(capacity);
+    for (const Slot &slot : old) {
+        if (slot.id != kInvalidNode)
+            place(slot);
+    }
+}
+
 NodeId
-Graph::addNode(const std::string &name, OpType type,
-               const std::vector<NodeId> &inputs,
-               const std::vector<TensorShape> &extraInputs,
+Graph::NameIndex::find(std::string_view name,
+                       const std::vector<Node> &nodes) const
+{
+    if (slots_.empty())
+        return kInvalidNode;
+    const std::uint32_t hash = nameHash(name);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+        const Slot &slot = slots_[i];
+        if (slot.id == kInvalidNode)
+            return kInvalidNode;
+        if (slot.hash == hash &&
+            nodes[static_cast<std::size_t>(slot.id)].name == name)
+            return slot.id;
+    }
+}
+
+void
+Graph::NameIndex::insert(NodeId id, const std::vector<Node> &nodes)
+{
+    reserve(size_ + 1);
+    place({id, nameHash(nodes[static_cast<std::size_t>(id)].name)});
+    ++size_;
+}
+
+void
+Graph::NameIndex::place(Slot slot)
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].id != kInvalidNode)
+        i = (i + 1) & mask;
+    slots_[i] = slot;
+}
+
+NodeId
+Graph::addNode(std::string name, OpType type, ListView<NodeId> inputs,
+               ListView<TensorShape> extraInputs,
                const TensorShape &output, const OpAttrs &attrs)
 {
-    Node node;
-    node.id = static_cast<NodeId>(nodes_.size());
-    node.type = type;
-    node.attrs = attrs;
-    node.outputShape = output;
-
-    // Uniquify the name with a numeric suffix, TensorFlow-style.
-    const int occurrence = nameCounts_[name]++;
-    node.name = occurrence == 0
-                    ? name
-                    : util::format("%s_%d", name.c_str(), occurrence);
-
-    node.inputs = inputs;
+    const auto id = static_cast<NodeId>(nodes_.size());
     for (NodeId input : inputs) {
-        if (input < 0 || input >= node.id) {
+        if (input < 0 || input >= id) {
             util::panic(util::format(
                 "Graph::addNode('%s'): input id %d invalid for node %d",
-                name.c_str(), input, node.id));
+                name.c_str(), input, id));
         }
-        node.inputShapes.push_back(nodes_[input].outputShape);
     }
-    for (const auto &shape : extraInputs)
-        node.inputShapes.push_back(shape);
+
+    // Uniquify the name with a numeric suffix, TensorFlow-style.
+    if (const NodeId taken = names_.find(name, nodes_);
+        taken != kInvalidNode) {
+        int &uses = nameUses_[static_cast<std::size_t>(taken)];
+        std::string unique;
+        do {
+            unique = util::format("%s_%d", name.c_str(), uses++);
+        } while (names_.find(unique, nodes_) != kInvalidNode);
+        name = std::move(unique);
+    }
+
+    // Filled in full before the append: @p output and @p extraInputs
+    // may point into nodes_, which the append can reallocate.
+    Node node;
+    node.id = id;
+    node.name = std::move(name);
+    node.type = type;
+    node.inputs.assign(inputs.begin(), inputs.end());
+    node.inputShapes.reserve(inputs.size() + extraInputs.size());
+    for (NodeId input : inputs)
+        node.inputShapes.push_back(
+            nodes_[static_cast<std::size_t>(input)].outputShape);
+    node.inputShapes.insert(node.inputShapes.end(), extraInputs.begin(),
+                            extraInputs.end());
+    node.outputShape = output;
+    node.attrs = attrs;
 
     nodes_.push_back(std::move(node));
+    nameUses_.push_back(1);
+    names_.insert(id, nodes_);
     consumersValid_ = false;
-    return nodes_.back().id;
+    return id;
 }
 
 void
@@ -70,9 +148,9 @@ Graph::markGradientRange(NodeId begin, NodeId end)
 }
 
 std::int64_t
-Graph::addParamVar(const std::string &name, const TensorShape &shape)
+Graph::addParamVar(std::string name, const TensorShape &shape)
 {
-    params_.push_back(ParamVar{name, shape});
+    params_.push_back(ParamVar{std::move(name), shape});
     return shape.numElements();
 }
 
@@ -152,10 +230,12 @@ Graph::validate(std::string *error) const
         return false;
     };
 
-    std::set<std::string> names;
+    NameIndex names;
+    names.reserve(nodes_.size());
     for (const auto &node : nodes_) {
-        if (!names.insert(node.name).second)
+        if (names.find(node.name, nodes_) != kInvalidNode)
             return fail("duplicate node name: " + node.name);
+        names.insert(node.id, nodes_);
         for (NodeId input : node.inputs) {
             if (input < 0 || input >= node.id) {
                 return fail(util::format(

@@ -16,8 +16,10 @@
 #define CEER_GRAPH_GRAPH_H
 
 #include <cstdint>
-#include <map>
+#include <initializer_list>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/op_type.h"
@@ -98,6 +100,25 @@ struct ParamVar
     std::int64_t count() const { return shape.numElements(); }
 };
 
+/**
+ * Read-only view of an addNode() list argument. It binds a braced list
+ * (whose elements live until the end of the call's full expression) or
+ * a vector without copying either.
+ */
+template <typename T>
+class ListView : public std::span<const T>
+{
+  public:
+    ListView() = default;
+
+    ListView(std::initializer_list<T> list)
+        : std::span<const T>(list.begin(), list.size())
+    {
+    }
+
+    ListView(const std::vector<T> &values) : std::span<const T>(values) {}
+};
+
 /** Per-op-type tally returned by Graph::countByOpType(). */
 struct OpTypeCount
 {
@@ -129,7 +150,9 @@ class Graph
     /**
      * Appends a node.
      *
-     * @param name        Node name; made unique if already taken.
+     * @param name        Node name. A taken name is made unique
+     *                    TensorFlow-style: its k-th repeat becomes
+     *                    name_k, skipping suffixed names already in use.
      * @param type        Kernel type.
      * @param inputs      Existing producer node ids.
      * @param extraInputs Shapes of implicit inputs (weights etc.).
@@ -137,17 +160,15 @@ class Graph
      * @param attrs       Type-specific attributes.
      * @return Id of the new node.
      */
-    NodeId addNode(const std::string &name, OpType type,
-                   const std::vector<NodeId> &inputs,
-                   const std::vector<TensorShape> &extraInputs,
+    NodeId addNode(std::string name, OpType type, ListView<NodeId> inputs,
+                   ListView<TensorShape> extraInputs,
                    const TensorShape &output, const OpAttrs &attrs = {});
 
     /** Marks nodes in [begin, end) as gradient/optimizer nodes. */
     void markGradientRange(NodeId begin, NodeId end);
 
     /** Registers a trainable variable and returns its param count. */
-    std::int64_t addParamVar(const std::string &name,
-                             const TensorShape &shape);
+    std::int64_t addParamVar(std::string name, const TensorShape &shape);
 
     /** Node accessor; panics on invalid id. */
     const Node &node(NodeId id) const;
@@ -189,11 +210,44 @@ class Graph
     std::string toDot() const;
 
   private:
+    /**
+     * Open-addressing hash index from node name to node id. Slots hold
+     * the id and name hash only; lookups compare against the nodes' own
+     * names, so indexing a node allocates nothing beyond the table's
+     * amortized growth.
+     */
+    class NameIndex
+    {
+      public:
+        /** Sizes the table for @p n names. */
+        void reserve(std::size_t n);
+
+        /** Id of the node named @p name, or kInvalidNode. */
+        NodeId find(std::string_view name,
+                    const std::vector<Node> &nodes) const;
+
+        /** Indexes nodes[id], whose name must not be indexed yet. */
+        void insert(NodeId id, const std::vector<Node> &nodes);
+
+      private:
+        struct Slot
+        {
+            NodeId id = kInvalidNode;
+            std::uint32_t hash = 0;
+        };
+        void place(Slot slot);
+
+        std::vector<Slot> slots_; ///< Power-of-two sized; load <= 1/2.
+        std::size_t size_ = 0;
+    };
+
     std::string name_;
     std::int64_t batchSize_ = 0;
     std::vector<Node> nodes_;
     std::vector<ParamVar> params_;
-    std::map<std::string, int> nameCounts_;
+    NameIndex names_;
+    /** Per node: times its name was requested (the next suffix). */
+    std::vector<int> nameUses_;
     mutable std::vector<std::vector<NodeId>> consumersCache_;
     mutable bool consumersValid_ = false;
 };

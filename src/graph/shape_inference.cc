@@ -93,8 +93,8 @@ flattenShape(const TensorShape &input)
     if (input.rank() < 2)
         util::panic("flattenShape: input must have rank >= 2");
     std::int64_t rest = 1;
-    for (std::size_t i = 1; i < input.rank(); ++i)
-        rest *= input.dims()[i];
+    for (std::int64_t d : input.dims().subspan(1))
+        rest *= d;
     return TensorShape::matrix(input.batch(), rest);
 }
 

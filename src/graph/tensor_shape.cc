@@ -7,20 +7,20 @@ namespace ceer {
 namespace graph {
 
 TensorShape::TensorShape(std::initializer_list<std::int64_t> dims)
-    : dims_(dims)
+    : TensorShape(std::span<const std::int64_t>(dims.begin(), dims.size()))
 {
-    for (auto d : dims_) {
-        if (d < 0)
-            util::panic("TensorShape dimensions must be non-negative");
-    }
 }
 
-TensorShape::TensorShape(std::vector<std::int64_t> dims)
-    : dims_(std::move(dims))
+TensorShape::TensorShape(std::span<const std::int64_t> dims)
+    : rank_(dims.size())
 {
-    for (auto d : dims_) {
-        if (d < 0)
+    if (dims.size() > kMaxRank)
+        util::panic(util::format("TensorShape rank %zu exceeds the "
+                                 "maximum %zu", dims.size(), kMaxRank));
+    for (std::size_t i = 0; i < dims.size(); ++i) {
+        if (dims[i] < 0)
             util::panic("TensorShape dimensions must be non-negative");
+        dims_[i] = dims[i];
     }
 }
 
@@ -59,7 +59,7 @@ std::int64_t
 TensorShape::numElements() const
 {
     std::int64_t n = 1;
-    for (auto d : dims_)
+    for (auto d : dims())
         n *= d;
     return n;
 }
@@ -92,16 +92,18 @@ TensorShape::withBatch(std::int64_t n) const
 {
     if (rank() == 0)
         util::panic("TensorShape::withBatch on scalar shape");
-    std::vector<std::int64_t> dims = dims_;
-    dims[0] = n;
-    return TensorShape(std::move(dims));
+    if (n < 0)
+        util::panic("TensorShape dimensions must be non-negative");
+    TensorShape out = *this;
+    out.dims_[0] = n;
+    return out;
 }
 
 std::string
 TensorShape::toString() const
 {
     std::string out = "[";
-    for (std::size_t i = 0; i < dims_.size(); ++i) {
+    for (std::size_t i = 0; i < rank_; ++i) {
         if (i)
             out += ",";
         out += std::to_string(dims_[i]);

@@ -1,37 +1,46 @@
 /**
  * @file
- * TensorShape: dimension vector with NHWC helpers.
+ * TensorShape: inline dimension list with NHWC helpers.
  *
  * Image tensors throughout the library use NHWC layout (batch, height,
  * width, channels), matching TensorFlow's default on GPU instances in the
- * paper's setup.
+ * paper's setup. Dimensions live in a fixed inline array of
+ * TensorShape::kMaxRank entries, so shapes never touch the heap; rank 4
+ * is the highest any graph builder emits.
  */
 
 #ifndef CEER_GRAPH_TENSOR_SHAPE_H
 #define CEER_GRAPH_TENSOR_SHAPE_H
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "graph/dtype.h"
 
 namespace ceer {
 namespace graph {
 
-/** Shape of a dense tensor; all dimensions are static and non-negative. */
+/**
+ * Shape of a dense tensor; all dimensions are static and non-negative
+ * and the rank is at most kMaxRank (constructors panic above it).
+ */
 class TensorShape
 {
   public:
+    /** Highest supported rank (NHWC). */
+    static constexpr std::size_t kMaxRank = 4;
+
     /** Constructs a rank-0 (scalar) shape. */
     TensorShape() = default;
 
     /** Constructs from an explicit dimension list. */
     TensorShape(std::initializer_list<std::int64_t> dims);
 
-    /** Constructs from a dimension vector. */
-    explicit TensorShape(std::vector<std::int64_t> dims);
+    /** Constructs from a dimension span. */
+    explicit TensorShape(std::span<const std::int64_t> dims);
 
     /** Builds a rank-4 NHWC shape. */
     static TensorShape nhwc(std::int64_t n, std::int64_t h, std::int64_t w,
@@ -44,13 +53,16 @@ class TensorShape
     static TensorShape vector(std::int64_t n);
 
     /** Number of dimensions. */
-    std::size_t rank() const { return dims_.size(); }
+    std::size_t rank() const { return rank_; }
 
     /** Dimension at @p axis; negative axes count from the end. */
     std::int64_t dim(int axis) const;
 
-    /** All dimensions. */
-    const std::vector<std::int64_t> &dims() const { return dims_; }
+    /** All dimensions; valid while this shape is alive. */
+    std::span<const std::int64_t> dims() const
+    {
+        return {dims_.data(), rank_};
+    }
 
     /** Product of dimensions (1 for scalars). */
     std::int64_t numElements() const;
@@ -76,10 +88,13 @@ class TensorShape
     /** "[n,h,w,c]" rendering. */
     std::string toString() const;
 
+    // Slots past the rank are always zero, so memberwise equality is
+    // shape equality.
     bool operator==(const TensorShape &other) const = default;
 
   private:
-    std::vector<std::int64_t> dims_;
+    std::array<std::int64_t, kMaxRank> dims_{};
+    std::size_t rank_ = 0;
 };
 
 } // namespace graph

@@ -50,6 +50,23 @@ TEST(TensorShapeTest, WithBatchReplacesLeadingDim)
     EXPECT_EQ(shape.batch(), 32);
 }
 
+TEST(TensorShapeTest, DimsViewTheInlineDimensions)
+{
+    const TensorShape shape{2, 3, 5};
+    ASSERT_EQ(shape.dims().size(), 3u);
+    EXPECT_EQ(shape.dims()[2], 5);
+    EXPECT_EQ(TensorShape(shape.dims()), shape);
+    EXPECT_TRUE(TensorShape{}.dims().empty());
+    // Equal leading dims but a different rank are different shapes.
+    EXPECT_NE((TensorShape{2, 3}), (TensorShape{2, 3, 0}));
+}
+
+TEST(TensorShapeTest, RankAboveMaxIsFatal)
+{
+    EXPECT_EQ(TensorShape({1, 2, 3, 4}).rank(), TensorShape::kMaxRank);
+    EXPECT_DEATH(TensorShape({1, 2, 3, 4, 5}), "exceeds the maximum");
+}
+
 TEST(OpTypeTest, NamesRoundTrip)
 {
     for (OpType type : allOpTypes()) {
@@ -113,6 +130,50 @@ TEST(GraphTest, AddNodeRecordsShapesAndUniquifiesNames)
     EXPECT_EQ(g.node(b).name, "x_1");
     ASSERT_EQ(g.node(b).inputShapes.size(), 1u);
     EXPECT_EQ(g.node(b).inputShapes[0], shape);
+    std::string error;
+    EXPECT_TRUE(g.validate(&error)) << error;
+}
+
+TEST(GraphTest, UniquifierNeverCollidesWithASuffixedName)
+{
+    Graph g("test");
+    const TensorShape shape{4};
+    auto add = [&](const char *name) {
+        return g.node(g.addNode(name, OpType::Identity, {}, {}, shape))
+            .name;
+    };
+    EXPECT_EQ(add("x"), "x");
+    EXPECT_EQ(add("x"), "x_1");
+    // "x_1" is taken by the uniquified node above, TensorFlow-style.
+    EXPECT_EQ(add("x_1"), "x_1_1");
+    EXPECT_EQ(add("x_2"), "x_2");
+    // The base's next suffix skips the explicitly named "x_2".
+    EXPECT_EQ(add("x"), "x_3");
+    EXPECT_EQ(add("x_1"), "x_1_2");
+    std::string error;
+    EXPECT_TRUE(g.validate(&error)) << error;
+
+    // A copy keeps its own name index.
+    Graph copy = g;
+    EXPECT_EQ(copy.node(copy.addNode("x", OpType::Relu, {0}, {}, shape))
+                  .name,
+              "x_4");
+    EXPECT_EQ(add("x"), "x_4");
+}
+
+TEST(GraphTest, NameIndexSurvivesGrowth)
+{
+    // Enough nodes to regrow the index several times, with every name
+    // requested twice so each lookup also sees a hit.
+    Graph g("test");
+    const TensorShape shape{1};
+    for (int i = 0; i < 500; ++i) {
+        const std::string name = "layer" + std::to_string(i % 250);
+        g.addNode(name, OpType::Identity, {}, {}, shape);
+    }
+    EXPECT_EQ(g.node(249).name, "layer249");
+    EXPECT_EQ(g.node(250).name, "layer0_1");
+    EXPECT_EQ(g.node(499).name, "layer249_1");
     std::string error;
     EXPECT_TRUE(g.validate(&error)) << error;
 }

@@ -13,8 +13,9 @@
 #             serving stack)
 #   ubsan     UBSanitizer build of the serialization/I-O boundary
 #   asan      AddressSanitizer build of the prediction path (compiled
-#             plans, the predictor, the baseline engines) and of the
+#             plans, the predictor, the baseline engines), of the
 #             profiling path (simulator observer, profiler slot blocks)
+#             and of graph construction (inline shapes, name index)
 #
 # `tools/check.sh coverage` instead builds with -DCEER_COVERAGE=ON,
 # runs the test suite, and summarizes gcov line coverage for src/
@@ -255,7 +256,8 @@ pass_asan() {
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-asan -j "$JOBS" \
           --target predict_plan_test ceer_test baselines_test \
-                   profile_test sim_test
+                   profile_test sim_test graph_test models_test \
+                   transformer_test
 
     # The compiled-plan evaluator end to end: the kernel's blocked
     # reads over the feature matrices, per-group/per-GPU recipe
@@ -270,6 +272,12 @@ pass_asan() {
     # blocks and the reservoir schedule they index.
     ./build-asan/tests/profile_test
     ./build-asan/tests/sim_test
+    # Graph construction: inline TensorShape dims viewed through spans,
+    # braced addNode argument lists, and the name index that compares
+    # against names stored in the (reallocating) node vector.
+    ./build-asan/tests/graph_test
+    ./build-asan/tests/models_test
+    ./build-asan/tests/transformer_test
 }
 
 pass_scaling() {
@@ -344,7 +352,7 @@ else
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
     run_pass "UBSanitizer (serialization/I-O boundary)" pass_ubsan
-    run_pass "AddressSanitizer (prediction + profiling paths)" pass_asan
+    run_pass "AddressSanitizer (prediction, profiling, graph paths)" pass_asan
 fi
 
 echo
