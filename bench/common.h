@@ -199,7 +199,11 @@ class CheckSummary
         ++total_;
     }
 
-    /** Prints "ALL n CHECKS IN BAND" or a warning; returns exit code. */
+    /**
+     * Prints "ALL n CHECKS IN BAND" and returns 0, or a failure line
+     * and returns 1 when any check fell outside its band: the
+     * process exit code.
+     */
     int finish() const;
 
   private:

@@ -97,16 +97,6 @@ InstanceCatalog::add(GpuInstance instance)
     instances_.push_back(std::move(instance));
 }
 
-InstanceCatalog
-InstanceCatalog::fromCsv(std::istream &in)
-{
-    InstanceCatalog catalog;
-    std::string error;
-    if (!tryFromCsv(in, &catalog, &error))
-        util::fatal("InstanceCatalog::fromCsv: " + error);
-    return catalog;
-}
-
 bool
 InstanceCatalog::tryFromCsv(std::istream &in, InstanceCatalog *catalog,
                             std::string *error)
@@ -350,30 +340,6 @@ InstanceCatalog::find(hw::GpuModel gpu, int num_gpus) const
             return instance;
     util::fatal(util::format("InstanceCatalog: no %d-GPU %s instance",
                              num_gpus, hw::gpuModelName(gpu).c_str()));
-}
-
-std::vector<GpuInstance>
-InstanceCatalog::forGpu(hw::GpuModel gpu) const
-{
-    std::vector<GpuInstance> out;
-    for (const auto &instance : instances_)
-        if (instance.gpu == gpu)
-            out.push_back(instance);
-    std::sort(out.begin(), out.end(),
-              [](const GpuInstance &a, const GpuInstance &b) {
-                  return a.numGpus < b.numGpus;
-              });
-    return out;
-}
-
-std::vector<GpuInstance>
-InstanceCatalog::withinHourlyBudget(double hourly_budget) const
-{
-    std::vector<GpuInstance> out;
-    for (const auto &instance : instances_)
-        if (instance.hourlyUsd <= hourly_budget)
-            out.push_back(instance);
-    return out;
 }
 
 std::vector<GpuInstance>

@@ -74,13 +74,6 @@ class InstanceCatalog
     /** The instance with @p gpu and @p num_gpus; fatals if absent. */
     const GpuInstance &find(hw::GpuModel gpu, int num_gpus) const;
 
-    /** Instances of one GPU family. */
-    std::vector<GpuInstance> forGpu(hw::GpuModel gpu) const;
-
-    /** Instances whose hourly price is within @p hourly_budget. */
-    std::vector<GpuInstance> withinHourlyBudget(
-        double hourly_budget) const;
-
     /**
      * For each family, the largest (most GPUs) instance whose hourly
      * price does not exceed @p hourly_budget + @p tolerance — the
@@ -95,19 +88,17 @@ class InstanceCatalog
     void add(GpuInstance instance);
 
     /**
-     * Loads a user-supplied catalog from CSV with the header
+     * Parses a user-supplied catalog from CSV with the header
      * `name,gpu,gpus,hourly_usd` — the adoption path for other
      * regions, spot pricing, or other clouds' GPU offerings (the GPU
      * column still names one of the four modeled silicons).
+     * @p catalog is untouched on failure; @p error carries row/column
+     * context.
      */
-    static InstanceCatalog fromCsv(std::istream &in);
-
-    /** Exception-free variant of fromCsv(). @p catalog untouched on
-     *  failure; @p error carries row/column context. */
     static bool tryFromCsv(std::istream &in, InstanceCatalog *catalog,
                            std::string *error);
 
-    /** Writes the catalog in the fromCsv format. */
+    /** Writes the catalog in the tryFromCsv format. */
     void saveCsv(std::ostream &out) const;
 
     /**

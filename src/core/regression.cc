@@ -150,16 +150,6 @@ LinearModel::serialize() const
     return out;
 }
 
-LinearModel
-LinearModel::deserialize(const std::string &text)
-{
-    LinearModel model;
-    std::string error;
-    if (!tryDeserialize(text, &model, &error))
-        util::fatal("LinearModel::deserialize: " + error);
-    return model;
-}
-
 bool
 LinearModel::tryDeserialize(const std::string &text, LinearModel *model,
                             std::string *error)
@@ -214,16 +204,6 @@ quadraticExpand(const std::vector<double> &x)
     for (double value : x)
         expanded.push_back(value * value);
     return expanded;
-}
-
-std::vector<std::vector<double>>
-quadraticExpandAll(const std::vector<std::vector<double>> &X)
-{
-    std::vector<std::vector<double>> out;
-    out.reserve(X.size());
-    for (const auto &row : X)
-        out.push_back(quadraticExpand(row));
-    return out;
 }
 
 void

@@ -71,11 +71,8 @@ class LinearModel
     /** Compact text form: "b;w1,s1;w2,s2;...". */
     std::string serialize() const;
 
-    /** Inverse of serialize(); fatals on malformed text. */
-    static LinearModel deserialize(const std::string &text);
-
     /**
-     * Exception-free variant of deserialize().
+     * Inverse of serialize().
      *
      * Rejects malformed numbers and any scale that is not a finite
      * positive value (predict() divides by the scales; a zero scale
@@ -101,15 +98,11 @@ class LinearModel
  */
 std::vector<double> quadraticExpand(const std::vector<double> &x);
 
-/** Applies quadraticExpand to every row. */
-std::vector<std::vector<double>>
-quadraticExpandAll(const std::vector<std::vector<double>> &X);
-
 /**
- * quadraticExpandAll into a caller-owned buffer, reusing row capacity
- * across calls. The trainer expands one (GPU, op) cell after another;
- * routing them through one scratch buffer avoids reallocating the
- * whole row-of-rows structure per cell.
+ * Applies quadraticExpand to every row of @p X, into a caller-owned
+ * buffer, reusing row capacity across calls. The trainer expands one
+ * (GPU, op) cell after another; routing them through one scratch
+ * buffer avoids reallocating the whole row-of-rows structure per cell.
  */
 void quadraticExpandInto(const std::vector<std::vector<double>> &X,
                          std::vector<std::vector<double>> *out);

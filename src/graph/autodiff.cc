@@ -396,17 +396,6 @@ class BackwardBuilder
 
 } // namespace
 
-int
-optimizerSlots(Optimizer optimizer)
-{
-    switch (optimizer) {
-      case Optimizer::Sgd:      return 0;
-      case Optimizer::Momentum: return 1;
-      case Optimizer::Adam:     return 2;
-    }
-    util::panic("optimizerSlots: unknown optimizer");
-}
-
 std::size_t
 addBackwardPass(Graph &g, NodeId loss, const TrainingOptions &options)
 {

@@ -36,9 +36,6 @@ struct TrainingOptions
     Optimizer optimizer = Optimizer::Sgd; ///< Update rule.
 };
 
-/** Number of per-parameter slot variables @p optimizer keeps. */
-int optimizerSlots(Optimizer optimizer);
-
 /**
  * True when gradients can flow through an op of type @p type.
  *

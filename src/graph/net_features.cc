@@ -29,25 +29,6 @@ enum FeatureSlot
 
 } // namespace
 
-const std::vector<std::string> &
-netFeatureNames()
-{
-    static const std::vector<std::string> names = {
-        "gpu_ops",      "cpu_ops",         "params_m",
-        "total_gflops", "max_op_gflops",   "conv_gflops",
-        "matmul_gflops", "input_gb",       "output_gb",
-        "pool_ops",     "norm_ops",        "elementwise_ops",
-        "data_movement_gb",
-    };
-    return names;
-}
-
-std::size_t
-netFeatureCount()
-{
-    return kNumSlots;
-}
-
 std::vector<double>
 netFeatures(const Graph &g, const NodeFlopsFn &flops)
 {

@@ -16,7 +16,6 @@
 #define CEER_GRAPH_NET_FEATURES_H
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "graph/graph.h"
@@ -26,16 +25,6 @@ namespace graph {
 
 /** FLOP count of one node, e.g. hw::opCost(node).flops. */
 using NodeFlopsFn = std::function<double(const Node &)>;
-
-/**
- * Names of the feature slots produced by netFeatures(), in order.
- * The order is part of the on-disk/regression contract: models fitted
- * against one vector layout stay valid only while the layout holds.
- */
-const std::vector<std::string> &netFeatureNames();
-
-/** Number of features produced by netFeatures(). */
-std::size_t netFeatureCount();
 
 /**
  * Extracts the structure vector of @p g:
@@ -53,6 +42,9 @@ std::size_t netFeatureCount();
  *   norm_ops         BatchNorm + Normalization node count
  *   elementwise_ops  Elementwise + Bias node count
  *   data_movement_gb input bytes of DataMovement nodes (GB)
+ *
+ * The slot order is part of the regression contract: models fitted
+ * against one vector layout stay valid only while the layout holds.
  *
  * Pure function of the graph (and @p flops); identical graphs produce
  * bit-identical vectors. The unit scalings keep every slot within a

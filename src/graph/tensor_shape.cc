@@ -87,18 +87,6 @@ TensorShape::width() const
     return dims_[2];
 }
 
-TensorShape
-TensorShape::withBatch(std::int64_t n) const
-{
-    if (rank() == 0)
-        util::panic("TensorShape::withBatch on scalar shape");
-    if (n < 0)
-        util::panic("TensorShape dimensions must be non-negative");
-    TensorShape out = *this;
-    out.dims_[0] = n;
-    return out;
-}
-
 std::string
 TensorShape::toString() const
 {

@@ -82,9 +82,6 @@ class TensorShape
     /** Channels of an NHWC tensor (last dim); requires rank >= 1. */
     std::int64_t channels() const { return dim(-1); }
 
-    /** Replaces the batch dimension, returning a new shape. */
-    TensorShape withBatch(std::int64_t n) const;
-
     /** "[n,h,w,c]" rendering. */
     std::string toString() const;
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace ceer {
 namespace hw {
@@ -108,15 +109,6 @@ GpuTimingModel::effectiveSigma(const Node &node) const
                      sigma_short * sigma_short);
 }
 
-double
-GpuTimingModel::sampleTimeUs(const Node &node, util::Rng &rng) const
-{
-    // Instance-specific heavy-op sigma plus a short-kernel term that
-    // decays with duration: trivial kernels end up with CV ~0.35,
-    // kernels beyond ~20us with CV ~= their instance sigma.
-    return meanTimeUs(node) * rng.lognormalFactor(effectiveSigma(node));
-}
-
 CpuTimingModel::CpuTimingModel(double speed_factor)
     : speedFactor_(speed_factor)
 {
@@ -173,16 +165,6 @@ CpuTimingModel::meanTimeUs(const Node &node) const
         break;
     }
     return (base_us + bytes / (gbps * 1e3)) * speedFactor_;
-}
-
-double
-CpuTimingModel::sampleTimeUs(const Node &node, util::Rng &rng) const
-{
-    // Gamma multiplicative noise with CV ~= 0.6: host kernels contend
-    // with the input pipeline and the OS, so they are far noisier than
-    // heavy GPU kernels (paper Sec. III-C).
-    constexpr double kShape = 2.78; // CV = 1/sqrt(shape) ~= 0.6.
-    return meanTimeUs(node) * rng.gamma(kShape, 1.0 / kShape);
 }
 
 double

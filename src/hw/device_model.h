@@ -7,12 +7,19 @@
  * max(flops / eff_tflops, bytes / eff_gbps) with a superlinear
  * correction for Conv2DBackpropFilter.
  *
- * Stochastic behaviour reproduces the paper's Fig. 5: for a fixed
- * {heavy op, input size} pair, run-to-run variability is low (95% of
- * pairs have normalized stddev < 0.1), while light and CPU ops vary a
- * lot. Each {op type, input size, GPU} instance gets a deterministic
- * noise level drawn from a hash, so the *distribution* of variabilities
- * across instances matches the paper's CDF.
+ * The models are deterministic: they give each GPU kernel its median
+ * time and lognormal sigma, and each CPU op its mean time.
+ * sim::ExecPlan copies these into its lanes, and the sampling kernel
+ * (sim/sample_kernel.h) is the one place noise is drawn: lognormal
+ * around the median for GPU ops, gamma with CV ~= 0.6 around the mean
+ * for CPU ops.
+ *
+ * The noise reproduces the paper's Fig. 5: for a fixed {heavy op,
+ * input size} pair, run-to-run variability is low (95% of pairs have
+ * normalized stddev < 0.1), while light and CPU ops vary a lot. Each
+ * {op type, input size, GPU} instance gets a deterministic noise level
+ * drawn from a hash, so the *distribution* of variabilities across
+ * instances matches the paper's CDF.
  */
 
 #ifndef CEER_HW_DEVICE_MODEL_H
@@ -21,7 +28,6 @@
 #include "graph/graph.h"
 #include "hw/gpu_spec.h"
 #include "hw/op_cost.h"
-#include "util/random.h"
 
 namespace ceer {
 namespace hw {
@@ -43,14 +49,6 @@ class GpuTimingModel
     double meanTimeUs(const graph::Node &node) const;
 
     /**
-     * Samples one execution time with instance-specific variability.
-     *
-     * @param node Node to execute.
-     * @param rng  Generator owned by the simulated device.
-     */
-    double sampleTimeUs(const graph::Node &node, util::Rng &rng) const;
-
-    /**
      * Deterministic lognormal sigma for a {op type, input size, GPU}
      * instance. Heavy (work-dominated) kernels receive sigma in
      * [0.012, 0.112] with ~95% below 0.1; an additional term that
@@ -59,10 +57,11 @@ class GpuTimingModel
     double instanceSigma(const graph::Node &node) const;
 
     /**
-     * Total lognormal sigma used when sampling @p node: the instance
-     * sigma combined with a short-kernel term ~0.32*exp(-work/7us)
-     * that makes launch-bound kernels noisy while leaving kernels
-     * above ~20us inside the paper's Fig. 5 variability band.
+     * Total lognormal sigma the kernel draws @p node with: the
+     * instance sigma combined with a short-kernel term
+     * ~0.32*exp(-work/7us) that makes launch-bound kernels noisy while
+     * leaving kernels above ~20us inside the paper's Fig. 5
+     * variability band.
      */
     double effectiveSigma(const graph::Node &node) const;
 
@@ -82,11 +81,8 @@ class CpuTimingModel
      */
     explicit CpuTimingModel(double speed_factor = 1.0);
 
-    /** Median time of @p node in microseconds. */
+    /** Mean time of @p node in microseconds. */
     double meanTimeUs(const graph::Node &node) const;
-
-    /** Samples one execution (gamma noise, CV ~= 0.6). */
-    double sampleTimeUs(const graph::Node &node, util::Rng &rng) const;
 
   private:
     double speedFactor_;

@@ -86,16 +86,6 @@ commOverheadUs(GpuModel model, int num_gpus, double param_bytes,
 
 double
 sampleCommOverheadUs(GpuModel model, int num_gpus, double param_bytes,
-                     double input_bytes, util::Rng &rng,
-                     int gpus_per_host)
-{
-    return commOverheadUs(model, num_gpus, param_bytes, input_bytes,
-                          gpus_per_host) *
-           rng.lognormalFactor(0.06);
-}
-
-double
-sampleCommOverheadUs(GpuModel model, int num_gpus, double param_bytes,
                      double input_bytes, std::uint64_t seed,
                      std::int64_t iteration, int gpus_per_host)
 {

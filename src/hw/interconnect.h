@@ -28,7 +28,6 @@
 #include <cstdint>
 
 #include "hw/gpu_spec.h"
-#include "util/random.h"
 
 namespace ceer {
 namespace hw {
@@ -67,20 +66,11 @@ double commOverheadUs(GpuModel model, int num_gpus, double param_bytes,
                       double input_bytes, int gpus_per_host = 8);
 
 /**
- * Samples one iteration's communication overhead (lognormal noise
- * around the mean, sigma 0.06).
- */
-double sampleCommOverheadUs(GpuModel model, int num_gpus,
-                            double param_bytes, double input_bytes,
-                            util::Rng &rng, int gpus_per_host = 8);
-
-/**
- * Counter-based variant: the lognormal noise is a pure function of
- * (seed, iteration) instead of a stateful Rng walk, so the sample for
- * any iteration is independent of how many iterations ran before it.
- * This is what lets the simulator fan iterations out across threads
- * while staying bit-deterministic. Same distribution as the Rng
- * overload (sigma 0.06 around the same mean).
+ * Samples one iteration's communication overhead: lognormal noise
+ * (sigma 0.06) around the mean, a pure function of (seed, iteration).
+ * The sample for any iteration is independent of how many iterations
+ * ran before it, which lets the simulator fan iterations out across
+ * threads while staying bit-deterministic.
  */
 double sampleCommOverheadUs(GpuModel model, int num_gpus,
                             double param_bytes, double input_bytes,

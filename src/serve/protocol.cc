@@ -277,19 +277,6 @@ decodeRecommendRequestView(const char *payload, std::size_t size,
     return true;
 }
 
-bool
-decodeRecommendRequest(const std::string &payload,
-                       RecommendRequest *out, std::string *error)
-{
-    io::CbfFile file;
-    RecommendRequest request;
-    if (!decodeRecommendRequestView(payload.data(), payload.size(),
-                                    &file, &request, error))
-        return false;
-    *out = std::move(request);
-    return true;
-}
-
 void
 responseFromRecommendationInto(
     const core::Recommendation &recommendation, RecommendResponse *out)

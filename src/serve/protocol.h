@@ -131,19 +131,12 @@ struct RecommendRequest
 std::string encodeRecommendRequest(const RecommendRequest &request);
 
 /**
- * Parses a Request payload. @p out is untouched on failure; @p error
+ * Parses a Request payload: @p size bytes at @p payload, in place (no
+ * payload copy), through @p scratch, whose column table is reused
+ * across calls, assigning into @p out's existing storage. On a warm
+ * (scratch, out) pair decoding allocates nothing — this is ceerd's
+ * request path. @p out may be partially written on failure; @p error
  * explains the first violation.
- */
-bool decodeRecommendRequest(const std::string &payload,
-                            RecommendRequest *out, std::string *error);
-
-/**
- * Zero-copy variant of decodeRecommendRequest: parses @p size bytes
- * at @p payload in place (no payload copy) through @p scratch, whose
- * column table is reused across calls, and assigns into @p out's
- * existing storage. On a warm (scratch, out) pair decoding allocates
- * nothing — this is ceerd's request path. Unlike the string overload,
- * @p out may be partially written on failure.
  */
 bool decodeRecommendRequestView(const char *payload, std::size_t size,
                                 io::CbfFile *scratch,

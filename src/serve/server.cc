@@ -222,21 +222,6 @@ Server::stop()
     started_ = false;
 }
 
-bool
-Server::tryReload(const std::string &model_path, std::string *error)
-{
-    core::CeerModel model;
-    if (!core::CeerModel::tryLoadFile(model_path, &model, error))
-        return false;
-    {
-        std::lock_guard<std::mutex> lock(engineMutex_);
-        engine_ = std::make_shared<const Engine>(
-            std::move(model), engine_->generation + 1);
-    }
-    OBS_COUNTER_INC("serve.reloads");
-    return true;
-}
-
 void
 Server::wake(Reactor &reactor)
 {

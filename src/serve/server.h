@@ -149,14 +149,6 @@ class Server
      */
     void stop();
 
-    /**
-     * Hot-swaps the served model from @p model_path (either model
-     * dialect; see CeerModel::tryLoadFile). In-flight requests keep
-     * the engine they started with. False with @p error on a load
-     * failure, in which case the old model keeps serving.
-     */
-    bool tryReload(const std::string &model_path, std::string *error);
-
     /** Engine generation currently serving (starts at 1). */
     std::uint64_t generation() const;
 

@@ -7,17 +7,6 @@ using graph::Device;
 using graph::Node;
 using graph::OpType;
 
-double
-ExecPlan::meanComputeUs() const
-{
-    double total = 0.0;
-    for (double t : gpuBaseUs)
-        total += t;
-    for (double t : cpuMeanUs)
-        total += t;
-    return total;
-}
-
 ExecPlan
 ExecPlan::build(const graph::Graph &g, hw::GpuModel gpu)
 {

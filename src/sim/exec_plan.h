@@ -58,9 +58,6 @@ struct ExecPlan
     /** Total node count across both lanes. */
     std::size_t nodeCount() const { return nodeOnGpu.size(); }
 
-    /** Noise-free per-iteration compute sum (both lanes). */
-    double meanComputeUs() const;
-
     /**
      * Builds the plan for @p g on @p gpu: GPU-placed nodes use that
      * GPU's timing model, CPU-placed nodes its host's.

@@ -89,10 +89,12 @@ double
 cpuLaneUs(std::uint64_t stream_key, const double *mean, std::size_t n,
           double *times)
 {
-    // CPU ops are heavy-tailed (gamma, CV ~= 0.6) and rare — a few
-    // slots per graph — so each draw seeds a throwaway Rng from its
-    // sample key and walks Marsaglia-Tsang. Still a pure function of
-    // (stream key, slot).
+    // CPU ops are heavy-tailed (gamma, CV = 1/sqrt(shape) ~= 0.6):
+    // host kernels contend with the input pipeline and the OS, so
+    // they are far noisier than heavy GPU kernels (paper Sec. III-C).
+    // They are also rare — a few slots per graph — so each draw seeds
+    // a throwaway Rng from its sample key and walks Marsaglia-Tsang.
+    // Still a pure function of (stream key, slot).
     constexpr double kShape = 2.78;
     const std::uint64_t lane_key = util::hashMix(stream_key, kCpuLane);
     double sum = 0.0;

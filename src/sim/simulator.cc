@@ -101,13 +101,6 @@ TrainingSimulator::runIteration(const OpObserver &observer)
     return simulateIteration(nextIteration_++, &observer, scratch);
 }
 
-IterationResult
-TrainingSimulator::iterationAt(std::int64_t iteration) const
-{
-    Scratch scratch;
-    return simulateIteration(iteration, nullptr, scratch);
-}
-
 RunStats
 TrainingSimulator::run(int iterations, const OpObserver &observer)
 {
@@ -203,15 +196,6 @@ TrainingSimulator::run(int iterations, int threads,
     }
     publish_rate();
     return stats;
-}
-
-double
-TrainingSimulator::meanIterationUs() const
-{
-    return plan_->meanComputeUs() +
-           hw::commOverheadUs(config_.gpu, config_.numGpus,
-                              plan_->paramBytes, plan_->inputBytes,
-                              config_.gpusPerHost);
 }
 
 TrainingRunEstimate

@@ -111,14 +111,6 @@ class TrainingSimulator
     IterationResult runIteration(const OpObserver &observer);
 
     /**
-     * Computes iteration @p iteration as a pure function — the
-     * simulator's iteration cursor does not move. Calling this for the
-     * same index always returns the same result, in any order, on any
-     * thread (each call uses its own scratch space).
-     */
-    IterationResult iterationAt(std::int64_t iteration) const;
-
-    /**
      * Runs @p iterations iterations serially and aggregates their
      * timings. Equivalent to run(iterations, 1, observer).
      *
@@ -146,9 +138,6 @@ class TrainingSimulator
 
     /** Per-replica input batch bytes moved host->device per iteration. */
     double inputBytes() const { return plan_->inputBytes; }
-
-    /** Noise-free per-iteration mean (compute sum + mean comm). */
-    double meanIterationUs() const;
 
     /** The simulated configuration. */
     const SimConfig &config() const { return config_; }

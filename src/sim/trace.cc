@@ -18,16 +18,6 @@ IterationTrace::add(TraceEvent event)
     events_.push_back(std::move(event));
 }
 
-double
-IterationTrace::laneTotalUs(int lane) const
-{
-    double total = 0.0;
-    for (const auto &event : events_)
-        if (event.lane == lane)
-            total += event.durationUs;
-    return total;
-}
-
 namespace {
 
 const char *

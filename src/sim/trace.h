@@ -54,9 +54,6 @@ class IterationTrace
      */
     void writeChromeTrace(std::ostream &out) const;
 
-    /** Sum of event durations on one lane. */
-    double laneTotalUs(int lane) const;
-
   private:
     std::vector<TraceEvent> events_;
     double totalUs_ = 0.0;

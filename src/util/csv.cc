@@ -3,7 +3,6 @@
 #include <istream>
 #include <iterator>
 
-#include "util/logging.h"
 #include "util/strings.h"
 
 namespace ceer {
@@ -45,18 +44,15 @@ CsvWriter::writeRow(const std::vector<std::string> &fields)
     ++rows_;
 }
 
-namespace {
-
-/**
- * Document-level RFC-4180 state machine shared by tryReadCsv and
- * tryParseCsvLine. Returns false with *error set (including a 1-based
- * line number) on an unterminated quoted field.
- */
 bool
-parseCsvDocument(const std::string &text,
-                 std::vector<std::vector<std::string>> *rows,
-                 std::string *error)
+tryReadCsv(std::istream &in,
+           std::vector<std::vector<std::string>> *rows,
+           std::string *error)
 {
+    // Document-level RFC-4180 state machine over the whole text, so a
+    // quoted field may span lines.
+    const std::string text{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
     rows->clear();
     std::vector<std::string> fields;
     std::string current;
@@ -117,57 +113,6 @@ parseCsvDocument(const std::string &text,
     }
     end_record(); // Final record without a trailing newline.
     return true;
-}
-
-} // namespace
-
-bool
-tryParseCsvLine(const std::string &line,
-                std::vector<std::string> *fields, std::string *error)
-{
-    std::vector<std::vector<std::string>> rows;
-    if (!parseCsvDocument(line, &rows, error))
-        return false;
-    if (rows.size() > 1) {
-        if (error)
-            *error = "multiple records in a single line";
-        return false;
-    }
-    if (rows.empty())
-        *fields = {""};
-    else
-        *fields = std::move(rows[0]);
-    return true;
-}
-
-std::vector<std::string>
-parseCsvLine(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string error;
-    if (!tryParseCsvLine(line, &fields, &error))
-        fatal("parseCsvLine: " + error);
-    return fields;
-}
-
-bool
-tryReadCsv(std::istream &in,
-           std::vector<std::vector<std::string>> *rows,
-           std::string *error)
-{
-    const std::string text{std::istreambuf_iterator<char>(in),
-                           std::istreambuf_iterator<char>()};
-    return parseCsvDocument(text, rows, error);
-}
-
-std::vector<std::vector<std::string>>
-readCsv(std::istream &in)
-{
-    std::vector<std::vector<std::string>> rows;
-    std::string error;
-    if (!tryReadCsv(in, &rows, &error))
-        fatal("readCsv: " + error);
-    return rows;
 }
 
 } // namespace util

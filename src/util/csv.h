@@ -47,26 +47,8 @@ class CsvWriter
 };
 
 /**
- * Parses one CSV line into fields (inverse of CsvWriter::escape).
- *
- * @param line   A single record; quoted fields may contain CR/LF.
- * @param fields Decoded fields (cleared first).
- * @param error  On failure, set to a human-readable description.
- * @return True on success; false leaves @p fields unspecified.
- */
-bool tryParseCsvLine(const std::string &line,
-                     std::vector<std::string> *fields,
-                     std::string *error);
-
-/**
- * Parses one CSV line, terminating via util::fatal on malformed input
- * (unterminated quote). Prefer tryParseCsvLine when the caller has a
- * recovery path.
- */
-std::vector<std::string> parseCsvLine(const std::string &line);
-
-/**
- * Reads an entire CSV document from a stream.
+ * Reads an entire CSV document from a stream (the inverse of
+ * CsvWriter).
  *
  * Supports multi-line records (newlines inside quoted fields). Blank
  * lines are skipped.
@@ -79,13 +61,6 @@ std::vector<std::string> parseCsvLine(const std::string &line);
 bool tryReadCsv(std::istream &in,
                 std::vector<std::vector<std::string>> *rows,
                 std::string *error);
-
-/**
- * Reads an entire CSV document, terminating via util::fatal on
- * malformed input. Prefer tryReadCsv when the caller has a recovery
- * path (e.g. the profile cache treats parse errors as a miss).
- */
-std::vector<std::vector<std::string>> readCsv(std::istream &in);
 
 } // namespace util
 } // namespace ceer

@@ -65,15 +65,6 @@ Rng::Rng(std::uint64_t seed)
         word = splitMix64(sm);
 }
 
-Rng::Rng(std::uint64_t seed, std::uint64_t stream)
-{
-    // Mix the stream id into the seed through an extra SplitMix64 pass so
-    // that nearby (seed, stream) pairs map to unrelated states.
-    std::uint64_t sm = seed ^ (0xD2B74407B1CE6E93ull * (stream + 1));
-    for (auto &word : state_)
-        word = splitMix64(sm);
-}
-
 std::uint64_t
 Rng::next()
 {
@@ -134,28 +125,6 @@ Rng::normal()
     cachedNormal_ = radius * std::sin(angle);
     hasCachedNormal_ = true;
     return radius * std::cos(angle);
-}
-
-double
-Rng::normal(double mean, double stddev)
-{
-    return mean + stddev * normal();
-}
-
-double
-Rng::lognormalFactor(double sigma)
-{
-    return std::exp(sigma * normal());
-}
-
-double
-Rng::exponential(double mean)
-{
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return -mean * std::log(u);
 }
 
 double

@@ -2,15 +2,17 @@
  * @file
  * Deterministic pseudo-random number generation for the simulator.
  *
- * Two families of generators live here:
+ * The simulator has one noise model, and every draw in it is
+ * counter-based: a pure function of a 64-bit key built with hashMix
+ * (uniformFromKey / normalFromKey here, the batched sampling kernel in
+ * sim/sample_kernel.h). No sample depends on execution order, which is
+ * what lets the simulator batch its sampling kernel and fan iterations
+ * out across threads while staying bit-deterministic.
  *
- * - Rng: a stateful xoshiro256** stream (seeded via SplitMix64) with
- *   convenience distributions, for call sites that walk a sequence.
- * - Counter-based draws (uniformFromKey / normalFromKey): pure
- *   functions of a 64-bit key built with hashMix. Every sample is
- *   independent of execution order, which is what lets the simulator
- *   batch its sampling kernel and fan iterations out across threads
- *   while staying bit-deterministic.
+ * Rng, a stateful xoshiro256** stream (seeded via SplitMix64), serves
+ * two callers that need a sequence rather than a single draw: the
+ * kernel's CPU lane, which seeds one Rng per sample key and walks its
+ * gamma rejection loop, and InstanceCatalog::syntheticFleet.
  */
 
 #ifndef CEER_UTIL_RANDOM_H
@@ -153,9 +155,10 @@ normalFromKey(std::uint64_t key)
 }
 
 /**
- * xoshiro256** pseudo-random generator with convenience distributions.
+ * xoshiro256** pseudo-random generator with the distributions its
+ * callers draw from.
  *
- * Not thread-safe; each simulated device owns its own Rng.
+ * Not thread-safe; each caller owns its own Rng.
  *
  * Sequence coupling: normal() computes Box-Muller deviates in pairs
  * and caches the second one across calls (see normal() below), so the
@@ -171,14 +174,6 @@ class Rng
   public:
     /** Constructs a generator from a 64-bit seed (SplitMix64 expanded). */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
-
-    /**
-     * Constructs an independent stream for (seed, stream).
-     *
-     * Distinct stream ids yield decorrelated sequences for the same seed,
-     * which we use to give every simulated GPU its own stream.
-     */
-    Rng(std::uint64_t seed, std::uint64_t stream);
 
     /** Returns the next raw 64-bit output. */
     std::uint64_t next();
@@ -206,20 +201,6 @@ class Rng
      * counter-based normalFromKey instead.
      */
     double normal();
-
-    /** Returns a normal deviate with the given mean and stddev. */
-    double normal(double mean, double stddev);
-
-    /**
-     * Returns a lognormal multiplicative-noise factor with unit median.
-     *
-     * exp(N(0, sigma)); sigma is the shape parameter. Used to model
-     * run-to-run compute-time variability.
-     */
-    double lognormalFactor(double sigma);
-
-    /** Returns an exponential deviate with the given mean. */
-    double exponential(double mean);
 
     /**
      * Returns a Gamma(shape k, scale theta) deviate.

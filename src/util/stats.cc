@@ -166,18 +166,6 @@ ReservoirSchedule::reservoir(std::size_t offered,
 }
 
 double
-SampleReservoir::median() const
-{
-    return util::median(samples_);
-}
-
-double
-SampleReservoir::percentile(double p) const
-{
-    return util::percentile(samples_, p);
-}
-
-double
 median(std::vector<double> values)
 {
     return percentile(std::move(values), 50.0);
@@ -220,26 +208,6 @@ empiricalCdf(std::vector<double> values, std::size_t maxPoints)
                            static_cast<double>(n)});
     }
     return cdf;
-}
-
-double
-meanAbsolutePercentageError(const std::vector<double> &observed,
-                            const std::vector<double> &predicted)
-{
-    if (observed.size() != predicted.size())
-        panic("MAPE: size mismatch between observed and predicted");
-    if (observed.empty())
-        return 0.0;
-    double total = 0.0;
-    std::size_t counted = 0;
-    for (std::size_t i = 0; i < observed.size(); ++i) {
-        if (observed[i] == 0.0)
-            continue;
-        total += std::abs(predicted[i] - observed[i]) /
-                 std::abs(observed[i]);
-        ++counted;
-    }
-    return counted ? total / static_cast<double>(counted) : 0.0;
 }
 
 double

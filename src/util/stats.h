@@ -98,11 +98,12 @@ RunningStats::add(double x)
 }
 
 /**
- * Bounded reservoir of samples supporting order statistics.
+ * Bounded reservoir of samples for order statistics.
  *
- * Keeps at most @c capacity samples via reservoir sampling so that median
- * and percentile queries stay O(capacity log capacity) regardless of how
- * many observations were offered. Deterministic given the insertion order.
+ * Keeps at most @c capacity samples via reservoir sampling so that
+ * median() and percentile() over samples() stay O(capacity log
+ * capacity) regardless of how many observations were offered.
+ * Deterministic given the insertion order.
  */
 class SampleReservoir
 {
@@ -140,16 +141,6 @@ class SampleReservoir
 
     /** Currently retained samples (unsorted). */
     const std::vector<double> &samples() const { return samples_; }
-
-    /** Median of retained samples; 0 when empty. */
-    double median() const;
-
-    /**
-     * Percentile of retained samples with linear interpolation.
-     *
-     * @param p Percentile in [0, 100].
-     */
-    double percentile(double p) const;
 
   private:
     std::size_t capacity_;
@@ -233,10 +224,6 @@ struct CdfPoint
  */
 std::vector<CdfPoint> empiricalCdf(std::vector<double> values,
                                    std::size_t maxPoints = 200);
-
-/** Mean absolute percentage error of predictions vs observations. */
-double meanAbsolutePercentageError(const std::vector<double> &observed,
-                                   const std::vector<double> &predicted);
 
 /** Root-mean-squared error of predictions vs observations. */
 double rootMeanSquaredError(const std::vector<double> &observed,

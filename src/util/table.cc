@@ -11,17 +11,6 @@ namespace util {
 TablePrinter::TablePrinter(std::vector<std::string> header)
     : header_(std::move(header))
 {
-    aligns_.assign(header_.size(), Align::Right);
-    if (!aligns_.empty())
-        aligns_[0] = Align::Left;
-}
-
-void
-TablePrinter::setAlign(std::size_t column, Align align)
-{
-    if (column >= aligns_.size())
-        panic("TablePrinter::setAlign: column out of range");
-    aligns_[column] = align;
 }
 
 void
@@ -36,16 +25,6 @@ void
 TablePrinter::addSeparator()
 {
     rows_.emplace_back();
-}
-
-std::size_t
-TablePrinter::rowCount() const
-{
-    std::size_t n = 0;
-    for (const auto &row : rows_)
-        if (!row.empty())
-            ++n;
-    return n;
 }
 
 void
@@ -65,7 +44,7 @@ TablePrinter::print(std::ostream &out) const
             const std::string &cell = row[c];
             const std::size_t pad = widths[c] - cell.size();
             out << ' ';
-            if (aligns_[c] == Align::Right)
+            if (c > 0)
                 out << std::string(pad, ' ') << cell;
             else
                 out << cell << std::string(pad, ' ');

@@ -16,11 +16,9 @@
 namespace ceer {
 namespace util {
 
-/** Column alignment for TablePrinter. */
-enum class Align { Left, Right };
-
 /**
- * Collects rows and renders an aligned ASCII table.
+ * Collects rows and renders an aligned ASCII table: the first column
+ * left-aligned, every other column right-aligned.
  *
  * Usage:
  * @code
@@ -35,9 +33,6 @@ class TablePrinter
     /** @param header Column titles; fixes the column count. */
     explicit TablePrinter(std::vector<std::string> header);
 
-    /** Sets alignment for one column (default: Left for col 0, Right). */
-    void setAlign(std::size_t column, Align align);
-
     /** Adds a data row; must match the header's column count. */
     void addRow(std::vector<std::string> row);
 
@@ -47,12 +42,8 @@ class TablePrinter
     /** Renders the table to @p out. */
     void print(std::ostream &out) const;
 
-    /** Number of data rows (separators excluded). */
-    std::size_t rowCount() const;
-
   private:
     std::vector<std::string> header_;
-    std::vector<Align> aligns_;
     /// Rows; an empty vector marks a separator.
     std::vector<std::vector<std::string>> rows_;
 };

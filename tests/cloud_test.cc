@@ -1,10 +1,16 @@
 /**
  * @file
  * Tests for the instance catalog: the paper's 8 real instances and
- * prices, the proxy rule, budget filters, and the market repricing.
+ * prices, the proxy rule, budget filters, the market repricing, and
+ * the fail-closed CSV loader.
  */
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +21,28 @@ namespace cloud {
 namespace {
 
 using hw::GpuModel;
+
+/**
+ * Writes @p csv to a file named after the running test and loads it
+ * through InstanceCatalog::tryLoadFile, the path the CLI and ceerd
+ * load catalogs through.
+ */
+bool
+tryLoadCsvText(const std::string &csv, InstanceCatalog *catalog,
+               std::string *error)
+{
+    const std::string path =
+        ::testing::TempDir() + "ceer-catalog-" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".csv";
+    {
+        std::ofstream out(path);
+        out << csv;
+    }
+    const bool ok = InstanceCatalog::tryLoadFile(path, catalog, error);
+    std::remove(path.c_str());
+    return ok;
+}
 
 TEST(CatalogTest, PaperRealInstancesAndPrices)
 {
@@ -52,23 +80,31 @@ TEST(CatalogTest, SixteenInstancesCoverFourFamilies)
 {
     const InstanceCatalog catalog = InstanceCatalog::awsOnDemand();
     EXPECT_EQ(catalog.instances().size(), 16u);
+    // Every family offers exactly one instance of each width 1..4.
     for (GpuModel gpu : hw::allGpuModels()) {
-        const auto family = catalog.forGpu(gpu);
-        ASSERT_EQ(family.size(), 4u);
-        for (int k = 1; k <= 4; ++k)
-            EXPECT_EQ(family[static_cast<std::size_t>(k) - 1].numGpus,
-                      k);
+        for (int k = 1; k <= 4; ++k) {
+            int matches = 0;
+            for (const GpuInstance &instance : catalog.instances())
+                matches += instance.gpu == gpu && instance.numGpus == k;
+            EXPECT_EQ(matches, 1) << hw::gpuModelName(gpu) << " k=" << k;
+        }
     }
 }
 
 TEST(CatalogTest, HourlyBudgetFilter)
 {
+    // A strict $1/hr budget admits only p2.xlarge ($0.90), g4dn.2xlarge
+    // and g3s.xlarge; no P3 instance fits at all.
     const InstanceCatalog catalog = InstanceCatalog::awsOnDemand();
-    const auto affordable = catalog.withinHourlyBudget(1.0);
-    for (const auto &instance : affordable)
+    const auto affordable = catalog.largestPerFamilyWithin(1.0, 0.0);
+    std::vector<std::string> names;
+    for (const auto &instance : affordable) {
         EXPECT_LE(instance.hourlyUsd, 1.0);
-    // p2.xlarge ($0.90), g4dn.2xlarge, g3s.xlarge qualify.
-    EXPECT_EQ(affordable.size(), 3u);
+        names.push_back(instance.name);
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(names, (std::vector<std::string>{"g3s.xlarge", "g4dn.2xlarge",
+                                               "p2.xlarge"}));
 }
 
 TEST(CatalogTest, HourlyBudgetScenarioSelection)
@@ -113,7 +149,9 @@ TEST(CatalogTest, CsvRoundTrip)
     const InstanceCatalog original = InstanceCatalog::awsOnDemand();
     std::stringstream buffer;
     original.saveCsv(buffer);
-    const InstanceCatalog loaded = InstanceCatalog::fromCsv(buffer);
+    InstanceCatalog loaded;
+    std::string error;
+    ASSERT_TRUE(tryLoadCsvText(buffer.str(), &loaded, &error)) << error;
     ASSERT_EQ(loaded.instances().size(), original.instances().size());
     for (std::size_t i = 0; i < loaded.instances().size(); ++i) {
         EXPECT_EQ(loaded.instances()[i].name,
@@ -129,11 +167,13 @@ TEST(CatalogTest, CsvRoundTrip)
 
 TEST(CatalogTest, CsvAcceptsCustomOfferings)
 {
-    std::istringstream in(
-        "name,gpu,gpus,hourly_usd\n"
-        "spot-v100,V100,1,0.92\n"
-        "other-cloud-t4,g4,2,0.41\n");
-    const InstanceCatalog catalog = InstanceCatalog::fromCsv(in);
+    InstanceCatalog catalog;
+    std::string error;
+    ASSERT_TRUE(tryLoadCsvText("name,gpu,gpus,hourly_usd\n"
+                               "spot-v100,V100,1,0.92\n"
+                               "other-cloud-t4,g4,2,0.41\n",
+                               &catalog, &error))
+        << error;
     ASSERT_EQ(catalog.instances().size(), 2u);
     EXPECT_EQ(catalog.find("spot-v100").gpu, GpuModel::V100);
     EXPECT_EQ(catalog.find("other-cloud-t4").numGpus, 2);
@@ -142,14 +182,24 @@ TEST(CatalogTest, CsvAcceptsCustomOfferings)
 
 TEST(CatalogTest, CsvRejectsMalformedRows)
 {
-    std::istringstream missing("name,gpu,gpus,hourly_usd\nfoo,V100\n");
-    EXPECT_DEATH(InstanceCatalog::fromCsv(missing), "fields");
-    std::istringstream bad_gpu(
-        "name,gpu,gpus,hourly_usd\nfoo,H100,1,2.0\n");
-    EXPECT_DEATH(InstanceCatalog::fromCsv(bad_gpu), "unknown GPU");
-    std::istringstream bad_price(
-        "name,gpu,gpus,hourly_usd\nfoo,V100,1,-2.0\n");
-    EXPECT_DEATH(InstanceCatalog::fromCsv(bad_price), "bad row");
+    // Each bad file fails closed: a typed error, the catalog untouched.
+    const struct
+    {
+        const char *csv;
+        const char *error;
+    } cases[] = {
+        {"name,gpu,gpus,hourly_usd\nfoo,V100\n", "fields"},
+        {"name,gpu,gpus,hourly_usd\nfoo,H100,1,2.0\n", "unknown GPU"},
+        {"name,gpu,gpus,hourly_usd\nfoo,V100,1,-2.0\n", "bad row"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.csv);
+        InstanceCatalog catalog = InstanceCatalog::awsOnDemand();
+        std::string error;
+        EXPECT_FALSE(tryLoadCsvText(c.csv, &catalog, &error));
+        EXPECT_NE(error.find(c.error), std::string::npos) << error;
+        EXPECT_EQ(catalog.instances().size(), 16u);
+    }
 }
 
 TEST(CatalogTest, MissingInstanceIsFatal)

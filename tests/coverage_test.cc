@@ -13,6 +13,7 @@
 #include "hw/device_model.h"
 #include "hw/op_cost.h"
 #include "models/model_zoo.h"
+#include "sim/sample_kernel.h"
 #include "sim/simulator.h"
 
 namespace ceer {
@@ -69,15 +70,22 @@ TEST_P(OpTypeSweep, TimingModelHandlesEveryPlacement)
             // Deterministic: two models agree on the same instance.
             EXPECT_DOUBLE_EQ(mean,
                              hw::GpuTimingModel(gpu).meanTimeUs(node));
-            util::Rng rng(3);
-            const double sample = model.sampleTimeUs(node, rng);
+            // One draw through the kernel, with the lane inputs
+            // sim::ExecPlan::build makes of this node.
+            const double sigma = model.effectiveSigma(node);
+            double scratch[sim::kernel::kBlock];
+            double sample = 0.0;
+            sim::kernel::gpuLaneUs(sim::kernel::replicaStreamKey(3, 0, 0),
+                                   &mean, &sigma, 1, scratch, &sample);
             EXPECT_GT(sample, 0.0);
         }
     } else {
-        hw::CpuTimingModel model(1.0);
-        EXPECT_GT(model.meanTimeUs(node), 0.0);
-        util::Rng rng(3);
-        EXPECT_GT(model.sampleTimeUs(node, rng), 0.0);
+        const double mean = hw::CpuTimingModel(1.0).meanTimeUs(node);
+        EXPECT_GT(mean, 0.0);
+        double sample = 0.0;
+        sim::kernel::cpuLaneUs(sim::kernel::replicaStreamKey(3, 0, 0),
+                               &mean, 1, &sample);
+        EXPECT_GT(sample, 0.0);
     }
 }
 

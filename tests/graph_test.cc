@@ -41,15 +41,6 @@ TEST(TensorShapeTest, ScalarAndNegativeAxis)
     EXPECT_EQ(m.channels(), 1000);
 }
 
-TEST(TensorShapeTest, WithBatchReplacesLeadingDim)
-{
-    const TensorShape shape = TensorShape::nhwc(32, 7, 7, 512);
-    const TensorShape rebatched = shape.withBatch(8);
-    EXPECT_EQ(rebatched.batch(), 8);
-    EXPECT_EQ(rebatched.channels(), 512);
-    EXPECT_EQ(shape.batch(), 32);
-}
-
 TEST(TensorShapeTest, DimsViewTheInlineDimensions)
 {
     const TensorShape shape{2, 3, 5};

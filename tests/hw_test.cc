@@ -2,10 +2,12 @@
  * @file
  * Tests for the hardware model: specs, analytic op costs, timing-model
  * calibration against the paper's aggregate ratios, noise structure,
- * and the communication model.
+ * and the communication model. The Fig. 5 noise claims are checked on
+ * the simulator's sampling kernel, the only place the noise is drawn.
  */
 
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,8 @@
 #include "hw/gpu_spec.h"
 #include "hw/interconnect.h"
 #include "hw/op_cost.h"
+#include "sim/exec_plan.h"
+#include "sim/sample_kernel.h"
 #include "util/stats.h"
 
 namespace ceer {
@@ -38,6 +42,33 @@ makeNode(OpType type, std::vector<TensorShape> input_shapes,
     node.outputShape = std::move(output);
     node.attrs = attrs;
     return node;
+}
+
+/**
+ * Draws @p n times of @p node alone through the production sampler:
+ * the lane inputs are what sim::ExecPlan::build makes of a one-node
+ * graph on @p gpu, and draw i is keyed replicaStreamKey(seed, i, 0).
+ */
+util::RunningStats
+kernelSamples(const Node &node, GpuModel gpu, std::uint64_t seed, int n)
+{
+    graph::Graph g;
+    g.addNode(node.name, node.type, {}, node.inputShapes,
+              node.outputShape, node.attrs);
+    const sim::ExecPlan plan = sim::ExecPlan::build(g, gpu);
+    double scratch[sim::kernel::kBlock];
+    util::RunningStats stats;
+    for (int i = 0; i < n; ++i) {
+        const std::uint64_t key = sim::kernel::replicaStreamKey(seed, i, 0);
+        double t = 0.0;
+        if (plan.gpuBaseUs.empty())
+            sim::kernel::cpuLaneUs(key, plan.cpuMeanUs.data(), 1, &t);
+        else
+            sim::kernel::gpuLaneUs(key, plan.gpuBaseUs.data(),
+                                   plan.gpuSigma.data(), 1, scratch, &t);
+        stats.add(t);
+    }
+    return stats;
 }
 
 /** A representative large conv: 3x3x64->64 on 56x56, batch 32. */
@@ -209,10 +240,8 @@ TEST(TimingModelTest, HeavyOpNoiseIsLowAndDeterministic)
 {
     const Node conv = bigConv();
     GpuTimingModel model(GpuModel::V100);
-    util::Rng rng(7);
-    util::RunningStats stats;
-    for (int i = 0; i < 3000; ++i)
-        stats.add(model.sampleTimeUs(conv, rng));
+    const util::RunningStats stats =
+        kernelSamples(conv, GpuModel::V100, 7, 3000);
     // Heavy kernels: normalized stddev well below 0.15 (Fig. 5).
     EXPECT_LT(stats.normalizedStddev(), 0.15);
     EXPECT_NEAR(stats.mean(), model.meanTimeUs(conv),
@@ -227,11 +256,8 @@ TEST(TimingModelTest, TrivialOpsAreNoisy)
 {
     const TensorShape shape = TensorShape::matrix(32, 1000);
     const Node identity = makeNode(OpType::Identity, {shape}, shape);
-    GpuTimingModel model(GpuModel::V100);
-    util::Rng rng(7);
-    util::RunningStats stats;
-    for (int i = 0; i < 3000; ++i)
-        stats.add(model.sampleTimeUs(identity, rng));
+    const util::RunningStats stats =
+        kernelSamples(identity, GpuModel::V100, 7, 3000);
     // Light/trivial kernels exhibit high variability (paper Sec. III-C).
     EXPECT_GT(stats.normalizedStddev(), 0.2);
 }
@@ -269,10 +295,11 @@ TEST(CpuModelTest, CpuOpsAreNoisyAndScaleWithHost)
     CpuTimingModel fast(1.0), slow(1.2);
     EXPECT_GT(slow.meanTimeUs(sparse), fast.meanTimeUs(sparse));
 
-    util::Rng rng(3);
-    util::RunningStats stats;
-    for (int i = 0; i < 5000; ++i)
-        stats.add(fast.sampleTimeUs(sparse, rng));
+    // The V100 host is the 1.0 baseline, so its lane draws around
+    // fast's mean.
+    ASSERT_DOUBLE_EQ(hostSpeedFactor(GpuModel::V100), 1.0);
+    const util::RunningStats stats =
+        kernelSamples(sparse, GpuModel::V100, 3, 5000);
     EXPECT_NEAR(stats.normalizedStddev(), 0.6, 0.12);
     EXPECT_NEAR(stats.mean(), fast.meanTimeUs(sparse),
                 0.05 * fast.meanTimeUs(sparse));
@@ -319,19 +346,6 @@ TEST(InterconnectTest, OverheadGrowsWithGpuCount)
             previous = overhead;
         }
     }
-}
-
-TEST(InterconnectTest, SampleIsNearMean)
-{
-    util::Rng rng(5);
-    util::RunningStats stats;
-    const double mean =
-        commOverheadUs(GpuModel::V100, 4, 100e6, 20e6);
-    for (int i = 0; i < 2000; ++i)
-        stats.add(sampleCommOverheadUs(GpuModel::V100, 4, 100e6, 20e6,
-                                       rng));
-    EXPECT_NEAR(stats.mean(), mean, 0.03 * mean);
-    EXPECT_LT(stats.normalizedStddev(), 0.1);
 }
 
 TEST(InterconnectTest, CounterBasedSampleIsPureAndNearMean)

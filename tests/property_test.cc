@@ -247,7 +247,7 @@ TEST_P(RegressionDimSweep, RecoversPlantedLinearModel)
             target += weights[static_cast<std::size_t>(j)] * value;
         }
         X.push_back(std::move(row));
-        y.push_back(target + rng.normal(0.0, 0.5));
+        y.push_back(target + 0.5 * rng.normal());
     }
     const core::LinearModel model = core::LinearModel::fit(X, y);
     EXPECT_GT(model.rSquared(X, y), 0.999);

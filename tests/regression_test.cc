@@ -66,7 +66,7 @@ TEST(LinearModelTest, HandlesByteScaleFeatures)
     for (int i = 0; i < 200; ++i) {
         const double bytes = rng.uniform(1e6, 2e8);
         X.push_back({bytes});
-        y.push_back(12.0 + bytes / 65e3 + rng.normal(0.0, 2.0));
+        y.push_back(12.0 + bytes / 65e3 + 2.0 * rng.normal());
     }
     const LinearModel model = LinearModel::fit(X, y);
     EXPECT_GT(model.rSquared(X, y), 0.999);
@@ -115,7 +115,8 @@ TEST(QuadraticTest, CapturesQuadraticRelation)
         y.push_back(0.5 * a * a + 2.0 * a + 3.0);
     }
     const LinearModel linear = LinearModel::fit(X, y);
-    const auto expanded = quadraticExpandAll(X);
+    std::vector<std::vector<double>> expanded;
+    quadraticExpandInto(X, &expanded);
     const LinearModel quadratic = LinearModel::fit(expanded, y);
     EXPECT_LT(linear.rSquared(X, y), 0.99);
     EXPECT_GT(quadratic.rSquared(expanded, y), 0.9999);
@@ -134,8 +135,11 @@ TEST(LinearModelTest, SerializeRoundTrip)
         y.push_back(1e-4 * a + 2.5 * b + 17.0);
     }
     const LinearModel model = LinearModel::fit(X, y);
-    const LinearModel restored =
-        LinearModel::deserialize(model.serialize());
+    LinearModel restored;
+    std::string error;
+    ASSERT_TRUE(
+        LinearModel::tryDeserialize(model.serialize(), &restored, &error))
+        << error;
     for (const auto &row : X)
         EXPECT_NEAR(restored.predict(row), model.predict(row),
                     1e-9 * std::abs(model.predict(row)) + 1e-12);
@@ -154,10 +158,13 @@ TEST(LinearModelTest, DeserializeRejectsNonPositiveScale)
     // predict() divides by the per-feature scales; a zero or negative
     // scale used to load fine and then silently produce ±inf/NaN
     // predictions. Such a model must be rejected at the boundary.
-    EXPECT_DEATH(LinearModel::deserialize("1;2,0"), "scale");
-    EXPECT_DEATH(LinearModel::deserialize("1;2,-3"), "scale");
-    EXPECT_DEATH(LinearModel::deserialize("1;2,inf"), "scale");
-    EXPECT_DEATH(LinearModel::deserialize("1;2,nan"), "scale");
+    for (const char *text : {"1;2,0", "1;2,-3", "1;2,inf", "1;2,nan"}) {
+        SCOPED_TRACE(text);
+        LinearModel model;
+        std::string error;
+        EXPECT_FALSE(LinearModel::tryDeserialize(text, &model, &error));
+        EXPECT_NE(error.find("scale"), std::string::npos) << error;
+    }
 }
 
 TEST(LinearModelTest, TryDeserializeReportsMalformedText)

@@ -296,12 +296,5 @@ TEST(StatsRobustnessTest, ZeroCapacityReservoirPanics)
     EXPECT_DEATH(util::ReservoirSchedule(256, 10), "capacity");
 }
 
-TEST(StatsRobustnessTest, MapeSizeMismatchPanics)
-{
-    EXPECT_DEATH(
-        util::meanAbsolutePercentageError({1.0, 2.0}, {1.0}),
-        "mismatch");
-}
-
 } // namespace
 } // namespace ceer

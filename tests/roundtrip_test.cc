@@ -1,7 +1,7 @@
 /**
  * @file
  * Seeded randomized round-trip harness for every serialization format
- * in the repo: CSV documents (CsvWriter <-> readCsv), LinearModel
+ * in the repo: CSV documents (CsvWriter <-> tryReadCsv), LinearModel
  * strings, CeerModel text files and ProfileDataset CSVs, over
  * adversarial contents — quotes, commas, CR/LF, multi-line fields,
  * extreme magnitudes and full-precision doubles.
@@ -71,6 +71,17 @@ fmt17(double value)
     return util::format("%.17g", value);
 }
 
+/** tryDeserialize of text the harness built, which must parse. */
+LinearModel
+parseLinearModel(const std::string &text)
+{
+    LinearModel model;
+    std::string error;
+    EXPECT_TRUE(LinearModel::tryDeserialize(text, &model, &error))
+        << text << ": " << error;
+    return model;
+}
+
 TEST(RoundTripTest, RandomizedCsvDocumentsSurviveWriteRead)
 {
     util::Rng rng(20260806);
@@ -88,7 +99,10 @@ TEST(RoundTripTest, RandomizedCsvDocumentsSurviveWriteRead)
         util::CsvWriter writer(buffer);
         for (const auto &row : rows)
             writer.writeRow(row);
-        const auto reread = util::readCsv(buffer);
+        std::vector<std::vector<std::string>> reread;
+        std::string error;
+        ASSERT_TRUE(util::tryReadCsv(buffer, &reread, &error))
+            << "trial " << trial << ": " << error;
         ASSERT_EQ(reread, rows) << "trial " << trial;
     }
 }
@@ -110,7 +124,7 @@ TEST(RoundTripTest, RandomizedLinearModelsSerializeBitIdentically)
         // one trip must reach a fixed point, and the reloaded model
         // must predict bit-identically.
         const std::string serialized = first.serialize();
-        const LinearModel second = LinearModel::deserialize(serialized);
+        const LinearModel second = parseLinearModel(serialized);
         EXPECT_EQ(second.serialize(), serialized) << "trial " << trial;
         std::vector<double> x;
         for (std::size_t j = 0; j < arity; ++j)
@@ -161,7 +175,7 @@ randomCeerModel(util::Rng &rng)
             entry.r2 = rng.uniform();
             entry.medianUs = randomPositive(rng);
             entry.points = rng.uniformInt(1000);
-            entry.model = LinearModel::deserialize(
+            entry.model = parseLinearModel(
                 randomLinearModelText(rng, 1 + rng.uniformInt(2)));
             model.opModels.emplace(std::make_pair(gpu, op),
                                    std::move(entry));
@@ -175,8 +189,7 @@ randomCeerModel(util::Rng &rng)
                 continue;
             fit.valid = true;
             fit.r2 = rng.uniform();
-            fit.model =
-                LinearModel::deserialize(randomLinearModelText(rng, 1));
+            fit.model = parseLinearModel(randomLinearModelText(rng, 1));
         }
     }
     return model;

@@ -151,6 +151,19 @@ TEST(GpuLaneTest, ChunkingIsInvisible)
     EXPECT_NEAR(sum, expected, expected * 1e-12);
 }
 
+TEST(GpuLaneTest, LognormalNoiseHasUnitMedian)
+{
+    // base * exp(sigma * z) with a symmetric z: half the draws land
+    // above the base time and half below it.
+    const double base = 1.0, sigma = 0.3;
+    double scratch[kBlock];
+    std::vector<double> values(20001);
+    for (std::size_t i = 0; i < values.size(); ++i)
+        gpuLaneUs(replicaStreamKey(9, static_cast<std::int64_t>(i), 0),
+                  &base, &sigma, 1, scratch, &values[i]);
+    EXPECT_NEAR(util::median(values), 1.0, 0.02);
+}
+
 TEST(CpuLaneTest, DeterministicAndGammaDistributed)
 {
     const std::size_t n = 4;

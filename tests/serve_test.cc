@@ -219,6 +219,16 @@ TEST(ServeProtocolTest, BuildFrameIsHeaderPlusPayload)
     EXPECT_EQ(frame.substr(kFrameHeaderBytes), payload);
 }
 
+/** decodeRecommendRequestView over a whole payload string. */
+bool
+decodeRequest(const std::string &payload, RecommendRequest *out,
+              std::string *error)
+{
+    io::CbfFile scratch;
+    return decodeRecommendRequestView(payload.data(), payload.size(),
+                                      &scratch, out, error);
+}
+
 TEST(ServeProtocolTest, RequestCodecRoundTrips)
 {
     RecommendRequest request;
@@ -233,8 +243,8 @@ TEST(ServeProtocolTest, RequestCodecRoundTrips)
 
     RecommendRequest decoded;
     std::string error;
-    ASSERT_TRUE(decodeRecommendRequest(encodeRecommendRequest(request),
-                                       &decoded, &error))
+    ASSERT_TRUE(
+        decodeRequest(encodeRecommendRequest(request), &decoded, &error))
         << error;
     EXPECT_EQ(decoded.model, request.model);
     EXPECT_EQ(decoded.batch, request.batch);
@@ -250,9 +260,8 @@ TEST(ServeProtocolTest, RequestCodecRoundTrips)
     RecommendRequest defaults;
     defaults.model = "alexnet";
     RecommendRequest decoded_defaults;
-    ASSERT_TRUE(
-        decodeRecommendRequest(encodeRecommendRequest(defaults),
-                               &decoded_defaults, &error))
+    ASSERT_TRUE(decodeRequest(encodeRecommendRequest(defaults),
+                              &decoded_defaults, &error))
         << error;
     EXPECT_TRUE(std::isinf(decoded_defaults.hourlyBudgetUsd));
     EXPECT_TRUE(std::isinf(decoded_defaults.totalBudgetUsd));
@@ -263,16 +272,15 @@ TEST(ServeProtocolTest, RequestCodecRejectsBadPayloads)
 {
     RecommendRequest out;
     std::string error;
-    EXPECT_FALSE(decodeRecommendRequest("not a CBF document", &out,
-                                        &error));
+    EXPECT_FALSE(decodeRequest("not a CBF document", &out, &error));
     EXPECT_FALSE(error.empty());
 
     RecommendRequest bad_objective;
     bad_objective.model = "alexnet";
     bad_objective.objective = "speed";
     error.clear();
-    EXPECT_FALSE(decodeRecommendRequest(
-        encodeRecommendRequest(bad_objective), &out, &error));
+    EXPECT_FALSE(
+        decodeRequest(encodeRecommendRequest(bad_objective), &out, &error));
     EXPECT_NE(error.find("objective"), std::string::npos);
 }
 
@@ -583,10 +591,15 @@ TEST(ServeServerTest, HotReloadBumpsGenerationAndKeepsReplies)
     ASSERT_TRUE(client.recommend(request, &response, &after).ok);
     EXPECT_EQ(after, before);
 
-    // A failed reload keeps the old engine serving.
-    EXPECT_FALSE(
-        server->tryReload("/nonexistent/model/path.txt", &error));
-    EXPECT_FALSE(error.empty());
+    // A failed reload over the wire gets a typed error reply and keeps
+    // the old engine serving.
+    const CallOutcome failed =
+        client.reload("/nonexistent/model/path.txt", &generation);
+    EXPECT_FALSE(failed.ok);
+    EXPECT_EQ(failed.errorCode, errc::kBadRequest);
+    EXPECT_NE(failed.errorMessage.find("reload failed"),
+              std::string::npos)
+        << failed.errorMessage;
     EXPECT_EQ(server->generation(), 2u);
 }
 

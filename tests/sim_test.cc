@@ -204,9 +204,19 @@ TEST(SimulatorTest, ParamAndInputBytesExposed)
 
 TEST(SimulatorTest, MeanIterationTracksSampledMean)
 {
+    // The noise is centred: sampled iterations average out near the
+    // noise-free sum of the plan's lane means plus the mean comm.
     SimConfig config;
+    const ExecPlan plan = ExecPlan::build(inceptionV1(), config.gpu);
+    double analytic = 0.0;
+    for (double t : plan.gpuBaseUs)
+        analytic += t;
+    for (double t : plan.cpuMeanUs)
+        analytic += t;
+    analytic += hw::commOverheadUs(config.gpu, config.numGpus,
+                                   plan.paramBytes, plan.inputBytes,
+                                   config.gpusPerHost);
     TrainingSimulator simulator(inceptionV1(), config);
-    const double analytic = simulator.meanIterationUs();
     const double sampled = simulator.run(40).iterationUs.mean();
     EXPECT_NEAR(sampled, analytic, 0.06 * analytic);
 }
@@ -280,25 +290,6 @@ TEST(SimulatorTest, RunIsByteIdenticalWithObservabilityOn)
         expectStatsBitIdentical(on_stats.computeUs,
                                 off_stats.computeUs);
         expectStatsBitIdentical(on_stats.commUs, off_stats.commUs);
-    }
-}
-
-TEST(SimulatorTest, IterationAtIsOrderIndependent)
-{
-    // iterationAt(k) is a pure function of (config, k): evaluating
-    // iterations in reverse must reproduce the forward runIteration
-    // stream bit for bit.
-    SimConfig config;
-    config.seed = 7;
-    TrainingSimulator walker(inceptionV1(), config);
-    IterationResult forward[6];
-    for (int i = 0; i < 6; ++i)
-        forward[i] = walker.runIteration();
-    TrainingSimulator random_access(inceptionV1(), config);
-    for (int i = 5; i >= 0; --i) {
-        const IterationResult r = random_access.iterationAt(i);
-        EXPECT_EQ(bitsOf(r.computeUs), bitsOf(forward[i].computeUs));
-        EXPECT_EQ(bitsOf(r.commUs), bitsOf(forward[i].commUs));
     }
 }
 

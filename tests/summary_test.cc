@@ -5,6 +5,7 @@
  */
 
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -128,9 +129,30 @@ tinyNet(Optimizer optimizer)
 
 TEST(OptimizerTest, SlotCounts)
 {
-    EXPECT_EQ(optimizerSlots(Optimizer::Sgd), 0);
-    EXPECT_EQ(optimizerSlots(Optimizer::Momentum), 1);
-    EXPECT_EQ(optimizerSlots(Optimizer::Adam), 2);
+    // Each update op carries its optimizer's slot variables as extra
+    // inputs beside the gradient: none for SGD, one for momentum and
+    // two (first and second moments) for Adam, each shaped like the
+    // variable it updates.
+    const std::pair<Optimizer, std::size_t> cases[] = {
+        {Optimizer::Sgd, 0}, {Optimizer::Momentum, 1}, {Optimizer::Adam, 2}};
+    for (const auto &[optimizer, slots] : cases) {
+        SCOPED_TRACE(slots);
+        const Graph g = tinyNet(optimizer);
+        int updates = 0;
+        for (const auto &node : g.nodes()) {
+            if (node.type != OpType::ApplyGradientDescent &&
+                node.type != OpType::ApplyMomentum &&
+                node.type != OpType::ApplyAdam) {
+                continue;
+            }
+            ++updates;
+            ASSERT_EQ(node.inputs.size(), 1u);
+            ASSERT_EQ(node.inputShapes.size(), 1 + slots);
+            for (std::size_t i = 1; i < node.inputShapes.size(); ++i)
+                EXPECT_EQ(node.inputShapes[i], node.outputShape);
+        }
+        EXPECT_EQ(updates, 4);
+    }
 }
 
 TEST(OptimizerTest, UpdateOpTypeFollowsTheOptimizer)

@@ -58,9 +58,15 @@ TEST(TraceTest, TotalsAreConsistent)
     const IterationTrace trace = traceIteration(g, config);
     // GPU + CPU lane totals plus comm should bound the iteration total
     // (total = max(gpu, cpu) + comm in the additive model).
-    const double gpu = trace.laneTotalUs(0);
-    const double cpu = trace.laneTotalUs(1);
-    const double comm = trace.laneTotalUs(2);
+    double lane_us[3] = {0.0, 0.0, 0.0};
+    for (const auto &event : trace.events()) {
+        ASSERT_GE(event.lane, 0);
+        ASSERT_LE(event.lane, 2);
+        lane_us[event.lane] += event.durationUs;
+    }
+    const double gpu = lane_us[0];
+    const double cpu = lane_us[1];
+    const double comm = lane_us[2];
     EXPECT_NEAR(trace.totalUs(), gpu + cpu + comm, 1e-6);
     EXPECT_GT(gpu, cpu); // GPU work dominates a CNN iteration.
 }

@@ -174,7 +174,7 @@ TEST(SampleReservoirTest, RetainsEverythingBelowCapacity)
         reservoir.add(i);
     EXPECT_EQ(reservoir.offered(), 99u);
     EXPECT_EQ(reservoir.samples().size(), 99u);
-    EXPECT_DOUBLE_EQ(reservoir.median(), 50.0);
+    EXPECT_DOUBLE_EQ(median(reservoir.samples()), 50.0);
 }
 
 TEST(SampleReservoirTest, BoundedAboveCapacityAndRepresentative)
@@ -184,7 +184,7 @@ TEST(SampleReservoirTest, BoundedAboveCapacityAndRepresentative)
         reservoir.add(static_cast<double>(i % 1000));
     EXPECT_EQ(reservoir.samples().size(), 512u);
     // Median of a uniform 0..999 stream should be near 500.
-    EXPECT_NEAR(reservoir.median(), 500.0, 80.0);
+    EXPECT_NEAR(median(reservoir.samples()), 500.0, 80.0);
 }
 
 TEST(ReservoirScheduleTest, ReplaysAddBitForBit)
@@ -232,16 +232,6 @@ TEST(EmpiricalCdfTest, MonotoneAndBounded)
     EXPECT_DOUBLE_EQ(cdf.back().cumulative, 1.0);
 }
 
-TEST(MapeTest, ComputesMeanAbsolutePercentageError)
-{
-    EXPECT_NEAR(meanAbsolutePercentageError({100.0, 200.0},
-                                            {110.0, 180.0}),
-                0.10, 1e-12);
-    // Zero observations are skipped rather than dividing by zero.
-    EXPECT_NEAR(meanAbsolutePercentageError({0.0, 100.0}, {5.0, 90.0}),
-                0.10, 1e-12);
-}
-
 TEST(RngTest, UniformInUnitInterval)
 {
     Rng rng(42);
@@ -263,32 +253,14 @@ TEST(RngTest, DeterministicForSameSeed)
         EXPECT_EQ(a.next(), b.next());
 }
 
-TEST(RngTest, StreamsAreDecorrelated)
-{
-    Rng a(7, 0), b(7, 1);
-    int equal = 0;
-    for (int i = 0; i < 1000; ++i)
-        equal += a.next() == b.next();
-    EXPECT_LT(equal, 5);
-}
-
 TEST(RngTest, NormalMomentsMatch)
 {
     Rng rng(123);
     RunningStats stats;
     for (int i = 0; i < 50000; ++i)
-        stats.add(rng.normal(10.0, 2.0));
+        stats.add(10.0 + 2.0 * rng.normal());
     EXPECT_NEAR(stats.mean(), 10.0, 0.05);
     EXPECT_NEAR(stats.stddev(), 2.0, 0.05);
-}
-
-TEST(RngTest, LognormalFactorHasUnitMedian)
-{
-    Rng rng(9);
-    std::vector<double> values;
-    for (int i = 0; i < 20001; ++i)
-        values.push_back(rng.lognormalFactor(0.3));
-    EXPECT_NEAR(median(values), 1.0, 0.02);
 }
 
 TEST(RngTest, GammaMomentsMatch)
@@ -384,6 +356,17 @@ TEST(RngTest, UniformIntBounds)
         EXPECT_LT(rng.uniformInt(17), 17u);
 }
 
+/** tryReadCsv of @p text, which the test expects to parse. */
+std::vector<std::vector<std::string>>
+readCsvText(const std::string &text)
+{
+    std::istringstream in(text);
+    std::vector<std::vector<std::string>> rows;
+    std::string error;
+    EXPECT_TRUE(tryReadCsv(in, &rows, &error)) << error;
+    return rows;
+}
+
 TEST(CsvTest, EscapeRoundTrip)
 {
     const std::vector<std::string> row{"plain", "with,comma",
@@ -391,15 +374,14 @@ TEST(CsvTest, EscapeRoundTrip)
     std::ostringstream out;
     CsvWriter writer(out);
     writer.writeRow(row);
-    const auto parsed = parseCsvLine(
-        out.str().substr(0, out.str().size() - 1));
-    EXPECT_EQ(parsed, row);
+    const auto rows = readCsvText(out.str());
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0], row);
 }
 
 TEST(CsvTest, ReadMultipleRows)
 {
-    std::istringstream in("a,b,c\n1,2,3\n\n4,5,6\n");
-    const auto rows = readCsv(in);
+    const auto rows = readCsvText("a,b,c\n1,2,3\n\n4,5,6\n");
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_EQ(rows[0][0], "a");
     EXPECT_EQ(rows[2][2], "6");
@@ -407,8 +389,10 @@ TEST(CsvTest, ReadMultipleRows)
 
 TEST(CsvTest, QuotedCommaAndEscapedQuote)
 {
-    const auto fields =
-        parseCsvLine("a,\"b,c\",\"he said \"\"hi\"\"\"");
+    const auto rows =
+        readCsvText("a,\"b,c\",\"he said \"\"hi\"\"\"");
+    ASSERT_EQ(rows.size(), 1u);
+    const auto &fields = rows[0];
     ASSERT_EQ(fields.size(), 3u);
     EXPECT_EQ(fields[0], "a");
     EXPECT_EQ(fields[1], "b,c");
@@ -417,15 +401,15 @@ TEST(CsvTest, QuotedCommaAndEscapedQuote)
 
 TEST(CsvTest, EmptyTrailingFieldSurvives)
 {
-    const auto fields = parseCsvLine("a,b,");
-    ASSERT_EQ(fields.size(), 3u);
-    EXPECT_EQ(fields[2], "");
+    const auto rows = readCsvText("a,b,");
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_EQ(rows[0].size(), 3u);
+    EXPECT_EQ(rows[0][2], "");
 }
 
 TEST(CsvTest, CrlfRecordSeparatorsTolerated)
 {
-    std::istringstream in("a,b\r\nc,d\r\n\r\n e ,f\r\n");
-    const auto rows = readCsv(in);
+    const auto rows = readCsvText("a,b\r\nc,d\r\n\r\n e ,f\r\n");
     ASSERT_EQ(rows.size(), 3u);
     EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
     EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
@@ -440,8 +424,7 @@ TEST(CsvTest, CarriageReturnInsideQuotesIsPreserved)
     std::ostringstream out;
     CsvWriter writer(out);
     writer.writeRow(row);
-    std::istringstream in(out.str());
-    const auto rows = readCsv(in);
+    const auto rows = readCsvText(out.str());
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0], row);
 }
@@ -455,8 +438,7 @@ TEST(CsvTest, NewlinesInsideQuotedFieldsSpanRecords)
     CsvWriter writer(out);
     writer.writeRow(row);
     writer.writeRow({"next", "record"});
-    std::istringstream in(out.str());
-    const auto rows = readCsv(in);
+    const auto rows = readCsvText(out.str());
     ASSERT_EQ(rows.size(), 2u);
     EXPECT_EQ(rows[0], row);
     EXPECT_EQ(rows[1], (std::vector<std::string>{"next", "record"}));
@@ -470,27 +452,24 @@ TEST(CsvTest, LoneEmptyFieldRoundTrips)
     CsvWriter writer(out);
     writer.writeRow({""});
     EXPECT_EQ(out.str(), "\"\"\n");
-    std::istringstream in(out.str());
-    const auto rows = readCsv(in);
+    const auto rows = readCsvText(out.str());
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0], (std::vector<std::string>{""}));
 }
 
 TEST(CsvTest, UnterminatedQuoteIsRejected)
 {
-    std::vector<std::string> fields;
+    std::vector<std::vector<std::string>> rows;
     std::string error;
-    EXPECT_FALSE(tryParseCsvLine("\"abc", &fields, &error));
+    std::istringstream single("\"abc");
+    EXPECT_FALSE(tryReadCsv(single, &rows, &error));
     EXPECT_NE(error.find("unterminated"), std::string::npos);
 
     std::istringstream in("a,b\nc,\"oops\n");
-    std::vector<std::vector<std::string>> rows;
     EXPECT_FALSE(tryReadCsv(in, &rows, &error));
     // The error pinpoints where the open quote started.
     EXPECT_NE(error.find("line"), std::string::npos);
     EXPECT_NE(error.find("2"), std::string::npos);
-
-    EXPECT_DEATH(parseCsvLine("\"abc"), "unterminated");
 }
 
 TEST(ParseTest, ParsesValidDoubles)
@@ -577,7 +556,9 @@ TEST(TableTest, RendersAlignedColumns)
     const std::string text = out.str();
     EXPECT_NE(text.find("Conv2D"), std::string::npos);
     EXPECT_NE(text.find("| op"), std::string::npos);
-    EXPECT_EQ(table.rowCount(), 2u);
+    // First column left-aligned, the others right-aligned.
+    EXPECT_NE(text.find("| MaxPool |  3.1 |"), std::string::npos)
+        << text;
 }
 
 TEST(TableTest, CheckLineReportsBand)

@@ -21,6 +21,19 @@
 # runs the test suite, and summarizes gcov line coverage for src/
 # against the floor in tools/coverage_baseline.txt.
 #
+# `tools/check.sh deadcode` lists the library functions no binary
+# reaches. It builds the tree under build-deadcode/ with -O0
+# -fno-inline -ffunction-sections, so no function vanishes by being
+# inlined, and links with --gc-sections. The roots are every
+# production executable (the bench, example and tools binaries) plus
+# perfbench and perfbench_selftest, built through perfbench's own
+# CMakeLists.txt. A strong (`nm` type T) `ceer::` function defined in
+# one of the src/ libraries that survives in none of the roots is
+# unreachable: only tests call it. The pass fails on any unreachable
+# function missing from tools/deadcode_allow.txt (one demangled name
+# and its reason per line), and on any listed name that is no longer
+# defined or is reached now, so the list cannot go stale.
+#
 # `tools/check.sh scaling` runs the full micro benches and fails on
 # any below-serial scaling row. On a multi-core host a parallel path
 # running slower than serial is a scheduler regression, full stop; on
@@ -32,7 +45,7 @@
 # checked explicitly, a one-line PASS/FAIL summary is printed at the
 # end, and the script exits nonzero if ANY pass failed.
 #
-# Usage: tools/check.sh [coverage|scaling] [jobs]
+# Usage: tools/check.sh [coverage|deadcode|scaling] [jobs]
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -40,6 +53,9 @@ cd "$(dirname "$0")/.."
 MODE=all
 if [[ "${1:-}" == "coverage" ]]; then
     MODE=coverage
+    shift
+elif [[ "${1:-}" == "deadcode" ]]; then
+    MODE=deadcode
     shift
 elif [[ "${1:-}" == "scaling" ]]; then
     MODE=scaling
@@ -342,8 +358,91 @@ pass_coverage() {
     python3 tools/coverage_summary.py --build-dir build-cov
 }
 
+pass_deadcode() {
+    # No inlining and one section per function, with unreferenced
+    # sections dropped at link time: a function nm still finds in a
+    # root is one that root reaches.
+    local flags=(-DCMAKE_BUILD_TYPE=Debug
+                 "-DCMAKE_CXX_FLAGS_DEBUG=-O0 -fno-inline -ffunction-sections"
+                 "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+    if command -v ninja >/dev/null; then
+        flags+=(-G Ninja)
+    fi
+    cmake -B build-deadcode/tree -S . "${flags[@]}" >/dev/null
+    cmake --build build-deadcode/tree -j "$JOBS" \
+          --target bench-build/all examples/all tools/all
+    cmake -B build-deadcode/perfbench -S perfbench "${flags[@]}" >/dev/null
+    cmake --build build-deadcode/perfbench -j "$JOBS" \
+          --target perfbench perfbench_selftest
+
+    python3 - <<'EOF'
+import glob, os, subprocess, sys
+
+STRING = ("std::__cxx11::basic_string<char, std::char_traits<char>, "
+          "std::allocator<char> >")
+
+def defined(path, types):
+    """Demangled names of the symbols of the given nm types."""
+    out = subprocess.run(["nm", "-C", "--defined-only", path],
+                         check=True, capture_output=True,
+                         text=True).stdout
+    names = set()
+    for line in out.splitlines():
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[1] in types:
+            names.add(parts[2].replace(STRING, "std::string"))
+    return names
+
+libs = sorted(glob.glob("build-deadcode/tree/src/*/libceer_*.a"))
+roots = sorted(
+    path
+    for d in ("bench", "examples", "tools")
+    for path in glob.glob(f"build-deadcode/tree/{d}/*")
+    if os.path.isfile(path) and os.access(path, os.X_OK))
+roots += ["build-deadcode/perfbench/perfbench",
+          "build-deadcode/perfbench/perfbench_selftest"]
+if not libs or len(roots) <= 2:
+    sys.exit(f"deadcode: found {len(libs)} libraries and {len(roots)} "
+             "roots; the build went wrong")
+
+library = {name for lib in libs for name in defined(lib, "T")
+           if name.startswith("ceer::")}
+reached = set()
+for root in roots:
+    reached |= defined(root, "TtWw")
+unreachable = library - reached
+
+allowed = {}
+with open("tools/deadcode_allow.txt") as f:
+    for line in f:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, _, reason = line.partition(" # ")
+        if not reason.strip():
+            sys.exit(f"deadcode: no reason given for {name}")
+        allowed[name.strip()] = reason.strip()
+
+print(f"{len(unreachable)} of {len(library)} strong ceer:: functions in "
+      f"{len(libs)} libraries reach none of {len(roots)} roots")
+failures = [f"unreachable and not allow-listed: {name}"
+            for name in sorted(unreachable - allowed.keys())]
+failures += [f"allow-listed but no longer defined: {name}"
+             for name in sorted(allowed.keys() - library)]
+failures += [f"allow-listed but reached now: {name}"
+             for name in sorted((allowed.keys() & library) - unreachable)]
+for failure in failures:
+    print(f"FAIL: {failure}")
+if failures:
+    sys.exit(1)
+print(f"deadcode gate clean ({len(allowed)} allow-listed)")
+EOF
+}
+
 if [[ "$MODE" == "coverage" ]]; then
     run_pass "coverage build + tests + line-coverage floor" pass_coverage
+elif [[ "$MODE" == "deadcode" ]]; then
+    run_pass "unreachable library functions vs allow-list" pass_deadcode
 elif [[ "$MODE" == "scaling" ]]; then
     run_pass "micro-bench scaling gate (below-serial rows)" pass_scaling
 else
