@@ -42,9 +42,10 @@ flushBenchMetrics()
 }
 
 BenchConfig
-parseBenchFlags(int argc, char **argv)
+parseBenchFlags(int argc, char **argv, util::Flags *extra)
 {
-    util::Flags flags;
+    util::Flags own;
+    util::Flags &flags = extra ? *extra : own;
     flags.defineInt("iters", 200,
                     "profiling iterations per (CNN, GPU) run "
                     "(paper: 1000)");

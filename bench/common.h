@@ -60,12 +60,15 @@ struct BenchConfig
 /**
  * Parses the standard bench flags (--iters, --eval-iters, --batch,
  * --seed, --threads, --profile-cache, --metrics-out) plus --help.
+ * A binary with flags of its own defines them in @p extra first and
+ * reads them from it afterwards.
  *
  * The paper profiles 1,000 iterations per run; the default here is 200
  * to keep single-core bench runs short. Pass --iters 1000 for full
  * fidelity (conclusions are unchanged).
  */
-BenchConfig parseBenchFlags(int argc, char **argv);
+BenchConfig parseBenchFlags(int argc, char **argv,
+                            util::Flags *extra = nullptr);
 
 /** Profiles the paper's 8 training CNNs and trains Ceer. */
 struct TrainedCeer

@@ -6,7 +6,7 @@
  *
  * The paper uses a $10 cap on its testbed. Our simulated substrate is
  * ~2x slower in absolute terms (see EXPERIMENTS.md), so the default
- * budget here is $32; pass --budget to override. Claims checked: every
+ * budget here is $20; pass --budget to override. Claims checked: every
  * P2 instance and the 4-GPU P3 instance blow the budget, Ceer predicts
  * feasibility correctly for every instance, the 3-GPU P3 instance is
  * both predicted and observed optimal, and the cheapest-per-hour
@@ -29,19 +29,11 @@ main(int argc, char **argv)
     using hw::GpuModel;
 
     util::Flags flags;
-    flags.defineInt("iters", 200, "profiling iterations per run");
-    flags.defineInt("eval-iters", 120, "observed-measurement iters");
-    flags.defineInt("batch", 32, "per-GPU batch size");
-    flags.defineInt("seed", 42, "base RNG seed");
     flags.defineDouble("budget", 20.0,
                        "total budget in USD (paper: $10 on its ~2x "
                        "faster testbed)");
-    flags.parse(argc, argv);
-    bench::BenchConfig config;
-    config.iterations = static_cast<int>(flags.getInt("iters"));
-    config.evalIterations = static_cast<int>(flags.getInt("eval-iters"));
-    config.batch = flags.getInt("batch");
-    config.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
+    const bench::BenchConfig config =
+        bench::parseBenchFlags(argc, argv, &flags);
     const double budget = flags.getDouble("budget");
 
     util::printBanner(

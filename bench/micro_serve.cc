@@ -317,9 +317,8 @@ main(int argc, char **argv)
             std::cerr << "micro_serve: " << error << "\n";
             return 1;
         }
-        const std::string label = util::format(
-            "reactors=%d%s", reactors,
-            server.usingReusePort() ? "" : " (single listener)");
+        const std::string label =
+            util::format("reactors=%d", reactors);
         if (!runIdentityAndReloadGates(server, mix, expected,
                                        reload_path, label))
             identity_ok = false;

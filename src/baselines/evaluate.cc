@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -488,21 +487,15 @@ bool
 EvalReport::tryLoadFile(const std::string &path, EvalReport *report,
                         std::string *error)
 {
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        if (!io::CbfFile::tryLoad(path, &file, error))
-            return false;
-        return tryLoadCbf(file, report, error);
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open " + path;
-        return false;
-    }
-    return tryLoadCsv(in, report, error);
+    return io::tryLoadSniffed(
+        path,
+        [report](const io::CbfFile &file, std::string *err) {
+            return tryLoadCbf(file, report, err);
+        },
+        [report](std::istream &in, std::string *err) {
+            return tryLoadCsv(in, report, err);
+        },
+        error);
 }
 
 EvalReport

@@ -128,7 +128,9 @@ struct EvalReport
                            std::string *error);
 
     /**
-     * Loads @p path in either dialect, sniffed by magic bytes.
+     * Loads @p path in either dialect through io::tryLoadSniffed, like
+     * every other file loader: CBF is mapped (or read when mapping
+     * fails), anything else parses as CSV, and errors name the path.
      * @p report is untouched on failure.
      */
     static bool tryLoadFile(const std::string &path, EvalReport *report,

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
 
 #include "io/cbf.h"
-#include "obs/metrics.h"
 #include "util/csv.h"
 #include "util/logging.h"
 #include "util/parse.h"
@@ -248,37 +246,15 @@ bool
 InstanceCatalog::tryLoadFile(const std::string &path,
                              InstanceCatalog *catalog, std::string *error)
 {
-    OBS_TIMER("io.load_us");
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        std::string map_error;
-        if (!io::CbfFile::tryMap(path, &file, &map_error)) {
-            // mmap can fail on exotic filesystems; the streaming
-            // reader applies the identical validation.
-            if (!io::CbfFile::tryLoad(path, &file, error)) {
-                *error = path + ": " + *error;
-                return false;
-            }
-        }
-        if (!tryLoadCbf(file, catalog, error)) {
-            *error = path + ": " + *error;
-            return false;
-        }
-        return true;
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open '" + path + "'";
-        return false;
-    }
-    if (!tryFromCsv(in, catalog, error)) {
-        *error = path + ": " + *error;
-        return false;
-    }
-    return true;
+    return io::tryLoadSniffed(
+        path,
+        [catalog](const io::CbfFile &file, std::string *err) {
+            return tryLoadCbf(file, catalog, err);
+        },
+        [catalog](std::istream &in, std::string *err) {
+            return tryFromCsv(in, catalog, err);
+        },
+        error);
 }
 
 InstanceCatalog

@@ -1,13 +1,11 @@
 #include "core/ceer_model.h"
 
 #include <algorithm>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
 #include "core/regression.h"
 #include "io/cbf.h"
-#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/strings.h"
@@ -484,37 +482,15 @@ bool
 CeerModel::tryLoadFile(const std::string &path, CeerModel *model,
                        std::string *error)
 {
-    OBS_TIMER("io.load_us");
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        std::string map_error;
-        if (!io::CbfFile::tryMap(path, &file, &map_error)) {
-            // mmap can fail on exotic filesystems; the streaming
-            // reader applies the identical validation.
-            if (!io::CbfFile::tryLoad(path, &file, error)) {
-                *error = path + ": " + *error;
-                return false;
-            }
-        }
-        if (!tryLoadCbf(file, model, error)) {
-            *error = path + ": " + *error;
-            return false;
-        }
-        return true;
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open '" + path + "'";
-        return false;
-    }
-    if (!tryLoad(in, model, error)) {
-        *error = path + ": " + *error;
-        return false;
-    }
-    return true;
+    return io::tryLoadSniffed(
+        path,
+        [model](const io::CbfFile &file, std::string *err) {
+            return tryLoadCbf(file, model, err);
+        },
+        [model](std::istream &in, std::string *err) {
+            return tryLoad(in, model, err);
+        },
+        error);
 }
 
 CeerModel

@@ -911,5 +911,41 @@ sniffFile(const std::string &path, FileFormat *format,
     return true;
 }
 
+bool
+tryOpenCbf(const std::string &path, CbfFile *out, std::string *error)
+{
+    std::string map_error;
+    return CbfFile::tryMap(path, out, &map_error) ||
+           CbfFile::tryLoad(path, out, error);
+}
+
+bool
+tryLoadSniffed(
+    const std::string &path,
+    const std::function<bool(const CbfFile &, std::string *)> &from_cbf,
+    const std::function<bool(std::istream &, std::string *)> &from_text,
+    std::string *error)
+{
+    OBS_TIMER("io.load_us");
+    FileFormat format;
+    if (!sniffFile(path, &format, error))
+        return false;
+    bool ok;
+    if (format == FileFormat::Cbf) {
+        CbfFile file;
+        ok = tryOpenCbf(path, &file, error) && from_cbf(file, error);
+    } else {
+        std::ifstream in(path);
+        if (!in) {
+            *error = "cannot open '" + path + "'";
+            return false;
+        }
+        ok = from_text(in, error);
+    }
+    if (!ok)
+        *error = path + ": " + *error;
+    return ok;
+}
+
 } // namespace io
 } // namespace ceer

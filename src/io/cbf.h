@@ -35,6 +35,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -291,6 +292,26 @@ enum class FileFormat { Cbf, Text };
  */
 bool sniffFile(const std::string &path, FileFormat *format,
                std::string *error);
+
+/**
+ * Opens the CBF file at @p path through the mmap zero-copy path,
+ * falling back to the streaming reader (identical validation) when
+ * the mapping fails, as it can on exotic filesystems.
+ */
+bool tryOpenCbf(const std::string &path, CbfFile *out,
+                std::string *error);
+
+/**
+ * The one load path of every file loader that takes either dialect:
+ * sniffs @p path, hands a CBF file opened by tryOpenCbf to
+ * @p from_cbf or the opened text file to @p from_text, and prefixes
+ * every error after the sniff with the path. Timed as `io.load_us`.
+ */
+bool tryLoadSniffed(
+    const std::string &path,
+    const std::function<bool(const CbfFile &, std::string *)> &from_cbf,
+    const std::function<bool(std::istream &, std::string *)> &from_text,
+    std::string *error);
 
 } // namespace io
 } // namespace ceer

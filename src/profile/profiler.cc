@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <numeric>
@@ -615,37 +614,15 @@ bool
 ProfileDataset::tryLoadFile(const std::string &path,
                             ProfileDataset *dataset, std::string *error)
 {
-    OBS_TIMER("io.load_us");
-    io::FileFormat format;
-    if (!io::sniffFile(path, &format, error))
-        return false;
-    if (format == io::FileFormat::Cbf) {
-        io::CbfFile file;
-        std::string map_error;
-        if (!io::CbfFile::tryMap(path, &file, &map_error)) {
-            // mmap can fail on exotic filesystems; the streaming
-            // reader applies the identical validation.
-            if (!io::CbfFile::tryLoad(path, &file, error)) {
-                *error = path + ": " + *error;
-                return false;
-            }
-        }
-        if (!tryLoadCbf(file, dataset, error)) {
-            *error = path + ": " + *error;
-            return false;
-        }
-        return true;
-    }
-    std::ifstream in(path);
-    if (!in) {
-        *error = "cannot open '" + path + "'";
-        return false;
-    }
-    if (!tryLoadCsv(in, dataset, error)) {
-        *error = path + ": " + *error;
-        return false;
-    }
-    return true;
+    return io::tryLoadSniffed(
+        path,
+        [dataset](const io::CbfFile &file, std::string *err) {
+            return tryLoadCbf(file, dataset, err);
+        },
+        [dataset](std::istream &in, std::string *err) {
+            return tryLoadCsv(in, dataset, err);
+        },
+        error);
 }
 
 ProfileDataset

@@ -49,7 +49,7 @@ errnoText(const char *what)
 
 int
 listenTcp(const std::string &host, int port, int backlog,
-          int *bound_port, std::string *error, bool reuse_port)
+          int *bound_port, std::string *error)
 {
     sockaddr_in addr;
     if (!fillAddress(host, port, &addr, error))
@@ -62,13 +62,6 @@ listenTcp(const std::string &host, int port, int backlog,
     }
     const int one = 1;
     ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    if (reuse_port &&
-        ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof one) != 0) {
-        if (error)
-            *error = errnoText("setsockopt(SO_REUSEPORT)");
-        return -1;
-    }
     if (::bind(fd.get(), reinterpret_cast<const sockaddr *>(&addr),
                sizeof addr) != 0) {
         if (error)

@@ -24,15 +24,9 @@ namespace serve {
  * kernel-assigned port is written to @p bound_port.
  *
  * @p host must be a numeric IPv4 address or "localhost".
- *
- * With @p reuse_port the socket is created with SO_REUSEPORT so
- * several listeners can bind the same port and the kernel shards
- * accepted connections across them (ceerd's multi-reactor mode). All
- * listeners of a group must set the flag before binding.
  */
 int listenTcp(const std::string &host, int port, int backlog,
-              int *bound_port, std::string *error,
-              bool reuse_port = false);
+              int *bound_port, std::string *error);
 
 /** Connects to @p host:@p port; returns the fd or -1 with @p error. */
 int connectTcp(const std::string &host, int port, std::string *error);

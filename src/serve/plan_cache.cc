@@ -9,90 +9,46 @@
 namespace ceer {
 namespace serve {
 
-namespace {
-
-std::size_t
-roundUpPow2(std::size_t v)
+PlanCache::PlanCache(std::size_t capacity)
+    : capacity_(capacity == 0 ? 1 : capacity)
 {
-    std::size_t p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
-
-PlanCache::PlanCache(std::size_t capacity, std::size_t shards)
-{
-    const std::size_t shard_count =
-        roundUpPow2(shards == 0 ? 1 : shards);
-    shardMask_ = shard_count - 1;
-    shards_.reserve(shard_count);
-    for (std::size_t i = 0; i < shard_count; ++i)
-        shards_.push_back(std::make_unique<Shard>());
-    if (capacity == 0)
-        capacity = 1;
-    perShardCapacity_ =
-        (capacity + shard_count - 1) / shard_count;
-    if (perShardCapacity_ == 0)
-        perShardCapacity_ = 1;
-}
-
-PlanCache::Shard &
-PlanCache::shardFor(std::uint64_t fingerprint)
-{
-    // The fingerprint is already a mixed 64-bit hash; fold the high
-    // half in so shard choice is not captive to the low bits.
-    const std::uint64_t folded = fingerprint ^ (fingerprint >> 32);
-    return *shards_[static_cast<std::size_t>(folded) & shardMask_];
 }
 
 void
-PlanCache::evictOver(Shard &shard)
+PlanCache::evictOver()
 {
-    while (shard.slots.size() > perShardCapacity_) {
-        auto victim = shard.slots.end();
-        for (auto it = shard.slots.begin(); it != shard.slots.end();
-             ++it) {
+    while (slots_.size() > capacity_) {
+        auto victim = slots_.end();
+        for (auto it = slots_.begin(); it != slots_.end(); ++it) {
             if (it->second.compiling)
                 continue;
-            if (victim == shard.slots.end() ||
+            if (victim == slots_.end() ||
                 it->second.lruTick < victim->second.lruTick)
                 victim = it;
         }
-        if (victim == shard.slots.end())
+        if (victim == slots_.end())
             return; // everything in flight; nothing evictable
         if (victim->second.entry)
-            bytes_.fetch_sub(victim->second.entry->bytes,
-                             std::memory_order_relaxed);
-        shard.slots.erase(victim);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
+            bytes_ -= victim->second.entry->bytes;
+        slots_.erase(victim);
+        ++evictions_;
         OBS_COUNTER_INC("serve.plan_cache.evictions");
     }
-}
-
-void
-PlanCache::publishBytesGauge() const
-{
-    OBS_GAUGE_SET(
-        "serve.plan_cache.bytes",
-        static_cast<double>(bytes_.load(std::memory_order_relaxed)));
 }
 
 std::shared_ptr<const PlanEntry>
 PlanCache::tryGet(std::uint64_t fingerprint, std::uint64_t generation)
 {
-    Shard &shard = shardFor(fingerprint);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.slots.find(fingerprint);
-    if (it == shard.slots.end())
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = slots_.find(fingerprint);
+    if (it == slots_.end())
         return nullptr;
     Slot &slot = it->second;
     if (slot.compiling || !slot.entry ||
         slot.entry->generation != generation)
         return nullptr;
-    slot.lruTick = ++shard.tick;
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    slot.lruTick = ++tick_;
+    ++hits_;
     OBS_COUNTER_INC("serve.plan_cache.hits");
     return slot.entry;
 }
@@ -102,34 +58,33 @@ PlanCache::getOrCompile(std::uint64_t fingerprint,
                         std::uint64_t generation,
                         const CompileFn &compile)
 {
-    Shard &shard = shardFor(fingerprint);
-    std::unique_lock<std::mutex> lock(shard.mutex);
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        auto it = shard.slots.find(fingerprint);
-        if (it == shard.slots.end())
+        auto it = slots_.find(fingerprint);
+        if (it == slots_.end())
             break; // absent -> claim below
         Slot &slot = it->second;
         if (slot.compiling) {
             // Another session is compiling this fingerprint right
             // now; share its result instead of duplicating the work.
-            shard.cv.wait(lock);
+            compiled_.wait(lock);
             continue;
         }
         if (slot.entry && slot.entry->generation == generation) {
-            slot.lruTick = ++shard.tick;
-            hits_.fetch_add(1, std::memory_order_relaxed);
+            slot.lruTick = ++tick_;
+            ++hits_;
             OBS_COUNTER_INC("serve.plan_cache.hits");
             return slot.entry;
         }
         break; // stale generation -> recompile in place
     }
 
-    // Claim the slot and compile outside the shard lock: plan
-    // compilation takes milliseconds and must not stall hits on other
-    // fingerprints in this shard.
-    Slot &claimed = shard.slots[fingerprint];
+    // Claim the slot and compile outside the lock: plan compilation
+    // takes milliseconds and must not stall hits on other
+    // fingerprints.
+    Slot &claimed = slots_[fingerprint];
     claimed.compiling = true;
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++misses_;
     OBS_COUNTER_INC("serve.plan_cache.misses");
     lock.unlock();
 
@@ -142,8 +97,8 @@ PlanCache::getOrCompile(std::uint64_t fingerprint,
     }
 
     lock.lock();
-    auto it = shard.slots.find(fingerprint);
-    if (it == shard.slots.end())
+    auto it = slots_.find(fingerprint);
+    if (it == slots_.end())
         util::panic("PlanCache: compiling slot vanished");
     Slot &slot = it->second;
     slot.compiling = false;
@@ -152,35 +107,33 @@ PlanCache::getOrCompile(std::uint64_t fingerprint,
         // compile; a stale entry (if any) stays usable for pinning
         // but will miss again.
         if (!slot.entry)
-            shard.slots.erase(it);
-        shard.cv.notify_all();
+            slots_.erase(it);
+        compiled_.notify_all();
         std::rethrow_exception(failure);
     }
     auto entry = std::make_shared<const PlanEntry>(std::move(computed));
     if (slot.entry)
-        bytes_.fetch_sub(slot.entry->bytes,
-                         std::memory_order_relaxed);
+        bytes_ -= slot.entry->bytes;
     slot.entry = entry;
-    slot.lruTick = ++shard.tick;
-    bytes_.fetch_add(entry->bytes, std::memory_order_relaxed);
-    evictOver(shard);
-    publishBytesGauge();
-    shard.cv.notify_all();
+    slot.lruTick = ++tick_;
+    bytes_ += entry->bytes;
+    evictOver();
+    OBS_GAUGE_SET("serve.plan_cache.bytes",
+                  static_cast<double>(bytes_));
+    compiled_.notify_all();
     return entry;
 }
 
 PlanCache::Stats
 PlanCache::stats() const
 {
+    std::lock_guard<std::mutex> lock(mutex_);
     Stats stats;
-    stats.hits = hits_.load(std::memory_order_relaxed);
-    stats.misses = misses_.load(std::memory_order_relaxed);
-    stats.evictions = evictions_.load(std::memory_order_relaxed);
-    stats.bytes = bytes_.load(std::memory_order_relaxed);
-    for (const auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        stats.entries += shard->slots.size();
-    }
+    stats.hits = hits_;
+    stats.misses = misses_;
+    stats.evictions = evictions_;
+    stats.bytes = bytes_;
+    stats.entries = slots_.size();
     return stats;
 }
 

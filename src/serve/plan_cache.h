@@ -1,22 +1,20 @@
 /**
  * @file
- * Process-wide sharded plan cache for ceerd.
+ * Process-wide plan cache for ceerd.
  *
- * PR 8 cached compiled PredictPlans per session, so ten connections
- * asking for vgg_19 compiled vgg_19 ten times and a reconnecting
- * client always paid a cold start. This cache is shared across every
- * session and reactor: keyed by the structural graph fingerprint,
- * N-way sharded (one mutex per shard, shard chosen by fingerprint
- * bits, so concurrent sessions rarely contend), LRU-capped, and
- * engine-generation-aware — a hot reload does not flush anything
- * eagerly, but an entry compiled under an older generation misses and
- * is recompiled on next use, while in-flight requests keep the pinned
- * entry they started with (shared_ptr keeps the old plan alive until
- * its last request finishes).
+ * One cache is shared by every session and reactor, keyed by the
+ * structural graph fingerprint, so ten connections asking for vgg_19
+ * compile it once and a reconnecting client finds it warm. It is one
+ * map under one mutex with one global LRU order, so `capacity` is the
+ * exact entry cap. It is engine-generation-aware: a hot reload flushes
+ * nothing eagerly, but an entry compiled under an older generation
+ * misses and is recompiled on next use, while in-flight requests keep
+ * the pinned entry they started with (shared_ptr keeps the old plan
+ * alive until its last request finishes).
  *
  * Concurrent requests for the same fingerprint compile exactly once:
- * the first claims the slot and compiles OUTSIDE the shard lock, the
- * rest wait on the shard's condition variable and share the result.
+ * the first claims the slot and compiles OUTSIDE the lock, the rest
+ * wait on the condition variable and share the result.
  *
  * Metrics: `serve.plan_cache.{hits,misses,evictions}` counters and a
  * `serve.plan_cache.bytes` gauge (plan approxBytes accounting).
@@ -25,14 +23,12 @@
 #ifndef CEER_SERVE_PLAN_CACHE_H
 #define CEER_SERVE_PLAN_CACHE_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "core/predict_plan.h"
 #include "core/recommender.h"
@@ -58,7 +54,7 @@ struct PlanEntry
     std::size_t bytes = 0;         ///< approxBytes accounting.
 };
 
-/** Shared, sharded, LRU-capped fingerprint -> PlanEntry cache. */
+/** Shared, LRU-capped fingerprint -> PlanEntry cache. */
 class PlanCache
 {
   public:
@@ -77,13 +73,8 @@ class PlanCache
      *  waiters retry). */
     using CompileFn = std::function<PlanEntry()>;
 
-    /**
-     * @param capacity Total entry cap across all shards (>= 1 per
-     *                 shard after rounding).
-     * @param shards   Shard count, rounded up to a power of two.
-     */
-    explicit PlanCache(std::size_t capacity = 256,
-                       std::size_t shards = 8);
+    /** @param capacity Entry cap (0 is treated as 1). */
+    explicit PlanCache(std::size_t capacity = 256);
 
     /**
      * Allocation-free hit path: returns the cached entry for
@@ -116,27 +107,21 @@ class PlanCache
         std::uint64_t lruTick = 0;
     };
 
-    struct Shard
-    {
-        mutable std::mutex mutex;
-        std::condition_variable cv;
-        std::unordered_map<std::uint64_t, Slot> slots;
-        std::uint64_t tick = 0;
-    };
+    /** Evicts least-recently-used non-compiling slots while the cache
+     *  is over capacity. Caller holds the lock. */
+    void evictOver();
 
-    Shard &shardFor(std::uint64_t fingerprint);
-    /** Evicts least-recently-used non-compiling slots while the shard
-     *  is over its cap. Caller holds the shard lock. */
-    void evictOver(Shard &shard);
-    void publishBytesGauge() const;
-
-    std::vector<std::unique_ptr<Shard>> shards_;
-    std::size_t shardMask_ = 0;
-    std::size_t perShardCapacity_ = 1;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::size_t> bytes_{0};
+    const std::size_t capacity_;
+    mutable std::mutex mutex_;
+    /** Signalled whenever a claimed compile finishes or rolls back. */
+    std::condition_variable compiled_;
+    // Everything below is guarded by mutex_.
+    std::unordered_map<std::uint64_t, Slot> slots_;
+    std::uint64_t tick_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t evictions_ = 0;
+    std::size_t bytes_ = 0;
 };
 
 } // namespace serve

@@ -22,6 +22,9 @@ namespace serve {
 
 namespace {
 
+/** listen(2) backlog of the server's one listener. */
+constexpr int kListenBacklog = 64;
+
 /**
  * models::buildModel fatals on unknown names, so the server validates
  * against the full buildable set (the 12-CNN zoo plus the
@@ -77,7 +80,7 @@ Server::Server(core::CeerModel model, cloud::InstanceCatalog catalog,
     : options_(std::move(options)),
       candidates_(catalog.instances()),
       engine_(std::make_shared<const Engine>(std::move(model), 1)),
-      planCache_(options_.planCacheCapacity, options_.planCacheShards)
+      planCache_(options_.planCacheCapacity)
 {
 }
 
@@ -112,8 +115,9 @@ Server::tryStart(std::string *error)
         reactors_.back()->index = static_cast<std::size_t>(i);
     }
     const auto cleanup = [this] {
+        closeFd(listenFd_);
+        listenFd_ = -1;
         for (auto &reactor : reactors_) {
-            closeFd(reactor->listenFd);
             closeFd(reactor->wakeRead);
             closeFd(reactor->wakeWrite);
         }
@@ -140,55 +144,19 @@ Server::tryStart(std::string *error)
         }
     }
 
-    // Accept sharding: one SO_REUSEPORT listener per reactor, the
-    // kernel spreads connections. If any bind fails (no SO_REUSEPORT,
-    // exotic kernel), fall back to a single listener on reactor 0
-    // that distributes accepted fds round-robin.
-    singleListener_ = true;
-    if (reactor_count > 1 && options_.reusePort) {
-        bool all_bound = true;
-        std::string rp_error;
-        for (int i = 0; i < reactor_count; ++i) {
-            const int bind_port = i == 0 ? options_.port : port_;
-            const int fd =
-                listenTcp(options_.host, bind_port, options_.backlog,
-                          &port_, &rp_error, /*reuse_port=*/true);
-            if (fd < 0) {
-                all_bound = false;
-                break;
-            }
-            if (!setNonBlocking(fd, &rp_error)) {
-                closeFd(fd);
-                all_bound = false;
-                break;
-            }
-            reactors_[static_cast<std::size_t>(i)]->listenFd = fd;
-        }
-        if (all_bound) {
-            singleListener_ = false;
-        } else {
-            for (auto &reactor : reactors_) {
-                closeFd(reactor->listenFd);
-                reactor->listenFd = -1;
-            }
-        }
+    // One listener, polled by reactor 0 alone, which hands accepted
+    // fds to its peers round-robin.
+    listenFd_ = listenTcp(options_.host, options_.port, kListenBacklog,
+                          &port_, error);
+    if (listenFd_ < 0) {
+        cleanup();
+        return false;
     }
-    if (singleListener_) {
-        const int fd =
-            listenTcp(options_.host, options_.port, options_.backlog,
-                      &port_, error);
-        if (fd < 0) {
-            cleanup();
-            return false;
-        }
-        if (!setNonBlocking(fd, &nb_error)) {
-            closeFd(fd);
-            if (error)
-                *error = nb_error;
-            cleanup();
-            return false;
-        }
-        reactors_[0]->listenFd = fd;
+    if (!setNonBlocking(listenFd_, &nb_error)) {
+        if (error)
+            *error = nb_error;
+        cleanup();
+        return false;
     }
 
     started_ = true;
@@ -213,8 +181,9 @@ Server::stop()
     for (auto &reactor : reactors_)
         if (reactor->thread.joinable())
             reactor->thread.join();
+    closeFd(listenFd_);
+    listenFd_ = -1;
     for (auto &reactor : reactors_) {
-        closeFd(reactor->listenFd);
         closeFd(reactor->wakeRead);
         closeFd(reactor->wakeWrite);
     }
@@ -262,8 +231,10 @@ Server::reactorLoop(Reactor &reactor)
     std::vector<int> inbox;
     std::vector<pollfd> fds;
     std::vector<Session *> polled;
+    const int listen_fd = reactor.index == 0 ? listenFd_ : -1;
+    std::size_t next_target = 0; // Round-robin cursor (reactor 0).
     while (true) {
-        // Adopt fds handed over by reactor 0 (single-listener mode).
+        // Adopt fds handed over by reactor 0.
         inbox.clear();
         {
             std::lock_guard<std::mutex> lock(reactor.mutex);
@@ -277,8 +248,8 @@ Server::reactorLoop(Reactor &reactor)
         fds.clear();
         polled.clear();
         fds.push_back(pollfd{reactor.wakeRead, POLLIN, 0});
-        if (reactor.listenFd >= 0)
-            fds.push_back(pollfd{reactor.listenFd, POLLIN, 0});
+        if (listen_fd >= 0)
+            fds.push_back(pollfd{listen_fd, POLLIN, 0});
         const std::size_t fixed = fds.size();
         int timeout_ms = -1;
         const auto now = std::chrono::steady_clock::now();
@@ -316,31 +287,26 @@ Server::reactorLoop(Reactor &reactor)
             }
         }
 
-        if (reactor.listenFd >= 0 && (fds[1].revents & POLLIN)) {
+        if (listen_fd >= 0 && (fds[1].revents & POLLIN)) {
             while (true) {
                 bool again = false;
                 std::string accept_error;
-                const int fd = acceptRetry(reactor.listenFd, &again,
-                                           &accept_error);
+                const int fd =
+                    acceptRetry(listen_fd, &again, &accept_error);
                 if (fd < 0)
                     break;
-                if (singleListener_ && reactors_.size() > 1) {
-                    // Reactor 0 owns the only listener: spread
-                    // accepted connections round-robin.
-                    const std::size_t target =
-                        nextReactorRR_++ % reactors_.size();
-                    if (target != reactor.index) {
-                        Reactor &peer = *reactors_[target];
-                        {
-                            std::lock_guard<std::mutex> lock(
-                                peer.mutex);
-                            peer.inbox.push_back(fd);
-                        }
-                        wake(peer);
-                        continue;
-                    }
+                const std::size_t target =
+                    next_target++ % reactors_.size();
+                if (target == reactor.index) {
+                    adoptSession(reactor, fd);
+                    continue;
                 }
-                adoptSession(reactor, fd);
+                Reactor &peer = *reactors_[target];
+                {
+                    std::lock_guard<std::mutex> lock(peer.mutex);
+                    peer.inbox.push_back(fd);
+                }
+                wake(peer);
             }
         }
 

@@ -5,10 +5,9 @@
  * The server runs `reactors` reactor threads (default 1). Each
  * reactor owns its accepted sessions outright — their sockets, frame
  * assembly, poll set and wake pipe — so reactors share no per-session
- * state. Accept sharding uses SO_REUSEPORT (every reactor binds its
- * own listener on the same port and the kernel spreads connections);
- * when that is unavailable or disabled, reactor 0 owns the single
- * listener and hands accepted fds to its peers round-robin.
+ * state. The server has one listener, which only reactor 0 polls; it
+ * hands accepted fds to the reactors round-robin (itself included), so
+ * the k-th connection always lands on reactor k mod `reactors`.
  *
  * Every request executes INLINE on the reactor thread that owns its
  * session: no handoff, no task allocation. Request parallelism comes
@@ -19,7 +18,7 @@
  * the 16-instance AWS one included — sweep serially. A session has at
  * most one request in flight.
  *
- * Compiled plans live in one process-wide sharded PlanCache
+ * Compiled plans live in one process-wide PlanCache
  * (plan_cache.h) keyed by structural graph fingerprint: identical
  * graphs arriving on different connections compile exactly once, and
  * a hot reload invalidates entries lazily by engine generation while
@@ -71,7 +70,6 @@ struct ServerOptions
 {
     std::string host = "127.0.0.1"; ///< Bind address.
     int port = 0;                   ///< 0 = kernel-assigned port.
-    int backlog = 64;               ///< listen(2) backlog.
 
     /**
      * Reactor threads. Each owns its accepted sessions and executes
@@ -79,14 +77,6 @@ struct ServerOptions
      * core is the intended production shape).
      */
     int reactors = 1;
-
-    /**
-     * Shard accepts across reactors with SO_REUSEPORT (one listener
-     * per reactor). When false — or when the extra binds fail — the
-     * server falls back to a single listener on reactor 0 that
-     * round-robins accepted connections to its peers.
-     */
-    bool reusePort = true;
 
     /**
      * Admission bound: maximum requests admitted (queued or
@@ -105,11 +95,8 @@ struct ServerOptions
      */
     int readTimeoutMs = 5000;
 
-    /** Shared plan cache: total entry cap across shards. */
+    /** Shared plan cache: exact entry cap. */
     std::size_t planCacheCapacity = 256;
-
-    /** Shared plan cache: shard count (rounded up to a power of 2). */
-    std::size_t planCacheShards = 8;
 };
 
 /** A persistent recommendation server over the ceerd protocol. */
@@ -132,16 +119,13 @@ class Server
 
     /**
      * Binds, listens and starts the reactor threads. False with
-     * @p error when the sockets cannot be set up.
+     * @p error when the sockets cannot be set up (a failed bind
+     * included).
      */
     bool tryStart(std::string *error);
 
     /** The bound port (after tryStart); useful with port 0. */
     int port() const { return port_; }
-
-    /** True when accept sharding runs via SO_REUSEPORT (after
-     *  tryStart); false in single-listener fallback mode. */
-    bool usingReusePort() const { return !singleListener_; }
 
     /**
      * Graceful shutdown: stop accepting, close idle connections,
@@ -204,7 +188,6 @@ class Server
     struct Reactor
     {
         std::size_t index = 0;
-        int listenFd = -1; ///< Own SO_REUSEPORT listener, or -1.
         int wakeRead = -1;
         int wakeWrite = -1;
         std::thread thread;
@@ -212,7 +195,7 @@ class Server
         /** Guards inbox — the only state other threads touch.
          *  sessions is reactor-thread-private. */
         std::mutex mutex;
-        /** Accepted fds handed over in single-listener mode. */
+        /** Accepted fds handed over by reactor 0. */
         std::vector<int> inbox;
 
         std::unordered_map<std::uint64_t, std::unique_ptr<Session>>
@@ -244,14 +227,12 @@ class Server
     mutable PlanCache planCache_;
 
     std::vector<std::unique_ptr<Reactor>> reactors_;
-    bool singleListener_ = false;
+    int listenFd_ = -1; ///< The one listener; reactor 0 polls it.
     int port_ = 0;
     std::atomic<bool> stopping_{false};
     bool started_ = false;
 
     std::atomic<std::uint64_t> nextSessionId_{1};
-    /** Single-listener round-robin cursor; reactor 0 only. */
-    std::uint64_t nextReactorRR_ = 0;
 
     /** Admitted (executing) requests, all reactors. */
     std::atomic<std::size_t> inFlight_{0};

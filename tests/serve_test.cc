@@ -643,7 +643,7 @@ fakeEntry(std::uint64_t fingerprint, std::uint64_t generation,
 
 TEST(PlanCacheTest, AccountsHitsAndMissesAcrossCallers)
 {
-    PlanCache cache(4, 1);
+    PlanCache cache(4);
     int compiles = 0;
     const auto compile = [&] {
         ++compiles;
@@ -672,7 +672,7 @@ TEST(PlanCacheTest, AccountsHitsAndMissesAcrossCallers)
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsedUnderTinyCap)
 {
-    PlanCache cache(2, 1);
+    PlanCache cache(2);
     const auto compileFor = [](std::uint64_t fp) {
         return [fp] { return fakeEntry(fp, 1); };
     };
@@ -689,9 +689,39 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsedUnderTinyCap)
     EXPECT_NE(cache.tryGet(3, 1), nullptr);
 }
 
+TEST(PlanCacheTest, CapacityIsExactAcrossKeys)
+{
+    // The cap is one total over every fingerprint, whatever their
+    // bits: 8 distinct keys into a cache of 3 leave exactly the 3 most
+    // recently used, and every eviction takes the global LRU entry.
+    PlanCache cache(3);
+    for (std::uint64_t fp = 1; fp <= 8; ++fp) {
+        cache.getOrCompile(fp, 1, [fp] { return fakeEntry(fp, 1); });
+        EXPECT_LE(cache.stats().entries, 3u);
+    }
+    EXPECT_EQ(cache.stats().entries, 3u);
+    EXPECT_EQ(cache.stats().evictions, 5u);
+    EXPECT_EQ(cache.stats().bytes, 3u * 64u);
+    for (std::uint64_t fp = 1; fp <= 5; ++fp)
+        EXPECT_EQ(cache.tryGet(fp, 1), nullptr) << fp;
+
+    // Touch 6 so 7 is now the oldest: the next insert evicts 7, the
+    // one after evicts 8.
+    EXPECT_NE(cache.tryGet(6, 1), nullptr);
+    cache.getOrCompile(9, 1, [] { return fakeEntry(9, 1); });
+    EXPECT_EQ(cache.tryGet(7, 1), nullptr);
+    cache.getOrCompile(10, 1, [] { return fakeEntry(10, 1); });
+    EXPECT_EQ(cache.tryGet(8, 1), nullptr);
+    EXPECT_NE(cache.tryGet(6, 1), nullptr);
+    EXPECT_NE(cache.tryGet(9, 1), nullptr);
+    EXPECT_NE(cache.tryGet(10, 1), nullptr);
+    EXPECT_EQ(cache.stats().entries, 3u);
+    EXPECT_EQ(cache.stats().evictions, 7u);
+}
+
 TEST(PlanCacheTest, StaleGenerationMissesButKeepsPinnedEntries)
 {
-    PlanCache cache(4, 1);
+    PlanCache cache(4);
     int compiles = 0;
     const auto old_entry = cache.getOrCompile(5, 1, [&] {
         ++compiles;
@@ -715,7 +745,7 @@ TEST(PlanCacheTest, StaleGenerationMissesButKeepsPinnedEntries)
 
 TEST(PlanCacheTest, ConcurrentRequestsCompileExactlyOnce)
 {
-    PlanCache cache(8, 4);
+    PlanCache cache(8);
     std::atomic<int> compiles{0};
     constexpr int kThreads = 8;
     std::vector<std::shared_ptr<const PlanEntry>> results(kThreads);
@@ -726,7 +756,7 @@ TEST(PlanCacheTest, ConcurrentRequestsCompileExactlyOnce)
                 cache.getOrCompile(42, 1, [&compiles] {
                     compiles.fetch_add(1);
                     // Widen the race window: every other thread must
-                    // wait on the shard cv, not re-compile.
+                    // wait on the cache's cv, not re-compile.
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(20));
                     return fakeEntry(42, 1);
@@ -772,7 +802,7 @@ TEST(ServeServerTest, PlanCacheIsSharedAcrossSessions)
 // --- Multi-reactor -----------------------------------------------------
 
 /** Byte-identity across several concurrent connections against
- *  @p options (the caller picks reactor count and accept mode). */
+ *  @p options (the caller picks the reactor count). */
 void
 expectIdenticalRepliesAcrossConnections(ServerOptions options)
 {
@@ -781,8 +811,8 @@ expectIdenticalRepliesAcrossConnections(ServerOptions options)
     request.model = "alexnet";
     const std::string expected = localReplyBytes(request);
 
-    // More connections than reactors so every reactor serves at least
-    // one session regardless of how accepts are sharded.
+    // More connections than reactors, dealt round-robin, so every
+    // reactor serves at least one session.
     constexpr int kConnections = 5;
     std::vector<std::unique_ptr<ServeClient>> clients;
     for (int i = 0; i < kConnections; ++i) {
@@ -806,16 +836,6 @@ TEST(ServeServerTest, MultiReactorRepliesMatchInProcessRecommend)
 {
     ServerOptions options;
     options.reactors = 2;
-    expectIdenticalRepliesAcrossConnections(options);
-}
-
-TEST(ServeServerTest, SingleListenerFallbackHandsSessionsAcross)
-{
-    // Forcing reusePort off exercises the round-robin fd handoff from
-    // the accepting reactor to its peers' inboxes.
-    ServerOptions options;
-    options.reactors = 2;
-    options.reusePort = false;
     expectIdenticalRepliesAcrossConnections(options);
 }
 
@@ -903,9 +923,8 @@ TEST(ServeServerTest, FleetCatalogParallelSweepMatchesSerialRecommend)
         obs::counter("pool.tasks").reset();
         ServerOptions options;
         options.reactors = reactors;
-        // The single listener hands accepts out round-robin, so with
-        // two reactors the two connections land on different ones.
-        options.reusePort = false;
+        // The listener hands accepts out round-robin, so with two
+        // reactors the two connections land on different ones.
         auto server = startServer(options, fleet);
         std::vector<std::thread> clients;
         for (int c = 0; c < 2; ++c) {

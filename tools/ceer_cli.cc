@@ -537,8 +537,7 @@ detectFileKind(const std::string &path)
         util::fatal("convert: " + error);
     if (format == io::FileFormat::Cbf) {
         io::CbfFile file;
-        if (!io::CbfFile::tryMap(path, &file, &error) &&
-            !io::CbfFile::tryLoad(path, &file, &error))
+        if (!io::tryOpenCbf(path, &file, &error))
             util::fatal("convert: " + path + ": " + error);
         const char *schema = nullptr;
         std::size_t schema_size = 0;
@@ -724,11 +723,8 @@ cmdServe(int argc, char **argv)
                     "disconnect clients stalled mid-frame after this "
                     "long (<= 0 disables)");
     flags.defineInt("reactors", 1,
-                    "reactor threads (accept sharding via "
-                    "SO_REUSEPORT; one per core is typical)");
-    flags.defineBool("no-reuseport", false,
-                     "disable SO_REUSEPORT accept sharding (single "
-                     "listener distributes connections round-robin)");
+                    "reactor threads (connections are dealt to them "
+                    "round-robin; one per core is typical)");
     flags.defineInt("plan-cache", 256,
                     "shared plan-cache capacity in entries");
     defineObsFlags(flags);
@@ -749,7 +745,6 @@ cmdServe(int argc, char **argv)
     options.readTimeoutMs =
         static_cast<int>(flags.getInt("read-timeout-ms"));
     options.reactors = static_cast<int>(flags.getInt("reactors"));
-    options.reusePort = !flags.getBool("no-reuseport");
     options.planCacheCapacity =
         static_cast<std::size_t>(flags.getInt("plan-cache"));
 
@@ -780,9 +775,7 @@ cmdServe(int argc, char **argv)
     std::cout << "ceerd listening on " << options.host << ":"
               << server.port() << " ("
               << (options.reactors < 1 ? 1 : options.reactors)
-              << (options.reactors > 1 ? " reactors, " : " reactor, ")
-              << (server.usingReusePort() ? "SO_REUSEPORT"
-                                          : "single listener")
+              << (options.reactors > 1 ? " reactors" : " reactor")
               << ")\n"
               << std::flush;
 

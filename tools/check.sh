@@ -2,7 +2,8 @@
 #
 # CI-style check driver. Default mode runs six passes:
 #
-#   release   Release build + full ctest suite
+#   release   Release build + full ctest suite (the 24 paper binaries
+#             included: `ctest -L paper` runs just those)
 #   flake     the concurrency tests repeated 20 times in a row, in
 #             parallel, against the release build
 #   bench     microbenchmark smoke runs (tiny iteration counts)
@@ -162,10 +163,10 @@ pass_bench_smoke() {
     kill -TERM "$serve_pid"
     wait "$serve_pid"
     grep -q throughput_qps build/check_serve_loadgen.json
-    # The same smoke with two reactors: accept sharding (or the
-    # single-listener fallback), cross-reactor sessions and the
-    # reactor-aware SIGTERM drain must all survive a real process
-    # lifecycle, not just the in-process tests.
+    # The same smoke with two reactors: the round-robin handoff of
+    # accepted connections from reactor 0 to its peer, cross-reactor
+    # sessions and the reactor-aware SIGTERM drain must all survive a
+    # real process lifecycle, not just the in-process tests.
     rm -f build/check_serve_port.txt
     ./build/tools/ceer serve --ceer-model build/check_serve_model.txt \
         --port 0 --reactors 2 \
@@ -235,8 +236,8 @@ pass_tsan() {
     # memo included) while per-cell simulators run on the pool.
     ./build-tsan/tests/baselines_test \
         --gtest_filter='EvalSweepTest.ParallelSweepIsByteIdentical'
-    # The full ceerd stack under TSan: multi-reactor accept sharding
-    # and fd handoff, the shared plan cache's concurrent compile-once
+    # The full ceerd stack under TSan: the multi-reactor accept
+    # handoff, the shared plan cache's concurrent compile-once
     # path, large-catalog sweeps forking from reactor threads onto the
     # shared pool, engine hot-swap, admission counters and the
     # loadgen's dedicated client threads all race-checked end to end.
