@@ -60,7 +60,7 @@ main(int argc, char **argv)
             const double overhead_ms =
                 (point.iter2 - point.iter1) / 1e3;
             const double fitted_ms =
-                fit2.model.predict({point.params}) / 1e3;
+                fit2.model.predict(std::vector<double>{point.params}) / 1e3;
             table.addRow({name,
                           util::format("%.1f", point.params / 1e6),
                           util::format("%.1f", overhead_ms),
@@ -79,8 +79,8 @@ main(int argc, char **argv)
                           0.85, 1.0);
         }
         // Linear trend: overhead at 140M params well above 10M params.
-        const double lo = fit2.model.predict({10e6});
-        const double hi = fit2.model.predict({140e6});
+        const double lo = fit2.model.predict(std::vector<double>{10e6});
+        const double hi = fit2.model.predict(std::vector<double>{140e6});
         summary.check("overhead grows with params on " +
                           hw::gpuModelName(gpu),
                       hi > 3.0 * lo ? 1.0 : 0.0, 1.0, 1.0);

@@ -19,7 +19,7 @@
  *  - allocation budget: a warm recommend request against a
  *    single-reactor server must perform at most --alloc-budget
  *    heap allocations, counted by a replaced operator new. This pins
- *    the zero-allocation steady state the server documents.
+ *    the allocation-light steady state the server documents.
  */
 
 #include <cstdio>
@@ -234,7 +234,7 @@ main(int argc, char **argv)
     flags.defineString("qps-targets", "50,200,0",
                        "comma-separated target QPS ladder (0 = "
                        "unthrottled closed loop)");
-    flags.defineDouble("alloc-budget", 32.0,
+    flags.defineDouble("alloc-budget", 4.0,
                        "max heap allocations per warm recommend "
                        "request");
     flags.defineString("out", "BENCH_serve.json",

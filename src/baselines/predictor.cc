@@ -40,8 +40,9 @@ engineFatal(const std::string &engine, const std::string &message)
  * The three Ceer-backed engines: the full model and its two paper
  * ablations, differing only in PredictOptions. Compiled plans are
  * memoized per graph address under a mutex so grid sweeps pay one
- * compile per (engine, graph); the plan's own per-GPU memo handles
- * concurrent first-touch (see core/predict_plan.h).
+ * compile per (engine, graph); a plan is immutable after compile, so
+ * concurrent evaluations share it without a lock (see
+ * core/predict_plan.h).
  */
 class CeerVariantPredictor final : public Predictor
 {

@@ -42,7 +42,7 @@ CommModel::overheadUs(GpuModel gpu, int num_gpus,
         util::panic("CommModel::overheadUs: no fit for GPU " +
                     hw::gpuModelName(gpu));
     const auto &per_k = it->second;
-    const std::vector<double> x{param_count};
+    const std::span<const double> x(&param_count, 1);
 
     double total = per_k[0].model.predict(x);
     if (num_gpus == 1)

@@ -58,55 +58,28 @@ dotClampSum(const double *x, std::size_t n, std::size_t d,
 graph::OpType
 PredictPlan::groupOp(std::size_t i) const
 {
-    if (i >= groups_.size())
+    if (i >= groupOps_.size())
         util::panic("PredictPlan::groupOp: bad group index");
-    return groups_[i].op;
+    return groupOps_[i];
 }
 
 double
 PredictPlan::groupHeavyUs(std::size_t i, hw::GpuModel gpu) const
 {
     const std::size_t slot = static_cast<std::size_t>(gpu);
-    if (i >= groups_.size() || slot >= groups_[i].recipes.size())
+    const std::size_t slots = heavyUs_.size();
+    if (i >= groupOps_.size() || slot >= slots)
         util::panic("PredictPlan::groupHeavyUs: bad group or GPU slot");
-    const OpGroup &group = groups_[i];
-    const GpuRecipe &recipe = group.recipes[slot];
-    if (!recipe.viaModel)
-        return static_cast<double>(group.rows) * recipe.flatUs;
-    const double *matrix = recipe.quadratic ? group.quadFeatures.data()
-                                            : group.features.data();
-    return plan_kernel::dotClampSum(matrix, group.rows,
-                                    recipe.weights.size(),
-                                    recipe.weights.data(),
-                                    recipe.scales.data(),
-                                    recipe.intercept);
+    return groupUs_[i * slots + slot];
 }
 
 double
 PredictPlan::heavyUs(hw::GpuModel gpu) const
 {
     const std::size_t slot = static_cast<std::size_t>(gpu);
-    Memo &memo = *memo_;
-    if (slot >= memo.ready.size())
+    if (slot >= heavyUs_.size())
         util::panic("PredictPlan::heavyUs: unknown GPU slot");
-    if (memo.ready[slot].load(std::memory_order_acquire)) {
-        OBS_COUNTER_INC("predictor.memo_hits");
-        return memo.value[slot];
-    }
-
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    if (memo.ready[slot].load(std::memory_order_relaxed)) {
-        OBS_COUNTER_INC("predictor.memo_hits");
-        return memo.value[slot];
-    }
-
-    double heavy = 0.0;
-    for (std::size_t i = 0; i < groups_.size(); ++i)
-        heavy += groupHeavyUs(i, gpu);
-    memo.value[slot] = heavy;
-    memo.ready[slot].store(true, std::memory_order_release);
-    OBS_COUNTER_INC("predictor.memo_fills");
-    return heavy;
+    return heavyUs_[slot];
 }
 
 double
@@ -124,24 +97,8 @@ PredictPlan::cpuUs() const
 std::size_t
 PredictPlan::approxBytes() const
 {
-    std::size_t bytes = sizeof *this;
-    for (const OpGroup &group : groups_) {
-        bytes += sizeof group;
-        bytes += (group.features.capacity() +
-                  group.quadFeatures.capacity()) *
-                 sizeof(double);
-        for (const GpuRecipe &recipe : group.recipes) {
-            bytes += sizeof recipe;
-            bytes += (recipe.weights.capacity() +
-                      recipe.scales.capacity()) *
-                     sizeof(double);
-        }
-    }
-    if (memo_)
-        bytes += sizeof(Memo) +
-                 memo_->ready.capacity() * sizeof(std::atomic<bool>) +
-                 memo_->value.capacity() * sizeof(double);
-    return bytes;
+    return sizeof *this + groupOps_.capacity() * sizeof(graph::OpType) +
+           (groupUs_.capacity() + heavyUs_.capacity()) * sizeof(double);
 }
 
 PredictPlan
@@ -155,14 +112,16 @@ CeerPredictor::compile(const graph::Graph &g) const
     plan.cpuMedianUs_ = model_.cpuMedianUs;
     plan.paramCount_ = static_cast<double>(g.totalParameters());
 
-    std::size_t gpu_slots = 0;
+    std::size_t slots = 0;
     for (hw::GpuModel gpu : hw::allGpuModels())
-        gpu_slots = std::max(gpu_slots,
-                             static_cast<std::size_t>(gpu) + 1);
+        slots = std::max(slots, static_cast<std::size_t>(gpu) + 1);
 
     // One walk: classify every node once; heavy instances append a
-    // feature row to their op type's group (groups in first-appearance
-    // order, rows in graph order — the accumulation order contract).
+    // feature row to their op type's row-major matrix (groups in
+    // first-appearance order, rows in graph order — the accumulation
+    // order contract).
+    const std::size_t d = profile::kNumOpFeatures;
+    std::vector<std::vector<double>> features;
     for (const graph::Node &node : g.nodes()) {
         switch (model_.classify(node.type)) {
           case OpClass::Cpu:
@@ -172,71 +131,71 @@ CeerPredictor::compile(const graph::Graph &g) const
             ++plan.lightCount_;
             break;
           case OpClass::Heavy: {
-            PredictPlan::OpGroup *group = nullptr;
-            for (PredictPlan::OpGroup &candidate : plan.groups_) {
-                if (candidate.op == node.type) {
-                    group = &candidate;
-                    break;
-                }
+            const std::size_t group = static_cast<std::size_t>(
+                std::find(plan.groupOps_.begin(), plan.groupOps_.end(),
+                          node.type) -
+                plan.groupOps_.begin());
+            if (group == plan.groupOps_.size()) {
+                plan.groupOps_.push_back(node.type);
+                features.emplace_back();
             }
-            if (!group) {
-                plan.groups_.emplace_back();
-                group = &plan.groups_.back();
-                group->op = node.type;
-            }
-            const std::vector<double> features =
-                profile::opFeatures(node);
-            group->features.insert(group->features.end(),
-                                   features.begin(), features.end());
-            ++group->rows;
+            const std::vector<double> row = profile::opFeatures(node);
+            features[group].insert(features[group].end(), row.begin(),
+                                   row.end());
             ++plan.heavyCount_;
             break;
           }
         }
     }
 
-    // Per-GPU evaluation recipes: snapshot the fitted model in the
-    // scaled space predict() actually computes in, or record the flat
-    // per-node fallback (unusable fit -> clamped median; never
-    // profiled on this GPU -> the paper's light-median rule). The
-    // quadratic expansion is materialized lazily in the sense that it
-    // exists only when some GPU's fitted model selected it.
-    for (PredictPlan::OpGroup &group : plan.groups_) {
-        group.recipes.resize(gpu_slots);
-        bool any_quadratic = false;
+    // Every group on every GPU: the fitted model as a dense mat-vec in
+    // the scaled space predict() computes in (over the quadratic
+    // expansion, built once per group, when the fit selected it), or
+    // the flat per-node fallback (unusable fit -> clamped median;
+    // never profiled on this GPU -> the paper's light-median rule).
+    plan.groupUs_.assign(plan.groupOps_.size() * slots, 0.0);
+    std::vector<double> quad;
+    for (std::size_t i = 0; i < plan.groupOps_.size(); ++i) {
+        const std::vector<double> &raw = features[i];
+        const std::size_t rows = raw.size() / d;
+        quad.clear();
         for (hw::GpuModel gpu : hw::allGpuModels()) {
-            PredictPlan::GpuRecipe &recipe =
-                group.recipes[static_cast<std::size_t>(gpu)];
-            const OpTimeModel *op_model = model_.opModel(gpu, group.op);
+            double &us =
+                plan.groupUs_[i * slots + static_cast<std::size_t>(gpu)];
+            const OpTimeModel *op_model =
+                model_.opModel(gpu, plan.groupOps_[i]);
             if (!op_model) {
-                recipe.flatUs = model_.lightMedianUs;
-            } else if (!op_model->usable) {
-                recipe.flatUs = std::max(op_model->medianUs, 1.0);
-            } else {
-                recipe.viaModel = true;
-                recipe.quadratic = op_model->quadratic;
-                recipe.weights = op_model->model.scaledWeights();
-                recipe.scales = op_model->model.scales();
-                recipe.intercept = op_model->model.intercept();
-                any_quadratic |= op_model->quadratic;
+                us = static_cast<double>(rows) * model_.lightMedianUs;
+                continue;
             }
-        }
-        if (any_quadratic) {
-            const std::size_t d = profile::kNumOpFeatures;
-            group.quadFeatures.reserve(group.rows * 2 * d);
-            for (std::size_t row = 0; row < group.rows; ++row) {
-                const double *raw = group.features.data() + row * d;
-                for (std::size_t j = 0; j < d; ++j)
-                    group.quadFeatures.push_back(raw[j]);
-                for (std::size_t j = 0; j < d; ++j)
-                    group.quadFeatures.push_back(raw[j] * raw[j]);
+            if (!op_model->usable) {
+                us = static_cast<double>(rows) *
+                     std::max(op_model->medianUs, 1.0);
+                continue;
             }
+            if (op_model->quadratic && quad.empty()) {
+                quad.reserve(rows * 2 * d);
+                for (std::size_t row = 0; row < rows; ++row) {
+                    const double *x = raw.data() + row * d;
+                    quad.insert(quad.end(), x, x + d);
+                    for (std::size_t j = 0; j < d; ++j)
+                        quad.push_back(x[j] * x[j]);
+                }
+            }
+            const LinearModel &fit = op_model->model;
+            us = plan_kernel::dotClampSum(
+                op_model->quadratic ? quad.data() : raw.data(), rows,
+                fit.featureCount(), fit.scaledWeights().data(),
+                fit.scales().data(), fit.intercept());
         }
     }
 
-    plan.memo_ = std::make_unique<PredictPlan::Memo>();
-    plan.memo_->ready = std::vector<std::atomic<bool>>(gpu_slots);
-    plan.memo_->value.assign(gpu_slots, 0.0);
+    // The heavy term per GPU: group sums added in group order from
+    // 0.0, the accumulation order of the scalar reference.
+    plan.heavyUs_.assign(slots, 0.0);
+    for (std::size_t slot = 0; slot < slots; ++slot)
+        for (std::size_t i = 0; i < plan.groupOps_.size(); ++i)
+            plan.heavyUs_[slot] += plan.groupUs_[i * slots + slot];
     return plan;
 }
 

@@ -4,25 +4,26 @@
  * of the predictor's compile -> evaluate split, and the only Eq. 2
  * evaluator in the library.
  *
- * Eq. 2 is additive over graph operations, so nothing about a CNN's
- * contribution to a prediction depends on the candidate (GPU, k)
- * being scored. CeerPredictor::compile walks the graph exactly once —
- * classifying every node and extracting its features — and produces a
- * PredictPlan:
+ * Eq. 2 is additive over graph operations, so a CNN's heavy-op term
+ * on a given GPU is one fixed number: only the communication term
+ * depends on the data-parallel width k. CeerPredictor::compile walks
+ * the graph exactly once, classifying every node and extracting its
+ * features, then evaluates every heavy op-type group on every GPU
+ * right away and keeps only the numbers. A PredictPlan holds:
  *
- *  - per heavy op type, a dense row-major feature matrix (one row per
- *    node instance, profile::kNumOpFeatures columns) plus the
- *    quadratically-expanded matrix, materialized only when some
- *    (GPU, op) model actually selected the quadratic fit;
- *  - the evaluation recipe per GPU (scaled-space weights/scales/
- *    intercept snapshot, or the flat per-node fallback);
- *  - light / CPU op counts and the cached parameter count.
+ *  - the heavy groups' op types, in first-appearance order;
+ *  - a groups x GPU-slot table of group sums, and their per-GPU
+ *    total (the heavy term);
+ *  - light / CPU op counts, the snapshotted medians and the cached
+ *    parameter count.
  *
- * predictIterationUs(plan, gpu, k) then reduces to one dense
- * matrix-vector product per heavy op type with the per-node
- * max(., 1.0) clamp applied lane-wise in a vectorized kernel — and a
- * per-(plan, GPU) memo caches that heavy sum, so scoring the same GPU
- * at another k recomputes only the communication-overhead term.
+ * A group sum is one dense matrix-vector product over the group's
+ * feature matrix (quadratically expanded when the fitted model is
+ * quadratic) with the per-node max(., 1.0) clamp applied lane-wise
+ * in a vectorized kernel, or rows * the flat fallback. The feature
+ * matrices live only inside compile(), so predictIterationUs(plan,
+ * gpu, k) is a table lookup plus the communication term, and the
+ * plan's size does not grow with the graph's node count.
  *
  * Determinism contract: evaluating a plan is bit-identical to a
  * per-node scalar reference built from the public model API
@@ -33,18 +34,14 @@
  * reference lives in tests/predict_plan_test.cc
  * (PredictPlanTest.MatchesScalarWalkBitForBit) and is checked across
  * the whole model zoo.
- * Plans are immutable after compile() apart from the memo, whose
- * lazy fill is thread-safe (double-checked atomics + mutex), so one
- * plan may be evaluated from many threads concurrently.
+ * Plans are immutable after compile(), so one plan may be evaluated
+ * from many threads concurrently.
  */
 
 #ifndef CEER_CORE_PREDICT_PLAN_H
 #define CEER_CORE_PREDICT_PLAN_H
 
-#include <atomic>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "graph/op_type.h"
@@ -59,8 +56,8 @@ class CeerPredictor;
  * A graph compiled against one predictor's model. Obtain via
  * CeerPredictor::compile(); evaluate via predictIterationUs /
  * predictTraining / predictBatch / breakdown on the SAME predictor
- * (the plan snapshots the op models, but the communication model is
- * read from the live predictor at evaluation time).
+ * (the plan holds the op models' results, but the communication
+ * model is read from the live predictor at evaluation time).
  */
 class PredictPlan
 {
@@ -72,7 +69,7 @@ class PredictPlan
     std::size_t nodeCount() const { return nodeCount_; }
 
     /** Heavy op-type groups (first-appearance order). */
-    std::size_t groupCount() const { return groups_.size(); }
+    std::size_t groupCount() const { return groupOps_.size(); }
 
     /** Op type of heavy group @p i. */
     graph::OpType groupOp(std::size_t i) const;
@@ -81,7 +78,7 @@ class PredictPlan
      * Heavy-term contribution of group @p i on @p gpu: its nodes'
      * clamped regression estimates summed in graph order, or rows *
      * the flat fallback. heavyUs() is the sum of these in group
-     * order. Not memoized.
+     * order. Computed at compile.
      */
     double groupHeavyUs(std::size_t i, hw::GpuModel gpu) const;
 
@@ -98,9 +95,8 @@ class PredictPlan
     double paramCount() const { return paramCount_; }
 
     /**
-     * Memoized heavy-term sum for @p gpu: the sum over all heavy nodes
-     * of their clamped regression estimates, computed by the
-     * vectorized kernel on first use and cached. Thread-safe.
+     * Heavy-term sum for @p gpu: the sum over all heavy nodes of their
+     * clamped regression estimates, computed at compile.
      */
     double heavyUs(hw::GpuModel gpu) const;
 
@@ -111,9 +107,9 @@ class PredictPlan
     double cpuUs() const;
 
     /**
-     * Approximate resident size in bytes (feature matrices, recipes,
-     * memo). Used for cache accounting — an estimate, not an exact
-     * heap measurement.
+     * Approximate resident size in bytes (the plan object plus its
+     * group and per-GPU tables). Used for cache accounting — an
+     * estimate, not an exact heap measurement.
      */
     std::size_t approxBytes() const;
 
@@ -121,44 +117,12 @@ class PredictPlan
     friend class CeerPredictor;
     PredictPlan() = default;
 
-    /** How one heavy op-type group is evaluated on one GPU. */
-    struct GpuRecipe
-    {
-        /** True: dense matvec over the group's matrix. False: every
-         *  node contributes flatUs (unusable-model clamped median, or
-         *  the light-median fallback for never-profiled ops). */
-        bool viaModel = false;
-        bool quadratic = false;       ///< Use the expanded matrix.
-        std::vector<double> weights;  ///< Scaled-space weights.
-        std::vector<double> scales;   ///< Per-feature divisors.
-        double intercept = 0.0;
-        double flatUs = 0.0;
-    };
-
-    /** All instances of one heavy op type, in graph order. */
-    struct OpGroup
-    {
-        graph::OpType op = graph::OpType::Identity;
-        std::size_t rows = 0;
-        /** Row-major rows x kNumOpFeatures raw feature matrix. */
-        std::vector<double> features;
-        /** Row-major rows x 2*kNumOpFeatures quadratic expansion;
-         *  empty unless some GPU's fitted model is quadratic. */
-        std::vector<double> quadFeatures;
-        /** Indexed by static_cast<std::size_t>(hw::GpuModel). */
-        std::vector<GpuRecipe> recipes;
-    };
-
-    /** Lazily-filled per-GPU heavy-sum cache. Lives behind a
-     *  unique_ptr so the plan stays movable. */
-    struct Memo
-    {
-        std::mutex mutex;
-        std::vector<std::atomic<bool>> ready;
-        std::vector<double> value;
-    };
-
-    std::vector<OpGroup> groups_;
+    std::vector<graph::OpType> groupOps_;
+    /** Row-major groups x GPU-slot table of group sums; a GPU's slot
+     *  is static_cast<std::size_t>(hw::GpuModel). */
+    std::vector<double> groupUs_;
+    /** Per GPU slot: its groupUs_ column summed in group order. */
+    std::vector<double> heavyUs_;
     std::size_t nodeCount_ = 0;
     std::size_t heavyCount_ = 0;
     std::size_t lightCount_ = 0;
@@ -166,7 +130,6 @@ class PredictPlan
     double lightMedianUs_ = 0.0;
     double cpuMedianUs_ = 0.0;
     double paramCount_ = 0.0;
-    std::unique_ptr<Memo> memo_;
 };
 
 namespace plan_kernel {

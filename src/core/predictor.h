@@ -112,17 +112,18 @@ class CeerPredictor
 
     /**
      * Compiles @p g against this predictor's model: one graph walk
-     * produces a PredictPlan (dense per-op-type feature matrices,
-     * per-GPU evaluation recipes, cached counts) that the members
-     * below evaluate in a handful of dense matrix-vector products;
-     * see predict_plan.h for the determinism contract. The plan is
-     * only meaningful with the predictor that compiled it.
+     * builds dense per-op-type feature matrices, which are evaluated
+     * on every GPU right away; the PredictPlan keeps only the per-GPU
+     * heavy sums and cached counts, so the members below add just the
+     * communication term. See predict_plan.h for the determinism
+     * contract. The plan is only meaningful with the predictor that
+     * compiled it.
      */
     PredictPlan compile(const graph::Graph &g) const;
 
     /**
      * Predicted per-iteration training time (Eq. 2). The heavy term
-     * is memoized per GPU in the plan.
+     * is read from the plan.
      *
      * @param plan     Training graph (per-GPU batch) compiled here.
      * @param gpu      GPU model.
@@ -160,8 +161,8 @@ class CeerPredictor
     /**
      * Evaluates every (GPU, k) candidate against one compiled plan.
      * Element i is predictIterationUs(plan, requests[i], ...); across
-     * requests that share a GPU only the communication term is
-     * recomputed (the heavy term is memoized per GPU in the plan).
+     * requests only the communication term is computed (the plan
+     * holds each GPU's heavy term).
      */
     std::vector<double>
     predictBatch(const PredictPlan &plan,

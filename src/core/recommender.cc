@@ -51,8 +51,7 @@ recommend(const CeerPredictor &predictor, const WorkloadSpec &workload,
     if (!workload.graph)
         util::panic("recommend: workload has no graph");
     // Compile the workload once; every candidate scores against the
-    // shared plan (its per-GPU memo is thread-safe, so the sweep can
-    // fan out).
+    // shared plan (immutable after compile, so the sweep can fan out).
     const PredictPlan plan = predictor.compile(*workload.graph);
     return recommend(predictor, plan, workload, candidates, objective,
                      constraints, threads);
@@ -150,8 +149,8 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
             evaluation.costUsd <= constraints.totalBudgetUsd;
     };
 
-    // One candidate scores in well under a microsecond once the plan's
-    // heavy term is memoized, so per-candidate chunks would drown in
+    // One candidate scores in well under a microsecond, since the
+    // plan holds its heavy term, so per-candidate chunks would drown in
     // scheduling overhead. The measured-first-chunk grain controller
     // coarsens the sweep into contiguous blocks (minGrain keeps the
     // probe itself above timer noise), and the shared pool's parked

@@ -97,7 +97,7 @@ LinearModel::fit(const std::vector<std::vector<double>> &X,
 }
 
 double
-LinearModel::predict(const std::vector<double> &x) const
+LinearModel::predict(std::span<const double> x) const
 {
     if (x.size() != weights_.size())
         util::panic(util::format(

@@ -12,6 +12,7 @@
 #ifndef CEER_CORE_REGRESSION_H
 #define CEER_CORE_REGRESSION_H
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,7 @@ class LinearModel
                            double ridge = 1e-8);
 
     /** Predicted value for @p x (must match the fitted arity). */
-    double predict(const std::vector<double> &x) const;
+    double predict(std::span<const double> x) const;
 
     /** Coefficient of determination on a dataset. */
     double rSquared(const std::vector<std::vector<double>> &X,

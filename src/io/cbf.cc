@@ -661,8 +661,11 @@ CbfFile::tryLoad(const std::string &path, CbfFile *out,
 
 bool
 CbfFile::tryMap(const std::string &path, CbfFile *out,
-                std::string *error)
+                std::string *error, bool *unmapped)
 {
+    bool ignored;
+    bool &failed_to_map = unmapped ? *unmapped : ignored;
+    failed_to_map = true;
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         *error = "cannot open '" + path + "'";
@@ -676,6 +679,7 @@ CbfFile::tryMap(const std::string &path, CbfFile *out,
     }
     const std::size_t size = static_cast<std::size_t>(st.st_size);
     if (size < kHeaderSize) {
+        failed_to_map = false;
         ::close(fd);
         *error = util::format(
             "truncated file: %zu bytes, need at least %zu for the "
@@ -689,6 +693,7 @@ CbfFile::tryMap(const std::string &path, CbfFile *out,
         *error = "mmap of '" + path + "' failed";
         return false;
     }
+    failed_to_map = false;
     CbfFile parsed;
     parsed.mapping_ = mapping;
     parsed.mapped_ = true;
@@ -914,9 +919,10 @@ sniffFile(const std::string &path, FileFormat *format,
 bool
 tryOpenCbf(const std::string &path, CbfFile *out, std::string *error)
 {
-    std::string map_error;
-    return CbfFile::tryMap(path, out, &map_error) ||
-           CbfFile::tryLoad(path, out, error);
+    bool unmapped = false;
+    if (CbfFile::tryMap(path, out, error, &unmapped))
+        return true;
+    return unmapped && CbfFile::tryLoad(path, out, error);
 }
 
 bool

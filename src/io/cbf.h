@@ -199,11 +199,13 @@ class CbfFile
     /**
      * mmap zero-copy path: maps @p path read-only, validates the
      * header and every section checksum against the mapping, and
-     * serves column pointers straight out of it. Falls back nowhere —
-     * callers that want resilience try tryLoad() next.
+     * serves column pointers straight out of it. Falls back nowhere.
+     * When @p unmapped is given, it is set to whether a failure came
+     * before validation (open, fstat or mmap failed), the one case in
+     * which the streaming reader (tryLoad) is worth trying.
      */
     static bool tryMap(const std::string &path, CbfFile *out,
-                       std::string *error);
+                       std::string *error, bool *unmapped = nullptr);
 
     /** Validates an in-memory byte string (tests, cache probes). */
     static bool tryParse(std::string bytes, CbfFile *out,
@@ -295,8 +297,10 @@ bool sniffFile(const std::string &path, FileFormat *format,
 
 /**
  * Opens the CBF file at @p path through the mmap zero-copy path,
- * falling back to the streaming reader (identical validation) when
- * the mapping fails, as it can on exotic filesystems.
+ * falling back to the streaming reader (identical validation) only
+ * when the file cannot be mapped, as on exotic filesystems. A file
+ * that maps but fails validation is rejected with the mapped read's
+ * error and is validated once.
  */
 bool tryOpenCbf(const std::string &path, CbfFile *out,
                 std::string *error);

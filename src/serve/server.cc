@@ -559,26 +559,6 @@ Server::handleRequest(Session &session, const char *payload,
                 auto plan =
                     std::make_shared<const core::PredictPlan>(
                         engine->predictor.compile(*fresh.graph));
-                // Coalesced warm-up: evaluate every distinct (GPU, k)
-                // cell of the catalog through one predictBatch call,
-                // so the sweep below (and every request sharing this
-                // plan) hits only the memo.
-                std::vector<core::PredictRequest> warm;
-                for (const cloud::GpuInstance &instance :
-                     candidates_) {
-                    bool seen = false;
-                    for (const core::PredictRequest &w : warm) {
-                        if (w.gpu == instance.gpu &&
-                            w.numGpus == instance.numGpus) {
-                            seen = true;
-                            break;
-                        }
-                    }
-                    if (!seen)
-                        warm.push_back(core::PredictRequest{
-                            instance.gpu, instance.numGpus});
-                }
-                engine->predictor.predictBatch(*plan, warm);
                 // The memory-fit walk is the recommender's only
                 // O(nodes) per-query step; bake the verdicts into the
                 // entry so warm sweeps skip it.
@@ -603,7 +583,8 @@ Server::handleRequest(Session &session, const char *payload,
                                     : core::Objective::MinCost);
 
     // The sweep, projection and encode all write into per-session
-    // scratch: a warm request allocates nothing from here on. The
+    // scratch reused across requests; the one allocation left from
+    // here on is the sweep's span name (docs/serving.md). The
     // automatic sweep (threads = 0) forks onto the shared pool only for
     // catalogs at or above core::kParallelSweepMinCandidates.
     core::recommendInto(engine->predictor, *entry->plan, workload,

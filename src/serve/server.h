@@ -24,12 +24,13 @@
  * a hot reload invalidates entries lazily by engine generation while
  * in-flight requests keep their pinned entry.
  *
- * The steady-state request path performs no heap allocation: frames
+ * The steady-state request path performs a fixed handful of heap
+ * allocations (2 per warm request, both temporary strings): frames
  * are decoded in place from the session's input buffer (CBF view
  * parse), the candidate sweep, response projection and encode all
  * write into per-session reusable scratch, and the response frame is
- * built into a reusable output buffer. bench/micro_serve enforces
- * this with an operator-new counting gate.
+ * built into a reusable output buffer. bench/micro_serve enforces a
+ * budget with an operator-new counting gate.
  *
  * Admission control is a bounded queue: once `maxQueueDepth` requests
  * are admitted and not yet answered (across all reactors), further
@@ -169,8 +170,8 @@ class Server
 
         /**
          * Reusable request-path scratch, touched only by the owning
-         * reactor thread. Once warm, a recommend request allocates
-         * nothing.
+         * reactor thread. Once warm, a recommend request reuses these
+         * buffers instead of allocating them.
          */
         RecommendRequest requestScratch;     ///< Decoded request.
         io::CbfFile requestFile;             ///< View-parse scratch.

@@ -560,6 +560,26 @@ TEST(CbfTest, ChecksumFailuresTickTheCounter)
                   "io.checksum_failures"), 1u);
 }
 
+TEST(CbfTest, CorruptFileIsValidatedOnceWhenOpened)
+{
+    // A file that maps but fails validation must not be re-read by the
+    // streaming fallback: one open, one checksum failure, and the
+    // mapped read's error.
+    obs::ScopedEnable on(true);
+    obs::resetMetrics();
+    std::string bad = sampleBuilder().build();
+    bad.back() ^= 0x01;
+    const std::string path = tempPath("flipped.cbf");
+    writeFile(path, bad);
+    CbfFile out;
+    std::string error;
+    EXPECT_FALSE(tryOpenCbf(path, &out, &error));
+    EXPECT_NE(error.find("checksum mismatch"), std::string::npos)
+        << error;
+    EXPECT_EQ(obs::snapshotMetrics().counterValue(
+                  "io.checksum_failures"), 1u);
+}
+
 TEST(CbfTest, SniffFileSeparatesDialects)
 {
     const std::string cbf_path = tempPath("sniff.cbf");

@@ -294,8 +294,9 @@ TEST(PredictPlanTest, PredictBatchMatchesIndividualCalls)
 
 TEST(PredictPlanTest, MemoizedPlanIsReusableAcrossGpus)
 {
-    // Two evaluation rounds over one plan: the second round hits the
-    // per-GPU memo and must return the same bits as the first.
+    // Two evaluation rounds over one plan: the second round reads the
+    // same compiled per-GPU heavy term and must return the same bits
+    // as the first.
     const CeerPredictor &predictor = cheapPredictor();
     const Graph g = models::buildModel("vgg_11", 32);
     const PredictPlan plan = predictor.compile(g);
@@ -303,6 +304,25 @@ TEST(PredictPlanTest, MemoizedPlanIsReusableAcrossGpus)
         const double first = predictor.predictIterationUs(plan, gpu, 1);
         const double second = predictor.predictIterationUs(plan, gpu, 1);
         EXPECT_EQ(bits(first), bits(second));
+    }
+}
+
+TEST(PredictPlanTest, PlanSizeDoesNotGrowWithNodeCount)
+{
+    // A compiled plan keeps one number per (group, GPU) and per GPU,
+    // not the feature matrices it was computed from: its size is
+    // bounded by group count x GPU slots whatever the node count.
+    const CeerPredictor &predictor = cheapPredictor();
+    const std::size_t slots = hw::allGpuModels().size();
+    for (const std::string &name : models::allModelNames()) {
+        const Graph g = models::buildModel(name, 32);
+        const PredictPlan plan = predictor.compile(g);
+        const std::size_t bound =
+            sizeof plan +
+            (plan.groupCount() + 1) * (slots + 1) * sizeof(double);
+        EXPECT_LE(plan.approxBytes(), bound)
+            << name << ": " << plan.groupCount() << " groups, "
+            << plan.nodeCount() << " nodes";
     }
 }
 

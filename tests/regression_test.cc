@@ -49,7 +49,7 @@ TEST(LinearModelTest, RecoversExactLinearRelation)
         }
     }
     const LinearModel model = LinearModel::fit(X, y);
-    EXPECT_NEAR(model.predict({4.0, 1.0}), 17.0, 1e-6);
+    EXPECT_NEAR(model.predict(std::vector<double>{4.0, 1.0}), 17.0, 1e-6);
     EXPECT_NEAR(model.rSquared(X, y), 1.0, 1e-9);
     const auto weights = model.weights();
     EXPECT_NEAR(weights[0], 3.0, 1e-6);
@@ -70,7 +70,7 @@ TEST(LinearModelTest, HandlesByteScaleFeatures)
     }
     const LinearModel model = LinearModel::fit(X, y);
     EXPECT_GT(model.rSquared(X, y), 0.999);
-    EXPECT_NEAR(model.predict({1e8}), 12.0 + 1e8 / 65e3,
+    EXPECT_NEAR(model.predict(std::vector<double>{1e8}), 12.0 + 1e8 / 65e3,
                 0.01 * (12.0 + 1e8 / 65e3));
 }
 
@@ -86,7 +86,7 @@ TEST(LinearModelTest, ToleratesCollinearFeatures)
     }
     const LinearModel model = LinearModel::fit(X, y);
     EXPECT_GT(model.rSquared(X, y), 0.999);
-    EXPECT_NEAR(model.predict({10.0, 20.0}), 51.0, 0.5);
+    EXPECT_NEAR(model.predict(std::vector<double>{10.0, 20.0}), 51.0, 0.5);
 }
 
 TEST(LinearModelTest, RSquaredOfMeanPredictorIsZero)
@@ -149,7 +149,7 @@ TEST(LinearModelTest, MismatchedArityDies)
 {
     const LinearModel model =
         LinearModel::fit({{1.0, 2.0}}, {3.0});
-    EXPECT_DEATH(model.predict({1.0}), "arity");
+    EXPECT_DEATH(model.predict(std::vector<double>{1.0}), "arity");
     EXPECT_DEATH(LinearModel::fit({}, {}), "empty");
 }
 
@@ -182,7 +182,7 @@ TEST(LinearModelTest, TryDeserializeReportsMalformedText)
 
     ASSERT_TRUE(LinearModel::tryDeserialize("1.5;2,4", &model, &error));
     // b + w * (x / s) = 1.5 + 2 * (8 / 4) = 5.5.
-    EXPECT_DOUBLE_EQ(model.predict({8.0}), 5.5);
+    EXPECT_DOUBLE_EQ(model.predict(std::vector<double>{8.0}), 5.5);
 }
 
 TEST(LinearModelTest, DeserializeFailureLeavesModelUntouched)
@@ -193,7 +193,7 @@ TEST(LinearModelTest, DeserializeFailureLeavesModelUntouched)
     EXPECT_FALSE(
         LinearModel::tryDeserialize("9;8,garbage", &model, &error));
     // The earlier valid state survives a failed re-load.
-    EXPECT_DOUBLE_EQ(model.predict({4.0}), 3.0);
+    EXPECT_DOUBLE_EQ(model.predict(std::vector<double>{4.0}), 3.0);
 }
 
 } // namespace

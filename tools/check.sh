@@ -226,9 +226,9 @@ pass_tsan() {
     # fan-out across the thread pool with deterministic merge.
     ./build-tsan/tests/sim_test \
         --gtest_filter='SimulatorTest.ParallelRunIsByteIdenticalToSerial:SimulatorTest.RunIsByteIdenticalWithObservabilityOn'
-    # The parallel recommender sweep (shared PredictPlan memo under
-    # concurrent first-touch) and the parallel trainer fits under
-    # TSan, with and without observability.
+    # The parallel recommender sweep (one immutable PredictPlan read
+    # by every worker) and the parallel trainer fits under TSan, with
+    # and without observability.
     ./build-tsan/tests/predict_plan_test \
         --gtest_filter='ParallelRecommenderTest.*:ParallelTrainerTest.*:SerialAndParallel/*'
     # The cross-predictor evaluation sweep under TSan: every engine
