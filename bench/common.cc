@@ -1,6 +1,7 @@
 #include "bench/common.h"
 
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 
@@ -262,6 +263,25 @@ addScalingFields(JsonObject &doc, unsigned hardwareThreads,
 {
     doc.num("hardware_threads", hardwareThreads);
     doc.boolean("skipped_scaling", !scalingMeaningful);
+}
+
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+JsonObject
+spreadJson(const std::vector<double> &sorted)
+{
+    JsonObject spread;
+    spread.num("median", sorted[sorted.size() / 2], "%.3f")
+        .num("min", sorted.front(), "%.3f")
+        .num("max", sorted.back(), "%.3f");
+    return spread;
 }
 
 bool

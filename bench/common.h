@@ -182,6 +182,15 @@ class JsonObject
 void addScalingFields(JsonObject &doc, unsigned hardwareThreads,
                       bool scalingMeaningful);
 
+/** CPU time consumed by the calling thread, in seconds. */
+double threadCpuSeconds();
+
+/**
+ * Median/min/max of @p sorted (ascending, nonempty) trials, rendered
+ * as one JSON object with "%.3f" values.
+ */
+JsonObject spreadJson(const std::vector<double> &sorted);
+
 /**
  * Writes @p doc to @p path ("" disables; that counts as success).
  * Returns false after a "cannot open <path>" diagnostic on stderr when

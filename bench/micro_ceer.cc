@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <ctime>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -81,27 +80,6 @@ constexpr int kGraphBuildTrials = 21;
 /** Batch size of the timed zoo builds (the paper's default). */
 constexpr std::int64_t kGraphBuildBatch = 32;
 
-/** CPU time consumed by the calling thread, in seconds. */
-double
-threadCpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/** Median/min/max of sorted trials, rendered as one JSON object. */
-bench::JsonObject
-spreadJson(const std::vector<double> &sorted)
-{
-    bench::JsonObject spread;
-    spread.num("median", sorted[sorted.size() / 2], "%.3f")
-        .num("min", sorted.front(), "%.3f")
-        .num("max", sorted.back(), "%.3f");
-    return spread;
-}
-
 /** Builds every zoo CNN once and returns the total node count. */
 std::size_t
 buildZoo()
@@ -130,13 +108,13 @@ measureGraphBuild(bench::JsonObject &block)
 
     std::vector<double> wall_ms, cpu_ms;
     for (int t = 0; t < kGraphBuildTrials; ++t) {
-        const double cpu_start = threadCpuSeconds();
+        const double cpu_start = bench::threadCpuSeconds();
         const auto start = Clock::now();
         buildZoo();
         wall_ms.push_back(std::chrono::duration<double, std::milli>(
                               Clock::now() - start)
                               .count());
-        cpu_ms.push_back((threadCpuSeconds() - cpu_start) * 1e3);
+        cpu_ms.push_back((bench::threadCpuSeconds() - cpu_start) * 1e3);
     }
     std::sort(wall_ms.begin(), wall_ms.end());
     std::sort(cpu_ms.begin(), cpu_ms.end());
@@ -165,8 +143,8 @@ measureGraphBuild(bench::JsonObject &block)
         .num("batch", kGraphBuildBatch)
         .num("nodes", static_cast<std::int64_t>(nodes))
         .num("trials", kGraphBuildTrials)
-        .object("wall_ms", spreadJson(wall_ms))
-        .object("thread_cpu_ms", spreadJson(cpu_ms))
+        .object("wall_ms", bench::spreadJson(wall_ms))
+        .object("thread_cpu_ms", bench::spreadJson(cpu_ms))
         .num("us_per_node", us_per_node, "%.4f");
     if (hooked)
         block.num("allocs_per_node", allocs_per_node, "%.2f");

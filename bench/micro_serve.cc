@@ -234,7 +234,7 @@ main(int argc, char **argv)
     flags.defineString("qps-targets", "50,200,0",
                        "comma-separated target QPS ladder (0 = "
                        "unthrottled closed loop)");
-    flags.defineDouble("alloc-budget", 4.0,
+    flags.defineDouble("alloc-budget", 0.0,
                        "max heap allocations per warm recommend "
                        "request");
     flags.defineString("out", "BENCH_serve.json",

@@ -5,8 +5,11 @@
  * Measures single-thread iterations/sec of TrainingSimulator's batched
  * counter-based kernel, and verifies the parallel-run determinism
  * contract: RunStats from run(n, threads) must be byte-identical at
- * every thread count. Writes BENCH_sim.json so future changes can
- * track the perf trajectory.
+ * every thread count. Its sample_kernel block times the kernel layer
+ * alone — sim::kernel::gpuLaneUs over the GPU lanes of the training
+ * set's plans on every GPU — and fails the run when any draw differs
+ * from the scalar definition. Writes BENCH_sim.json so future changes
+ * can track the perf trajectory.
  *
  * The swept thread counts are capped at hardware_concurrency(): on an
  * oversubscribed host a "parallel speedup" below 1.0 is a scheduling
@@ -14,6 +17,7 @@
  * in the JSON rather than reported as a silent regression.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -22,7 +26,10 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "hw/gpu_spec.h"
 #include "models/model_zoo.h"
+#include "sim/exec_plan.h"
+#include "sim/sample_kernel.h"
 #include "sim/simulator.h"
 #include "util/flags.h"
 #include "util/strings.h"
@@ -58,6 +65,115 @@ statsIdentical(const sim::RunStats &a, const sim::RunStats &b)
            same(a.computeUs, b.computeUs) && same(a.commUs, b.commUs);
 }
 
+/** Timed passes in the sample_kernel block. */
+constexpr int kKernelTrials = 21;
+
+/** Batch size of the kernel block's plans (the profiling default). */
+constexpr std::int64_t kKernelBatch = 32;
+
+/** Replica stream keys per plan: ~2.5M draws, ~15 ms per pass. */
+constexpr int kKernelReps = 64;
+
+/**
+ * The kernel layer on its own: the GPU lanes of the training-set CNNs'
+ * plans on every GPU, kKernelReps replica stream keys per plan. One
+ * untimed observed pass checks every draw bit for bit against the
+ * scalar definition base * fastExp(sigma * inverseNormalCdf(u)); then
+ * kKernelTrials timed passes run the unobserved lane, the profiling
+ * sweep's k > 1 path. Fills @p block and returns false on any
+ * mismatch.
+ */
+bool
+measureSampleKernel(bench::JsonObject &block)
+{
+    const std::vector<std::string> &names = models::trainingSetNames();
+    std::vector<sim::ExecPlan> plans;
+    for (const std::string &name : names) {
+        const graph::Graph g = models::buildModel(name, kKernelBatch);
+        for (hw::GpuModel gpu : hw::allGpuModels())
+            plans.push_back(sim::ExecPlan::build(g, gpu));
+    }
+    auto streamKey = [](int rep) {
+        return sim::kernel::replicaStreamKey(0x5A3B1E, rep, 0);
+    };
+
+    std::vector<double> scratch(sim::kernel::kBlock), times;
+    std::uint64_t draws = 0, tail = 0, mismatches = 0;
+    for (const sim::ExecPlan &plan : plans) {
+        const std::size_t n = plan.gpuBaseUs.size();
+        times.resize(n);
+        for (int rep = 0; rep < kKernelReps; ++rep) {
+            sim::kernel::gpuLaneUs(streamKey(rep), plan.gpuBaseUs.data(),
+                                   plan.gpuSigma.data(), n,
+                                   scratch.data(), times.data());
+            const std::uint64_t lane =
+                util::hashMix(streamKey(rep), sim::kernel::kGpuLane);
+            for (std::size_t i = 0; i < n; ++i) {
+                const double u =
+                    util::uniformFromBits(util::hashMix(lane, i));
+                const double want =
+                    plan.gpuBaseUs[i] *
+                    sim::kernel::fastExp(plan.gpuSigma[i] *
+                                         util::inverseNormalCdf(u));
+                mismatches += bits(times[i]) != bits(want);
+                tail += u < util::kInverseNormalCdfLow ||
+                        u > 1.0 - util::kInverseNormalCdfLow;
+            }
+            draws += n;
+        }
+    }
+
+    std::vector<double> wall_ms, cpu_ms;
+    double checksum = 0.0;
+    for (int t = 0; t < kKernelTrials; ++t) {
+        const double cpu_start = bench::threadCpuSeconds();
+        const auto start = Clock::now();
+        for (const sim::ExecPlan &plan : plans)
+            for (int rep = 0; rep < kKernelReps; ++rep)
+                checksum += sim::kernel::gpuLaneUs(
+                    streamKey(rep), plan.gpuBaseUs.data(),
+                    plan.gpuSigma.data(), plan.gpuBaseUs.size(),
+                    scratch.data(), nullptr);
+        wall_ms.push_back(std::chrono::duration<double, std::milli>(
+                              Clock::now() - start)
+                              .count());
+        cpu_ms.push_back((bench::threadCpuSeconds() - cpu_start) * 1e3);
+    }
+    std::sort(wall_ms.begin(), wall_ms.end());
+    std::sort(cpu_ms.begin(), cpu_ms.end());
+    const double ns_per_sample =
+        wall_ms[wall_ms.size() / 2] * 1e6 / static_cast<double>(draws);
+    const double tail_fraction =
+        static_cast<double>(tail) / static_cast<double>(draws);
+
+    std::cout << util::format(
+        "sample kernel (%zu CNNs x %zu GPUs, %llu draws/pass): median "
+        "%.3f ms wall over %d trials, %.3f ns/sample, tail fraction "
+        "%.4f; checksum %.6e\n",
+        names.size(), hw::allGpuModels().size(),
+        static_cast<unsigned long long>(draws),
+        wall_ms[wall_ms.size() / 2], kKernelTrials, ns_per_sample,
+        tail_fraction, checksum);
+    std::cout << (mismatches == 0 ? "[PASS]" : "[FAIL]")
+              << util::format(" sample kernel matches the scalar "
+                              "definition (%llu of %llu draws differ)\n",
+                              static_cast<unsigned long long>(mismatches),
+                              static_cast<unsigned long long>(draws));
+
+    block.num("models", static_cast<std::int64_t>(names.size()))
+        .num("gpus", static_cast<std::int64_t>(hw::allGpuModels().size()))
+        .num("batch", kKernelBatch)
+        .num("reps", kKernelReps)
+        .num("draws", static_cast<std::int64_t>(draws))
+        .num("trials", kKernelTrials)
+        .object("wall_ms", bench::spreadJson(wall_ms))
+        .object("thread_cpu_ms", bench::spreadJson(cpu_ms))
+        .num("ns_per_sample", ns_per_sample, "%.4f")
+        .num("tail_fraction", tail_fraction, "%.5f")
+        .boolean("identity_ok", mismatches == 0);
+    return mismatches == 0;
+}
+
 } // namespace
 
 int
@@ -91,6 +207,9 @@ main(int argc, char **argv)
                           model + ", " + std::to_string(iters) +
                           " iterations)");
     std::cout << "hardware threads: " << hardware << "\n";
+
+    bench::JsonObject sample_kernel;
+    const bool kernel_ok = measureSampleKernel(sample_kernel);
 
     // --- Single-thread kernel throughput. ---
     sim::TrainingSimulator batched(g, config);
@@ -185,7 +304,8 @@ main(int argc, char **argv)
     bench::addScalingFields(doc, hardware, scaling_meaningful);
     doc.num("batched_iters_per_sec", batched_ips, "%.1f")
         .boolean("parallel_identity_ok", all_identical)
-        .num("below_serial_measurements", below_serial);
+        .num("below_serial_measurements", below_serial)
+        .object("sample_kernel", sample_kernel);
     std::vector<bench::JsonObject> rows;
     for (const Result &r : results) {
         bench::JsonObject row;
@@ -201,5 +321,5 @@ main(int argc, char **argv)
     if (!bench::writeBenchJson(flags.getString("out"), doc))
         return 1;
     bench::flushBenchMetrics();
-    return all_identical ? 0 : 1;
+    return all_identical && kernel_ok ? 0 : 1;
 }

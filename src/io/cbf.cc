@@ -707,7 +707,7 @@ CbfFile::tryMap(const std::string &path, CbfFile *out,
 }
 
 const ColumnDesc *
-CbfFile::find(const std::string &name) const
+CbfFile::find(std::string_view name) const
 {
     for (const ColumnDesc &column : columns_)
         if (column.name == name)
@@ -725,17 +725,17 @@ CbfFile::columnData(const ColumnDesc &desc) const
 }
 
 bool
-CbfFile::typedColumn(const std::string &name, DType dtype,
+CbfFile::typedColumn(std::string_view name, DType dtype,
                      const void **data, std::size_t *count,
                      std::string *error) const
 {
     const ColumnDesc *desc = find(name);
     if (!desc) {
-        *error = "missing column '" + name + "'";
+        *error = "missing column '" + std::string(name) + "'";
         return false;
     }
     if (desc->dtype != dtype) {
-        *error = "column '" + name + "' has dtype " +
+        *error = "column '" + std::string(name) + "' has dtype " +
                  dtypeName(desc->dtype) + ", expected " +
                  dtypeName(dtype);
         return false;
@@ -746,7 +746,7 @@ CbfFile::typedColumn(const std::string &name, DType dtype,
 }
 
 bool
-CbfFile::f64(const std::string &name, const double **data,
+CbfFile::f64(std::string_view name, const double **data,
              std::size_t *count, std::string *error) const
 {
     const void *raw;
@@ -757,7 +757,7 @@ CbfFile::f64(const std::string &name, const double **data,
 }
 
 bool
-CbfFile::u64(const std::string &name, const std::uint64_t **data,
+CbfFile::u64(std::string_view name, const std::uint64_t **data,
              std::size_t *count, std::string *error) const
 {
     const void *raw;
@@ -768,7 +768,7 @@ CbfFile::u64(const std::string &name, const std::uint64_t **data,
 }
 
 bool
-CbfFile::i64(const std::string &name, const std::int64_t **data,
+CbfFile::i64(std::string_view name, const std::int64_t **data,
              std::size_t *count, std::string *error) const
 {
     const void *raw;
@@ -779,7 +779,7 @@ CbfFile::i64(const std::string &name, const std::int64_t **data,
 }
 
 bool
-CbfFile::u8(const std::string &name, const std::uint8_t **data,
+CbfFile::u8(std::string_view name, const std::uint8_t **data,
             std::size_t *count, std::string *error) const
 {
     const void *raw;
@@ -790,7 +790,7 @@ CbfFile::u8(const std::string &name, const std::uint8_t **data,
 }
 
 bool
-CbfFile::bytes(const std::string &name, const char **data,
+CbfFile::bytes(std::string_view name, const char **data,
                std::size_t *size, std::string *error) const
 {
     const void *raw;

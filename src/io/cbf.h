@@ -38,6 +38,7 @@
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace ceer {
@@ -232,7 +233,7 @@ class CbfFile
     const std::vector<ColumnDesc> &columns() const { return columns_; }
 
     /** Column descriptor by name, or nullptr when absent. */
-    const ColumnDesc *find(const std::string &name) const;
+    const ColumnDesc *find(std::string_view name) const;
 
     /**
      * Typed zero-copy access to a column: on success @p data points at
@@ -240,20 +241,20 @@ class CbfFile
      * @p count receives the element count. Fails on a missing column
      * or a dtype mismatch.
      */
-    bool f64(const std::string &name, const double **data,
+    bool f64(std::string_view name, const double **data,
              std::size_t *count, std::string *error) const;
-    bool u64(const std::string &name, const std::uint64_t **data,
+    bool u64(std::string_view name, const std::uint64_t **data,
              std::size_t *count, std::string *error) const;
-    bool i64(const std::string &name, const std::int64_t **data,
+    bool i64(std::string_view name, const std::int64_t **data,
              std::size_t *count, std::string *error) const;
-    bool u8(const std::string &name, const std::uint8_t **data,
+    bool u8(std::string_view name, const std::uint8_t **data,
             std::size_t *count, std::string *error) const;
-    bool bytes(const std::string &name, const char **data,
+    bool bytes(std::string_view name, const char **data,
                std::size_t *size, std::string *error) const;
 
   private:
     const char *columnData(const ColumnDesc &desc) const;
-    bool typedColumn(const std::string &name, DType dtype,
+    bool typedColumn(std::string_view name, DType dtype,
                      const void **data, std::size_t *count,
                      std::string *error) const;
     void reset();

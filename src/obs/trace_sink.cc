@@ -165,13 +165,13 @@ TraceSink::tryWriteFile(const std::string &path,
     return true;
 }
 
-ScopedSpan::ScopedSpan(std::string name, std::string category)
+ScopedSpan::ScopedSpan(std::string_view name, std::string_view category)
 {
     if (!enabled())
         return;
     armed_ = true;
-    name_ = std::move(name);
-    category_ = std::move(category);
+    name_ = name;
+    category_ = category;
     startUs_ = TraceSink::instance().nowUs();
 }
 

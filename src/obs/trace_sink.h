@@ -21,6 +21,7 @@
 #include <iosfwd>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -113,14 +114,15 @@ class TraceSink
 /**
  * RAII span: arms only when obs::enabled() at construction, and
  * records [construction, destruction) into TraceSink::instance().
- * Build the name lazily at the call site (inside an enabled() check)
- * when formatting it is not free.
+ * The name and category are copied only when the span arms, so a
+ * disarmed span allocates nothing. Build the name lazily at the call
+ * site (inside an enabled() check) when formatting it is not free.
  */
 class ScopedSpan
 {
   public:
-    explicit ScopedSpan(std::string name,
-                        std::string category = "obs");
+    explicit ScopedSpan(std::string_view name,
+                        std::string_view category = "obs");
     ~ScopedSpan();
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;

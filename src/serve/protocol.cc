@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "io/cbf.h"
 #include "util/random.h"
@@ -76,7 +77,7 @@ parsePayload(const std::string &payload, const char *what,
 
 /** Reads the single element of a required scalar i64 column. */
 bool
-readScalarI64(const io::CbfFile &file, const std::string &name,
+readScalarI64(const io::CbfFile &file, std::string_view name,
               std::int64_t *out, std::string *error)
 {
     const std::int64_t *data = nullptr;
@@ -85,7 +86,8 @@ readScalarI64(const io::CbfFile &file, const std::string &name,
         return false;
     if (count != 1) {
         if (error)
-            *error = "column '" + name + "' must hold exactly 1 value";
+            *error = "column '" + std::string(name) +
+                     "' must hold exactly 1 value";
         return false;
     }
     *out = data[0];
@@ -94,7 +96,7 @@ readScalarI64(const io::CbfFile &file, const std::string &name,
 
 /** Reads the single element of a required scalar f64 column. */
 bool
-readScalarF64(const io::CbfFile &file, const std::string &name,
+readScalarF64(const io::CbfFile &file, std::string_view name,
               double *out, std::string *error)
 {
     const double *data = nullptr;
@@ -103,7 +105,8 @@ readScalarF64(const io::CbfFile &file, const std::string &name,
         return false;
     if (count != 1) {
         if (error)
-            *error = "column '" + name + "' must hold exactly 1 value";
+            *error = "column '" + std::string(name) +
+                     "' must hold exactly 1 value";
         return false;
     }
     *out = data[0];
@@ -112,7 +115,7 @@ readScalarF64(const io::CbfFile &file, const std::string &name,
 
 /** Reads a required bytes column into a string. */
 bool
-readBytes(const io::CbfFile &file, const std::string &name,
+readBytes(const io::CbfFile &file, std::string_view name,
           std::string *out, std::string *error)
 {
     const char *data = nullptr;
@@ -125,7 +128,7 @@ readBytes(const io::CbfFile &file, const std::string &name,
 
 /** Reads a required f64 column into a vector. */
 bool
-readF64Vector(const io::CbfFile &file, const std::string &name,
+readF64Vector(const io::CbfFile &file, std::string_view name,
               std::vector<double> *out, std::string *error)
 {
     const double *data = nullptr;

@@ -583,10 +583,10 @@ Server::handleRequest(Session &session, const char *payload,
                                     : core::Objective::MinCost);
 
     // The sweep, projection and encode all write into per-session
-    // scratch reused across requests; the one allocation left from
-    // here on is the sweep's span name (docs/serving.md). The
-    // automatic sweep (threads = 0) forks onto the shared pool only for
-    // catalogs at or above core::kParallelSweepMinCandidates.
+    // scratch reused across requests, so a warm request allocates
+    // nothing (docs/serving.md). The automatic sweep (threads = 0)
+    // forks onto the shared pool only for catalogs at or above
+    // core::kParallelSweepMinCandidates.
     core::recommendInto(engine->predictor, *entry->plan, workload,
                         candidates_, objective, constraints,
                         /*threads=*/0, &session.sweepScratch,

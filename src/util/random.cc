@@ -19,31 +19,16 @@ hashMix(std::uint64_t seed, const std::string &text)
 }
 
 double
-inverseNormalCdfTail(double p)
-{
-    // Acklam's tail-branch coefficients (~5% of uniform draws).
-    static constexpr double c[] = {
-        -7.784894002430293e-03, -3.223964580411365e-01,
-        -2.400758277161838e+00, -2.549732539343734e+00,
-        4.374664141464968e+00,  2.938163982698783e+00};
-    static constexpr double d[] = {
-        7.784695709041462e-03, 3.224671290700398e-01,
-        2.445134137142996e+00, 3.754408661907416e+00};
-    const double q = std::sqrt(-2.0 * std::log(p < 0.5 ? p : 1.0 - p));
-    const double z =
-        (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q +
-         c[5]) /
-        ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
-    return p < 0.5 ? z : -z;
-}
-
-double
 inverseNormalCdf(double p)
 {
     if (!(p > 0.0 && p < 1.0))
         panic("inverseNormalCdf requires p in (0, 1)");
-    if (p < kInverseNormalCdfLow || p > 1.0 - kInverseNormalCdfLow)
-        return inverseNormalCdfTail(p);
+    if (p < kInverseNormalCdfLow || p > 1.0 - kInverseNormalCdfLow) {
+        const double q =
+            std::sqrt(-2.0 * std::log(p < 0.5 ? p : 1.0 - p));
+        const double z = inverseNormalCdfTailRational(q);
+        return p < 0.5 ? z : -z;
+    }
     const double q = p - 0.5;
     return inverseNormalCdfCentral(q, q * q);
 }

@@ -132,11 +132,29 @@ inverseNormalCdfCentral(double q, double r)
 }
 
 /**
- * Tail branch of Acklam's approximation, for p < kInverseNormalCdfLow
- * or p > 1 - kInverseNormalCdfLow (defined out-of-line; it needs
- * log/sqrt and runs for ~5% of uniform draws).
+ * Rational part of Acklam's tail branch, taken for
+ * p < kInverseNormalCdfLow or p > 1 - kInverseNormalCdfLow (~5% of
+ * uniform draws): the lower-tail quantile for
+ * q = sqrt(-2 log(min(p, 1 - p))); negate it when p > 0.5. Pure
+ * arithmetic like the central branch, so the sampling kernel can
+ * finish a batch of tail draws in one vector loop once their logs are
+ * known.
  */
-double inverseNormalCdfTail(double p);
+inline double
+inverseNormalCdfTailRational(double q)
+{
+    constexpr double c[] = {
+        -7.784894002430293e-03, -3.223964580411365e-01,
+        -2.400758277161838e+00, -2.549732539343734e+00,
+        4.374664141464968e+00,  2.938163982698783e+00};
+    constexpr double d[] = {
+        7.784695709041462e-03, 3.224671290700398e-01,
+        2.445134137142996e+00, 3.754408661907416e+00};
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) *
+                q +
+            c[5]) /
+           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
+}
 
 /**
  * Inverse of the standard normal CDF (quantile function).

@@ -6,6 +6,7 @@
  * the lane accumulators.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -57,17 +58,53 @@ TEST(FastExpTest, ClampSaturatesInsteadOfCorrupting)
 TEST(NormalBlockTest, MatchesScalarInverseCdfPath)
 {
     // The blocked generator (including its vectorized clones) must
-    // agree bit for bit with the scalar counter-based definition:
-    // inverseNormalCdf(uniform(hashMix(key, slot))).
-    const std::uint64_t key = 0xFEEDFACEull;
-    std::vector<double> z(kBlock);
-    normalBlock(key, 0, kBlock, z.data());
-    for (std::size_t i = 0; i < kBlock; ++i) {
-        const double u = util::uniformFromBits(
-            util::hashMix(key, static_cast<std::uint64_t>(i)));
-        ASSERT_EQ(bitsOf(z[i]), bitsOf(util::inverseNormalCdf(u)))
-            << "slot " << i;
+    // agree bit for bit with the scalar counter-based definition
+    // inverseNormalCdf(uniform(hashMix(key, slot))) at every block
+    // length and offset. The tail pass packs per-element flags into
+    // 64-bit masks and scatters finished tail draws back by index, so
+    // tails at a mask's first and last bit and in a partial last word
+    // must all land where they belong, and nothing past n may be
+    // written.
+    constexpr double kSentinel = 12345.0;
+    const std::size_t slot0s[] = {0, 1, 63, 1000};
+    std::vector<double> want(kBlock), z(kBlock);
+    std::vector<bool> tail(kBlock), tail_at_last(kBlock + 1, false);
+    bool tail_at_0 = false, tail_at_63 = false, tail_at_64 = false;
+    for (std::uint64_t k = 0; k < 64; ++k) {
+        const std::uint64_t key = util::hashMix(0xFEEDFACEull, k);
+        for (std::size_t slot0 : slot0s) {
+            for (std::size_t i = 0; i < kBlock; ++i) {
+                const double u = util::uniformFromBits(util::hashMix(
+                    key, static_cast<std::uint64_t>(slot0 + i)));
+                want[i] = util::inverseNormalCdf(u);
+                tail[i] = u < util::kInverseNormalCdfLow ||
+                          u > 1.0 - util::kInverseNormalCdfLow;
+            }
+            tail_at_0 = tail_at_0 || tail[0];
+            tail_at_63 = tail_at_63 || tail[63];
+            tail_at_64 = tail_at_64 || tail[64];
+            for (std::size_t n = 1; n <= kBlock; ++n) {
+                const std::size_t guard = std::min(kBlock, n + 64);
+                std::fill(z.begin() + n, z.begin() + guard, kSentinel);
+                normalBlock(key, slot0, n, z.data());
+                for (std::size_t i = 0; i < n; ++i)
+                    ASSERT_EQ(bitsOf(z[i]), bitsOf(want[i]))
+                        << "key " << k << " slot0 " << slot0 << " n "
+                        << n << " position " << i;
+                for (std::size_t i = n; i < guard; ++i)
+                    ASSERT_EQ(z[i], kSentinel)
+                        << "key " << k << " slot0 " << slot0 << " n "
+                        << n << " wrote position " << i;
+                tail_at_last[n] = tail_at_last[n] || tail[n - 1];
+            }
+        }
     }
+    // The fixed keys put a tail draw at every edge the mask walk has.
+    EXPECT_TRUE(tail_at_0);
+    EXPECT_TRUE(tail_at_63);
+    EXPECT_TRUE(tail_at_64);
+    for (std::size_t n = 1; n <= kBlock; ++n)
+        EXPECT_TRUE(tail_at_last[n]) << "no tail draw at n - 1, n " << n;
 }
 
 TEST(NormalBlockTest, SubRangesRegenerateIndependently)
@@ -149,6 +186,32 @@ TEST(GpuLaneTest, ChunkingIsInvisible)
     }
     EXPECT_EQ(checked, n);
     EXPECT_NEAR(sum, expected, expected * 1e-12);
+}
+
+TEST(GpuLaneTest, ObservedSumMatchesUnobservedSum)
+{
+    // The observer path stores each product in times before summing;
+    // the unobserved path sums the same products from a stack buffer.
+    // Both must return the same bits, or an observed run and an
+    // unobserved run of one iteration would disagree.
+    const std::size_t n = 3 * kBlock + 77;
+    std::vector<double> base(n), sigma(n), scratch(kBlock), times(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        base[i] = 1.0 + 0.37 * static_cast<double>(i % 211);
+        sigma[i] = 0.01 + 0.0005 * static_cast<double>(i % 97);
+    }
+    for (std::int64_t iteration = 0; iteration < 16; ++iteration) {
+        const std::uint64_t stream_key =
+            replicaStreamKey(21, iteration, 0);
+        const double observed =
+            gpuLaneUs(stream_key, base.data(), sigma.data(), n,
+                      scratch.data(), times.data());
+        const double unobserved =
+            gpuLaneUs(stream_key, base.data(), sigma.data(), n,
+                      scratch.data(), nullptr);
+        ASSERT_EQ(bitsOf(observed), bitsOf(unobserved))
+            << "iteration " << iteration;
+    }
 }
 
 TEST(GpuLaneTest, LognormalNoiseHasUnitMedian)

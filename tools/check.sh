@@ -13,10 +13,12 @@
 #             the parallel cross-predictor evaluation sweep, the ceerd
 #             serving stack)
 #   ubsan     UBSanitizer build of the serialization/I-O boundary
+#             and of the sampling kernel
 #   asan      AddressSanitizer build of the prediction path (compiled
 #             plans, the predictor, the baseline engines), of the
-#             profiling path (simulator observer, profiler slot blocks)
-#             and of graph construction (inline shapes, name index)
+#             profiling path (simulator observer, profiler slot blocks,
+#             the sampling kernel's tail pass) and of graph
+#             construction (inline shapes, name index)
 #
 # `tools/check.sh coverage` instead builds with -DCEER_COVERAGE=ON,
 # runs the test suite, and summarizes gcov line coverage for src/
@@ -249,7 +251,8 @@ pass_ubsan() {
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-ubsan -j "$JOBS" \
           --target obs_test util_test regression_test robustness_test \
-                   roundtrip_test profile_cache_test io_test
+                   roundtrip_test profile_cache_test io_test \
+                   sample_kernel_test
 
     # Checked parsing must be UB-free on adversarial input:
     # overflowing integers, huge exponents, garbled bytes.
@@ -266,6 +269,10 @@ pass_ubsan() {
     # The CBF reader's corruption matrix under UBSan: misaligned and
     # short sections must be validation failures, never UB.
     ./build-ubsan/tests/io_test
+    # The sampling kernel's tail pass: flag bytes read back as 64-bit
+    # words, mask shifts and the uint16 index list, at every block
+    # length and offset.
+    ./build-ubsan/tests/sample_kernel_test
 }
 
 pass_asan() {
@@ -274,7 +281,7 @@ pass_asan() {
     cmake --build build-asan -j "$JOBS" \
           --target predict_plan_test ceer_test baselines_test \
                    profile_test sim_test graph_test models_test \
-                   transformer_test
+                   transformer_test sample_kernel_test
 
     # The compiled-plan evaluator end to end: the kernel's blocked
     # reads over the feature matrices, per-group/per-GPU recipe
@@ -289,6 +296,10 @@ pass_asan() {
     # blocks and the reservoir schedule they index.
     ./build-asan/tests/profile_test
     ./build-asan/tests/sim_test
+    # The sampling kernel's tail pass: gathers and scatters through the
+    # index list over its fixed stack arrays (this build compiles the
+    # default, non-clone path).
+    ./build-asan/tests/sample_kernel_test
     # Graph construction: inline TensorShape dims viewed through spans,
     # braced addNode argument lists, and the name index that compares
     # against names stored in the (reallocating) node vector.
@@ -451,7 +462,7 @@ else
     run_pass "flake pass (concurrency tests x20)" pass_flake
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
-    run_pass "UBSanitizer (serialization/I-O boundary)" pass_ubsan
+    run_pass "UBSanitizer (serialization/I-O boundary, sampling kernel)" pass_ubsan
     run_pass "AddressSanitizer (prediction, profiling, graph paths)" pass_asan
 fi
 
