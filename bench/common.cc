@@ -169,7 +169,10 @@ jsonEscape(const std::string &s)
 JsonObject &
 JsonObject::str(const std::string &key, const std::string &value)
 {
-    fields_.push_back({key, "\"" + jsonEscape(value) + "\"", {}, false});
+    std::string quoted = "\"";
+    quoted += jsonEscape(value);
+    quoted += '"';
+    fields_.push_back({key, std::move(quoted), {}, false});
     return *this;
 }
 

@@ -43,8 +43,10 @@ main(int argc, char **argv)
     auto instance_key = [](const profile::OpProfile &profile) {
         std::string key =
             profile.model + "|" + graph::opTypeName(profile.op);
-        for (double f : profile.features)
-            key += "|" + util::format("%.0f", f);
+        for (double f : profile.features) {
+            key += '|';
+            key += util::format("%.0f", f);
+        }
         return key;
     };
     std::set<std::string> significant;

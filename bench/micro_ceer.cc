@@ -248,8 +248,10 @@ main(int argc, char **argv)
         static_cast<int>(flags.getInt("catalog-copies"));
     for (int c = 0; c < copies; ++c) {
         for (cloud::GpuInstance instance : base.instances()) {
-            if (c > 0)
-                instance.name += "#" + std::to_string(c);
+            if (c > 0) {
+                instance.name += '#';
+                instance.name += std::to_string(c);
+            }
             candidates.push_back(std::move(instance));
         }
     }

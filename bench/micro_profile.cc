@@ -6,13 +6,17 @@
  * across all four GPU models at increasing thread counts and reports
  * ops-profiled/sec plus the speedup over the serial run. The sweep's
  * unit of parallel work is one (CNN, GPU) pair, so a single CNN gives
- * only four units and its multi-thread rows cannot show scaling. Also asserts that every thread count produced a byte-identical
- * dataset in CBF, which carries every accumulator's exact bits (the
- * engine's determinism contract), and writes a
- * machine-readable BENCH_profile.json so future PRs can track the
- * perf trajectory.
+ * only four units and its multi-thread rows cannot show scaling.
+ * Each thread count is timed over kTrials runs; rows report the median
+ * wall time (the speedups and the below-serial flag use it) plus the
+ * median/min/max of wall and calling-thread CPU time. Also asserts
+ * that every run produced a byte-identical dataset in CBF, which
+ * carries every accumulator's exact bits (the engine's determinism
+ * contract), and writes a machine-readable BENCH_profile.json so
+ * future changes can track the perf trajectory.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -25,6 +29,9 @@
 #include "util/flags.h"
 #include "util/strings.h"
 #include "util/table.h"
+
+/** Timed runs per thread count (one run swings by ~30% on a VM). */
+constexpr int kTrials = 5;
 
 int
 main(int argc, char **argv)
@@ -90,10 +97,12 @@ main(int argc, char **argv)
     struct Result
     {
         int threads;
-        double wallSeconds;
+        double wallSeconds; ///< Median over the trials.
         double opsPerSecond;
         double speedup;
         bool belowSerial;
+        std::vector<double> wallMs;      ///< Sorted trials.
+        std::vector<double> threadCpuMs; ///< Sorted trials.
     };
     // On a single-core host every multi-thread point measures
     // scheduling, not speedup: identity is still checked, but the
@@ -103,30 +112,43 @@ main(int argc, char **argv)
     std::string reference_cbf;
     double serial_wall = 0.0;
 
-    util::TablePrinter table(
-        {"threads", "wall (s)", "ops/sec", "speedup", "identical"});
+    util::TablePrinter table({"threads", "median wall (s)", "min-max (s)",
+                              "ops/sec", "speedup", "identical"});
     for (int threads : sweep) {
         options.threads = threads;
-        const auto start = Clock::now();
-        const profile::ProfileDataset dataset =
-            profile::collectProfiles(cnns, options);
-        const double wall =
-            std::chrono::duration<double>(Clock::now() - start).count();
-
-        // Executions observed, not instances: the real unit of work.
-        double executions = 0.0;
-        for (const auto &profile : dataset.ops())
-            executions += static_cast<double>(profile.timeUs.count());
-
-        std::ostringstream cbf;
-        dataset.saveCbf(cbf);
-        if (threads == 1) {
-            reference_cbf = cbf.str();
-            serial_wall = wall;
-        }
-        const bool identical = cbf.str() == reference_cbf;
-
         Result r;
+        double executions = 0.0;
+        bool identical = true;
+        for (int trial = 0; trial < kTrials; ++trial) {
+            const auto start = Clock::now();
+            const double cpu_start = bench::threadCpuSeconds();
+            const profile::ProfileDataset dataset =
+                profile::collectProfiles(cnns, options);
+            r.threadCpuMs.push_back(
+                (bench::threadCpuSeconds() - cpu_start) * 1e3);
+            r.wallMs.push_back(
+                std::chrono::duration<double, std::milli>(Clock::now() -
+                                                          start)
+                    .count());
+
+            // Executions observed, not instances: the real unit of
+            // work.
+            executions = 0.0;
+            for (const auto &profile : dataset.ops())
+                executions += static_cast<double>(profile.timeUs.count());
+
+            std::ostringstream cbf;
+            dataset.saveCbf(cbf);
+            if (reference_cbf.empty())
+                reference_cbf = cbf.str();
+            identical = identical && cbf.str() == reference_cbf;
+        }
+        std::sort(r.wallMs.begin(), r.wallMs.end());
+        std::sort(r.threadCpuMs.begin(), r.threadCpuMs.end());
+        const double wall = r.wallMs[r.wallMs.size() / 2] / 1e3;
+        if (threads == 1)
+            serial_wall = wall;
+
         r.threads = threads;
         r.wallSeconds = wall;
         r.opsPerSecond = executions / wall;
@@ -136,6 +158,8 @@ main(int argc, char **argv)
         results.push_back(r);
         table.addRow({std::to_string(threads),
                       util::format("%.3f", r.wallSeconds),
+                      util::format("%.3f-%.3f", r.wallMs.front() / 1e3,
+                                   r.wallMs.back() / 1e3),
                       util::format("%.3g", r.opsPerSecond),
                       util::format("%.2fx", r.speedup) +
                           (r.belowSerial ? " (!)" : ""),
@@ -146,8 +170,8 @@ main(int argc, char **argv)
                          "point as noise, not a regression\n";
         }
         if (!identical) {
-            std::cerr << "FAIL: dataset at " << threads
-                      << " threads differs from the serial dataset\n";
+            std::cerr << "FAIL: a dataset at " << threads
+                      << " threads differs from the first serial one\n";
             return 1;
         }
     }
@@ -175,6 +199,9 @@ main(int argc, char **argv)
             .num("ops_per_sec", r.opsPerSecond, "%.1f")
             .num("speedup", r.speedup, "%.4f")
             .boolean("below_serial", r.belowSerial);
+        row.num("trials", kTrials)
+            .object("wall_ms", bench::spreadJson(r.wallMs))
+            .object("thread_cpu_ms", bench::spreadJson(r.threadCpuMs));
         rows.push_back(std::move(row));
     }
     doc.array("results", std::move(rows));

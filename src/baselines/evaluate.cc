@@ -2,22 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <istream>
 #include <ostream>
 #include <utility>
 
 #include "cloud/instances.h"
 #include "core/predictor.h"
 #include "core/recommender.h"
-#include "io/cbf.h"
+#include "io/schema.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "sim/simulator.h"
-#include "util/csv.h"
 #include "util/logging.h"
-#include "util/parse.h"
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -26,15 +22,6 @@ namespace ceer {
 namespace baselines {
 
 namespace {
-
-/** %.17g: the shortest text that round-trips the exact bits. */
-std::string
-f17(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
 
 /** |pred - obs| / obs in percent; 0 when obs is not positive. */
 double
@@ -79,423 +66,61 @@ pickCheapest(const std::vector<GridCandidate> &candidates,
     return best ? best->name : std::string();
 }
 
-const char *const kCsvHeader[] = {
-    "kind",      "predictor",   "model",    "gpu",
-    "k",         "observed_us", "predicted_us", "ape_pct",
-    "mape_pct",  "rmse_us",     "spearman", "recommended",
-    "observed_best", "agree",
-};
-constexpr std::size_t kCsvColumns =
-    sizeof(kCsvHeader) / sizeof(kCsvHeader[0]);
-
-/** Parse helper carrying "row N, column C" context into @p error. */
-bool
-parseF64(const std::string &text, std::size_t row, const char *column,
-         double *out, std::string *error)
-{
-    const util::ParseResult<double> parsed = util::parseDouble(text);
-    if (!parsed) {
-        *error = util::format("row %zu, column %s: %s", row, column,
-                              parsed.error);
-        return false;
-    }
-    *out = parsed.value;
-    return true;
-}
-
-bool
-parseI64(const std::string &text, std::size_t row, const char *column,
-         std::int64_t *out, std::string *error)
-{
-    const util::ParseResult<std::int64_t> parsed =
-        util::parseInt64(text);
-    if (!parsed) {
-        *error = util::format("row %zu, column %s: %s", row, column,
-                              parsed.error);
-        return false;
-    }
-    *out = parsed.value;
-    return true;
-}
-
 } // namespace
+
+const io::FileSchema<EvalReport> &
+EvalReport::schema()
+{
+    static const auto cells =
+        io::Table<EvalReport, EvalCell>::of<&EvalReport::cells>(
+            "cell", "cell.",
+            {io::field<&EvalCell::predictor>("predictor", 1),
+             io::field<&EvalCell::model>("model", 2),
+             io::gpuColumn<&EvalCell::gpu>("gpu", 3),
+             io::ranged<&EvalCell::k, 1, hw::kMaxGpus>("k", 4),
+             io::field<&EvalCell::observedUs>("observed_us", 5, "%.17g"),
+             io::field<&EvalCell::predictedUs>("predicted_us", 6, "%.17g"),
+             io::field<&EvalCell::apePct>("ape_pct", 7, "%.17g")});
+        using M = EvalModelRow;
+        static const auto models =
+            io::Table<EvalReport, M>::of<&EvalReport::modelRows>(
+            "model", "model.",
+            {io::field<&M::predictor>("predictor", 1),
+             io::field<&M::model>("model", 2),
+             io::field<&M::mapePct>("mape_pct", 8, "%.17g"),
+             io::field<&M::rmseUs>("rmse_us", 9, "%.17g"),
+             io::field<&M::spearman>("spearman", 10, "%.17g"),
+             io::field<&M::recommended>("recommended", 11),
+             io::field<&M::observedBest>("observed_best", 12),
+             io::field<&M::agree>("agree", 13, "0|1")});
+        using S = EvalSummaryRow;
+        static const auto summary =
+            io::Table<EvalReport, S>::of<&EvalReport::summary>(
+            "summary", "summary.",
+            {io::field<&S::predictor>("predictor", 1),
+             io::field<&S::mapePct>("mape_pct", 8, "%.17g"),
+             io::field<&S::rmseUs>("rmse_us", 9, "%.17g"),
+             io::field<&S::meanSpearman>("mean_spearman", 10, "%.17g"),
+             io::field<&S::agreementRate>("agreement_rate", 13, "%.17g")});
+        static const io::FileSchema<EvalReport> schema(
+            "ceer.evalreport.v1",
+            {"kind", "predictor", "model", "gpu", "k", "observed_us",
+             "predicted_us", "ape_pct", "mape_pct", "rmse_us", "spearman",
+             "recommended", "observed_best", "agree"},
+            {&cells, &models, &summary});
+    return schema;
+}
 
 void
 EvalReport::saveCsv(std::ostream &out) const
 {
-    util::CsvWriter writer(out);
-    std::vector<std::string> row(kCsvHeader, kCsvHeader + kCsvColumns);
-    writer.writeRow(row);
-    for (const EvalCell &cell : cells) {
-        row.assign(kCsvColumns, std::string());
-        row[0] = "cell";
-        row[1] = cell.predictor;
-        row[2] = cell.model;
-        row[3] = hw::gpuModelName(cell.gpu);
-        row[4] = std::to_string(cell.k);
-        row[5] = f17(cell.observedUs);
-        row[6] = f17(cell.predictedUs);
-        row[7] = f17(cell.apePct);
-        writer.writeRow(row);
-    }
-    for (const EvalModelRow &model : modelRows) {
-        row.assign(kCsvColumns, std::string());
-        row[0] = "model";
-        row[1] = model.predictor;
-        row[2] = model.model;
-        row[8] = f17(model.mapePct);
-        row[9] = f17(model.rmseUs);
-        row[10] = f17(model.spearman);
-        row[11] = model.recommended;
-        row[12] = model.observedBest;
-        row[13] = model.agree ? "1" : "0";
-        writer.writeRow(row);
-    }
-    for (const EvalSummaryRow &sum : summary) {
-        row.assign(kCsvColumns, std::string());
-        row[0] = "summary";
-        row[1] = sum.predictor;
-        row[8] = f17(sum.mapePct);
-        row[9] = f17(sum.rmseUs);
-        row[10] = f17(sum.meanSpearman);
-        row[13] = f17(sum.agreementRate);
-        writer.writeRow(row);
-    }
-}
-
-bool
-EvalReport::tryLoadCsv(std::istream &in, EvalReport *report,
-                       std::string *error)
-{
-    std::vector<std::vector<std::string>> rows;
-    if (!util::tryReadCsv(in, &rows, error))
-        return false;
-    if (rows.empty()) {
-        *error = "empty evaluation report";
-        return false;
-    }
-    for (std::size_t c = 0; c < kCsvColumns; ++c) {
-        if (rows[0].size() != kCsvColumns ||
-            rows[0][c] != kCsvHeader[c]) {
-            *error = "not an evaluation report CSV (bad header)";
-            return false;
-        }
-    }
-    EvalReport parsed;
-    for (std::size_t r = 1; r < rows.size(); ++r) {
-        const std::vector<std::string> &row = rows[r];
-        if (row.size() != kCsvColumns) {
-            *error = util::format("row %zu: expected %zu fields, got "
-                                  "%zu",
-                                  r, kCsvColumns, row.size());
-            return false;
-        }
-        const std::string &kind = row[0];
-        if (kind == "cell") {
-            EvalCell cell;
-            cell.predictor = row[1];
-            cell.model = row[2];
-            if (!hw::gpuModelFromName(row[3], cell.gpu)) {
-                *error = util::format("row %zu: unknown GPU '%s'", r,
-                                      row[3].c_str());
-                return false;
-            }
-            std::int64_t k = 0;
-            if (!parseI64(row[4], r, "k", &k, error) ||
-                !parseF64(row[5], r, "observed_us", &cell.observedUs,
-                          error) ||
-                !parseF64(row[6], r, "predicted_us", &cell.predictedUs,
-                          error) ||
-                !parseF64(row[7], r, "ape_pct", &cell.apePct, error))
-                return false;
-            cell.k = static_cast<int>(k);
-            parsed.cells.push_back(std::move(cell));
-        } else if (kind == "model") {
-            EvalModelRow model;
-            model.predictor = row[1];
-            model.model = row[2];
-            std::int64_t agree = 0;
-            if (!parseF64(row[8], r, "mape_pct", &model.mapePct,
-                          error) ||
-                !parseF64(row[9], r, "rmse_us", &model.rmseUs, error) ||
-                !parseF64(row[10], r, "spearman", &model.spearman,
-                          error) ||
-                !parseI64(row[13], r, "agree", &agree, error))
-                return false;
-            model.recommended = row[11];
-            model.observedBest = row[12];
-            model.agree = agree != 0;
-            parsed.modelRows.push_back(std::move(model));
-        } else if (kind == "summary") {
-            EvalSummaryRow sum;
-            sum.predictor = row[1];
-            if (!parseF64(row[8], r, "mape_pct", &sum.mapePct, error) ||
-                !parseF64(row[9], r, "rmse_us", &sum.rmseUs, error) ||
-                !parseF64(row[10], r, "spearman", &sum.meanSpearman,
-                          error) ||
-                !parseF64(row[13], r, "agree", &sum.agreementRate,
-                          error))
-                return false;
-            parsed.summary.push_back(std::move(sum));
-        } else {
-            *error = util::format("row %zu: unknown kind '%s'", r,
-                                  kind.c_str());
-            return false;
-        }
-    }
-    *report = std::move(parsed);
-    return true;
+    schema().saveCsv(*this, out);
 }
 
 void
 EvalReport::saveCbf(std::ostream &out) const
 {
-    io::CbfBuilder builder;
-    builder.addBytes("schema", "ceer.evalreport.v1");
-
-    std::vector<std::string> predictor, model, gpu, recommended,
-        observed_best;
-    std::vector<std::int64_t> k;
-    std::vector<double> observed_us, predicted_us, ape_pct;
-    for (const EvalCell &cell : cells) {
-        predictor.push_back(cell.predictor);
-        model.push_back(cell.model);
-        gpu.push_back(hw::gpuModelName(cell.gpu));
-        k.push_back(cell.k);
-        observed_us.push_back(cell.observedUs);
-        predicted_us.push_back(cell.predictedUs);
-        ape_pct.push_back(cell.apePct);
-    }
-    io::addStringColumn(&builder, "cell.predictor", predictor);
-    io::addStringColumn(&builder, "cell.model", model);
-    io::addStringColumn(&builder, "cell.gpu", gpu);
-    builder.addI64("cell.k", k);
-    builder.addF64("cell.observed_us", observed_us);
-    builder.addF64("cell.predicted_us", predicted_us);
-    builder.addF64("cell.ape_pct", ape_pct);
-
-    predictor.clear();
-    model.clear();
-    std::vector<double> mape_pct, rmse_us, spearman;
-    std::vector<std::uint8_t> agree;
-    for (const EvalModelRow &row : modelRows) {
-        predictor.push_back(row.predictor);
-        model.push_back(row.model);
-        mape_pct.push_back(row.mapePct);
-        rmse_us.push_back(row.rmseUs);
-        spearman.push_back(row.spearman);
-        recommended.push_back(row.recommended);
-        observed_best.push_back(row.observedBest);
-        agree.push_back(row.agree ? 1 : 0);
-    }
-    io::addStringColumn(&builder, "model.predictor", predictor);
-    io::addStringColumn(&builder, "model.model", model);
-    builder.addF64("model.mape_pct", mape_pct);
-    builder.addF64("model.rmse_us", rmse_us);
-    builder.addF64("model.spearman", spearman);
-    io::addStringColumn(&builder, "model.recommended", recommended);
-    io::addStringColumn(&builder, "model.observed_best", observed_best);
-    builder.addU8("model.agree", agree);
-
-    predictor.clear();
-    mape_pct.clear();
-    rmse_us.clear();
-    std::vector<double> mean_spearman, agreement_rate;
-    for (const EvalSummaryRow &row : summary) {
-        predictor.push_back(row.predictor);
-        mape_pct.push_back(row.mapePct);
-        rmse_us.push_back(row.rmseUs);
-        mean_spearman.push_back(row.meanSpearman);
-        agreement_rate.push_back(row.agreementRate);
-    }
-    io::addStringColumn(&builder, "summary.predictor", predictor);
-    builder.addF64("summary.mape_pct", mape_pct);
-    builder.addF64("summary.rmse_us", rmse_us);
-    builder.addF64("summary.mean_spearman", mean_spearman);
-    builder.addF64("summary.agreement_rate", agreement_rate);
-
-    builder.write(out);
-}
-
-bool
-EvalReport::tryLoadCbf(const io::CbfFile &file, EvalReport *report,
-                       std::string *error)
-{
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
-        return false;
-    const std::string schema_text(schema, schema_size);
-    if (schema_text != "ceer.evalreport.v1") {
-        *error = "not an evaluation report CBF (schema '" +
-                 schema_text + "')";
-        return false;
-    }
-
-    // Each group's columns must agree on their row count.
-    const auto sized = [&](const char *name, io::DType dtype,
-                           std::size_t rows, const void **data) {
-        const io::ColumnDesc *desc = file.find(name);
-        if (!desc) {
-            *error = std::string("missing column ") + name;
-            return false;
-        }
-        if (desc->count != rows) {
-            *error = util::format("column %s: expected %zu rows, got "
-                                  "%zu",
-                                  name, rows,
-                                  static_cast<std::size_t>(desc->count));
-            return false;
-        }
-        std::size_t count = 0;
-        switch (dtype) {
-          case io::DType::F64:
-            return file.f64(name, reinterpret_cast<const double **>(
-                                      data),
-                            &count, error);
-          case io::DType::I64:
-            return file.i64(name,
-                            reinterpret_cast<const std::int64_t **>(
-                                data),
-                            &count, error);
-          case io::DType::U8:
-            return file.u8(name,
-                           reinterpret_cast<const std::uint8_t **>(
-                               data),
-                           &count, error);
-          default:
-            *error = std::string("column ") + name +
-                     ": unsupported dtype";
-            return false;
-        }
-    };
-
-    EvalReport parsed;
-
-    std::vector<std::string> predictor, model, gpu;
-    if (!io::readStringColumn(file, "cell.predictor", &predictor,
-                              error) ||
-        !io::readStringColumn(file, "cell.model", &model, error) ||
-        !io::readStringColumn(file, "cell.gpu", &gpu, error))
-        return false;
-    const std::size_t n_cells = predictor.size();
-    if (model.size() != n_cells || gpu.size() != n_cells) {
-        *error = "cell.* columns disagree on row count";
-        return false;
-    }
-    const std::int64_t *k = nullptr;
-    const double *observed_us = nullptr, *predicted_us = nullptr,
-                 *ape_pct = nullptr;
-    if (!sized("cell.k", io::DType::I64, n_cells,
-               reinterpret_cast<const void **>(&k)) ||
-        !sized("cell.observed_us", io::DType::F64, n_cells,
-               reinterpret_cast<const void **>(&observed_us)) ||
-        !sized("cell.predicted_us", io::DType::F64, n_cells,
-               reinterpret_cast<const void **>(&predicted_us)) ||
-        !sized("cell.ape_pct", io::DType::F64, n_cells,
-               reinterpret_cast<const void **>(&ape_pct)))
-        return false;
-    parsed.cells.resize(n_cells);
-    for (std::size_t i = 0; i < n_cells; ++i) {
-        EvalCell &cell = parsed.cells[i];
-        cell.predictor = std::move(predictor[i]);
-        cell.model = std::move(model[i]);
-        if (!hw::gpuModelFromName(gpu[i], cell.gpu)) {
-            *error = util::format("cell.gpu row %zu: unknown GPU '%s'",
-                                  i, gpu[i].c_str());
-            return false;
-        }
-        cell.k = static_cast<int>(k[i]);
-        cell.observedUs = observed_us[i];
-        cell.predictedUs = predicted_us[i];
-        cell.apePct = ape_pct[i];
-    }
-
-    std::vector<std::string> recommended, observed_best;
-    predictor.clear();
-    model.clear();
-    if (!io::readStringColumn(file, "model.predictor", &predictor,
-                              error) ||
-        !io::readStringColumn(file, "model.model", &model, error) ||
-        !io::readStringColumn(file, "model.recommended", &recommended,
-                              error) ||
-        !io::readStringColumn(file, "model.observed_best",
-                              &observed_best, error))
-        return false;
-    const std::size_t n_models = predictor.size();
-    if (model.size() != n_models || recommended.size() != n_models ||
-        observed_best.size() != n_models) {
-        *error = "model.* columns disagree on row count";
-        return false;
-    }
-    const double *mape_pct = nullptr, *rmse_us = nullptr,
-                 *spearman = nullptr;
-    const std::uint8_t *agree = nullptr;
-    if (!sized("model.mape_pct", io::DType::F64, n_models,
-               reinterpret_cast<const void **>(&mape_pct)) ||
-        !sized("model.rmse_us", io::DType::F64, n_models,
-               reinterpret_cast<const void **>(&rmse_us)) ||
-        !sized("model.spearman", io::DType::F64, n_models,
-               reinterpret_cast<const void **>(&spearman)) ||
-        !sized("model.agree", io::DType::U8, n_models,
-               reinterpret_cast<const void **>(&agree)))
-        return false;
-    parsed.modelRows.resize(n_models);
-    for (std::size_t i = 0; i < n_models; ++i) {
-        EvalModelRow &row = parsed.modelRows[i];
-        row.predictor = std::move(predictor[i]);
-        row.model = std::move(model[i]);
-        row.mapePct = mape_pct[i];
-        row.rmseUs = rmse_us[i];
-        row.spearman = spearman[i];
-        row.recommended = std::move(recommended[i]);
-        row.observedBest = std::move(observed_best[i]);
-        row.agree = agree[i] != 0;
-    }
-
-    predictor.clear();
-    if (!io::readStringColumn(file, "summary.predictor", &predictor,
-                              error))
-        return false;
-    const std::size_t n_summary = predictor.size();
-    const double *s_mape = nullptr, *s_rmse = nullptr,
-                 *s_spearman = nullptr, *s_agreement = nullptr;
-    if (!sized("summary.mape_pct", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_mape)) ||
-        !sized("summary.rmse_us", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_rmse)) ||
-        !sized("summary.mean_spearman", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_spearman)) ||
-        !sized("summary.agreement_rate", io::DType::F64, n_summary,
-               reinterpret_cast<const void **>(&s_agreement)))
-        return false;
-    parsed.summary.resize(n_summary);
-    for (std::size_t i = 0; i < n_summary; ++i) {
-        EvalSummaryRow &row = parsed.summary[i];
-        row.predictor = std::move(predictor[i]);
-        row.mapePct = s_mape[i];
-        row.rmseUs = s_rmse[i];
-        row.meanSpearman = s_spearman[i];
-        row.agreementRate = s_agreement[i];
-    }
-
-    *report = std::move(parsed);
-    return true;
-}
-
-bool
-EvalReport::tryLoadFile(const std::string &path, EvalReport *report,
-                        std::string *error)
-{
-    return io::tryLoadSniffed(
-        path,
-        [report](const io::CbfFile &file, std::string *err) {
-            return tryLoadCbf(file, report, err);
-        },
-        [report](std::istream &in, std::string *err) {
-            return tryLoadCsv(in, report, err);
-        },
-        error);
+    schema().saveCbf(*this, out);
 }
 
 EvalReport

@@ -27,7 +27,8 @@
 namespace ceer {
 
 namespace io {
-class CbfFile;
+template <class T>
+class FileSchema;
 }
 
 namespace baselines {
@@ -110,31 +111,15 @@ struct EvalReport
     std::vector<EvalSummaryRow> summary;
 
     /**
-     * Writes the CSV dialect: one header, then cell/model/summary
-     * rows discriminated by the leading "kind" column, doubles as
-     * %.17g (bit-exact round trips).
+     * The report's cell/model/summary tables (CSV rows tagged by the
+     * leading "kind" column, doubles at %.17g; CBF bit-exact). They
+     * drive both writers and are the report's only loader:
+     * schema().tryLoadCsv / tryLoadCbf / tryLoadFile.
      */
+    static const io::FileSchema<EvalReport> &schema();
+
     void saveCsv(std::ostream &out) const;
-
-    /** Parses a report written by saveCsv(). */
-    static bool tryLoadCsv(std::istream &in, EvalReport *report,
-                           std::string *error);
-
-    /** Writes the CBF dialect (schema ceer.evalreport.v1). */
     void saveCbf(std::ostream &out) const;
-
-    /** Parses a validated CBF file produced by saveCbf(). */
-    static bool tryLoadCbf(const io::CbfFile &file, EvalReport *report,
-                           std::string *error);
-
-    /**
-     * Loads @p path in either dialect through io::tryLoadSniffed, like
-     * every other file loader: CBF is mapped (or read when mapping
-     * fails), anything else parses as CSV, and errors name the path.
-     * @p report is untouched on failure.
-     */
-    static bool tryLoadFile(const std::string &path, EvalReport *report,
-                            std::string *error);
 };
 
 /**

@@ -1,13 +1,10 @@
 #include "cloud/instances.h"
 
 #include <algorithm>
-#include <cmath>
-#include <istream>
 #include <map>
 #include <ostream>
 
-#include "io/cbf.h"
-#include "util/csv.h"
+#include "io/schema.h"
 #include "util/logging.h"
 #include "util/parse.h"
 #include "util/random.h"
@@ -95,166 +92,47 @@ InstanceCatalog::add(GpuInstance instance)
     instances_.push_back(std::move(instance));
 }
 
-bool
-InstanceCatalog::tryFromCsv(std::istream &in, InstanceCatalog *catalog,
-                            std::string *error)
+const io::FileSchema<InstanceCatalog> &
+InstanceCatalog::schema()
 {
-    InstanceCatalog parsed;
-    std::vector<std::vector<std::string>> rows;
-    if (!util::tryReadCsv(in, &rows, error))
-        return false;
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-        const auto &row = rows[i];
-        if (row.size() < 4) {
-            *error = util::format(
-                "row %zu has %zu fields (need name,gpu,gpus,"
-                "hourly_usd)", i, row.size());
-            return false;
-        }
-        GpuInstance instance;
-        instance.name = row[0];
-        if (!hw::gpuModelFromName(row[1], instance.gpu)) {
-            *error = util::format("row %zu: unknown GPU '%s'", i,
-                                  row[1].c_str());
-            return false;
-        }
-        const auto gpus = util::parseInt64(row[2]);
-        if (!gpus) {
-            *error = util::format("row %zu column 3 (gpus): %s: '%s'",
-                                  i, gpus.error, row[2].c_str());
-            return false;
-        }
-        instance.numGpus = static_cast<int>(gpus.value);
-        const auto price = util::parseDouble(row[3]);
-        if (!price) {
-            *error = util::format(
-                "row %zu column 4 (hourly_usd): %s: '%s'", i,
-                price.error, row[3].c_str());
-            return false;
-        }
-        instance.hourlyUsd = price.value;
-        if (instance.numGpus < 1 || !(instance.hourlyUsd > 0.0) ||
-            !std::isfinite(instance.hourlyUsd)) {
-            *error = util::format("row %zu: bad row for '%s'", i,
-                                  instance.name.c_str());
-            return false;
-        }
-        parsed.add(std::move(instance));
-    }
-    *catalog = std::move(parsed);
-    return true;
+    using I = GpuInstance;
+    static const auto instances =
+        io::Table<InstanceCatalog, I>::of<&InstanceCatalog::instances_>(
+            nullptr, "cat.",
+            {io::field<&I::name>("name", 0),
+             io::gpuColumn<&I::gpu>("gpu", 1),
+             io::ranged<&I::numGpus, 1, hw::kMaxGpus>("gpus", 2),
+             io::positive<&I::hourlyUsd>("hourly_usd", 3, "%.6g")});
+    static const io::FileSchema<InstanceCatalog> schema(
+        "ceer.catalog.v1", {"name", "gpu", "gpus", "hourly_usd"},
+        {&instances});
+    return schema;
 }
 
 void
 InstanceCatalog::saveCsv(std::ostream &out) const
 {
-    util::CsvWriter writer(out);
-    writer.writeRow({"name", "gpu", "gpus", "hourly_usd"});
-    for (const auto &instance : instances_) {
-        writer.writeRow({instance.name, hw::gpuModelName(instance.gpu),
-                         std::to_string(instance.numGpus),
-                         util::format("%.6g", instance.hourlyUsd)});
-    }
+    schema().saveCsv(*this, out);
 }
 
 void
 InstanceCatalog::saveCbf(std::ostream &out) const
 {
-    io::CbfBuilder builder;
-    builder.addBytes("schema", "ceer.catalog.v1");
-    std::vector<std::string> names, gpus;
-    std::vector<std::int64_t> num_gpus;
-    std::vector<double> prices;
-    for (const auto &instance : instances_) {
-        names.push_back(instance.name);
-        gpus.push_back(hw::gpuModelName(instance.gpu));
-        num_gpus.push_back(instance.numGpus);
-        prices.push_back(instance.hourlyUsd);
-    }
-    io::addStringColumn(&builder, "cat.name", names);
-    io::addStringColumn(&builder, "cat.gpu", gpus);
-    builder.addI64("cat.gpus", num_gpus);
-    builder.addF64("cat.hourly_usd", prices);
-    builder.write(out);
+    schema().saveCbf(*this, out);
 }
 
 bool
 InstanceCatalog::tryLoadCbf(const io::CbfFile &file,
                             InstanceCatalog *catalog, std::string *error)
 {
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
-        return false;
-    const std::string schema_name(schema, schema_size);
-    if (schema_name != "ceer.catalog.v1") {
-        *error = "schema '" + schema_name +
-                 "' is not ceer.catalog.v1 (wrong container?)";
-        return false;
-    }
-    std::vector<std::string> names, gpus;
-    if (!io::readStringColumn(file, "cat.name", &names, error) ||
-        !io::readStringColumn(file, "cat.gpu", &gpus, error))
-        return false;
-    const std::size_t rows = names.size();
-    const std::int64_t *num_gpus = nullptr;
-    const double *prices = nullptr;
-    std::size_t n = 0;
-    const auto sized = [&](std::size_t count, const char *name) {
-        if (count == rows)
-            return true;
-        *error = util::format("column '%s' has %zu rows, expected %zu",
-                              name, count, rows);
-        return false;
-    };
-    if (!(file.i64("cat.gpus", &num_gpus, &n, error) &&
-          sized(n, "cat.gpus")) ||
-        !(file.f64("cat.hourly_usd", &prices, &n, error) &&
-          sized(n, "cat.hourly_usd")) ||
-        !sized(gpus.size(), "cat.gpu"))
-        return false;
-    InstanceCatalog parsed;
-    for (std::size_t i = 0; i < rows; ++i) {
-        GpuInstance instance;
-        instance.name = std::move(names[i]);
-        if (!hw::gpuModelFromName(gpus[i], instance.gpu)) {
-            *error = util::format("row %zu: unknown GPU '%s'", i,
-                                  gpus[i].c_str());
-            return false;
-        }
-        if (num_gpus[i] < 1 || num_gpus[i] > 1 << 20) {
-            *error = util::format(
-                "row %zu: bad gpus %lld", i,
-                static_cast<long long>(num_gpus[i]));
-            return false;
-        }
-        instance.numGpus = static_cast<int>(num_gpus[i]);
-        instance.hourlyUsd = prices[i];
-        if (!(instance.hourlyUsd > 0.0) ||
-            !std::isfinite(instance.hourlyUsd)) {
-            *error = util::format("row %zu: bad hourly price for '%s'",
-                                  i, instance.name.c_str());
-            return false;
-        }
-        parsed.add(std::move(instance));
-    }
-    *catalog = std::move(parsed);
-    return true;
+    return schema().tryLoadCbf(file, catalog, error);
 }
 
 bool
 InstanceCatalog::tryLoadFile(const std::string &path,
                              InstanceCatalog *catalog, std::string *error)
 {
-    return io::tryLoadSniffed(
-        path,
-        [catalog](const io::CbfFile &file, std::string *err) {
-            return tryLoadCbf(file, catalog, err);
-        },
-        [catalog](std::istream &in, std::string *err) {
-            return tryFromCsv(in, catalog, err);
-        },
-        error);
+    return schema().tryLoadFile(path, catalog, error);
 }
 
 InstanceCatalog

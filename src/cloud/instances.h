@@ -24,6 +24,8 @@ namespace ceer {
 
 namespace io {
 class CbfFile;
+template <class T>
+class FileSchema;
 }
 
 namespace cloud {
@@ -88,37 +90,21 @@ class InstanceCatalog
     void add(GpuInstance instance);
 
     /**
-     * Parses a user-supplied catalog from CSV with the header
-     * `name,gpu,gpus,hourly_usd` — the adoption path for other
-     * regions, spot pricing, or other clouds' GPU offerings (the GPU
-     * column still names one of the four modeled silicons).
-     * @p catalog is untouched on failure; @p error carries row/column
-     * context.
+     * The catalog's columns, which drive both dialects: name, gpu (one
+     * of the four modeled silicons), gpus (1..hw::kMaxGpus) and
+     * hourly_usd (finite, positive). A user-supplied CSV catalog with
+     * the header `name,gpu,gpus,hourly_usd` is the adoption path for
+     * other regions, spot pricing, or other clouds' GPU offerings. The
+     * proxy flag belongs to the built-in paper catalogs and is not
+     * stored, so CSV/CBF conversions are exact both ways.
      */
-    static bool tryFromCsv(std::istream &in, InstanceCatalog *catalog,
-                           std::string *error);
+    static const io::FileSchema<InstanceCatalog> &schema();
 
-    /** Writes the catalog in the tryFromCsv format. */
     void saveCsv(std::ostream &out) const;
-
-    /**
-     * Serializes the catalog as CBF (docs/file_formats.md). Both
-     * dialects store `name,gpu,gpus,hourly_usd` — the proxy flag is a
-     * property of the built-in paper catalogs, not of user-supplied
-     * files — so CSV/CBF conversions are exact in both directions.
-     */
     void saveCbf(std::ostream &out) const;
-
-    /** Parses a validated CBF file produced by saveCbf(). */
     static bool tryLoadCbf(const io::CbfFile &file,
                            InstanceCatalog *catalog, std::string *error);
-
-    /**
-     * Loads @p path in either format, sniffed by magic bytes: CBF
-     * files take the mmap zero-copy path (falling back to the checked
-     * streaming reader when mapping fails), anything else parses as
-     * the CSV dialect. @p catalog is untouched on failure.
-     */
+    /** Either dialect, sniffed by magic bytes; untouched on failure. */
     static bool tryLoadFile(const std::string &path,
                             InstanceCatalog *catalog, std::string *error);
 

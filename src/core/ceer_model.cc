@@ -5,9 +5,8 @@
 #include <ostream>
 
 #include "core/regression.h"
-#include "io/cbf.h"
+#include "io/schema.h"
 #include "util/logging.h"
-#include "util/parse.h"
 #include "util/strings.h"
 
 namespace ceer {
@@ -102,36 +101,151 @@ CeerModel::opModelR2Range() const
     return {lo, hi};
 }
 
+namespace {
+
+/** One heavy op type: a row of the heavy_ops table. */
+struct HeavyOp
+{
+    OpType op = OpType::Identity;
+};
+
+/** One valid per-(GPU, k) comm fit: a row of the comm_fit table. */
+struct CommRow
+{
+    GpuModel gpu = GpuModel::V100;
+    std::uint64_t k = 1; ///< 1-based width of S_k.
+    double r2 = 0.0;
+    LinearModel model;
+};
+
+/** Largest width a comm fit may name. */
+constexpr std::int64_t kMaxCommK = 1024;
+
+/** A LinearModel member, stored as its %.17g serialize() text. */
+template <auto M, class Row = io::ClassOf<M>>
+io::Column<Row>
+fitColumn(const char *name, int text)
+{
+    return {name, text, true, io::ColType::Str, nullptr,
+            [](const Row &row, io::Value *value) {
+                value->str = (row.*M).serialize();
+            },
+            [](Row *row, io::Value *value, std::string *why) {
+                return LinearModel::tryDeserialize(value->str,
+                                                   &(row->*M), why);
+            }};
+}
+
+/**
+ * The model's tables. CBF stores them as column groups; the text
+ * dialect is sectioned "tag field..." lines, which do not fit one
+ * column table (each scalar has its own line, and heavy_ops puts all
+ * its rows on one line), so save()/tryLoad() keep their own line
+ * loop and run every field through these columns.
+ */
+struct ModelSchema
+{
+    io::Table<CeerModel, CeerModel> scalars{
+        nullptr, "scalar.",
+        {io::field<&CeerModel::heavyThresholdUs>("heavy_threshold_us", 1,
+                                                 "%.17g"),
+         io::field<&CeerModel::lightMedianUs>("light_median_us", 1,
+                                              "%.17g"),
+         io::field<&CeerModel::cpuMedianUs>("cpu_median_us", 1, "%.17g")},
+        [](const CeerModel &model, const auto &emit) { emit(model); },
+        [](CeerModel *model, CeerModel &&row, io::Dialect, std::string *) {
+            model->heavyThresholdUs = row.heavyThresholdUs;
+            model->lightMedianUs = row.lightMedianUs;
+            model->cpuMedianUs = row.cpuMedianUs;
+            return true;
+        },
+        /*single=*/true};
+    io::Table<CeerModel, HeavyOp> heavyOps{
+        "heavy_ops", "",
+        {io::opColumn<&HeavyOp::op>("heavy_ops", 1)},
+        [](const CeerModel &model, const auto &emit) {
+            for (OpType op : model.heavyOps)
+                emit(HeavyOp{op});
+        },
+        [](CeerModel *model, HeavyOp &&row, io::Dialect, std::string *) {
+            model->heavyOps.insert(row.op);
+            return true;
+        }};
+    io::Table<CeerModel, OpTimeModel> opModels{
+        "op_model", "om.",
+        {io::gpuColumn<&OpTimeModel::gpu>("gpu", 1),
+         io::opColumn<&OpTimeModel::op>("op", 2),
+         io::field<&OpTimeModel::quadratic>("quadratic", 3, "0|1"),
+         io::field<&OpTimeModel::usable>("usable", 4, "0|1"),
+         io::field<&OpTimeModel::r2>("r2", 5, "%.17g"),
+         io::field<&OpTimeModel::medianUs>("median_us", 6, "%.17g"),
+         io::field<&OpTimeModel::points>("points", 7),
+         fitColumn<&OpTimeModel::model>("fit", 8)},
+        // Map order (sorted by key) is the file order.
+        [](const CeerModel &model, const auto &emit) {
+            for (const auto &[key, entry] : model.opModels)
+                emit(entry);
+        },
+        [](CeerModel *model, OpTimeModel &&row, io::Dialect,
+           std::string *) {
+            model->opModels.emplace(std::make_pair(row.gpu, row.op),
+                                    std::move(row));
+            return true;
+        }};
+    io::Table<CeerModel, CommRow> commFits{
+        "comm_fit", "cf.",
+        {io::gpuColumn<&CommRow::gpu>("gpu", 1),
+         io::ranged<&CommRow::k, 1, kMaxCommK>("k", 2),
+         io::field<&CommRow::r2>("r2", 3, "%.17g"),
+         fitColumn<&CommRow::model>("fit", 4)},
+        // Only valid fits are stored.
+        [](const CeerModel &model, const auto &emit) {
+            for (const auto &[gpu, per_k] : model.comm.fits) {
+                for (std::size_t i = 0; i < per_k.size(); ++i) {
+                    if (per_k[i].valid)
+                        emit(CommRow{gpu, i + 1, per_k[i].r2,
+                                     per_k[i].model});
+                }
+            }
+        },
+        [](CeerModel *model, CommRow &&row, io::Dialect, std::string *) {
+            auto &per_k = model->comm.fits[row.gpu];
+            if (per_k.size() < row.k)
+                per_k.resize(row.k);
+            per_k[row.k - 1] = {std::move(row.model), row.r2, true};
+            return true;
+        }};
+    io::FileSchema<CeerModel> file{
+        "ceer.model.v1", {}, {&scalars, &heavyOps, &opModels, &commFits}};
+};
+
+const ModelSchema &
+modelSchema()
+{
+    static const ModelSchema schema;
+    return schema;
+}
+
+} // namespace
+
 void
 CeerModel::save(std::ostream &out) const
 {
+    const ModelSchema &schema = modelSchema();
     out << "ceer_model v1\n";
-    out << "heavy_threshold_us " << util::format("%.17g", heavyThresholdUs)
-        << "\n";
-    out << "light_median_us " << util::format("%.17g", lightMedianUs)
-        << "\n";
-    out << "cpu_median_us " << util::format("%.17g", cpuMedianUs) << "\n";
-    out << "heavy_ops";
+    for (const auto &column : schema.scalars.columns)
+        out << column.name << ' ' << io::encodeField(column, *this)
+            << '\n';
+    out << schema.heavyOps.tag;
     for (OpType op : heavyOps)
-        out << " " << graph::opTypeName(op);
-    out << "\n";
-    for (const auto &[key, model] : opModels) {
-        out << "op_model " << hw::gpuModelName(key.first) << " "
-            << graph::opTypeName(key.second) << " "
-            << (model.quadratic ? 1 : 0) << " " << (model.usable ? 1 : 0)
-            << " " << util::format("%.17g", model.r2) << " "
-            << util::format("%.17g", model.medianUs) << " "
-            << model.points << " " << model.model.serialize() << "\n";
-    }
-    for (const auto &[gpu, per_k] : comm.fits) {
-        for (std::size_t i = 0; i < per_k.size(); ++i) {
-            if (!per_k[i].valid)
-                continue;
-            out << "comm_fit " << hw::gpuModelName(gpu) << " " << (i + 1)
-                << " " << util::format("%.17g", per_k[i].r2) << " "
-                << per_k[i].model.serialize() << "\n";
-        }
-    }
+        out << ' ' << io::encodeField(schema.heavyOps.columns[0],
+                                      HeavyOp{op});
+    out << '\n';
+    const auto line = [&out](const std::vector<std::string> &fields) {
+        out << util::join(fields, " ") << '\n';
+    };
+    schema.opModels.writeText(*this, 0, line);
+    schema.commFits.writeText(*this, 0, line);
 }
 
 CeerModel
@@ -148,6 +262,7 @@ bool
 CeerModel::tryLoad(std::istream &in, CeerModel *model,
                    std::string *error)
 {
+    const ModelSchema &schema = modelSchema();
     CeerModel parsed;
     std::string line;
     std::size_t line_no = 1;
@@ -156,112 +271,56 @@ CeerModel::tryLoad(std::istream &in, CeerModel *model,
         *error = "missing header";
         return false;
     }
-    // All failure paths funnel through fail()/failField() so every
-    // message carries the offending line number.
-    const auto fail = [&](const std::string &what) {
-        *error = util::format("line %zu: ", line_no) + what;
-        return false;
-    };
-    const auto parse_double = [&](const std::string &field,
-                                  const char *what, double *out) {
-        const auto result = util::parseDouble(field);
-        if (!result) {
-            *error = util::format("line %zu: bad %s '%s': %s", line_no,
-                                  what, field.c_str(), result.error);
-            return false;
-        }
-        *out = result.value;
-        return true;
-    };
+    std::string why;
     while (std::getline(in, line)) {
         ++line_no;
         if (line.empty())
             continue;
         const auto fields = util::split(line, ' ');
         const std::string &tag = fields[0];
-        const auto require = [&](std::size_t count) {
-            if (fields.size() >= count)
-                return true;
-            *error = util::format(
-                "line %zu: truncated '%s' line (%zu of %zu fields)",
-                line_no, tag.c_str(), fields.size(), count);
-            return false;
-        };
-        if (tag == "heavy_threshold_us") {
-            if (!require(2) ||
-                !parse_double(fields[1], "threshold",
-                              &parsed.heavyThresholdUs))
+        using Base = io::TableBase<CeerModel>;
+        const Base *table =
+            tag == schema.opModels.tag    ? static_cast<const Base *>(
+                                                &schema.opModels)
+            : tag == schema.commFits.tag ? &schema.commFits
+                                         : nullptr;
+        if (table) {
+            if (!table->readText(fields, "line", line_no, &parsed, error))
                 return false;
-        } else if (tag == "light_median_us") {
-            if (!require(2) ||
-                !parse_double(fields[1], "median",
-                              &parsed.lightMedianUs))
-                return false;
-        } else if (tag == "cpu_median_us") {
-            if (!require(2) ||
-                !parse_double(fields[1], "median", &parsed.cpuMedianUs))
-                return false;
-        } else if (tag == "heavy_ops") {
-            for (std::size_t i = 1; i < fields.size(); ++i) {
-                OpType op;
-                if (!graph::opTypeFromName(fields[i], op))
-                    return fail("bad op " + fields[i]);
-                parsed.heavyOps.insert(op);
-            }
-        } else if (tag == "op_model") {
-            if (!require(9))
-                return false;
-            GpuModel gpu;
-            OpType op;
-            if (!hw::gpuModelFromName(fields[1], gpu) ||
-                !graph::opTypeFromName(fields[2], op))
-                return fail("bad op_model line");
-            OpTimeModel entry;
-            entry.gpu = gpu;
-            entry.op = op;
-            entry.quadratic = fields[3] == "1";
-            entry.usable = fields[4] == "1";
-            if (!parse_double(fields[5], "r2", &entry.r2) ||
-                !parse_double(fields[6], "median", &entry.medianUs))
-                return false;
-            const auto points = util::parseSize(fields[7]);
-            if (!points)
-                return fail("bad op_model points '" + fields[7] +
-                            "': " + points.error);
-            entry.points = points.value;
-            std::string model_error;
-            if (!LinearModel::tryDeserialize(fields[8], &entry.model,
-                                             &model_error))
-                return fail("op_model fit: " + model_error);
-            parsed.opModels.emplace(std::make_pair(gpu, op),
-                                    std::move(entry));
-        } else if (tag == "comm_fit") {
-            if (!require(5))
-                return false;
-            GpuModel gpu;
-            if (!hw::gpuModelFromName(fields[1], gpu))
-                return fail("bad comm_fit line");
-            const auto k_parsed = util::parseSize(fields[2]);
-            if (!k_parsed)
-                return fail("bad comm_fit k '" + fields[2] + "': " +
-                            k_parsed.error);
-            const std::size_t k = k_parsed.value;
-            if (k == 0)
-                return fail("comm_fit k must be >= 1");
-            auto &per_k = parsed.comm.fits[gpu];
-            if (per_k.size() < k)
-                per_k.resize(k);
-            std::string model_error;
-            if (!parse_double(fields[3], "r2", &per_k[k - 1].r2))
-                return false;
-            if (!LinearModel::tryDeserialize(fields[4],
-                                             &per_k[k - 1].model,
-                                             &model_error))
-                return fail("comm_fit: " + model_error);
-            per_k[k - 1].valid = true;
-        } else {
-            return fail("unknown tag '" + tag + "'");
+            continue;
         }
+        if (tag == schema.heavyOps.tag) {
+            for (std::size_t i = 1; i < fields.size(); ++i) {
+                HeavyOp row;
+                if (!io::decodeField(schema.heavyOps.columns[0],
+                                     fields[i], i, "line", line_no, &row,
+                                     error))
+                    return false;
+                schema.heavyOps.finish(&parsed, std::move(row),
+                                       io::Dialect::Text, &why);
+            }
+            continue;
+        }
+        const auto &scalars = schema.scalars.columns;
+        const auto scalar =
+            std::find_if(scalars.begin(), scalars.end(),
+                         [&](const auto &column) {
+                             return tag == column.name;
+                         });
+        if (scalar == scalars.end()) {
+            *error = util::format("line %zu: unknown tag '%s'", line_no,
+                                  tag.c_str());
+            return false;
+        }
+        if (fields.size() < 2) {
+            *error = util::format("line %zu: truncated row (1 of 2 "
+                                  "fields)",
+                                  line_no);
+            return false;
+        }
+        if (!io::decodeField(*scalar, fields[1], 1, "line", line_no,
+                             &parsed, error))
+            return false;
     }
     *model = std::move(parsed);
     return true;
@@ -270,212 +329,14 @@ CeerModel::tryLoad(std::istream &in, CeerModel *model,
 void
 CeerModel::saveCbf(std::ostream &out) const
 {
-    io::CbfBuilder builder;
-    builder.addBytes("schema", "ceer.model.v1");
-    builder.addF64("scalar.heavy_threshold_us", {heavyThresholdUs});
-    builder.addF64("scalar.light_median_us", {lightMedianUs});
-    builder.addF64("scalar.cpu_median_us", {cpuMedianUs});
-
-    std::vector<std::string> heavy;
-    for (OpType op : heavyOps)
-        heavy.push_back(graph::opTypeName(op));
-    io::addStringColumn(&builder, "heavy_ops", heavy);
-
-    // Map iteration order (sorted by key) matches save()'s line order.
-    std::vector<std::string> om_gpu, om_op, om_fit;
-    std::vector<std::uint8_t> om_quadratic, om_usable;
-    std::vector<double> om_r2, om_median;
-    std::vector<std::uint64_t> om_points;
-    for (const auto &[key, entry] : opModels) {
-        om_gpu.push_back(hw::gpuModelName(key.first));
-        om_op.push_back(graph::opTypeName(key.second));
-        om_quadratic.push_back(entry.quadratic ? 1 : 0);
-        om_usable.push_back(entry.usable ? 1 : 0);
-        om_r2.push_back(entry.r2);
-        om_median.push_back(entry.medianUs);
-        om_points.push_back(entry.points);
-        om_fit.push_back(entry.model.serialize());
-    }
-    io::addStringColumn(&builder, "om.gpu", om_gpu);
-    io::addStringColumn(&builder, "om.op", om_op);
-    builder.addU8("om.quadratic", om_quadratic);
-    builder.addU8("om.usable", om_usable);
-    builder.addF64("om.r2", om_r2);
-    builder.addF64("om.median_us", om_median);
-    builder.addU64("om.points", om_points);
-    io::addStringColumn(&builder, "om.fit", om_fit);
-
-    // Only valid fits are stored, k is 1-based — same as save().
-    std::vector<std::string> cf_gpu, cf_fit;
-    std::vector<std::uint64_t> cf_k;
-    std::vector<double> cf_r2;
-    for (const auto &[gpu, per_k] : comm.fits) {
-        for (std::size_t i = 0; i < per_k.size(); ++i) {
-            if (!per_k[i].valid)
-                continue;
-            cf_gpu.push_back(hw::gpuModelName(gpu));
-            cf_k.push_back(i + 1);
-            cf_r2.push_back(per_k[i].r2);
-            cf_fit.push_back(per_k[i].model.serialize());
-        }
-    }
-    io::addStringColumn(&builder, "cf.gpu", cf_gpu);
-    builder.addU64("cf.k", cf_k);
-    builder.addF64("cf.r2", cf_r2);
-    io::addStringColumn(&builder, "cf.fit", cf_fit);
-
-    builder.write(out);
+    modelSchema().file.saveCbf(*this, out);
 }
 
 bool
 CeerModel::tryLoadCbf(const io::CbfFile &file, CeerModel *model,
                       std::string *error)
 {
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
-        return false;
-    const std::string schema_name(schema, schema_size);
-    if (schema_name != "ceer.model.v1") {
-        *error = "schema '" + schema_name +
-                 "' is not ceer.model.v1 (wrong container?)";
-        return false;
-    }
-
-    CeerModel parsed;
-    const auto scalar = [&](const char *name, double *out) {
-        const double *data = nullptr;
-        std::size_t count = 0;
-        if (!file.f64(name, &data, &count, error))
-            return false;
-        if (count != 1) {
-            *error = util::format(
-                "column '%s' has %zu values, expected 1", name, count);
-            return false;
-        }
-        *out = data[0];
-        return true;
-    };
-    if (!scalar("scalar.heavy_threshold_us", &parsed.heavyThresholdUs) ||
-        !scalar("scalar.light_median_us", &parsed.lightMedianUs) ||
-        !scalar("scalar.cpu_median_us", &parsed.cpuMedianUs))
-        return false;
-
-    std::vector<std::string> heavy;
-    if (!io::readStringColumn(file, "heavy_ops", &heavy, error))
-        return false;
-    for (std::size_t i = 0; i < heavy.size(); ++i) {
-        OpType op;
-        if (!graph::opTypeFromName(heavy[i], op)) {
-            *error = util::format("heavy_ops row %zu: bad op '%s'", i,
-                                  heavy[i].c_str());
-            return false;
-        }
-        parsed.heavyOps.insert(op);
-    }
-
-    const auto sized = [&](std::size_t count, std::size_t rows,
-                           const char *name) {
-        if (count == rows)
-            return true;
-        *error = util::format("column '%s' has %zu rows, expected %zu",
-                              name, count, rows);
-        return false;
-    };
-
-    std::vector<std::string> om_gpu, om_op, om_fit;
-    if (!io::readStringColumn(file, "om.gpu", &om_gpu, error) ||
-        !io::readStringColumn(file, "om.op", &om_op, error) ||
-        !io::readStringColumn(file, "om.fit", &om_fit, error))
-        return false;
-    const std::size_t om_rows = om_gpu.size();
-    const std::uint8_t *om_quadratic = nullptr, *om_usable = nullptr;
-    const double *om_r2 = nullptr, *om_median = nullptr;
-    const std::uint64_t *om_points = nullptr;
-    std::size_t n = 0;
-    if (!(file.u8("om.quadratic", &om_quadratic, &n, error) &&
-          sized(n, om_rows, "om.quadratic")) ||
-        !(file.u8("om.usable", &om_usable, &n, error) &&
-          sized(n, om_rows, "om.usable")) ||
-        !(file.f64("om.r2", &om_r2, &n, error) &&
-          sized(n, om_rows, "om.r2")) ||
-        !(file.f64("om.median_us", &om_median, &n, error) &&
-          sized(n, om_rows, "om.median_us")) ||
-        !(file.u64("om.points", &om_points, &n, error) &&
-          sized(n, om_rows, "om.points")) ||
-        !sized(om_op.size(), om_rows, "om.op") ||
-        !sized(om_fit.size(), om_rows, "om.fit"))
-        return false;
-    for (std::size_t i = 0; i < om_rows; ++i) {
-        OpTimeModel entry;
-        if (!hw::gpuModelFromName(om_gpu[i], entry.gpu)) {
-            *error = util::format("om row %zu: bad GPU '%s'", i,
-                                  om_gpu[i].c_str());
-            return false;
-        }
-        if (!graph::opTypeFromName(om_op[i], entry.op)) {
-            *error = util::format("om row %zu: bad op '%s'", i,
-                                  om_op[i].c_str());
-            return false;
-        }
-        entry.quadratic = om_quadratic[i] != 0;
-        entry.usable = om_usable[i] != 0;
-        entry.r2 = om_r2[i];
-        entry.medianUs = om_median[i];
-        entry.points = om_points[i];
-        std::string model_error;
-        if (!LinearModel::tryDeserialize(om_fit[i], &entry.model,
-                                         &model_error)) {
-            *error = util::format("om row %zu: fit: ", i) + model_error;
-            return false;
-        }
-        parsed.opModels.emplace(std::make_pair(entry.gpu, entry.op),
-                                std::move(entry));
-    }
-
-    std::vector<std::string> cf_gpu, cf_fit;
-    if (!io::readStringColumn(file, "cf.gpu", &cf_gpu, error) ||
-        !io::readStringColumn(file, "cf.fit", &cf_fit, error))
-        return false;
-    const std::size_t cf_rows = cf_gpu.size();
-    const std::uint64_t *cf_k = nullptr;
-    const double *cf_r2 = nullptr;
-    if (!(file.u64("cf.k", &cf_k, &n, error) &&
-          sized(n, cf_rows, "cf.k")) ||
-        !(file.f64("cf.r2", &cf_r2, &n, error) &&
-          sized(n, cf_rows, "cf.r2")) ||
-        !sized(cf_fit.size(), cf_rows, "cf.fit"))
-        return false;
-    for (std::size_t i = 0; i < cf_rows; ++i) {
-        GpuModel gpu;
-        if (!hw::gpuModelFromName(cf_gpu[i], gpu)) {
-            *error = util::format("cf row %zu: bad GPU '%s'", i,
-                                  cf_gpu[i].c_str());
-            return false;
-        }
-        const std::uint64_t k = cf_k[i];
-        if (k == 0 || k > 1024) {
-            *error = util::format(
-                "cf row %zu: bad k %llu", i,
-                static_cast<unsigned long long>(k));
-            return false;
-        }
-        auto &per_k = parsed.comm.fits[gpu];
-        if (per_k.size() < k)
-            per_k.resize(k);
-        per_k[k - 1].r2 = cf_r2[i];
-        std::string model_error;
-        if (!LinearModel::tryDeserialize(cf_fit[i],
-                                         &per_k[k - 1].model,
-                                         &model_error)) {
-            *error = util::format("cf row %zu: fit: ", i) + model_error;
-            return false;
-        }
-        per_k[k - 1].valid = true;
-    }
-
-    *model = std::move(parsed);
-    return true;
+    return modelSchema().file.tryLoadCbf(file, model, error);
 }
 
 bool

@@ -113,44 +113,22 @@ struct CeerModel
     std::pair<double, double> opModelR2Range() const;
 
     /**
-     * Writes the model as a line-oriented text document.
-     *
-     * All numeric fields are emitted at full precision (%.17g), so a
-     * reloaded model predicts bit-identically to the original.
+     * Writes the line-oriented text dialect. Both dialects run through
+     * one schema (scalars, heavy_ops, op_model, comm_fit tables; see
+     * docs/file_formats.md) and store doubles and regression fits at
+     * %.17g or raw bits, so a reloaded model predicts bit-identically.
+     * Every loader leaves @p model untouched on failure and names the
+     * line or row, column and value.
      */
     void save(std::ostream &out) const;
-
-    /** Parses a document produced by save(); fatal on malformed input. */
+    /** tryLoad(), fatal on failure. */
     static CeerModel load(std::istream &in);
-
-    /**
-     * Exception-free variant of load().
-     *
-     * @param in    Input stream.
-     * @param model Receives the parsed model on success.
-     * @param error Receives a "line N: ..." description on failure.
-     * @return True on success.
-     */
     static bool tryLoad(std::istream &in, CeerModel *model,
                         std::string *error);
-
-    /**
-     * Serializes the model as CBF (docs/file_formats.md). Regression
-     * fits are embedded as their %.17g serialize() text, so both
-     * dialects round-trip predictions bit-identically.
-     */
     void saveCbf(std::ostream &out) const;
-
-    /** Parses a validated CBF file produced by saveCbf(). */
     static bool tryLoadCbf(const io::CbfFile &file, CeerModel *model,
                            std::string *error);
-
-    /**
-     * Loads @p path in either format, sniffed by magic bytes: CBF
-     * files take the mmap zero-copy path (falling back to the checked
-     * streaming reader when mapping fails), anything else parses as
-     * the text dialect. @p model is untouched on failure.
-     */
+    /** Either dialect, sniffed by magic bytes (io::tryLoadSniffed). */
     static bool tryLoadFile(const std::string &path, CeerModel *model,
                             std::string *error);
 

@@ -70,6 +70,12 @@ struct GpuSpec
 /** Returns the spec for @p model. */
 const GpuSpec &gpuSpec(GpuModel model);
 
+/**
+ * Largest GPU count (instance size, data-parallel width) a file may
+ * name; every loader rejects a larger one.
+ */
+constexpr int kMaxGpus = 1 << 20;
+
 /** All four GPU models, in the paper's P3, P2, G4, G3 order. */
 const std::vector<GpuModel> &allGpuModels();
 

@@ -1,6 +1,7 @@
 #include "io/cbf.h"
 
 #include <bit>
+#include <exception>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -800,6 +801,30 @@ CbfFile::bytes(std::string_view name, const char **data,
     return true;
 }
 
+namespace {
+
+/** Checks an N+1 offset vector: starts at 0, ends at @p total, rises. */
+bool
+checkOffsets(const std::string &name, const std::uint64_t *offsets,
+             std::size_t count, std::size_t total, std::string *error)
+{
+    if (count == 0 || offsets[0] != 0 || offsets[count - 1] != total) {
+        *error = "column '" + name + ".off': bad offset vector";
+        return false;
+    }
+    for (std::size_t i = 0; i + 1 < count; ++i) {
+        if (offsets[i + 1] < offsets[i] || offsets[i + 1] > total) {
+            *error = util::format(
+                "column '%s.off': offset %zu out of order", name.c_str(),
+                i + 1);
+            return false;
+        }
+    }
+    return true;
+}
+
+} // namespace
+
 void
 addStringColumn(CbfBuilder *builder, const std::string &name,
                 const std::vector<std::string> &values)
@@ -825,25 +850,13 @@ readStringColumn(const CbfFile &file, const std::string &name,
     const std::uint64_t *offsets;
     std::size_t offset_count;
     if (!file.bytes(name, &blob, &blob_size, error) ||
-        !file.u64(name + ".off", &offsets, &offset_count, error))
+        !file.u64(name + ".off", &offsets, &offset_count, error) ||
+        !checkOffsets(name, offsets, offset_count, blob_size, error))
         return false;
-    if (offset_count == 0 || offsets[0] != 0 ||
-        offsets[offset_count - 1] != blob_size) {
-        *error = "column '" + name + ".off': bad offset vector";
-        return false;
-    }
     std::vector<std::string> values;
     values.reserve(offset_count - 1);
-    for (std::size_t i = 0; i + 1 < offset_count; ++i) {
-        if (offsets[i + 1] < offsets[i] || offsets[i + 1] > blob_size) {
-            *error = util::format(
-                "column '%s.off': offset %zu out of order",
-                name.c_str(), i + 1);
-            return false;
-        }
-        values.emplace_back(blob + offsets[i],
-                            offsets[i + 1] - offsets[i]);
-    }
+    for (std::size_t i = 0; i + 1 < offset_count; ++i)
+        values.emplace_back(blob + offsets[i], offsets[i + 1] - offsets[i]);
     *out = std::move(values);
     return true;
 }
@@ -874,25 +887,13 @@ readF64ListColumn(const CbfFile &file, const std::string &name,
     const std::uint64_t *offsets;
     std::size_t offset_count;
     if (!file.f64(name, &flat, &flat_count, error) ||
-        !file.u64(name + ".off", &offsets, &offset_count, error))
+        !file.u64(name + ".off", &offsets, &offset_count, error) ||
+        !checkOffsets(name, offsets, offset_count, flat_count, error))
         return false;
-    if (offset_count == 0 || offsets[0] != 0 ||
-        offsets[offset_count - 1] != flat_count) {
-        *error = "column '" + name + ".off': bad offset vector";
-        return false;
-    }
     std::vector<std::vector<double>> values;
     values.reserve(offset_count - 1);
-    for (std::size_t i = 0; i + 1 < offset_count; ++i) {
-        if (offsets[i + 1] < offsets[i] ||
-            offsets[i + 1] > flat_count) {
-            *error = util::format(
-                "column '%s.off': offset %zu out of order",
-                name.c_str(), i + 1);
-            return false;
-        }
+    for (std::size_t i = 0; i + 1 < offset_count; ++i)
         values.emplace_back(flat + offsets[i], flat + offsets[i + 1]);
-    }
     *out = std::move(values);
     return true;
 }
@@ -937,16 +938,23 @@ tryLoadSniffed(
     if (!sniffFile(path, &format, error))
         return false;
     bool ok;
-    if (format == FileFormat::Cbf) {
-        CbfFile file;
-        ok = tryOpenCbf(path, &file, error) && from_cbf(file, error);
-    } else {
-        std::ifstream in(path);
-        if (!in) {
-            *error = "cannot open '" + path + "'";
-            return false;
+    try {
+        if (format == FileFormat::Cbf) {
+            CbfFile file;
+            ok = tryOpenCbf(path, &file, error) && from_cbf(file, error);
+        } else {
+            std::ifstream in(path);
+            if (!in) {
+                *error = "cannot open '" + path + "'";
+                return false;
+            }
+            ok = from_text(in, error);
         }
-        ok = from_text(in, error);
+    } catch (const std::exception &e) {
+        // A loader must fail with an error, never unwind into its
+        // caller (ceerd reloads models through here).
+        *error = e.what();
+        ok = false;
     }
     if (!ok)
         *error = path + ": " + *error;

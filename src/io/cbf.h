@@ -310,7 +310,9 @@ bool tryOpenCbf(const std::string &path, CbfFile *out,
  * The one load path of every file loader that takes either dialect:
  * sniffs @p path, hands a CBF file opened by tryOpenCbf to
  * @p from_cbf or the opened text file to @p from_text, and prefixes
- * every error after the sniff with the path. Timed as `io.load_us`.
+ * every error after the sniff with the path. An exception from
+ * either callback (say, std::bad_alloc) becomes an error too, so no
+ * loader throws out of a try* call. Timed as `io.load_us`.
  */
 bool tryLoadSniffed(
     const std::string &path,

@@ -8,14 +8,12 @@
 #include <set>
 #include <unordered_map>
 
-#include "io/cbf.h"
+#include "io/schema.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
 #include "profile/features.h"
-#include "util/csv.h"
 #include "util/logging.h"
-#include "util/parse.h"
 #include "util/random.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -108,12 +106,17 @@ Profiler::takeProfiles() const
 void
 ProfileDataset::add(std::vector<OpProfile> profiles)
 {
-    for (auto &profile : profiles) {
-        const std::size_t index = ops_.size();
-        opIndex_[{profile.gpu, profile.op}].push_back(index);
-        gpuIndex_[profile.gpu].push_back(index);
-        ops_.push_back(std::move(profile));
-    }
+    for (auto &profile : profiles)
+        append(std::move(profile));
+}
+
+void
+ProfileDataset::append(OpProfile profile)
+{
+    const std::size_t index = ops_.size();
+    opIndex_[{profile.gpu, profile.op}].push_back(index);
+    gpuIndex_[profile.gpu].push_back(index);
+    ops_.push_back(std::move(profile));
 }
 
 void
@@ -179,49 +182,145 @@ ProfileDataset::opTypes(hw::GpuModel gpu) const
     return out;
 }
 
+namespace {
+
+/**
+ * One op row in transit: the profile plus its dialect-only columns.
+ * CSV keeps a (count, mean, stddev) summary of the timings; CBF keeps
+ * the exact RunningStats and SampleReservoir state.
+ */
+struct OpRow : OpProfile
+{
+    OpRow() = default;
+    explicit OpRow(const OpProfile &profile)
+        : OpProfile(profile), count(profile.timeUs.count()),
+          mean(profile.timeUs.mean()), stddev(profile.timeUs.stddev()),
+          timeCount(profile.timeUs.count()),
+          timeM2(profile.timeUs.sumSquaredDeviations()),
+          retained(profile.samples.samples()),
+          capacity(profile.samples.capacity()),
+          offered(profile.samples.offered()),
+          rng(profile.samples.rngState())
+    {
+        if (timeCount > 0) {
+            timeMean = profile.timeUs.mean();
+            timeMin = profile.timeUs.min();
+            timeMax = profile.timeUs.max();
+        }
+    }
+
+    std::size_t count = 0; ///< CSV.
+    double mean = 0.0;     ///< CSV.
+    double stddev = 0.0;   ///< CSV.
+    std::uint64_t timeCount = 0;
+    double timeMean = 0.0, timeM2 = 0.0, timeMin = 0.0, timeMax = 0.0;
+    std::vector<double> retained; ///< Reservoir samples (both).
+    std::uint64_t capacity = 0, offered = 0, rng = 0;
+};
+
+/**
+ * The CSV count is replayed as a two-point distribution, one add per
+ * count; a corrupt count must not turn into a near-infinite loop.
+ */
+constexpr std::int64_t kMaxCsvCount = 100'000'000;
+
+/** Builds an op row's timings the way its dialect stores them. */
+bool
+finishOp(OpRow *row, io::Dialect dialect, std::string *why)
+{
+    if (dialect == io::Dialect::Text) {
+        for (double sample : row->retained)
+            row->samples.add(sample);
+        // Rebuild approximate moments from (count, mean, stddev) as a
+        // two-point distribution with those moments.
+        if (row->count == 1) {
+            row->timeUs.add(row->mean);
+        } else if (row->count > 1) {
+            const double n = static_cast<double>(row->count);
+            const double half = row->stddev * std::sqrt((n - 1.0) / n);
+            for (std::size_t j = 0; j < row->count; ++j)
+                row->timeUs.add(j % 2 == 0 ? row->mean + half
+                                           : row->mean - half);
+        }
+        return true;
+    }
+    const std::size_t retained = row->retained.size();
+    if (row->capacity == 0 ||
+        retained != std::min(row->offered, row->capacity)) {
+        *why = util::format(
+            "inconsistent sample reservoir (capacity %llu, offered "
+            "%llu, retained %zu)",
+            static_cast<unsigned long long>(row->capacity),
+            static_cast<unsigned long long>(row->offered), retained);
+        return false;
+    }
+    row->timeUs = util::RunningStats::fromState(
+        row->timeCount, row->timeMean, row->timeM2, row->timeMin,
+        row->timeMax);
+    row->samples = util::SampleReservoir::fromState(
+        row->capacity, row->offered, row->rng, std::move(row->retained));
+    return true;
+}
+
+} // namespace
+
+const io::FileSchema<ProfileDataset> &
+ProfileDataset::schema()
+{
+    using R = IterationProfile;
+    static const auto iterations =
+        io::Table<ProfileDataset, R>::of<&ProfileDataset::iterations_>(
+            "iter", "iter.",
+            {io::field<&R::model>("model", 1),
+             io::gpuColumn<&R::gpu>("gpu", 2),
+             io::ranged<&R::numGpus, 1, hw::kMaxGpus>("num_gpus", 3),
+             io::ranged<&R::paramCount, 0, INT64_MAX>("param_count", 4),
+             io::field<&R::meanIterationUs>("mean_iteration_us", 7, "%.9g"),
+             io::field<&R::meanComputeUs>("mean_compute_us", 8, "%.9g"),
+             io::field<&R::meanCommUs>("mean_comm_us", 9, "%.9g")});
+        static const io::Table<ProfileDataset, OpRow> ops(
+            "op", "op.",
+            {io::field<&OpRow::model, OpRow>("model", 1),
+             io::gpuColumn<&OpRow::gpu, OpRow>("gpu", 2),
+             io::opColumn<&OpRow::op, OpRow>("op", 3),
+             io::field<&OpRow::onCpu, OpRow>("on_cpu", 4, "gpu|cpu"),
+             io::field<&OpRow::occurrences, OpRow>("occurrences", 5),
+             io::field<&OpRow::features, OpRow>("features", 9, "%.17g"),
+             io::ranged<&OpRow::count, 0, kMaxCsvCount>("count", 6, false),
+             io::field<&OpRow::mean>("mean_us", 7, "%.9g", false),
+             io::field<&OpRow::stddev>("stddev_us", 8, "%.9g", false),
+             io::field<&OpRow::timeCount>("time_count", -1),
+             io::field<&OpRow::timeMean>("time_mean", -1),
+             io::field<&OpRow::timeM2>("time_m2", -1),
+             io::field<&OpRow::timeMin>("time_min", -1),
+             io::field<&OpRow::timeMax>("time_max", -1),
+             io::field<&OpRow::retained>("samples", 10, "%.6g"),
+             io::field<&OpRow::capacity>("sample_capacity", -1),
+             io::field<&OpRow::offered>("sample_offered", -1),
+             io::field<&OpRow::rng>("sample_rng", -1)},
+            [](const ProfileDataset &dataset, const auto &emit) {
+                for (const OpProfile &profile : dataset.ops_)
+                    emit(OpRow(profile));
+            },
+            [](ProfileDataset *dataset, OpRow &&row, io::Dialect dialect,
+               std::string *why) {
+                if (!finishOp(&row, dialect, why))
+                    return false;
+                dataset->append(std::move(row));
+                return true;
+            });
+    static const io::FileSchema<ProfileDataset> schema(
+        "ceer.profiles.v1",
+        {"kind", "model", "gpu", "op", "device", "occurrences", "count",
+         "mean_us", "stddev_us", "features", "samples"},
+        {&ops, &iterations}, {&iterations, &ops});
+    return schema;
+}
+
 void
 ProfileDataset::saveCsv(std::ostream &out) const
 {
-    util::CsvWriter writer(out);
-    writer.writeRow({"kind", "model", "gpu", "op", "device",
-                     "occurrences", "count", "mean_us", "stddev_us",
-                     "features", "samples"});
-    for (const auto &run : iterations_) {
-        writer.writeRow({
-            "iter",
-            run.model,
-            hw::gpuModelName(run.gpu),
-            std::to_string(run.numGpus),
-            std::to_string(run.paramCount),
-            "",
-            "",
-            util::format("%.9g", run.meanIterationUs),
-            util::format("%.9g", run.meanComputeUs),
-            util::format("%.9g", run.meanCommUs),
-            "",
-        });
-    }
-    for (const auto &profile : ops_) {
-        std::vector<std::string> feature_text;
-        for (double f : profile.features)
-            feature_text.push_back(util::format("%.17g", f));
-        std::vector<std::string> sample_text;
-        for (double s : profile.samples.samples())
-            sample_text.push_back(util::format("%.6g", s));
-        writer.writeRow({
-            "op",
-            profile.model,
-            hw::gpuModelName(profile.gpu),
-            graph::opTypeName(profile.op),
-            profile.onCpu ? "cpu" : "gpu",
-            std::to_string(profile.occurrences),
-            std::to_string(profile.timeUs.count()),
-            util::format("%.9g", profile.timeUs.mean()),
-            util::format("%.9g", profile.timeUs.stddev()),
-            util::join(feature_text, ";"),
-            util::join(sample_text, ";"),
-        });
-    }
+    schema().saveCsv(*this, out);
 }
 
 ProfileDataset
@@ -238,391 +337,27 @@ bool
 ProfileDataset::tryLoadCsv(std::istream &in, ProfileDataset *dataset,
                            std::string *error)
 {
-    ProfileDataset parsed;
-    std::vector<OpProfile> loaded_ops;
-    std::vector<std::vector<std::string>> rows;
-    if (!util::tryReadCsv(in, &rows, error))
-        return false;
-    // Numeric fields are parsed through this helper so every failure
-    // reports its (row, column) coordinates plus the column name.
-    std::size_t row_no = 0;
-    const auto parse_double = [&](const std::string &field,
-                                  std::size_t column, const char *name,
-                                  double *out) {
-        const auto result = util::parseDouble(field);
-        if (!result) {
-            *error = util::format("row %zu column %zu (%s): %s: '%s'",
-                                  row_no, column, name, result.error,
-                                  field.c_str());
-            return false;
-        }
-        *out = result.value;
-        return true;
-    };
-    for (std::size_t i = 1; i < rows.size(); ++i) {
-        const auto &row = rows[i];
-        row_no = i;
-        if (row.size() < 11) {
-            *error = util::format("row %zu has %zu fields", i,
-                                  row.size());
-            return false;
-        }
-        if (row[0] == "iter") {
-            IterationProfile run;
-            run.model = row[1];
-            if (!hw::gpuModelFromName(row[2], run.gpu)) {
-                *error = "bad GPU " + row[2];
-                return false;
-            }
-            const auto num_gpus = util::parseInt64(row[3]);
-            if (!num_gpus || num_gpus.value < 1) {
-                *error = util::format(
-                    "row %zu column 4 (num_gpus): bad value '%s'", i,
-                    row[3].c_str());
-                return false;
-            }
-            run.numGpus = static_cast<int>(num_gpus.value);
-            const auto params = util::parseInt64(row[4]);
-            if (!params) {
-                *error = util::format(
-                    "row %zu column 5 (param_count): %s: '%s'", i,
-                    params.error, row[4].c_str());
-                return false;
-            }
-            run.paramCount = params.value;
-            if (!parse_double(row[7], 8, "mean_iteration_us",
-                              &run.meanIterationUs) ||
-                !parse_double(row[8], 9, "mean_compute_us",
-                              &run.meanComputeUs) ||
-                !parse_double(row[9], 10, "mean_comm_us",
-                              &run.meanCommUs))
-                return false;
-            parsed.iterations_.push_back(std::move(run));
-            continue;
-        }
-        if (row[0] != "op") {
-            *error = "unknown row kind '" + row[0] + "'";
-            return false;
-        }
-        OpProfile profile;
-        profile.model = row[1];
-        if (!hw::gpuModelFromName(row[2], profile.gpu)) {
-            *error = "bad GPU " + row[2];
-            return false;
-        }
-        if (!graph::opTypeFromName(row[3], profile.op)) {
-            *error = "bad op " + row[3];
-            return false;
-        }
-        if (row[4] != "cpu" && row[4] != "gpu") {
-            *error = util::format(
-                "row %zu column 5 (device): expected 'cpu' or 'gpu': "
-                "'%s'", i, row[4].c_str());
-            return false;
-        }
-        profile.onCpu = row[4] == "cpu";
-        const auto occurrences = util::parseSize(row[5]);
-        if (!occurrences) {
-            *error = util::format(
-                "row %zu column 6 (occurrences): %s: '%s'", i,
-                occurrences.error, row[5].c_str());
-            return false;
-        }
-        profile.occurrences = occurrences.value;
-        const auto count_parsed = util::parseSize(row[6]);
-        if (!count_parsed) {
-            *error = util::format("row %zu column 7 (count): %s: '%s'",
-                                  i, count_parsed.error, row[6].c_str());
-            return false;
-        }
-        const std::size_t count = count_parsed.value;
-        // The moment reconstruction below loops `count` times; a
-        // corrupt count must not turn into a near-infinite loop.
-        constexpr std::size_t kMaxPlausibleCount = 100'000'000;
-        if (count > kMaxPlausibleCount) {
-            *error = util::format(
-                "row %zu column 7 (count): implausibly large count "
-                "'%s'", i, row[6].c_str());
-            return false;
-        }
-        double mean = 0.0, stddev = 0.0;
-        if (!parse_double(row[7], 8, "mean_us", &mean) ||
-            !parse_double(row[8], 9, "stddev_us", &stddev))
-            return false;
-        for (const auto &text : util::split(row[9], ';')) {
-            if (text.empty())
-                continue;
-            double feature = 0.0;
-            if (!parse_double(text, 10, "features", &feature))
-                return false;
-            profile.features.push_back(feature);
-        }
-        for (const auto &text : util::split(row[10], ';')) {
-            if (text.empty())
-                continue;
-            double sample = 0.0;
-            if (!parse_double(text, 11, "samples", &sample))
-                return false;
-            profile.samples.add(sample);
-        }
-        // Rebuild approximate RunningStats from (count, mean, stddev):
-        // we reconstruct a two-point distribution with those moments.
-        if (count == 1) {
-            profile.timeUs.add(mean);
-        } else if (count > 1) {
-            const double half =
-                stddev * std::sqrt(static_cast<double>(count - 1) /
-                                   static_cast<double>(count));
-            for (std::size_t j = 0; j < count; ++j)
-                profile.timeUs.add(j % 2 == 0 ? mean + half
-                                              : mean - half);
-        }
-        loaded_ops.push_back(std::move(profile));
-    }
-    // Route through add() so the (gpu, op) indices are built.
-    parsed.add(std::move(loaded_ops));
-    *dataset = std::move(parsed);
-    return true;
+    return schema().tryLoadCsv(in, dataset, error);
 }
 
 void
 ProfileDataset::saveCbf(std::ostream &out) const
 {
-    io::CbfBuilder builder;
-    builder.addBytes("schema", "ceer.profiles.v1");
-
-    std::vector<std::string> op_model, op_gpu, op_op;
-    std::vector<std::uint8_t> on_cpu;
-    std::vector<std::uint64_t> occurrences, time_count, sample_capacity,
-        sample_offered, sample_rng;
-    std::vector<double> time_mean, time_m2, time_min, time_max;
-    std::vector<std::vector<double>> features, samples;
-    for (const OpProfile &profile : ops_) {
-        op_model.push_back(profile.model);
-        op_gpu.push_back(hw::gpuModelName(profile.gpu));
-        op_op.push_back(graph::opTypeName(profile.op));
-        on_cpu.push_back(profile.onCpu ? 1 : 0);
-        occurrences.push_back(profile.occurrences);
-        features.push_back(profile.features);
-        const bool has_obs = profile.timeUs.count() > 0;
-        time_count.push_back(profile.timeUs.count());
-        time_mean.push_back(has_obs ? profile.timeUs.mean() : 0.0);
-        time_m2.push_back(profile.timeUs.sumSquaredDeviations());
-        time_min.push_back(has_obs ? profile.timeUs.min() : 0.0);
-        time_max.push_back(has_obs ? profile.timeUs.max() : 0.0);
-        samples.push_back(profile.samples.samples());
-        sample_capacity.push_back(profile.samples.capacity());
-        sample_offered.push_back(profile.samples.offered());
-        sample_rng.push_back(profile.samples.rngState());
-    }
-    io::addStringColumn(&builder, "op.model", op_model);
-    io::addStringColumn(&builder, "op.gpu", op_gpu);
-    io::addStringColumn(&builder, "op.op", op_op);
-    builder.addU8("op.on_cpu", on_cpu);
-    builder.addU64("op.occurrences", occurrences);
-    io::addF64ListColumn(&builder, "op.features", features);
-    builder.addU64("op.time_count", time_count);
-    builder.addF64("op.time_mean", time_mean);
-    builder.addF64("op.time_m2", time_m2);
-    builder.addF64("op.time_min", time_min);
-    builder.addF64("op.time_max", time_max);
-    io::addF64ListColumn(&builder, "op.samples", samples);
-    builder.addU64("op.sample_capacity", sample_capacity);
-    builder.addU64("op.sample_offered", sample_offered);
-    builder.addU64("op.sample_rng", sample_rng);
-
-    std::vector<std::string> iter_model, iter_gpu;
-    std::vector<std::int64_t> iter_gpus, iter_params;
-    std::vector<double> iter_us, compute_us, comm_us;
-    for (const IterationProfile &run : iterations_) {
-        iter_model.push_back(run.model);
-        iter_gpu.push_back(hw::gpuModelName(run.gpu));
-        iter_gpus.push_back(run.numGpus);
-        iter_params.push_back(run.paramCount);
-        iter_us.push_back(run.meanIterationUs);
-        compute_us.push_back(run.meanComputeUs);
-        comm_us.push_back(run.meanCommUs);
-    }
-    io::addStringColumn(&builder, "iter.model", iter_model);
-    io::addStringColumn(&builder, "iter.gpu", iter_gpu);
-    builder.addI64("iter.num_gpus", iter_gpus);
-    builder.addI64("iter.param_count", iter_params);
-    builder.addF64("iter.mean_iteration_us", iter_us);
-    builder.addF64("iter.mean_compute_us", compute_us);
-    builder.addF64("iter.mean_comm_us", comm_us);
-
-    builder.write(out);
+    schema().saveCbf(*this, out);
 }
 
 bool
 ProfileDataset::tryLoadCbf(const io::CbfFile &file,
                            ProfileDataset *dataset, std::string *error)
 {
-    const char *schema = nullptr;
-    std::size_t schema_size = 0;
-    if (!file.bytes("schema", &schema, &schema_size, error))
-        return false;
-    const std::string schema_name(schema, schema_size);
-    if (schema_name != "ceer.profiles.v1") {
-        *error = "schema '" + schema_name +
-                 "' is not ceer.profiles.v1 (wrong container?)";
-        return false;
-    }
-
-    std::vector<std::string> op_model, op_gpu, op_op;
-    if (!io::readStringColumn(file, "op.model", &op_model, error) ||
-        !io::readStringColumn(file, "op.gpu", &op_gpu, error) ||
-        !io::readStringColumn(file, "op.op", &op_op, error))
-        return false;
-    const std::size_t op_rows = op_model.size();
-    // Every other column must agree with op.model on the row count; a
-    // file with mismatched columns is structurally corrupt.
-    const auto sized = [&](std::size_t count, std::size_t rows,
-                           const char *name) {
-        if (count == rows)
-            return true;
-        *error = util::format("column '%s' has %zu rows, expected %zu",
-                              name, count, rows);
-        return false;
-    };
-    const std::uint8_t *on_cpu = nullptr;
-    const std::uint64_t *occurrences = nullptr, *time_count = nullptr,
-                        *sample_capacity = nullptr,
-                        *sample_offered = nullptr, *sample_rng = nullptr;
-    const double *time_mean = nullptr, *time_m2 = nullptr,
-                 *time_min = nullptr, *time_max = nullptr;
-    std::size_t n = 0;
-    std::vector<std::vector<double>> features, samples;
-    if (!(file.u8("op.on_cpu", &on_cpu, &n, error) &&
-          sized(n, op_rows, "op.on_cpu")) ||
-        !(file.u64("op.occurrences", &occurrences, &n, error) &&
-          sized(n, op_rows, "op.occurrences")) ||
-        !(io::readF64ListColumn(file, "op.features", &features, error) &&
-          sized(features.size(), op_rows, "op.features")) ||
-        !(file.u64("op.time_count", &time_count, &n, error) &&
-          sized(n, op_rows, "op.time_count")) ||
-        !(file.f64("op.time_mean", &time_mean, &n, error) &&
-          sized(n, op_rows, "op.time_mean")) ||
-        !(file.f64("op.time_m2", &time_m2, &n, error) &&
-          sized(n, op_rows, "op.time_m2")) ||
-        !(file.f64("op.time_min", &time_min, &n, error) &&
-          sized(n, op_rows, "op.time_min")) ||
-        !(file.f64("op.time_max", &time_max, &n, error) &&
-          sized(n, op_rows, "op.time_max")) ||
-        !(io::readF64ListColumn(file, "op.samples", &samples, error) &&
-          sized(samples.size(), op_rows, "op.samples")) ||
-        !(file.u64("op.sample_capacity", &sample_capacity, &n, error) &&
-          sized(n, op_rows, "op.sample_capacity")) ||
-        !(file.u64("op.sample_offered", &sample_offered, &n, error) &&
-          sized(n, op_rows, "op.sample_offered")) ||
-        !(file.u64("op.sample_rng", &sample_rng, &n, error) &&
-          sized(n, op_rows, "op.sample_rng")))
-        return false;
-
-    std::vector<OpProfile> loaded_ops;
-    loaded_ops.reserve(op_rows);
-    for (std::size_t i = 0; i < op_rows; ++i) {
-        OpProfile profile;
-        profile.model = std::move(op_model[i]);
-        if (!hw::gpuModelFromName(op_gpu[i], profile.gpu)) {
-            *error = util::format("op row %zu: bad GPU '%s'", i,
-                                  op_gpu[i].c_str());
-            return false;
-        }
-        if (!graph::opTypeFromName(op_op[i], profile.op)) {
-            *error = util::format("op row %zu: bad op '%s'", i,
-                                  op_op[i].c_str());
-            return false;
-        }
-        profile.onCpu = on_cpu[i] != 0;
-        profile.occurrences = occurrences[i];
-        profile.features = std::move(features[i]);
-        profile.timeUs = util::RunningStats::fromState(
-            time_count[i], time_mean[i], time_m2[i], time_min[i],
-            time_max[i]);
-        const std::uint64_t capacity = sample_capacity[i];
-        const std::uint64_t offered = sample_offered[i];
-        const std::size_t retained = samples[i].size();
-        const bool consistent =
-            capacity > 0 && (offered <= capacity ? retained == offered
-                                                 : retained == capacity);
-        if (!consistent) {
-            *error = util::format(
-                "op row %zu: inconsistent sample reservoir (capacity "
-                "%llu, offered %llu, retained %zu)",
-                i, static_cast<unsigned long long>(capacity),
-                static_cast<unsigned long long>(offered), retained);
-            return false;
-        }
-        profile.samples = util::SampleReservoir::fromState(
-            capacity, offered, sample_rng[i], std::move(samples[i]));
-        loaded_ops.push_back(std::move(profile));
-    }
-
-    std::vector<std::string> iter_model, iter_gpu;
-    if (!io::readStringColumn(file, "iter.model", &iter_model, error) ||
-        !io::readStringColumn(file, "iter.gpu", &iter_gpu, error))
-        return false;
-    const std::size_t iter_rows = iter_model.size();
-    const std::int64_t *iter_gpus = nullptr, *iter_params = nullptr;
-    const double *iter_us = nullptr, *compute_us = nullptr,
-                 *comm_us = nullptr;
-    if (!(file.i64("iter.num_gpus", &iter_gpus, &n, error) &&
-          sized(n, iter_rows, "iter.num_gpus")) ||
-        !(file.i64("iter.param_count", &iter_params, &n, error) &&
-          sized(n, iter_rows, "iter.param_count")) ||
-        !(file.f64("iter.mean_iteration_us", &iter_us, &n, error) &&
-          sized(n, iter_rows, "iter.mean_iteration_us")) ||
-        !(file.f64("iter.mean_compute_us", &compute_us, &n, error) &&
-          sized(n, iter_rows, "iter.mean_compute_us")) ||
-        !(file.f64("iter.mean_comm_us", &comm_us, &n, error) &&
-          sized(n, iter_rows, "iter.mean_comm_us")) ||
-        !sized(iter_gpu.size(), iter_rows, "iter.gpu"))
-        return false;
-
-    ProfileDataset parsed;
-    parsed.iterations_.reserve(iter_rows);
-    for (std::size_t i = 0; i < iter_rows; ++i) {
-        IterationProfile run;
-        run.model = std::move(iter_model[i]);
-        if (!hw::gpuModelFromName(iter_gpu[i], run.gpu)) {
-            *error = util::format("iter row %zu: bad GPU '%s'", i,
-                                  iter_gpu[i].c_str());
-            return false;
-        }
-        if (iter_gpus[i] < 1) {
-            *error = util::format(
-                "iter row %zu: bad num_gpus %lld", i,
-                static_cast<long long>(iter_gpus[i]));
-            return false;
-        }
-        run.numGpus = static_cast<int>(iter_gpus[i]);
-        run.paramCount = iter_params[i];
-        run.meanIterationUs = iter_us[i];
-        run.meanComputeUs = compute_us[i];
-        run.meanCommUs = comm_us[i];
-        parsed.iterations_.push_back(std::move(run));
-    }
-
-    // Route through add() so the (gpu, op) indices are built.
-    parsed.add(std::move(loaded_ops));
-    *dataset = std::move(parsed);
-    return true;
+    return schema().tryLoadCbf(file, dataset, error);
 }
 
 bool
 ProfileDataset::tryLoadFile(const std::string &path,
                             ProfileDataset *dataset, std::string *error)
 {
-    return io::tryLoadSniffed(
-        path,
-        [dataset](const io::CbfFile &file, std::string *err) {
-            return tryLoadCbf(file, dataset, err);
-        },
-        [dataset](std::istream &in, std::string *err) {
-            return tryLoadCsv(in, dataset, err);
-        },
-        error);
+    return schema().tryLoadFile(path, dataset, error);
 }
 
 ProfileDataset

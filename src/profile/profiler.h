@@ -24,6 +24,8 @@ namespace ceer {
 
 namespace io {
 class CbfFile;
+template <class T>
+class FileSchema;
 }
 
 namespace profile {
@@ -195,60 +197,34 @@ class ProfileDataset
     std::vector<graph::OpType> opTypes(hw::GpuModel gpu) const;
 
     /**
-     * Serializes the dataset to CSV: one "op" row per instance plus
-     * one "iter" row per run-level profile, so a saved dataset can be
-     * reloaded and used to train the full Ceer model (including the
-     * communication fits).
+     * The dataset's "op" and "iter" tables, which drive both dialects
+     * (docs/file_formats.md). CSV stores a rounded (count, mean,
+     * stddev) summary of each op's timings and rebuilds approximate
+     * moments on load; CBF stores every accumulator's exact state, so
+     * its round trips are bit-exact. Every loader leaves @p dataset
+     * untouched on failure and names the row, column and value; the
+     * profile cache turns any such failure into a miss.
      */
+    static const io::FileSchema<ProfileDataset> &schema();
+
     void saveCsv(std::ostream &out) const;
-
-    /** Parses a dataset written by saveCsv; fatal on malformed input. */
+    /** tryLoadCsv(), fatal on failure. */
     static ProfileDataset loadCsv(std::istream &in);
-
-    /**
-     * Exception-free variant of loadCsv().
-     *
-     * Used by the on-disk profile cache, where any malformed byte —
-     * truncated row, garbled number, broken quoting — must degrade to
-     * a cache miss (re-profile) rather than terminate the process.
-     *
-     * @param in      Input stream.
-     * @param dataset Receives the parsed dataset on success.
-     * @param error   Receives a "row N column M ..." description on
-     *                failure.
-     * @return True on success.
-     */
     static bool tryLoadCsv(std::istream &in, ProfileDataset *dataset,
                            std::string *error);
-
-    /**
-     * Serializes the dataset as CBF (docs/file_formats.md).
-     *
-     * Unlike the CSV dialect — which stores rounded (count, mean,
-     * stddev) triples and reconstructs approximate moments on load —
-     * CBF stores the exact internal state of every accumulator (raw
-     * IEEE-754 moment bits, reservoir samples plus RNG state), so a
-     * CBF round-trip is bit-exact.
-     */
     void saveCbf(std::ostream &out) const;
-
-    /** Parses a validated CBF file produced by saveCbf(). */
     static bool tryLoadCbf(const io::CbfFile &file,
                            ProfileDataset *dataset, std::string *error);
-
-    /**
-     * Loads @p path in either format, sniffed by magic bytes: CBF
-     * files take the mmap zero-copy path (falling back to the checked
-     * streaming reader when mapping fails), anything else parses as
-     * the CSV dialect. @p dataset is untouched on failure.
-     */
+    /** Either dialect, sniffed by magic bytes (io::tryLoadSniffed). */
     static bool tryLoadFile(const std::string &path,
                             ProfileDataset *dataset, std::string *error);
-
     /** tryLoadFile(), fatal on failure. */
     static ProfileDataset loadFile(const std::string &path);
 
   private:
+    /** Appends one op profile and indexes it. */
+    void append(OpProfile profile);
+
     std::vector<OpProfile> ops_;
     std::vector<IterationProfile> iterations_;
     /// (gpu, op) -> indices into ops_, in insertion order.

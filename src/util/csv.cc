@@ -32,7 +32,6 @@ CsvWriter::writeRow(const std::vector<std::string> &fields)
         // A bare empty line would be indistinguishable from a blank
         // (skipped) record on read; quote it so it round-trips.
         out_ << "\"\"\n";
-        ++rows_;
         return;
     }
     for (std::size_t i = 0; i < fields.size(); ++i) {
@@ -41,7 +40,6 @@ CsvWriter::writeRow(const std::vector<std::string> &fields)
         out_ << escape(fields[i]);
     }
     out_ << '\n';
-    ++rows_;
 }
 
 bool

@@ -35,15 +35,11 @@ class CsvWriter
     /** Writes one row; fields are escaped as needed. */
     void writeRow(const std::vector<std::string> &fields);
 
-    /** Number of rows written so far. */
-    std::size_t rows() const { return rows_; }
-
     /** Escapes a single field per the dialect above. */
     static std::string escape(const std::string &field);
 
   private:
     std::ostream &out_;
-    std::size_t rows_ = 0;
 };
 
 /**

@@ -635,10 +635,11 @@ TEST(SerializationTest, DatasetCsvRoundTripTrainsTheSameModel)
         EXPECT_EQ(restored_op.points, fresh_op.points);
         EXPECT_NEAR(restored_op.medianUs, fresh_op.medianUs,
                     1e-6 * fresh_op.medianUs + 1e-9);
-        if (fresh_op.usable)
+        if (fresh_op.usable) {
             EXPECT_NEAR(restored_op.r2, fresh_op.r2, 1e-3)
                 << hw::gpuModelName(key.first) << " "
                 << graph::opTypeName(key.second);
+        }
     }
 
     // The comm fits come from iter rows, which round-trip directly.
@@ -648,8 +649,9 @@ TEST(SerializationTest, DatasetCsvRoundTripTrainsTheSameModel)
         ASSERT_EQ(it->second.size(), fits.size());
         for (std::size_t k = 0; k < fits.size(); ++k) {
             EXPECT_EQ(it->second[k].valid, fits[k].valid);
-            if (fits[k].valid)
+            if (fits[k].valid) {
                 EXPECT_NEAR(it->second[k].r2, fits[k].r2, 1e-4);
+            }
         }
     }
 }

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/instances.h"
+#include "io/cbf.h"
 
 namespace ceer {
 namespace cloud {
@@ -190,7 +191,9 @@ TEST(CatalogTest, CsvRejectsMalformedRows)
     } cases[] = {
         {"name,gpu,gpus,hourly_usd\nfoo,V100\n", "fields"},
         {"name,gpu,gpus,hourly_usd\nfoo,H100,1,2.0\n", "unknown GPU"},
-        {"name,gpu,gpus,hourly_usd\nfoo,V100,1,-2.0\n", "bad row"},
+        {"name,gpu,gpus,hourly_usd\nfoo,V100,1,-2.0\n",
+         "row 1 column 4 (hourly_usd): not a finite positive number: "
+         "'-2.0'"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.csv);
@@ -198,6 +201,42 @@ TEST(CatalogTest, CsvRejectsMalformedRows)
         std::string error;
         EXPECT_FALSE(tryLoadCsvText(c.csv, &catalog, &error));
         EXPECT_NE(error.find(c.error), std::string::npos) << error;
+        EXPECT_EQ(catalog.instances().size(), 16u);
+    }
+}
+
+TEST(CatalogTest, OversizedGpuCountsAreRejectedInBothDialects)
+{
+    // Both dialects run the one gpus validator (1..hw::kMaxGpus). The
+    // CSV reader used to cast the int64 to int, so 4294967297 loaded
+    // as a 1-GPU instance.
+    for (const std::string gpus : {"4294967297", "2147483648"}) {
+        SCOPED_TRACE(gpus);
+        const std::string reason = "out of range [1, 1048576]: '" + gpus +
+                                   "'";
+        InstanceCatalog catalog = InstanceCatalog::awsOnDemand();
+        std::string error;
+        EXPECT_FALSE(tryLoadCsvText(
+            "name,gpu,gpus,hourly_usd\nbig,V100," + gpus + ",1.5\n",
+            &catalog, &error));
+        EXPECT_NE(error.find("row 1 column 3 (gpus): " + reason),
+                  std::string::npos)
+            << error;
+
+        io::CbfBuilder builder;
+        builder.addBytes("schema", "ceer.catalog.v1");
+        io::addStringColumn(&builder, "cat.name", {"big"});
+        io::addStringColumn(&builder, "cat.gpu", {"V100"});
+        builder.addI64("cat.gpus",
+                       std::vector<std::int64_t>{std::stoll(gpus)});
+        builder.addF64("cat.hourly_usd", std::vector<double>{1.5});
+        io::CbfFile file;
+        ASSERT_TRUE(io::CbfFile::tryParse(builder.build(), &file, &error))
+            << error;
+        EXPECT_FALSE(InstanceCatalog::tryLoadCbf(file, &catalog, &error));
+        EXPECT_NE(error.find("row 0 column cat.gpus: " + reason),
+                  std::string::npos)
+            << error;
         EXPECT_EQ(catalog.instances().size(), 16u);
     }
 }

@@ -24,6 +24,7 @@
 #include "cloud/instances.h"
 #include "core/ceer_model.h"
 #include "io/cbf.h"
+#include "io/schema.h"
 #include "obs/metrics.h"
 #include "profile/profiler.h"
 
@@ -711,7 +712,9 @@ TEST(CbfContainerTest, SemanticGarbageBehindValidChecksumsIsRejected)
         profile::ProfileDataset dataset = tinyDataset("sentinel");
         EXPECT_FALSE(profile::ProfileDataset::tryLoadCbf(file, &dataset,
                                                          &error));
-        EXPECT_NE(error.find("bad GPU"), std::string::npos) << error;
+        EXPECT_NE(error.find("row 0 column op.gpu: unknown GPU: 'Q100'"),
+                  std::string::npos)
+            << error;
         EXPECT_EQ(dataset.ops()[0].model, "sentinel");
     }
 }
@@ -789,8 +792,8 @@ TEST(CbfContainerTest, SyntheticFleetIsDeterministicAndDialectExact)
     std::istringstream csv_in(csv.str());
     InstanceCatalog from_csv;
     std::string error;
-    ASSERT_TRUE(cloud::InstanceCatalog::tryFromCsv(csv_in, &from_csv,
-                                                   &error))
+    ASSERT_TRUE(
+        InstanceCatalog::schema().tryLoadCsv(csv_in, &from_csv, &error))
         << error;
     std::ostringstream csv_cbf;
     from_csv.saveCbf(csv_cbf);

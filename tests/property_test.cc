@@ -131,7 +131,9 @@ TEST_P(BatchLinearitySweep, StrideReducesWork)
 INSTANTIATE_TEST_SUITE_P(Kernels, BatchLinearitySweep,
                          ::testing::Values(1, 3, 5, 7),
                          [](const auto &info) {
-                             return "k" + std::to_string(info.param);
+                             std::string name = "k";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 TEST(CostSymmetryTest, BackwardConvMatchesForwardMacs)
@@ -263,7 +265,9 @@ TEST_P(RegressionDimSweep, RecoversPlantedLinearModel)
 INSTANTIATE_TEST_SUITE_P(Dims, RegressionDimSweep,
                          ::testing::Values(1, 2, 3, 4, 6),
                          [](const auto &info) {
-                             return "d" + std::to_string(info.param);
+                             std::string name = "d";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 // --- Predictor contract: every registered baseline engine ---

@@ -37,7 +37,8 @@ TEST(CsvRobustnessTest, UnknownGpuIsFatal)
         "kind,model,gpu,op,device,occurrences,count,mean_us,stddev_us,"
         "features,samples\n"
         "op,vgg_11,H100,Conv2D,gpu,1,1,5,0,1;1;0;1,5\n");
-    EXPECT_DEATH(profile::ProfileDataset::loadCsv(in), "bad GPU");
+    EXPECT_DEATH(profile::ProfileDataset::loadCsv(in),
+                 "column 3 \\(gpu\\): unknown GPU: 'H100'");
 }
 
 TEST(CsvRobustnessTest, UnknownOpIsFatal)
@@ -46,7 +47,8 @@ TEST(CsvRobustnessTest, UnknownOpIsFatal)
         "kind,model,gpu,op,device,occurrences,count,mean_us,stddev_us,"
         "features,samples\n"
         "op,vgg_11,V100,FlashAttention,gpu,1,1,5,0,1;1;0;1,5\n");
-    EXPECT_DEATH(profile::ProfileDataset::loadCsv(in), "bad op");
+    EXPECT_DEATH(profile::ProfileDataset::loadCsv(in),
+                 "column 4 \\(op\\): unknown op: 'FlashAttention'");
 }
 
 TEST(CsvRobustnessTest, UnknownRowKindIsFatal)
@@ -73,7 +75,7 @@ TEST(CsvRobustnessTest, UnknownDeviceIsFatal)
         std::string error;
         EXPECT_FALSE(
             profile::ProfileDataset::tryLoadCsv(in, &dataset, &error));
-        EXPECT_NE(error.find("row 1 column 5 (device)"),
+        EXPECT_NE(error.find("row 1 column 5 (on_cpu)"),
                   std::string::npos)
             << error;
     }
@@ -81,7 +83,8 @@ TEST(CsvRobustnessTest, UnknownDeviceIsFatal)
         "kind,model,gpu,op,device,occurrences,count,mean_us,stddev_us,"
         "features,samples\n"
         "op,vgg_11,V100,Conv2D,gpu0,1,1,5,0,1;1;0;1,5\n");
-    EXPECT_DEATH(profile::ProfileDataset::loadCsv(fatal), "device");
+    EXPECT_DEATH(profile::ProfileDataset::loadCsv(fatal),
+                 "column 5 \\(on_cpu\\).*'gpu0'");
 }
 
 TEST(CsvRobustnessTest, EmptyDocumentLoadsEmptyDataset)
@@ -194,7 +197,8 @@ TEST(ModelFileTest, UnknownTagIsFatal)
 TEST(ModelFileTest, BadOpNameIsFatal)
 {
     std::istringstream in("ceer_model v1\nheavy_ops NotAnOp\n");
-    EXPECT_DEATH(core::CeerModel::load(in), "bad op");
+    EXPECT_DEATH(core::CeerModel::load(in),
+                 "line 2 column 2 \\(heavy_ops\\): unknown op: 'NotAnOp'");
 }
 
 TEST(ModelFileTest, TruncatedLinesAreFatal)
@@ -206,7 +210,25 @@ TEST(ModelFileTest, TruncatedLinesAreFatal)
     EXPECT_DEATH(core::CeerModel::load(short_fit), "truncated");
     std::istringstream zero_k(
         "ceer_model v1\ncomm_fit V100 0 0.9 1;1,1\n");
-    EXPECT_DEATH(core::CeerModel::load(zero_k), "k must be");
+    EXPECT_DEATH(core::CeerModel::load(zero_k),
+                 "line 2 column 3 \\(k\\): out of range.*'0'");
+}
+
+TEST(ModelFileTest, CommFitWidthIsBoundedLikeTheCbfReader)
+{
+    // The text reader shares cf.k's 1..1024 bound; a larger k used to
+    // resize the fit table to k entries.
+    std::istringstream in(
+        "ceer_model v1\nlight_median_us 3\ncomm_fit V100 1025 0.9 1;1,1\n");
+    core::CeerModel model;
+    model.lightMedianUs = 7.0;
+    std::string error;
+    EXPECT_FALSE(core::CeerModel::tryLoad(in, &model, &error));
+    EXPECT_NE(error.find("line 3 column 3 (k): out of range [1, 1024]: "
+                         "'1025'"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(model.lightMedianUs, 7.0); // untouched
 }
 
 TEST(ModelFileTest, EmptyStreamIsFatal)

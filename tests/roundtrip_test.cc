@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,7 +24,7 @@
 #include "core/regression.h"
 #include "graph/op_type.h"
 #include "hw/gpu_spec.h"
-#include "io/cbf.h"
+#include "io/schema.h"
 #include "profile/profiler.h"
 #include "util/csv.h"
 #include "util/random.h"
@@ -71,6 +72,21 @@ fmt17(double value)
     return util::format("%.17g", value);
 }
 
+/**
+ * Appends one random ";weight,scale" term to a LinearModel string. The
+ * scale is drawn before the weight: the order these seeds' fixtures
+ * were generated in.
+ */
+void
+appendTerm(util::Rng &rng, std::string *text)
+{
+    const std::string scale = fmt17(randomPositive(rng));
+    *text += ';';
+    *text += fmt17(randomDouble(rng));
+    *text += ',';
+    *text += scale;
+}
+
 /** tryDeserialize of text the harness built, which must parse. */
 LinearModel
 parseLinearModel(const std::string &text)
@@ -114,8 +130,7 @@ TEST(RoundTripTest, RandomizedLinearModelsSerializeBitIdentically)
         const std::size_t arity = rng.uniformInt(4);
         std::string text = fmt17(randomDouble(rng));
         for (std::size_t j = 0; j < arity; ++j)
-            text += ";" + fmt17(randomDouble(rng)) + "," +
-                    fmt17(randomPositive(rng));
+            appendTerm(rng, &text);
         LinearModel first;
         std::string error;
         ASSERT_TRUE(LinearModel::tryDeserialize(text, &first, &error))
@@ -151,8 +166,7 @@ randomLinearModelText(util::Rng &rng, std::size_t arity)
 {
     std::string text = fmt17(randomDouble(rng));
     for (std::size_t j = 0; j < arity; ++j)
-        text += ";" + fmt17(randomDouble(rng)) + "," +
-                fmt17(randomPositive(rng));
+        appendTerm(rng, &text);
     return text;
 }
 
@@ -512,6 +526,13 @@ TEST(RoundTripTest, CatalogCbfRoundTripsByteIdentically)
     }
 }
 
+/** The report's loaders: the generic reader over its schema. */
+const io::FileSchema<baselines::EvalReport> &
+reportSchema()
+{
+    return baselines::EvalReport::schema();
+}
+
 /** A synthetic evaluation report with full-precision doubles. */
 baselines::EvalReport
 randomEvalReport(util::Rng &rng)
@@ -567,8 +588,7 @@ TEST(RoundTripTest, RandomizedEvalReportsCsvRoundTripByteIdentically)
         report.saveCsv(first);
         baselines::EvalReport reloaded;
         std::string error;
-        ASSERT_TRUE(baselines::EvalReport::tryLoadCsv(
-            first, &reloaded, &error))
+        ASSERT_TRUE(reportSchema().tryLoadCsv(first, &reloaded, &error))
             << "seed " << seed << ": " << error;
         std::stringstream second;
         reloaded.saveCsv(second);
@@ -591,8 +611,7 @@ TEST(RoundTripTest, RandomizedEvalReportsCbfRoundTripByteIdentically)
         ASSERT_TRUE(io::CbfFile::tryParse(first.str(), &file, &error))
             << "seed " << seed << ": " << error;
         baselines::EvalReport reloaded;
-        ASSERT_TRUE(baselines::EvalReport::tryLoadCbf(file, &reloaded,
-                                                      &error))
+        ASSERT_TRUE(reportSchema().tryLoadCbf(file, &reloaded, &error))
             << "seed " << seed << ": " << error;
         std::stringstream second;
         reloaded.saveCbf(second);
@@ -615,8 +634,7 @@ TEST(RoundTripTest, EvalReportCsvAndCbfDialectsAgree)
     ASSERT_TRUE(io::CbfFile::tryParse(cbf.str(), &file, &error))
         << error;
     baselines::EvalReport via_cbf;
-    ASSERT_TRUE(
-        baselines::EvalReport::tryLoadCbf(file, &via_cbf, &error))
+    ASSERT_TRUE(reportSchema().tryLoadCbf(file, &via_cbf, &error))
         << error;
     std::stringstream csv_via_cbf;
     via_cbf.saveCsv(csv_via_cbf);
@@ -662,21 +680,26 @@ TEST(RoundTripTest, EvalReportCsvLoaderRejectsMalformedInputs)
         std::string csv;
         const char *expect;
     } cases[] = {
-        {"", "empty evaluation report"},
-        {"kind,predictor\ncell,x\n", "bad header"},
-        {withField(valid, 1, 0, "banana"), "unknown kind 'banana'"},
-        {withField(valid, 1, 3, "H200"), "unknown GPU 'H200'"},
-        {withField(valid, 1, 4, "two"), "column k"},
-        {withField(valid, 1, 5, "fast"), "column observed_us"},
-        {withField(valid, 1, 6, "?"), "column predicted_us"},
-        {withField(valid, 1, 7, "?"), "column ape_pct"},
+        {"", "row 0: expected the header"},
+        {"kind,predictor\ncell,x\n", "row 0: expected the header"},
+        {withField(valid, 1, 0, "banana"),
+         "row 1 column 1 (kind): unknown row kind: 'banana'"},
+        {withField(valid, 1, 3, "H200"),
+         "row 1 column 4 (gpu): unknown GPU: 'H200'"},
+        {withField(valid, 1, 4, "two"),
+         "row 1 column 5 (k): not an integer: 'two'"},
+        {withField(valid, 1, 5, "fast"),
+         "row 1 column 6 (observed_us): not a number: 'fast'"},
+        {withField(valid, 1, 6, "?"),
+         "row 1 column 7 (predicted_us): not a number: '?'"},
+        {withField(valid, 1, 7, "?"),
+         "row 1 column 8 (ape_pct): not a number: '?'"},
     };
     for (const auto &c : cases) {
         std::istringstream in(c.csv);
         baselines::EvalReport report;
         std::string error;
-        EXPECT_FALSE(
-            baselines::EvalReport::tryLoadCsv(in, &report, &error));
+        EXPECT_FALSE(reportSchema().tryLoadCsv(in, &report, &error));
         EXPECT_NE(error.find(c.expect), std::string::npos)
             << "wanted '" << c.expect << "' in: " << error;
     }
@@ -686,8 +709,7 @@ TEST(RoundTripTest, EvalReportCsvLoaderRejectsMalformedInputs)
     std::istringstream in(util::join(lines, "\n") + "\n");
     baselines::EvalReport report;
     std::string error;
-    EXPECT_FALSE(
-        baselines::EvalReport::tryLoadCsv(in, &report, &error));
+    EXPECT_FALSE(reportSchema().tryLoadCsv(in, &report, &error));
     EXPECT_NE(error.find("expected 14 fields, got 13"),
               std::string::npos)
         << error;
@@ -712,19 +734,19 @@ TEST(RoundTripTest, EvalReportCsvLoaderRejectsBadModelAndSummaryRows)
         std::size_t column;
         const char *expect;
     } cases[] = {
-        {model_row, 8, "column mape_pct"},
-        {model_row, 9, "column rmse_us"},
-        {model_row, 10, "column spearman"},
-        {model_row, 13, "column agree"},
-        {summary_row, 8, "column mape_pct"},
-        {summary_row, 13, "column agree"},
+        {model_row, 8, "column 9 (mape_pct): not a number: 'x'"},
+        {model_row, 9, "column 10 (rmse_us): not a number: 'x'"},
+        {model_row, 10, "column 11 (spearman): not a number: 'x'"},
+        {model_row, 13, "column 14 (agree): expected '0' or '1': 'x'"},
+        {summary_row, 8, "column 9 (mape_pct): not a number: 'x'"},
+        {summary_row, 13,
+         "column 14 (agreement_rate): not a number: 'x'"},
     };
     for (const auto &c : cases) {
         std::istringstream in(withField(valid, c.row, c.column, "x"));
         baselines::EvalReport report;
         std::string error;
-        EXPECT_FALSE(
-            baselines::EvalReport::tryLoadCsv(in, &report, &error));
+        EXPECT_FALSE(reportSchema().tryLoadCsv(in, &report, &error));
         EXPECT_NE(error.find(c.expect), std::string::npos)
             << "wanted '" << c.expect << "' in: " << error;
     }
@@ -744,9 +766,8 @@ TEST(RoundTripTest, EvalReportCbfLoaderRejectsMalformedFiles)
         ASSERT_TRUE(io::CbfFile::tryParse(out.str(), &file, &error))
             << error;
         baselines::EvalReport report;
-        EXPECT_FALSE(
-            baselines::EvalReport::tryLoadCbf(file, &report, &error));
-        EXPECT_NE(error.find("not an evaluation report CBF"),
+        EXPECT_FALSE(reportSchema().tryLoadCbf(file, &report, &error));
+        EXPECT_NE(error.find("is not ceer.evalreport.v1"),
                   std::string::npos)
             << error;
     }
@@ -764,9 +785,8 @@ TEST(RoundTripTest, EvalReportCbfLoaderRejectsMalformedFiles)
         ASSERT_TRUE(io::CbfFile::tryParse(out.str(), &file, &error))
             << error;
         baselines::EvalReport report;
-        EXPECT_FALSE(
-            baselines::EvalReport::tryLoadCbf(file, &report, &error));
-        EXPECT_NE(error.find("missing column cell.k"),
+        EXPECT_FALSE(reportSchema().tryLoadCbf(file, &report, &error));
+        EXPECT_NE(error.find("missing column 'cell.k'"),
                   std::string::npos)
             << error;
     }
@@ -785,9 +805,8 @@ TEST(RoundTripTest, EvalReportCbfLoaderRejectsMalformedFiles)
         ASSERT_TRUE(io::CbfFile::tryParse(out.str(), &file, &error))
             << error;
         baselines::EvalReport report;
-        EXPECT_FALSE(
-            baselines::EvalReport::tryLoadCbf(file, &report, &error));
-        EXPECT_NE(error.find("disagree on row count"),
+        EXPECT_FALSE(reportSchema().tryLoadCbf(file, &report, &error));
+        EXPECT_NE(error.find("column 'cell.model' has 2 rows, expected 1"),
                   std::string::npos)
             << error;
     }
@@ -806,10 +825,8 @@ TEST(RoundTripTest, EvalReportCbfLoaderRejectsMalformedFiles)
         ASSERT_TRUE(io::CbfFile::tryParse(out.str(), &file, &error))
             << error;
         baselines::EvalReport report;
-        EXPECT_FALSE(
-            baselines::EvalReport::tryLoadCbf(file, &report, &error));
-        EXPECT_NE(error.find("cell.k"), std::string::npos) << error;
-        EXPECT_NE(error.find("expected 1 rows, got 2"),
+        EXPECT_FALSE(reportSchema().tryLoadCbf(file, &report, &error));
+        EXPECT_NE(error.find("column 'cell.k' has 2 rows, expected 1"),
                   std::string::npos)
             << error;
     }
@@ -831,9 +848,9 @@ TEST(RoundTripTest, EvalReportCbfLoaderRejectsMalformedFiles)
         ASSERT_TRUE(io::CbfFile::tryParse(out.str(), &file, &error))
             << error;
         baselines::EvalReport report;
-        EXPECT_FALSE(
-            baselines::EvalReport::tryLoadCbf(file, &report, &error));
-        EXPECT_NE(error.find("unknown GPU 'H200'"), std::string::npos)
+        EXPECT_FALSE(reportSchema().tryLoadCbf(file, &report, &error));
+        EXPECT_NE(error.find("row 0 column cell.gpu: unknown GPU: 'H200'"),
+                  std::string::npos)
             << error;
     }
 }
@@ -851,8 +868,7 @@ TEST(RoundTripTest, EvalReportLoadsFromDiskInEitherDialect)
         report.saveCsv(out);
     }
     baselines::EvalReport from_csv;
-    ASSERT_TRUE(baselines::EvalReport::tryLoadFile(csv_path, &from_csv,
-                                                   &error))
+    ASSERT_TRUE(reportSchema().tryLoadFile(csv_path, &from_csv, &error))
         << error;
 
     const std::string cbf_path = dir + "ceer-eval-report.cbf";
@@ -861,8 +877,7 @@ TEST(RoundTripTest, EvalReportLoadsFromDiskInEitherDialect)
         report.saveCbf(out);
     }
     baselines::EvalReport from_cbf;
-    ASSERT_TRUE(baselines::EvalReport::tryLoadFile(cbf_path, &from_cbf,
-                                                   &error))
+    ASSERT_TRUE(reportSchema().tryLoadFile(cbf_path, &from_cbf, &error))
         << error;
 
     // Same canonical CSV from both on-disk dialects.
@@ -874,9 +889,267 @@ TEST(RoundTripTest, EvalReportLoadsFromDiskInEitherDialect)
     EXPECT_EQ(via_cbf.str(), direct.str());
 
     baselines::EvalReport missing;
-    EXPECT_FALSE(baselines::EvalReport::tryLoadFile(
+    EXPECT_FALSE(reportSchema().tryLoadFile(
         dir + "ceer-eval-nonexistent.csv", &missing, &error));
     EXPECT_FALSE(error.empty());
+}
+
+// ---------------------------------------------------------------------
+// Cross-dialect rejection: every validated column of every file kind
+// runs one validator, so the same out-of-range or unknown value is
+// rejected from the text dialect and from CBF alike, with the row, the
+// column and the value in the error and the output object untouched.
+
+/** @p text with field @p field of text row @p row set to @p value. */
+std::string
+withTextField(const std::string &text, bool lines, std::size_t row,
+              std::size_t field, const std::string &value)
+{
+    std::vector<std::vector<std::string>> rows;
+    if (lines) {
+        for (const std::string &line : csvLines(text))
+            rows.push_back(util::split(line, ' '));
+        rows[row - 1][field] = value; // Model lines count from 1.
+        std::string out;
+        for (const auto &fields : rows)
+            out += util::join(fields, " ") + "\n";
+        return out;
+    }
+    std::istringstream in(text);
+    std::string error;
+    EXPECT_TRUE(util::tryReadCsv(in, &rows, &error)) << error;
+    rows[row][field] = value;
+    std::ostringstream out;
+    util::CsvWriter writer(out);
+    for (const auto &fields : rows)
+        writer.writeRow(fields);
+    return out.str();
+}
+
+/** @p cbf with row 0 of column @p column set to @p value. */
+std::string
+withCbfValue(const std::string &cbf, const std::string &column,
+             const std::string &value)
+{
+    io::CbfFile file;
+    std::string error;
+    EXPECT_TRUE(io::CbfFile::tryParse(cbf, &file, &error)) << error;
+    io::CbfBuilder builder;
+    for (const io::ColumnDesc &desc : file.columns()) {
+        const std::string &name = desc.name;
+        const bool target = name == column;
+        std::size_t n = 0;
+        if (name == column + ".off")
+            continue;
+        if (desc.dtype == io::DType::Bytes && target) {
+            std::vector<std::string> strings;
+            EXPECT_TRUE(io::readStringColumn(file, name, &strings, &error));
+            strings[0] = value;
+            io::addStringColumn(&builder, name, strings);
+        } else if (desc.dtype == io::DType::Bytes) {
+            const char *data = nullptr;
+            EXPECT_TRUE(file.bytes(name, &data, &n, &error));
+            builder.addBytes(name, data, n);
+        } else if (desc.dtype == io::DType::F64) {
+            const double *data = nullptr;
+            EXPECT_TRUE(file.f64(name, &data, &n, &error));
+            std::vector<double> v(data, data + n);
+            if (target)
+                v[0] = std::stod(value);
+            builder.addF64(name, v);
+        } else if (desc.dtype == io::DType::I64) {
+            const std::int64_t *data = nullptr;
+            EXPECT_TRUE(file.i64(name, &data, &n, &error));
+            std::vector<std::int64_t> v(data, data + n);
+            if (target)
+                v[0] = std::stoll(value);
+            builder.addI64(name, v);
+        } else if (desc.dtype == io::DType::U64) {
+            const std::uint64_t *data = nullptr;
+            EXPECT_TRUE(file.u64(name, &data, &n, &error));
+            std::vector<std::uint64_t> v(data, data + n);
+            if (target)
+                v[0] = std::stoull(value);
+            builder.addU64(name, v);
+        } else {
+            const std::uint8_t *data = nullptr;
+            EXPECT_TRUE(file.u8(name, &data, &n, &error));
+            std::vector<std::uint8_t> v(data, data + n);
+            if (target)
+                v[0] = static_cast<std::uint8_t>(std::stoul(value));
+            builder.addU8(name, v);
+        }
+    }
+    return builder.build();
+}
+
+/** One file kind: a valid fixture in both dialects and its loaders. */
+struct KindUnderTest
+{
+    std::string text; ///< CSV, or model lines.
+    std::string cbf;
+    bool lines;       ///< Text rows are model-file lines.
+    /// Loads @p bytes into a sentinel; reports whether it stayed
+    /// untouched.
+    std::function<bool(const std::string &bytes, bool cbf,
+                       std::string *error, bool *untouched)>
+        load;
+};
+
+template <class T, class LoadText, class LoadCbf>
+KindUnderTest
+kindUnderTest(const T &fixture, const T &sentinel, bool lines,
+              LoadText load_text, LoadCbf load_cbf)
+{
+    const auto cbf_bytes = [](const T &object) {
+        std::ostringstream out;
+        object.saveCbf(out);
+        return out.str();
+    };
+    std::ostringstream text;
+    if constexpr (std::is_same_v<T, CeerModel>)
+        fixture.save(text);
+    else
+        fixture.saveCsv(text);
+    KindUnderTest kind{text.str(), cbf_bytes(fixture), lines, nullptr};
+    kind.load = [=](const std::string &bytes, bool cbf, std::string *error,
+                    bool *untouched) {
+        T object = sentinel;
+        bool ok;
+        if (cbf) {
+            io::CbfFile file;
+            ok = io::CbfFile::tryParse(bytes, &file, error) &&
+                 load_cbf(file, &object, error);
+        } else {
+            std::istringstream in(bytes);
+            ok = load_text(in, &object, error);
+        }
+        *untouched = cbf_bytes(object) == cbf_bytes(sentinel);
+        return ok;
+    };
+    return kind;
+}
+
+TEST(RoundTripTest, BothDialectsRejectTheSameValues)
+{
+    using profile::ProfileDataset;
+    profile::ProfileDataset dataset;
+    {
+        util::Rng rng(901);
+        std::vector<profile::OpProfile> ops;
+        ops.push_back(randomOpProfile(rng, 3));
+        dataset.add(std::move(ops));
+        dataset.addIteration(randomIterationProfile(rng));
+    }
+    CeerModel model;
+    {
+        OpTimeModel entry;
+        entry.model = parseLinearModel("1;2,3");
+        model.opModels.emplace(std::make_pair(entry.gpu, entry.op),
+                               entry);
+        model.heavyOps.insert(OpType::Conv2D);
+        model.comm.fits[GpuModel::V100].resize(1);
+        model.comm.fits[GpuModel::V100][0] = {
+            parseLinearModel("1;2,3"), 0.5, true};
+    }
+    baselines::EvalReport report;
+    report.cells.push_back({"ceer", "alexnet", GpuModel::V100, 1, 1.0,
+                            1.0, 0.0});
+    report.modelRows.push_back(
+        {"ceer", "alexnet", 1.0, 1.0, 1.0, "p3", "p3", true});
+    report.summary.push_back({"ceer", 1.0, 1.0, 1.0, 1.0});
+
+    const KindUnderTest catalog = kindUnderTest(
+        cloud::InstanceCatalog::awsOnDemand(),
+        cloud::InstanceCatalog::syntheticFleet(2), false,
+        [](std::istream &in, cloud::InstanceCatalog *out,
+           std::string *error) {
+            return cloud::InstanceCatalog::schema().tryLoadCsv(in, out,
+                                                               error);
+        },
+        cloud::InstanceCatalog::tryLoadCbf);
+    const KindUnderTest profiles = kindUnderTest(
+        dataset, profile::ProfileDataset(), false,
+        ProfileDataset::tryLoadCsv, ProfileDataset::tryLoadCbf);
+    util::Rng sentinel_rng(903);
+    const KindUnderTest models =
+        kindUnderTest(model, randomCeerModel(sentinel_rng), true,
+                      CeerModel::tryLoad, CeerModel::tryLoadCbf);
+    const KindUnderTest reports = kindUnderTest(
+        report, randomEvalReport(sentinel_rng), false,
+        [](std::istream &in, baselines::EvalReport *out,
+           std::string *error) {
+            return reportSchema().tryLoadCsv(in, out, error);
+        },
+        [](const io::CbfFile &file, baselines::EvalReport *out,
+           std::string *error) {
+            return reportSchema().tryLoadCbf(file, out, error);
+        });
+
+    const struct
+    {
+        const KindUnderTest *kind;
+        std::size_t row;   ///< Text row (model: line number).
+        std::size_t field; ///< 0-based field of that row.
+        const char *column; ///< CBF column; row 0 of it.
+        const char *value;
+    } cases[] = {
+        {&catalog, 1, 1, "cat.gpu", "H100"},
+        {&catalog, 1, 2, "cat.gpus", "4294967297"},
+        {&catalog, 1, 2, "cat.gpus", "0"},
+        {&catalog, 1, 3, "cat.hourly_usd", "-2"},
+        {&catalog, 1, 3, "cat.hourly_usd", "inf"},
+        {&profiles, 1, 2, "iter.gpu", "H100"},
+        {&profiles, 1, 3, "iter.num_gpus", "0"},
+        {&profiles, 1, 3, "iter.num_gpus", "4294967297"},
+        {&profiles, 1, 4, "iter.param_count", "-1"},
+        {&profiles, 2, 2, "op.gpu", "H100"},
+        {&profiles, 2, 3, "op.op", "FlashAttention"},
+        {&profiles, 2, 4, "op.on_cpu", "2"},
+        {&models, 5, 1, "heavy_ops", "NotAnOp"},
+        {&models, 6, 1, "om.gpu", "H100"},
+        {&models, 6, 2, "om.op", "NotAnOp"},
+        {&models, 6, 3, "om.quadratic", "2"},
+        {&models, 6, 4, "om.usable", "2"},
+        {&models, 6, 8, "om.fit", "x"},
+        {&models, 7, 1, "cf.gpu", "H100"},
+        {&models, 7, 2, "cf.k", "1025"},
+        {&models, 7, 2, "cf.k", "0"},
+        {&models, 7, 4, "cf.fit", "1;2,-3"},
+        {&reports, 1, 3, "cell.gpu", "H200"},
+        {&reports, 1, 4, "cell.k", "0"},
+        {&reports, 1, 4, "cell.k", "4294967297"},
+        {&reports, 2, 13, "model.agree", "2"},
+    };
+    for (const auto &c : cases) {
+        const std::string column = c.column;
+        const std::string name = column.substr(column.find('.') + 1);
+        const std::string value = std::string("'") + c.value + "'";
+        SCOPED_TRACE(column + " = " + c.value);
+        std::string error;
+        bool untouched = false;
+
+        const std::string text = withTextField(
+            c.kind->text, c.kind->lines, c.row, c.field, c.value);
+        EXPECT_FALSE(c.kind->load(text, false, &error, &untouched));
+        EXPECT_NE(error.find(util::format(
+                      "%s %zu column %zu (%s): ",
+                      c.kind->lines ? "line" : "row", c.row, c.field + 1,
+                      name.c_str())),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find(value), std::string::npos) << error;
+        EXPECT_TRUE(untouched);
+
+        const std::string cbf =
+            withCbfValue(c.kind->cbf, column, c.value);
+        EXPECT_FALSE(c.kind->load(cbf, true, &error, &untouched));
+        EXPECT_NE(error.find("row 0 column " + column + ": "),
+                  std::string::npos)
+            << error;
+        EXPECT_NE(error.find(value), std::string::npos) << error;
+        EXPECT_TRUE(untouched);
+    }
 }
 
 } // namespace

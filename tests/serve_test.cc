@@ -601,6 +601,36 @@ TEST(ServeServerTest, HotReloadBumpsGenerationAndKeepsReplies)
               std::string::npos)
         << failed.errorMessage;
     EXPECT_EQ(server->generation(), 2u);
+
+    // A text model naming an out-of-range comm_fit width is a typed
+    // error too (it used to throw out of the loader and end ceerd);
+    // the next request to the same server still answers. A failed
+    // reload closes its session, so each step dials a new client.
+    const std::string bad_path = "serve_test_reload_bad_k.tmp.txt";
+    {
+        std::ofstream out(bad_path);
+        out << "ceer_model v1\n"
+               "comm_fit V100 1000000000000000000 0.9 1;1,1\n";
+    }
+    ServeClient reloader;
+    ASSERT_TRUE(
+        reloader.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+    const CallOutcome rejected = reloader.reload(bad_path, &generation);
+    std::remove(bad_path.c_str());
+    EXPECT_FALSE(rejected.ok);
+    EXPECT_EQ(rejected.errorCode, errc::kBadRequest);
+    EXPECT_NE(rejected.errorMessage.find("line 2 column 3 (k)"),
+              std::string::npos)
+        << rejected.errorMessage;
+    EXPECT_EQ(server->generation(), 2u);
+    ServeClient next;
+    ASSERT_TRUE(
+        next.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+    std::string still;
+    ASSERT_TRUE(next.recommend(request, &response, &still).ok);
+    EXPECT_EQ(still, before);
 }
 
 TEST(ServeServerTest, LoadgenDrivesTheServerCleanly)

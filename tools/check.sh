@@ -17,8 +17,9 @@
 #   asan      AddressSanitizer build of the prediction path (compiled
 #             plans, the predictor, the baseline engines), of the
 #             profiling path (simulator observer, profiler slot blocks,
-#             the sampling kernel's tail pass) and of graph
-#             construction (inline shapes, name index)
+#             the sampling kernel's tail pass), of graph
+#             construction (inline shapes, name index) and of the
+#             file codecs (roundtrip_test, io_test)
 #
 # `tools/check.sh coverage` instead builds with -DCEER_COVERAGE=ON,
 # runs the test suite, and summarizes gcov line coverage for src/
@@ -281,7 +282,8 @@ pass_asan() {
     cmake --build build-asan -j "$JOBS" \
           --target predict_plan_test ceer_test baselines_test \
                    profile_test sim_test graph_test models_test \
-                   transformer_test sample_kernel_test
+                   transformer_test sample_kernel_test roundtrip_test \
+                   io_test
 
     # The compiled-plan evaluator end to end: the kernel's blocked
     # reads over the feature matrices, per-group/per-GPU recipe
@@ -306,6 +308,11 @@ pass_asan() {
     ./build-asan/tests/graph_test
     ./build-asan/tests/models_test
     ./build-asan/tests/transformer_test
+    # The schema-driven codecs: the generic readers index offset
+    # vectors and typed column pointers of every file kind, in both
+    # dialects, including the cross-dialect rejection table.
+    ./build-asan/tests/roundtrip_test
+    ./build-asan/tests/io_test
 }
 
 pass_scaling() {
@@ -463,7 +470,7 @@ else
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
     run_pass "UBSanitizer (serialization/I-O boundary, sampling kernel)" pass_ubsan
-    run_pass "AddressSanitizer (prediction, profiling, graph paths)" pass_asan
+    run_pass "AddressSanitizer (prediction, profiling, graph, codec paths)" pass_asan
 fi
 
 echo
