@@ -9,7 +9,9 @@
  * only four units and its multi-thread rows cannot show scaling.
  * Each thread count is timed over kTrials runs; rows report the median
  * wall time (the speedups and the below-serial flag use it) plus the
- * median/min/max of wall and calling-thread CPU time. Also asserts
+ * median/min/max of wall and calling-thread CPU time, and the heap
+ * allocations of one collectProfiles() call (counted by a replaced
+ * operator new across every sweep thread). Also asserts
  * that every run produced a byte-identical dataset in CBF, which
  * carries every accumulator's exact bits (the engine's determinism
  * contract), and writes a machine-readable BENCH_profile.json so
@@ -23,6 +25,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/alloc_count.h"
 #include "bench/common.h"
 #include "models/model_zoo.h"
 #include "profile/profiler.h"
@@ -101,6 +104,7 @@ main(int argc, char **argv)
         double opsPerSecond;
         double speedup;
         bool belowSerial;
+        std::uint64_t allocs; ///< Median heap allocations per call.
         std::vector<double> wallMs;      ///< Sorted trials.
         std::vector<double> threadCpuMs; ///< Sorted trials.
     };
@@ -112,18 +116,23 @@ main(int argc, char **argv)
     std::string reference_cbf;
     double serial_wall = 0.0;
 
+    const bool hooked = bench::allocHookAvailable();
     util::TablePrinter table({"threads", "median wall (s)", "min-max (s)",
-                              "ops/sec", "speedup", "identical"});
+                              "ops/sec", "speedup", "allocs/call",
+                              "identical"});
     for (int threads : sweep) {
         options.threads = threads;
         Result r;
         double executions = 0.0;
         bool identical = true;
+        std::vector<std::uint64_t> allocs;
         for (int trial = 0; trial < kTrials; ++trial) {
             const auto start = Clock::now();
             const double cpu_start = bench::threadCpuSeconds();
+            bench::startAllocCount();
             const profile::ProfileDataset dataset =
                 profile::collectProfiles(cnns, options);
+            allocs.push_back(bench::stopAllocCount());
             r.threadCpuMs.push_back(
                 (bench::threadCpuSeconds() - cpu_start) * 1e3);
             r.wallMs.push_back(
@@ -145,6 +154,8 @@ main(int argc, char **argv)
         }
         std::sort(r.wallMs.begin(), r.wallMs.end());
         std::sort(r.threadCpuMs.begin(), r.threadCpuMs.end());
+        std::sort(allocs.begin(), allocs.end());
+        r.allocs = allocs[allocs.size() / 2];
         const double wall = r.wallMs[r.wallMs.size() / 2] / 1e3;
         if (threads == 1)
             serial_wall = wall;
@@ -163,6 +174,7 @@ main(int argc, char **argv)
                       util::format("%.3g", r.opsPerSecond),
                       util::format("%.2fx", r.speedup) +
                           (r.belowSerial ? " (!)" : ""),
+                      hooked ? std::to_string(r.allocs) : "n/a",
                       identical ? "yes" : "NO"});
         if (r.belowSerial) {
             std::cout << "warning: " << threads
@@ -199,6 +211,10 @@ main(int argc, char **argv)
             .num("ops_per_sec", r.opsPerSecond, "%.1f")
             .num("speedup", r.speedup, "%.4f")
             .boolean("below_serial", r.belowSerial);
+        if (hooked)
+            row.num("allocs_per_call", static_cast<std::int64_t>(r.allocs));
+        else
+            row.nul("allocs_per_call");
         row.num("trials", kTrials)
             .object("wall_ms", bench::spreadJson(r.wallMs))
             .object("thread_cpu_ms", bench::spreadJson(r.threadCpuMs));

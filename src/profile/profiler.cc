@@ -48,12 +48,25 @@ InstanceIndex::InstanceIndex(const Graph &g)
     }
 }
 
+void
+InstanceIndex::appendRows(std::vector<OpProfile> *rows,
+                          const std::string &model, hw::GpuModel gpu) const
+{
+    for (const OpInstance &instance : instances) {
+        OpProfile &row = rows->emplace_back();
+        row.model = model;
+        row.gpu = gpu;
+        row.op = instance.op;
+        row.onCpu = instance.onCpu;
+        row.features = instance.features;
+        row.occurrences = instance.occurrences;
+    }
+}
+
 Profiler::Profiler(const InstanceIndex &index,
-                   const util::ReservoirSchedule &schedule,
-                   std::string model, hw::GpuModel gpu)
-    : index_(&index), schedule_(&schedule), model_(std::move(model)),
-      gpu_(gpu), stats_(index.instances.size()),
-      samples_(index.instances.size())
+                   const util::ReservoirSchedule &schedule)
+    : index_(&index), schedule_(&schedule),
+      stats_(index.instances.size()), samples_(index.instances.size())
 {
     if (schedule.capacity() != kProfileSamples)
         util::panic("Profiler: reservoir schedule has the wrong capacity");
@@ -79,28 +92,18 @@ Profiler::observe(std::span<const double> times_us)
     }
 }
 
-std::vector<OpProfile>
-Profiler::takeProfiles() const
+void
+Profiler::fill(std::span<OpProfile> rows) const
 {
-    std::vector<OpProfile> profiles(index_->instances.size());
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-        const OpInstance &instance = index_->instances[i];
+    if (rows.size() != samples_.size())
+        util::panic("Profiler::fill: rows do not match the instances");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
         const SampleBlock &block = samples_[i];
-        OpProfile &profile = profiles[i];
-        profile.model = model_;
-        profile.gpu = gpu_;
-        profile.op = instance.op;
-        profile.onCpu = instance.onCpu;
-        profile.features = instance.features;
-        profile.occurrences = instance.occurrences;
-        profile.timeUs = stats_[i];
-        profile.samples = schedule_->reservoir(
-            block.offered,
-            std::vector<double>(
-                block.slots,
-                block.slots + std::min(block.offered, kProfileSamples)));
+        rows[i].timeUs = stats_[i];
+        rows[i].samples.assign(
+            block.offered, schedule_->rngState(block.offered),
+            {block.slots, std::min(block.offered, kProfileSamples)});
     }
-    return profiles;
 }
 
 void
@@ -113,10 +116,16 @@ ProfileDataset::add(std::vector<OpProfile> profiles)
 void
 ProfileDataset::append(OpProfile profile)
 {
-    const std::size_t index = ops_.size();
-    opIndex_[{profile.gpu, profile.op}].push_back(index);
-    gpuIndex_[profile.gpu].push_back(index);
     ops_.push_back(std::move(profile));
+    indexRow(ops_.size() - 1);
+}
+
+void
+ProfileDataset::indexRow(std::size_t row)
+{
+    const OpProfile &profile = ops_[row];
+    opIndex_[{profile.gpu, profile.op}].push_back(row);
+    gpuIndex_[profile.gpu].push_back(row);
 }
 
 void
@@ -383,47 +392,36 @@ runSeed(std::uint64_t base_seed, const std::string &model,
 
 namespace {
 
-/** What one run produces (op profiles only for the observed run). */
-struct RunResult
-{
-    std::vector<OpProfile> ops;
-    IterationProfile run;
-};
-
 /**
- * Runs @p iterations iterations of @p g on @p plan, observed through a
- * Profiler when @p index is set. Every run of the sweep, and
- * profileRun(), goes through here.
+ * Runs @p iterations iterations on @p plan and writes the run-level
+ * means into @p run. When @p index is set the run is observed through
+ * a Profiler that fills @p ops, one row per instance. Every run of the
+ * sweep, and profileRun(), goes through here; it writes only into rows
+ * its caller made, so nothing it keeps is allocated on this thread.
  */
-RunResult
-simulateRun(const Graph &g, const std::shared_ptr<const sim::ExecPlan> &plan,
+void
+simulateRun(const std::shared_ptr<const sim::ExecPlan> &plan,
             const InstanceIndex *index,
             const util::ReservoirSchedule &schedule,
-            const std::string &name, const sim::SimConfig &config,
-            int iterations)
+            const sim::SimConfig &config, int iterations,
+            std::span<OpProfile> ops, IterationProfile &run)
 {
     sim::TrainingSimulator simulator(plan, config);
-    RunResult result;
     sim::RunStats stats;
     if (index) {
         // Observed runs execute serially and in graph order (the
         // observer contract): parallelism lives one level up, across
         // the sweep's (CNN, GPU) tasks, so profile datasets stay
         // byte-identical regardless of either thread count.
-        Profiler profiler(*index, schedule, name, config.gpu);
+        Profiler profiler(*index, schedule);
         stats = simulator.run(iterations, profiler.observer());
-        result.ops = profiler.takeProfiles();
+        profiler.fill(ops);
     } else {
         stats = simulator.run(iterations);
     }
-    result.run.model = name;
-    result.run.gpu = config.gpu;
-    result.run.numGpus = config.numGpus;
-    result.run.paramCount = g.totalParameters();
-    result.run.meanIterationUs = stats.iterationUs.mean();
-    result.run.meanComputeUs = stats.computeUs.mean();
-    result.run.meanCommUs = stats.commUs.mean();
-    return result;
+    run.meanIterationUs = stats.iterationUs.mean();
+    run.meanComputeUs = stats.computeUs.mean();
+    run.meanCommUs = stats.commUs.mean();
 }
 
 } // namespace
@@ -438,25 +436,30 @@ profileRun(const Graph &g, const std::string &model_name,
     const util::ReservoirSchedule schedule(
         kProfileSamples,
         index.maxOccurrences * static_cast<std::size_t>(iterations));
-    RunResult result = simulateRun(
-        g,
-        std::make_shared<const sim::ExecPlan>(
-            sim::ExecPlan::build(g, config.gpu)),
-        &index, schedule, model_name, config, iterations);
-    return {std::move(result.ops), std::move(result.run)};
+    std::vector<OpProfile> ops;
+    ops.reserve(index.instances.size());
+    index.appendRows(&ops, model_name, config.gpu);
+    IterationProfile run{model_name, config.gpu, config.numGpus,
+                         g.totalParameters()};
+    simulateRun(std::make_shared<const sim::ExecPlan>(
+                    sim::ExecPlan::build(g, config.gpu)),
+                &index, schedule, config, iterations, ops, run);
+    return {std::move(ops), std::move(run)};
 }
 
 namespace {
 
 /**
  * One (CNN, GPU) task of the sweep: the observed k = 1 run plus the
- * run-level k = 2..maxGpus runs, all on one shared ExecPlan.
+ * run-level k = 2..maxGpus runs, all on one shared ExecPlan, writing
+ * into rows the calling thread made.
  */
 struct SweepUnit
 {
     std::size_t modelIndex = 0;
     hw::GpuModel gpu = hw::GpuModel::V100;
-    std::vector<RunResult> runs; ///< Index k - 1.
+    std::span<OpProfile> ops;         ///< Rows of the observed k = 1 run.
+    std::span<IterationProfile> runs; ///< Index k - 1.
 };
 
 /** What collectProfiles prepares once per CNN, shared by its units. */
@@ -467,16 +470,13 @@ struct ModelInputs
 };
 
 void
-executeUnit(SweepUnit &unit, const std::string &name,
+executeUnit(const SweepUnit &unit, const std::string &name,
             const ModelInputs &inputs,
             const util::ReservoirSchedule &schedule,
             const CollectOptions &options)
 {
-    const int max_k = options.multiGpuRuns ? std::max(options.maxGpus, 1)
-                                           : 1;
-    unit.runs.resize(static_cast<std::size_t>(max_k));
     std::shared_ptr<const sim::ExecPlan> plan;
-    for (int k = 1; k <= max_k; ++k) {
+    for (int k = 1; k <= static_cast<int>(unit.runs.size()); ++k) {
         // The span name is formatted only when observability is on;
         // recording never feeds back into the run, so the dataset is
         // byte-identical with obs enabled or disabled.
@@ -497,9 +497,9 @@ executeUnit(SweepUnit &unit, const std::string &name,
         config.seed = runSeed(options.seed, name, unit.gpu, k);
         // k >= 2 is run-level only: op times match the k=1 case by
         // construction (same per-GPU batch), as in the paper.
-        unit.runs[static_cast<std::size_t>(k - 1)] = simulateRun(
-            inputs.graph, plan, k == 1 ? &inputs.index : nullptr,
-            schedule, name, config, options.iterations);
+        simulateRun(plan, k == 1 ? &inputs.index : nullptr, schedule,
+                    config, options.iterations, unit.ops,
+                    unit.runs[static_cast<std::size_t>(k - 1)]);
         OBS_COUNTER_INC("profile.runs");
     }
 }
@@ -532,13 +532,37 @@ collectProfiles(const std::vector<std::string> &model_names,
         kProfileSamples,
         max_offered * static_cast<std::size_t>(options.iterations));
 
-    // Enumerate the (CNN, GPU) units in canonical order; results merge
-    // back in (CNN, GPU, k) order, so the dataset is bit-identical for
-    // any thread count.
+    // Size every row here, before the fan-out, so the kept rows all
+    // come from this thread's heap and no worker builds or copies one.
+    // Rows are laid out in canonical (CNN, GPU, instance) and (CNN,
+    // GPU, k) order, so the dataset is bit-identical for any thread
+    // count. Each (CNN, GPU) unit gets the span of rows it fills; both
+    // vectors are reserved to their final sizes, so no span moves.
+    const int max_k = options.multiGpuRuns ? std::max(options.maxGpus, 1)
+                                           : 1;
+    const std::size_t gpus = hw::allGpuModels().size();
+    std::size_t op_rows = 0;
+    for (const ModelInputs &input : inputs)
+        op_rows += input.index.instances.size() * gpus;
+    ProfileDataset dataset;
+    dataset.ops_.reserve(op_rows);
+    dataset.iterations_.reserve(inputs.size() * gpus *
+                                static_cast<std::size_t>(max_k));
     std::vector<SweepUnit> units;
-    for (std::size_t m = 0; m < model_names.size(); ++m)
-        for (hw::GpuModel gpu : hw::allGpuModels())
-            units.push_back({m, gpu, {}});
+    for (std::size_t m = 0; m < model_names.size(); ++m) {
+        const std::int64_t params = inputs[m].graph.totalParameters();
+        for (hw::GpuModel gpu : hw::allGpuModels()) {
+            const std::size_t op_row = dataset.ops_.size();
+            const std::size_t iter_row = dataset.iterations_.size();
+            inputs[m].index.appendRows(&dataset.ops_, model_names[m], gpu);
+            for (int k = 1; k <= max_k; ++k)
+                dataset.iterations_.push_back(
+                    {model_names[m], gpu, k, params});
+            units.push_back(
+                {m, gpu, std::span(dataset.ops_).subspan(op_row),
+                 std::span(dataset.iterations_).subspan(iter_row)});
+        }
+    }
     // Dispatch the largest graphs first so the last units to finish
     // are the short ones.
     std::vector<std::size_t> order(units.size());
@@ -549,7 +573,7 @@ collectProfiles(const std::vector<std::string> &model_names,
                                 inputs[units[b].modelIndex].graph.size();
                      });
     auto execute = [&](std::size_t i) {
-        SweepUnit &unit = units[order[i]];
+        const SweepUnit &unit = units[order[i]];
         executeUnit(unit, model_names[unit.modelIndex],
                     inputs[unit.modelIndex], schedule, options);
     };
@@ -567,14 +591,8 @@ collectProfiles(const std::vector<std::string> &model_names,
                 execute(i);
         });
 
-    ProfileDataset dataset;
-    for (SweepUnit &unit : units) {
-        for (RunResult &result : unit.runs) {
-            if (!result.ops.empty())
-                dataset.add(std::move(result.ops));
-            dataset.addIteration(result.run);
-        }
-    }
+    for (std::size_t row = 0; row < dataset.ops_.size(); ++row)
+        dataset.indexRow(row);
     for (const auto &name : model_names)
         CEER_LOG(Info) << "profiled " << name << " on "
                        << hw::allGpuModels().size() << " GPU models";

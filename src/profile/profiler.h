@@ -90,6 +90,14 @@ struct InstanceIndex
     /** Buckets the nodes of @p g. */
     explicit InstanceIndex(const graph::Graph &g);
 
+    /**
+     * Appends one row per instance to @p rows, in instance order, with
+     * every column but the timings set and the reservoir storage
+     * reserved, so Profiler::fill() allocates nothing.
+     */
+    void appendRows(std::vector<OpProfile> *rows, const std::string &model,
+                    hw::GpuModel gpu) const;
+
     std::vector<OpInstance> instances;      ///< Distinct instances.
     std::vector<std::uint32_t> nodeInstance; ///< Node index -> instance.
     std::size_t maxOccurrences = 0;          ///< Largest occurrences.
@@ -100,10 +108,9 @@ struct InstanceIndex
  *
  * Each instance keeps one RunningStats and one fixed block of
  * kProfileSamples reservoir slots, replayed through a shared
- * util::ReservoirSchedule, so takeProfiles() returns exactly what
- * per-instance RunningStats::add and SampleReservoir::add would have
- * produced. Bind one profiler per run; pass observer() to
- * TrainingSimulator::run.
+ * util::ReservoirSchedule, so fill() writes exactly what per-instance
+ * RunningStats::add and SampleReservoir::add would have produced.
+ * Bind one profiler per run; pass observer() to TrainingSimulator::run.
  */
 class Profiler
 {
@@ -113,14 +120,11 @@ class Profiler
      * @param schedule Replacement draws of capacity kProfileSamples;
      *                 it must cover every offer of the run (panics
      *                 otherwise).
-     * @param model    CNN name recorded into profiles.
-     * @param gpu      GPU model recorded into profiles.
      *
      * @p index and @p schedule must outlive the profiler.
      */
     Profiler(const InstanceIndex &index,
-             const util::ReservoirSchedule &schedule, std::string model,
-             hw::GpuModel gpu);
+             const util::ReservoirSchedule &schedule);
 
     // observer() hands out callbacks holding this object's address.
     Profiler(const Profiler &) = delete;
@@ -138,8 +142,12 @@ class Profiler
         };
     }
 
-    /** Finished per-instance profiles. */
-    std::vector<OpProfile> takeProfiles() const;
+    /**
+     * Writes the timings and reservoir state observed so far into
+     * @p rows, one per instance as InstanceIndex::appendRows() made
+     * them; no other column changes and nothing is allocated.
+     */
+    void fill(std::span<OpProfile> rows) const;
 
   private:
     /** Reservoir state of one instance; the last slot is a sink. */
@@ -151,19 +159,19 @@ class Profiler
 
     const InstanceIndex *index_;
     const util::ReservoirSchedule *schedule_;
-    std::string model_;
-    hw::GpuModel gpu_;
     std::size_t iterations_ = 0;
     std::vector<util::RunningStats> stats_; ///< Per instance.
     std::vector<SampleBlock> samples_;      ///< Per instance.
 };
 
+struct CollectOptions;
+
 /**
  * The paper's operation-level dataset: profiles across CNNs x GPUs.
  *
- * Lookups by (GPU, op type) are served from an index maintained on
- * insertion, so the nested (GPU x heavy op) loops in core::trainCeer
- * avoid repeated O(N) scans over the whole dataset.
+ * Lookups by (GPU, op type) are served from an index kept in row
+ * order, so the nested (GPU x heavy op) loops in core::trainCeer avoid
+ * repeated O(N) scans over the whole dataset.
  */
 class ProfileDataset
 {
@@ -183,10 +191,10 @@ class ProfileDataset
         return iterations_;
     }
 
-    /** Op profiles for one GPU model, in insertion order. */
+    /** Op profiles for one GPU model, in row order. */
     std::vector<const OpProfile *> opsFor(hw::GpuModel gpu) const;
 
-    /** Op profiles for one (GPU, op type), in insertion order. */
+    /** Op profiles for one (GPU, op type), in row order. */
     std::vector<const OpProfile *> opsFor(hw::GpuModel gpu,
                                           graph::OpType op) const;
 
@@ -222,16 +230,25 @@ class ProfileDataset
     static ProfileDataset loadFile(const std::string &path);
 
   private:
+    // Sizes ops_ and iterations_ before its fan-out, lets the sweep
+    // fill the rows in place and indexes them afterwards.
+    friend ProfileDataset collectProfiles(
+        const std::vector<std::string> &models,
+        const CollectOptions &options);
+
     /** Appends one op profile and indexes it. */
     void append(OpProfile profile);
 
+    /** Adds ops_[@p row] to both indexes; rows go in row order. */
+    void indexRow(std::size_t row);
+
     std::vector<OpProfile> ops_;
     std::vector<IterationProfile> iterations_;
-    /// (gpu, op) -> indices into ops_, in insertion order.
+    /// (gpu, op) -> indices into ops_, in row order.
     std::map<std::pair<hw::GpuModel, graph::OpType>,
              std::vector<std::size_t>>
         opIndex_;
-    /// gpu -> indices into ops_, in insertion order.
+    /// gpu -> indices into ops_, in row order.
     std::map<hw::GpuModel, std::vector<std::size_t>> gpuIndex_;
 };
 
@@ -262,7 +279,7 @@ struct CollectOptions
      * Worker threads for the profiling sweep (0 = one per hardware
      * thread). The collected dataset is bit-identical for every value:
      * each (CNN, GPU, k) run seeds its own RNG from runSeed() and
-     * results merge in canonical order.
+     * writes rows laid out in canonical order.
      */
     int threads = 0;
 };
@@ -282,9 +299,11 @@ std::uint64_t runSeed(std::uint64_t base_seed, const std::string &model,
  * Runs the paper's empirical study: profiles every named CNN on all
  * four GPU models (op level at k=1; run level at k=1..maxGpus).
  *
- * Each (CNN, GPU) pair is one task on a thread pool (options.threads):
- * it builds one ExecPlan and runs k = 1..maxGpus on it. The result is
- * identical regardless of thread count or schedule.
+ * The calling thread sizes the whole dataset first; each (CNN, GPU)
+ * pair is then one task on a thread pool (options.threads) that builds
+ * one ExecPlan, runs k = 1..maxGpus on it and writes its numbers into
+ * its own rows. The result is identical regardless of thread count or
+ * schedule.
  */
 ProfileDataset collectProfiles(const std::vector<std::string> &models,
                                const CollectOptions &options);

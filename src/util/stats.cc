@@ -138,6 +138,17 @@ SampleReservoir::fromState(std::size_t capacity, std::size_t offered,
     return reservoir;
 }
 
+void
+SampleReservoir::assign(std::size_t offered, std::uint64_t rng_state,
+                        std::span<const double> samples)
+{
+    if (samples.size() != std::min(offered, capacity_))
+        panic("SampleReservoir::assign: inconsistent state");
+    offered_ = offered;
+    rngState_ = rng_state;
+    samples_.assign(samples.begin(), samples.end());
+}
+
 ReservoirSchedule::ReservoirSchedule(std::size_t capacity,
                                      std::size_t max_offered)
     : capacity_(capacity), slots_(max_offered)
@@ -155,14 +166,11 @@ ReservoirSchedule::ReservoirSchedule(std::size_t capacity,
     }
 }
 
-SampleReservoir
-ReservoirSchedule::reservoir(std::size_t offered,
-                             std::vector<double> samples) const
+std::uint64_t
+ReservoirSchedule::rngState(std::size_t offered) const
 {
     const std::size_t draws = offered > capacity_ ? offered - capacity_ : 0;
-    return SampleReservoir::fromState(capacity_, offered,
-                                      splitMix64Skip(kReservoirSeed, draws),
-                                      std::move(samples));
+    return splitMix64Skip(kReservoirSeed, draws);
 }
 
 double
@@ -177,14 +185,18 @@ percentile(std::vector<double> values, double p)
     if (values.empty())
         return 0.0;
     p = std::clamp(p, 0.0, 100.0);
-    std::sort(values.begin(), values.end());
     const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
     const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
+    // Select the two closest ranks instead of sorting: after
+    // nth_element, rank hi is the smallest value above position lo.
+    const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(values.begin(), lo_it, values.end());
     if (lo == hi)
-        return values[lo];
+        return *lo_it;
+    const double upper = *std::min_element(lo_it + 1, values.end());
     const double frac = rank - static_cast<double>(lo);
-    return values[lo] * (1.0 - frac) + values[hi] * frac;
+    return *lo_it * (1.0 - frac) + upper * frac;
 }
 
 std::vector<CdfPoint>

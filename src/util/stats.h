@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ceer {
@@ -139,6 +140,15 @@ class SampleReservoir
                                      std::uint64_t rng_state,
                                      std::vector<double> samples);
 
+    /**
+     * Overwrites this reservoir, in place, with the state fromState()
+     * would build at its capacity. It allocates nothing while @p
+     * samples fits the storage the constructor reserved. Panics when
+     * the sample count is not min(@p offered, capacity()).
+     */
+    void assign(std::size_t offered, std::uint64_t rng_state,
+                std::span<const double> samples);
+
     /** Currently retained samples (unsorted). */
     const std::vector<double> &samples() const { return samples_; }
 
@@ -158,8 +168,8 @@ class SampleReservoir
  * the values offered. Drawing that sequence once lets any number of
  * equal-capacity reservoirs replay add() exactly: offer j stores its
  * value at slot(j) of a (capacity + 1)-slot block, whose last slot
- * absorbs the dropped offers, and reservoir() rebuilds the finished
- * reservoir with the RNG state add() would have reached.
+ * absorbs the dropped offers, and SampleReservoir::assign() with
+ * rngState() finishes the reservoir add() would have reached.
  */
 class ReservoirSchedule
 {
@@ -188,24 +198,21 @@ class ReservoirSchedule
         return slots_[offered - 1];
     }
 
-    /**
-     * The reservoir add() leaves after @p offered offers that retained
-     * @p samples (the first min(offered, capacity()) slots).
-     */
-    SampleReservoir reservoir(std::size_t offered,
-                              std::vector<double> samples) const;
+    /** The replacement-RNG state add() reaches after @p offered offers. */
+    std::uint64_t rngState(std::size_t offered) const;
 
   private:
     std::size_t capacity_;
     std::vector<std::uint8_t> slots_;
 };
 
-/** Returns the median of @p values (copied and partially sorted). */
+/** Returns the median of @p values (copied and partially reordered). */
 double median(std::vector<double> values);
 
 /**
  * Returns the @p p percentile (0-100) of @p values with linear
- * interpolation between closest ranks; 0 for an empty vector.
+ * interpolation between closest ranks; 0 for an empty vector. The two
+ * ranks are selected (std::nth_element), not sorted for.
  */
 double percentile(std::vector<double> values, double p);
 

@@ -106,7 +106,7 @@ TEST(ProfilerTest, CompactSlotsMatchPerInstanceAccumulators)
     std::vector<util::RunningStats> stats(index.instances.size());
     std::vector<util::SampleReservoir> samples(
         index.instances.size(), util::SampleReservoir(kProfileSamples));
-    Profiler profiler(index, schedule, "resnet_50", hw::GpuModel::T4);
+    Profiler profiler(index, schedule);
     sim::SimConfig config;
     config.gpu = hw::GpuModel::T4;
     sim::TrainingSimulator simulator(g, config);
@@ -118,7 +118,9 @@ TEST(ProfilerTest, CompactSlotsMatchPerInstanceAccumulators)
         }
     });
 
-    const std::vector<OpProfile> profiles = profiler.takeProfiles();
+    std::vector<OpProfile> profiles;
+    index.appendRows(&profiles, "resnet_50", hw::GpuModel::T4);
+    profiler.fill(profiles);
     ASSERT_EQ(profiles.size(), index.instances.size());
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         const OpProfile &profile = profiles[i];
@@ -150,11 +152,11 @@ TEST(ProfilerTest, ShortScheduleOrWrongSizeDies)
     // its end.
     const util::ReservoirSchedule schedule(kProfileSamples,
                                            index.maxOccurrences);
-    Profiler profiler(index, schedule, "alexnet", hw::GpuModel::V100);
+    Profiler profiler(index, schedule);
     profiler.observe(times);
     EXPECT_DEATH(profiler.observe(times), "schedule too short");
 
-    Profiler sized(index, schedule, "alexnet", hw::GpuModel::V100);
+    Profiler sized(index, schedule);
     const std::vector<double> wrong(g.size() + 1, 1.0);
     EXPECT_DEATH(sized.observe(wrong), "do not match");
 }
@@ -381,21 +383,58 @@ TEST(SeedingTest, CollectionIsByteIdenticalWithObservabilityOn)
 
 TEST(DatasetTest, LoadedDatasetServesIndexedQueries)
 {
-    // The (gpu, op) index must be rebuilt on load, not only on fresh
-    // collection.
+    // The collected index is built once after the sweep, the loaded
+    // one row by row: both must serve the same rows in the same order.
+    // CBF reloads bit-exactly, so every query is compared row by row.
     const ProfileDataset &dataset = smallDataset();
-    std::stringstream buffer;
-    dataset.saveCsv(buffer);
-    const ProfileDataset loaded = ProfileDataset::loadCsv(buffer);
+    std::ostringstream cbf;
+    dataset.saveCbf(cbf);
+    io::CbfFile file;
+    std::string error;
+    ASSERT_TRUE(io::CbfFile::tryParse(cbf.str(), &file, &error)) << error;
+    ProfileDataset loaded;
+    ASSERT_TRUE(ProfileDataset::tryLoadCbf(file, &loaded, &error)) << error;
 
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const auto expect_same_rows =
+        [&](const std::vector<const OpProfile *> &got,
+            const std::vector<const OpProfile *> &want) {
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                SCOPED_TRACE(testing::Message() << "row " << i);
+                EXPECT_EQ(got[i]->model, want[i]->model);
+                EXPECT_EQ(got[i]->gpu, want[i]->gpu);
+                EXPECT_EQ(got[i]->op, want[i]->op);
+                EXPECT_EQ(got[i]->features, want[i]->features);
+                EXPECT_EQ(got[i]->timeUs.count(), want[i]->timeUs.count());
+                EXPECT_EQ(bits(got[i]->timeUs.mean()),
+                          bits(want[i]->timeUs.mean()));
+            }
+        };
     for (hw::GpuModel gpu : hw::allGpuModels()) {
-        EXPECT_EQ(loaded.opsFor(gpu).size(), dataset.opsFor(gpu).size());
+        SCOPED_TRACE(hw::gpuModelName(gpu));
+        expect_same_rows(loaded.opsFor(gpu), dataset.opsFor(gpu));
         const auto types = dataset.opTypes(gpu);
         EXPECT_EQ(loaded.opTypes(gpu), types);
         for (OpType op : types) {
-            EXPECT_EQ(loaded.opsFor(gpu, op).size(),
+            SCOPED_TRACE(graph::opTypeName(op));
+            expect_same_rows(loaded.opsFor(gpu, op), dataset.opsFor(gpu, op));
+            EXPECT_EQ(bits(loaded.meanTimeUs(gpu, op)),
+                      bits(dataset.meanTimeUs(gpu, op)));
+        }
+    }
+
+    // The CSV dialect rebuilds the same index from rounded timings.
+    std::stringstream csv;
+    dataset.saveCsv(csv);
+    const ProfileDataset from_csv = ProfileDataset::loadCsv(csv);
+    for (hw::GpuModel gpu : hw::allGpuModels()) {
+        EXPECT_EQ(from_csv.opsFor(gpu).size(), dataset.opsFor(gpu).size());
+        EXPECT_EQ(from_csv.opTypes(gpu), dataset.opTypes(gpu));
+        for (OpType op : dataset.opTypes(gpu)) {
+            EXPECT_EQ(from_csv.opsFor(gpu, op).size(),
                       dataset.opsFor(gpu, op).size());
-            EXPECT_NEAR(loaded.meanTimeUs(gpu, op),
+            EXPECT_NEAR(from_csv.meanTimeUs(gpu, op),
                         dataset.meanTimeUs(gpu, op),
                         1e-6 * dataset.meanTimeUs(gpu, op) + 1e-9);
         }

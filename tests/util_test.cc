@@ -4,6 +4,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -167,6 +168,43 @@ TEST(PercentileTest, InterpolatesBetweenRanks)
     EXPECT_DOUBLE_EQ(percentile(values, 25.0), 17.5);
 }
 
+TEST(PercentileTest, SelectionMatchesSortedReferenceBitForBit)
+{
+    // percentile() selects its two ranks; the reference sorts. Both
+    // read the same order statistics, so every result must agree to
+    // the bit: odd and even sizes, many duplicates, the end ranks and
+    // fractional ones.
+    const auto reference = [](std::vector<double> values, double p) {
+        std::sort(values.begin(), values.end());
+        const double rank =
+            p / 100.0 * static_cast<double>(values.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
+        const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
+        if (lo == hi)
+            return values[lo];
+        const double frac = rank - static_cast<double>(lo);
+        return values[lo] * (1.0 - frac) + values[hi] * frac;
+    };
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    Rng rng(2024);
+    for (std::size_t n : {1u, 2u, 3u, 10u, 11u, 64u, 257u, 1000u}) {
+        for (int trial = 0; trial < 20; ++trial) {
+            // Even trials draw from 5 values, so most entries repeat.
+            std::vector<double> values(n);
+            for (double &v : values)
+                v = trial % 2 == 0 ? std::floor(rng.uniform(1.0, 6.0))
+                                   : rng.uniform(0.5, 1000.0);
+            SCOPED_TRACE(testing::Message() << n << "/" << trial);
+            EXPECT_EQ(bits(median(values)), bits(reference(values, 50.0)));
+            for (double p : {0.0, 100.0, 12.5, 33.3, 50.0, 90.0, 99.9,
+                             rng.uniform(0.0, 100.0)})
+                EXPECT_EQ(bits(percentile(values, p)),
+                          bits(reference(values, p)))
+                    << "p = " << p;
+        }
+    }
+}
+
 TEST(SampleReservoirTest, RetainsEverythingBelowCapacity)
 {
     SampleReservoir reservoir(100);
@@ -207,8 +245,8 @@ TEST(ReservoirScheduleTest, ReplaysAddBitForBit)
                 block[schedule.slot(j)] = x;
             }
             block.resize(std::min(offered, capacity));
-            const SampleReservoir replayed =
-                schedule.reservoir(offered, block);
+            SampleReservoir replayed(capacity);
+            replayed.assign(offered, schedule.rngState(offered), block);
             EXPECT_EQ(replayed.capacity(), expected.capacity());
             EXPECT_EQ(replayed.offered(), expected.offered());
             EXPECT_EQ(replayed.rngState(), expected.rngState());

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 #
-# CI-style check driver. Default mode runs six passes:
+# CI-style check driver. Default mode runs seven passes:
 #
 #   release   Release build + full ctest suite (the 24 paper binaries
 #             included: `ctest -L paper` runs just those)
+#   werror    Release build of the src/ libraries with -Werror
 #   flake     the concurrency tests repeated 20 times in a row, in
 #             parallel, against the release build
 #   bench     microbenchmark smoke runs (tiny iteration counts)
@@ -99,6 +100,20 @@ pass_release() {
     cmake -B build -S . >/dev/null
     cmake --build build -j "$JOBS"
     ctest --test-dir build --output-on-failure -j "$JOBS"
+}
+
+pass_werror() {
+    # A clean Release build of src/ prints no warnings; this keeps it
+    # so. A file that warns never finishes compiling in this tree, so
+    # an incremental run retries it until it is fixed. The sanitizer
+    # trees build without -Werror: GCC warns differently under
+    # instrumentation.
+    local libs
+    mapfile -t libs < <(sed -n 's/^add_library(\(ceer_[a-z_]*\).*/\1/p' \
+                            src/*/CMakeLists.txt)
+    cmake -B build-werror -S . -DCEER_WERROR=ON \
+          -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build build-werror -j "$JOBS" --target "${libs[@]}"
 }
 
 pass_flake() {
@@ -466,6 +481,7 @@ elif [[ "$MODE" == "scaling" ]]; then
     run_pass "micro-bench scaling gate (below-serial rows)" pass_scaling
 else
     run_pass "release build + tests" pass_release
+    run_pass "src/ libraries build with -Werror" pass_werror
     run_pass "flake pass (concurrency tests x20)" pass_flake
     run_pass "microbenchmark smoke runs" pass_bench_smoke
     run_pass "ThreadSanitizer (concurrency-sensitive pieces)" pass_tsan
