@@ -1,9 +1,11 @@
 #include "bench/common.h"
 
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "core/trainer.h"
 #include "models/model_zoo.h"
@@ -21,8 +23,11 @@ using graph::OpType;
 namespace {
 /** The run's --metrics-out destination ("" = none). */
 std::string g_metrics_out;
-} // namespace
 
+/**
+ * Registers @p path as the run's --metrics-out destination and turns
+ * the observability layer on when it is nonempty.
+ */
 void
 setMetricsOut(const std::string &path)
 {
@@ -31,6 +36,10 @@ setMetricsOut(const std::string &path)
         obs::setEnabled(true);
 }
 
+/**
+ * Writes the metrics snapshot to the registered --metrics-out path
+ * (no-op when none was set; fatal when the file cannot be written).
+ */
 void
 flushBenchMetrics()
 {
@@ -40,6 +49,20 @@ flushBenchMetrics()
     if (!obs::tryWriteMetricsFile(g_metrics_out, &error))
         util::fatal(error);
     std::cout << "wrote metrics snapshot to " << g_metrics_out << "\n";
+}
+} // namespace
+
+void
+parseMicroFlags(util::Flags &flags, const std::string &defaultOut,
+                int argc, char **argv)
+{
+    flags.defineString("out", defaultOut,
+                       "machine-readable results ('' disables)");
+    flags.defineString("metrics-out", "",
+                       "write a metrics JSON snapshot here (enables "
+                       "observability for the run)");
+    flags.parse(argc, argv);
+    setMetricsOut(flags.getString("metrics-out"));
 }
 
 BenchConfig
@@ -100,6 +123,15 @@ trainOnPaperTrainingSet(const BenchConfig &config)
     trained.dataset = collectTrainingProfiles(config, true);
     trained.model = core::trainCeer(trained.dataset);
     return trained;
+}
+
+BenchConfig
+fixtureConfig(int iterations)
+{
+    BenchConfig config;
+    config.iterations = iterations;
+    config.profileCache.clear();
+    return config;
 }
 
 const std::vector<OpType> &
@@ -261,45 +293,185 @@ JsonObject::write(std::ostream &out) const
 }
 
 void
-addScalingFields(JsonObject &doc, unsigned hardwareThreads,
-                 bool scalingMeaningful)
+addScalingFields(JsonObject &doc, unsigned hardwareThreads)
 {
     doc.num("hardware_threads", hardwareThreads);
-    doc.boolean("skipped_scaling", !scalingMeaningful);
+    doc.boolean("skipped_scaling", hardwareThreads < 2);
+}
+
+int
+finishBench(const std::string &path, const JsonObject &doc, bool ok)
+{
+    if (!path.empty()) {
+        std::ofstream out(path);
+        if (!out) {
+            std::cerr << "cannot open " << path << "\n";
+            return 1;
+        }
+        doc.write(out);
+        std::cout << "wrote " << path << "\n";
+    }
+    flushBenchMetrics();
+    return ok ? 0 : 1;
+}
+
+std::uint64_t
+bits(double x)
+{
+    std::uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    return u;
+}
+
+bool
+recommendationsIdentical(const core::Recommendation &a,
+                         const core::Recommendation &b)
+{
+    const auto same = [](const core::CandidateEvaluation &x,
+                         const core::CandidateEvaluation &y) {
+        return x.instance.name == y.instance.name &&
+               x.prediction.iterations == y.prediction.iterations &&
+               bits(x.prediction.iterationUs) ==
+                   bits(y.prediction.iterationUs) &&
+               bits(x.prediction.hours) == bits(y.prediction.hours) &&
+               bits(x.costUsd) == bits(y.costUsd) &&
+               x.withinHourly == y.withinHourly &&
+               x.withinTotal == y.withinTotal &&
+               x.fitsMemory == y.fitsMemory;
+    };
+    return a.bestIndex == b.bestIndex &&
+           std::equal(a.evaluations.begin(), a.evaluations.end(),
+                      b.evaluations.begin(), b.evaluations.end(), same);
+}
+
+unsigned
+hardwareThreads()
+{
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 double
-threadCpuSeconds()
+median(const std::vector<double> &sorted)
 {
-    timespec ts{};
-    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
+    const std::size_t mid = sorted.size() / 2;
+    return sorted.size() % 2 == 1 ? sorted[mid]
+                                  : (sorted[mid - 1] + sorted[mid]) / 2.0;
 }
 
 JsonObject
 spreadJson(const std::vector<double> &sorted)
 {
     JsonObject spread;
-    spread.num("median", sorted[sorted.size() / 2], "%.3f")
+    spread.num("median", median(sorted), "%.3f")
         .num("min", sorted.front(), "%.3f")
         .num("max", sorted.back(), "%.3f");
     return spread;
 }
 
-bool
-writeBenchJson(const std::string &path, const JsonObject &doc)
+double
+processCpuSeconds()
 {
-    if (path.empty())
-        return true;
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "cannot open " << path << "\n";
-        return false;
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+void
+Trials::addTo(JsonObject &doc) const
+{
+    doc.num("trials", static_cast<std::int64_t>(wallMs.size()))
+        .object("wall_ms", spreadJson(wallMs))
+        .object("cpu_ms", spreadJson(cpuMs));
+}
+
+bool
+ScalingSweep::identical() const
+{
+    return std::all_of(rows.begin(), rows.end(),
+                       [](const ScalingRow &row) { return row.identical; });
+}
+
+int
+ScalingSweep::belowSerial() const
+{
+    return static_cast<int>(
+        std::count_if(rows.begin(), rows.end(), [](const ScalingRow &row) {
+            return row.belowSerial;
+        }));
+}
+
+void
+ScalingSweep::print(std::ostream &out) const
+{
+    util::TablePrinter table({"threads", "median wall (ms)",
+                              "min-max (ms)", "median cpu (ms)",
+                              "speedup", "identical"});
+    for (const ScalingRow &row : rows) {
+        table.addRow({std::to_string(row.threads),
+                      util::format("%.3f", row.trials.medianWallMs()),
+                      util::format("%.3f-%.3f", row.trials.wallMs.front(),
+                                   row.trials.wallMs.back()),
+                      util::format("%.3f", median(row.trials.cpuMs)),
+                      util::format("%.2fx", row.speedup) +
+                          (row.belowSerial ? " (!)" : ""),
+                      row.identical ? "yes" : "NO"});
+        if (!row.identical)
+            std::cerr << "FAIL: a result at " << row.threads
+                      << " threads differs from the serial one\n";
     }
-    doc.write(out);
-    std::cout << "wrote " << path << "\n";
-    return true;
+    table.print(out);
+    if (skippedScaling)
+        out << "note: single hardware thread; scaling assertions "
+               "skipped (identity still enforced)\n";
+}
+
+std::vector<JsonObject>
+ScalingSweep::rowsJson() const
+{
+    std::vector<JsonObject> json;
+    for (const ScalingRow &row : rows) {
+        JsonObject &doc = json.emplace_back();
+        doc.num("threads", row.threads);
+        row.trials.addTo(doc);
+        doc.num("speedup", row.speedup, "%.4f")
+            .boolean("identical", row.identical)
+            .boolean("below_serial", row.belowSerial);
+    }
+    return json;
+}
+
+void
+ScalingSweep::addFields(JsonObject &doc) const
+{
+    addScalingFields(doc, hardwareThreads);
+    doc.num("below_serial_measurements", belowSerial());
+}
+
+ScalingSweep
+judgeSweep(std::vector<ScalingRow> rows, unsigned hardwareThreads)
+{
+    ScalingSweep sweep;
+    sweep.hardwareThreads = hardwareThreads;
+    sweep.skippedScaling = hardwareThreads < 2;
+    const double serial_ms = rows.front().trials.medianWallMs();
+    for (ScalingRow &row : rows) {
+        row.speedup = serial_ms / row.trials.medianWallMs();
+        row.belowSerial = !sweep.skippedScaling && row.threads > 1 &&
+                          row.threads <= static_cast<int>(hardwareThreads) &&
+                          row.speedup < 1.0;
+    }
+    sweep.rows = std::move(rows);
+    return sweep;
+}
+
+std::vector<int>
+threadSweep(int maxThreads)
+{
+    std::vector<int> threads{1, 2, 4};
+    for (int t = 8; t <= maxThreads; t *= 2)
+        threads.push_back(t);
+    return threads;
 }
 
 int

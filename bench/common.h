@@ -1,24 +1,36 @@
 /**
  * @file
- * Shared infrastructure for the per-figure/table bench binaries.
+ * Shared infrastructure for the bench binaries.
  *
- * Every bench binary reproduces one artifact of the paper's evaluation:
- * it re-runs the empirical study on the simulated substrate (8 training
- * CNNs x 4 GPU models), trains Ceer where needed, prints the same
- * rows/series the paper reports, and emits [PASS]/[CHECK] lines against
- * the paper's stated bands.
+ * Every figure/table bench reproduces one artifact of the paper's
+ * evaluation: it re-runs the empirical study on the simulated
+ * substrate (8 training CNNs x 4 GPU models), trains Ceer where
+ * needed, prints the same rows/series the paper reports, and emits
+ * [PASS]/[CHECK] lines against the paper's stated bands.
+ *
+ * The micro benches (bench/micro_*) time the layers of the tree
+ * through one runner: timeTrials repeats a measurement kTrials times
+ * and reports the median/min/max of wall and process CPU time, and
+ * scalingSweep runs those trials at each thread count, checks every
+ * result against the serial one and judges the speedups.
  */
 
 #ifndef CEER_BENCH_COMMON_H
 #define CEER_BENCH_COMMON_H
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/ceer_model.h"
 #include "core/predictor.h"
+#include "core/recommender.h"
 #include "graph/graph.h"
 #include "hw/gpu_spec.h"
 #include "profile/profiler.h"
@@ -52,7 +64,7 @@ struct BenchConfig
     /**
      * Metrics JSON snapshot path ("" disables). When set, the
      * observability layer is enabled for the run and the snapshot is
-     * written by CheckSummary::finish() (or flushBenchMetrics()).
+     * written by CheckSummary::finish() (or finishBench()).
      */
     std::string metricsOut;
 };
@@ -79,6 +91,13 @@ struct TrainedCeer
 
 /** Runs the empirical study + training pipeline once. */
 TrainedCeer trainOnPaperTrainingSet(const BenchConfig &config);
+
+/**
+ * The micro benches' fixture configuration: the default study at
+ * @p iterations profiling iterations, with the profile cache off so a
+ * timed run never depends on what an earlier run left on disk.
+ */
+BenchConfig fixtureConfig(int iterations);
 
 /**
  * Runs only the profiling half of the study (the 8 training CNNs),
@@ -113,19 +132,13 @@ double observedIterationUs(const graph::Graph &g, hw::GpuModel gpu,
                            std::uint64_t salt = 0);
 
 /**
- * Registers @p path as the run's --metrics-out destination and turns
- * the observability layer on when it is nonempty. parseBenchFlags
- * calls this; micro benches with their own flag sets call it directly.
+ * Flag setup of the micro benches: defines --out (default
+ * @p defaultOut, '' disables) and --metrics-out on @p flags next to
+ * the bench's own flags, parses the command line and registers the
+ * metrics destination.
  */
-void setMetricsOut(const std::string &path);
-
-/**
- * Writes the metrics snapshot to the registered --metrics-out path
- * (no-op when none was set; fatal when the file cannot be written).
- * CheckSummary::finish() calls this, so figure/table benches get the
- * artifact for free; benches without a CheckSummary call it directly.
- */
-void flushBenchMetrics();
+void parseMicroFlags(util::Flags &flags, const std::string &defaultOut,
+                     int argc, char **argv);
 
 /**
  * Insertion-ordered builder for the machine-readable BENCH_*.json
@@ -174,16 +187,42 @@ class JsonObject
 };
 
 /**
- * Adds the scaling-context pair every micro bench reports:
- * hardware_threads and skipped_scaling. tools/check.sh reads
- * skipped_scaling before judging any speedup number, so single-core
- * hosts never fail the gate on scheduler noise.
+ * Adds the host's scaling context: hardware_threads and
+ * skipped_scaling (true on one hardware thread, where no speedup is
+ * judged).
  */
-void addScalingFields(JsonObject &doc, unsigned hardwareThreads,
-                      bool scalingMeaningful);
+void addScalingFields(JsonObject &doc, unsigned hardwareThreads);
 
-/** CPU time consumed by the calling thread, in seconds. */
-double threadCpuSeconds();
+/**
+ * A micro bench's last step: writes @p doc to @p path ("" skips the
+ * file), flushes the metrics snapshot and returns the process exit
+ * code: 1 when the file cannot be written or a gate of the bench
+ * failed (@p ok false), else 0.
+ */
+int finishBench(const std::string &path, const JsonObject &doc, bool ok);
+
+/** Bit pattern of a double (== would conflate +0.0 and -0.0). */
+std::uint64_t bits(double x);
+
+/**
+ * True when two recommendations have the same winner and the same
+ * evaluation list, field by field and bit for bit: the recommender's
+ * determinism contract at any thread count.
+ */
+bool recommendationsIdentical(const core::Recommendation &a,
+                              const core::Recommendation &b);
+
+/** std::thread::hardware_concurrency(), or 1 when it is unknown. */
+unsigned hardwareThreads();
+
+/** Timed trials per measurement: odd, so the median is one trial. */
+constexpr int kTrials = 9;
+
+/**
+ * Median of @p sorted (ascending, nonempty): the middle value, or the
+ * mean of the middle two for an even count.
+ */
+double median(const std::vector<double> &sorted);
 
 /**
  * Median/min/max of @p sorted (ascending, nonempty) trials, rendered
@@ -191,13 +230,147 @@ double threadCpuSeconds();
  */
 JsonObject spreadJson(const std::vector<double> &sorted);
 
+/** CPU time consumed by every thread of the process, in seconds. */
+double processCpuSeconds();
+
 /**
- * Writes @p doc to @p path ("" disables; that counts as success).
- * Returns false after a "cannot open <path>" diagnostic on stderr when
- * the file is unwritable, and prints the benches' usual
- * "wrote <path>" line on success.
+ * The trials of one measurement: wall and process CPU milliseconds,
+ * each sorted ascending. Process CPU counts the worker threads of a
+ * parallel body too, so CPU above wall means it ran in parallel.
  */
-bool writeBenchJson(const std::string &path, const JsonObject &doc);
+struct Trials
+{
+    std::vector<double> wallMs; ///< Ascending.
+    std::vector<double> cpuMs;  ///< Ascending.
+
+    /** The figure every derived rate and speedup is computed from. */
+    double medianWallMs() const { return median(wallMs); }
+
+    /** Adds "trials", "wall_ms" and "cpu_ms" (spreads) to @p doc. */
+    void addTo(JsonObject &doc) const;
+};
+
+/**
+ * Runs @p body kTrials times and times each run. @p check receives
+ * each result after the clocks have stopped, so identity checks and
+ * the result's destruction stay untimed.
+ */
+template <typename Body, typename Check>
+Trials
+timeTrials(const Body &body, const Check &check)
+{
+    using Clock = std::chrono::steady_clock;
+    Trials trials;
+    for (int t = 0; t < kTrials; ++t) {
+        const double cpu_start = processCpuSeconds();
+        const auto start = Clock::now();
+        auto result = body();
+        trials.wallMs.push_back(
+            std::chrono::duration<double, std::milli>(Clock::now() -
+                                                      start)
+                .count());
+        trials.cpuMs.push_back((processCpuSeconds() - cpu_start) * 1e3);
+        check(std::move(result));
+    }
+    std::sort(trials.wallMs.begin(), trials.wallMs.end());
+    std::sort(trials.cpuMs.begin(), trials.cpuMs.end());
+    return trials;
+}
+
+/** timeTrials without a check: the result is dropped untimed. */
+template <typename Body>
+Trials
+timeTrials(const Body &body)
+{
+    return timeTrials(body, [](auto &&) {});
+}
+
+/** One thread count of a scaling sweep. */
+struct ScalingRow
+{
+    int threads = 1;
+    Trials trials;
+    bool identical = true;    ///< Every trial matched the serial result.
+    double speedup = 1.0;     ///< Serial median wall over this one's.
+    bool belowSerial = false; ///< A judged row slower than serial.
+};
+
+/** A judged thread sweep; its first row is the serial one. */
+struct ScalingSweep
+{
+    std::vector<ScalingRow> rows;
+    unsigned hardwareThreads = 1;
+    bool skippedScaling = false; ///< One hardware thread: nothing judged.
+
+    /** True when every row matched the serial result. */
+    bool identical() const;
+
+    /** Number of rows flagged below serial. */
+    int belowSerial() const;
+
+    /** Prints the sweep table and a FAIL line per differing row. */
+    void print(std::ostream &out) const;
+
+    /**
+     * The rows in the one row shape: threads, trials, wall_ms and
+     * cpu_ms spreads, speedup, identical, below_serial.
+     */
+    std::vector<JsonObject> rowsJson() const;
+
+    /**
+     * Adds hardware_threads, skipped_scaling and
+     * below_serial_measurements to @p doc.
+     */
+    void addFields(JsonObject &doc) const;
+};
+
+/**
+ * Judges finished rows, serial first, without reading any clock. A
+ * row's speedup is the serial median wall time over its own. A row
+ * with 2..@p hardwareThreads threads and a speedup below 1.0 is below
+ * serial; rows past the hardware measure scheduling, not scaling, and
+ * on one hardware thread no row is judged (skippedScaling).
+ */
+ScalingSweep judgeSweep(std::vector<ScalingRow> rows,
+                        unsigned hardwareThreads);
+
+/**
+ * The swept thread counts: 1, 2 and 4, whatever the hardware (the
+ * determinism contract holds oversubscribed too), then doubling up to
+ * @p maxThreads.
+ */
+std::vector<int> threadSweep(int maxThreads);
+
+/**
+ * Runs kTrials trials of @p run(threads) at each count in @p threads
+ * (the first must be 1) and checks every trial's result against the
+ * first serial one with @p same(serial, result), outside the timed
+ * region. Prints the judged sweep and returns it.
+ */
+template <typename Run, typename Same>
+ScalingSweep
+scalingSweep(const std::vector<int> &threads, const Run &run,
+             const Same &same)
+{
+    using Result = std::invoke_result_t<const Run &, int>;
+    std::optional<Result> serial;
+    std::vector<ScalingRow> rows;
+    for (int count : threads) {
+        ScalingRow row;
+        row.threads = count;
+        row.trials = timeTrials([&] { return run(count); },
+                                [&](Result &&result) {
+                                    if (!serial)
+                                        serial.emplace(std::move(result));
+                                    else if (!same(*serial, result))
+                                        row.identical = false;
+                                });
+        rows.push_back(std::move(row));
+    }
+    ScalingSweep sweep = judgeSweep(std::move(rows), hardwareThreads());
+    sweep.print(std::cout);
+    return sweep;
+}
 
 /** Collects [PASS]/[CHECK] outcomes and prints a final verdict line. */
 class CheckSummary

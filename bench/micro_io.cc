@@ -5,31 +5,27 @@
  * Writes one profile dataset and one fleet-scale instance catalog to
  * disk in both dialects, then times the three load paths the loaders
  * expose — CSV text parse, streaming CBF read (read() into an owned
- * buffer), and zero-copy CBF mmap — reporting the best-of-N load time
- * for each. The CSV files are canonical (one load→save trip), so all
- * three paths must decode bit-identical containers; the bench asserts
- * that by comparing re-serialized CBF bytes and byte-identical trained
- * models downstream. Finishes with a recommend() sweep over the
- * synthetic fleet (>= 5000 instances by default) with the usual
- * thread-identity checks. Writes BENCH_io.json; docs/performance.md
- * and docs/file_formats.md quote these numbers.
+ * buffer), and zero-copy CBF mmap — reporting the median/min/max of
+ * bench::kTrials loads for each (bench::timeTrials). The CSV files are
+ * canonical (one load→save trip), so all three paths must decode
+ * bit-identical containers; the bench asserts that by comparing
+ * re-serialized CBF bytes and byte-identical trained models
+ * downstream. The recommender's thread sweep over a fleet-sized
+ * catalog is micro_ceer's (`--catalog-copies 375` sweeps 6,000
+ * candidates). Writes BENCH_io.json; docs/performance.md and
+ * docs/file_formats.md quote these numbers.
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "cloud/instances.h"
-#include "core/predictor.h"
-#include "core/recommender.h"
 #include "core/trainer.h"
 #include "io/cbf.h"
 #include "models/model_zoo.h"
@@ -42,49 +38,6 @@
 namespace {
 
 using namespace ceer;
-using Clock = std::chrono::steady_clock;
-
-/** Bit pattern of a double (== would conflate +0.0 and -0.0). */
-std::uint64_t
-bits(double x)
-{
-    std::uint64_t u;
-    std::memcpy(&u, &x, sizeof u);
-    return u;
-}
-
-/** Field-by-field bit comparison of two candidate evaluations. */
-bool
-evaluationsIdentical(const core::CandidateEvaluation &a,
-                     const core::CandidateEvaluation &b)
-{
-    return a.instance.name == b.instance.name &&
-           a.prediction.iterations == b.prediction.iterations &&
-           bits(a.prediction.iterationUs) ==
-               bits(b.prediction.iterationUs) &&
-           bits(a.prediction.hours) == bits(b.prediction.hours) &&
-           bits(a.costUsd) == bits(b.costUsd) &&
-           a.withinHourly == b.withinHourly &&
-           a.withinTotal == b.withinTotal &&
-           a.fitsMemory == b.fitsMemory;
-}
-
-/** Best (minimum) wall time in microseconds over @p reps runs. */
-template <typename Body>
-double
-bestOfUs(int reps, const Body &body)
-{
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < reps; ++i) {
-        const auto start = Clock::now();
-        body();
-        best = std::min(
-            best, std::chrono::duration<double, std::micro>(Clock::now() -
-                                                            start)
-                      .count());
-    }
-    return best;
-}
 
 std::int64_t
 fileBytes(const std::string &path)
@@ -92,22 +45,22 @@ fileBytes(const std::string &path)
     return static_cast<std::int64_t>(std::filesystem::file_size(path));
 }
 
-/** Dataset contents as CBF bytes: the bit-identity fingerprint. */
+/** Container contents as CBF bytes: the bit-identity fingerprint. */
+template <typename Container>
 std::string
-datasetFingerprint(const profile::ProfileDataset &dataset)
+fingerprint(const Container &container)
 {
     std::ostringstream out;
-    dataset.saveCbf(out);
+    container.saveCbf(out);
     return out.str();
 }
 
-std::string
-catalogFingerprint(const cloud::InstanceCatalog &catalog)
+/** One timed load path. */
+struct Load
 {
-    std::ostringstream out;
-    catalog.saveCbf(out);
-    return out.str();
-}
+    std::string name; ///< e.g. "profile_cbf_mmap".
+    bench::Trials trials;
+};
 
 } // namespace
 
@@ -115,55 +68,34 @@ int
 main(int argc, char **argv)
 {
     util::Flags flags;
-    flags.defineString("model", "resnet_101",
-                       "CNN for the recommender workload");
     flags.defineInt("train-iters", 200,
                     "profiling iterations for the dataset fixture "
                     "(200 matches the bench suite's default dataset)");
-    flags.defineInt("load-iters", 30, "timed repetitions per load path");
     flags.defineInt("fleet", 6000,
-                    "synthetic fleet size for the catalog loads and "
-                    "the recommend() sweep");
-    flags.defineInt("threads", 0,
-                    "max swept recommender thread count (0 = hardware)");
+                    "synthetic fleet size for the catalog loads");
     flags.defineString("scratch", "build/io-scratch",
                        "directory for the on-disk fixtures");
-    flags.defineString("out", "BENCH_io.json",
-                       "machine-readable results ('' disables)");
-    flags.defineString("metrics-out", "",
-                       "write a metrics JSON snapshot here (enables "
-                       "observability for the run)");
-    flags.parse(argc, argv);
-    bench::setMetricsOut(flags.getString("metrics-out"));
+    bench::parseMicroFlags(flags, "BENCH_io.json", argc, argv);
 
-    const std::string model_name = flags.getString("model");
-    const int load_iters =
-        std::max(1, static_cast<int>(flags.getInt("load-iters")));
     const std::size_t fleet_size =
         static_cast<std::size_t>(std::max<std::int64_t>(
             1, flags.getInt("fleet")));
-    const unsigned hardware = std::thread::hardware_concurrency();
-    const int max_threads =
-        flags.getInt("threads") > 0
-            ? static_cast<int>(flags.getInt("threads"))
-            : static_cast<int>(hardware ? hardware : 1);
     const std::string scratch = flags.getString("scratch");
     std::filesystem::create_directories(scratch);
 
     util::printBanner(std::cout,
                       "micro_io: CSV parse vs CBF stream vs CBF mmap (" +
-                          std::to_string(load_iters) + " reps/path)");
-    std::cout << "hardware threads: " << hardware << "\n";
+                          std::to_string(bench::kTrials) +
+                          " trials/path)");
+    std::cout << "hardware threads: " << bench::hardwareThreads() << "\n";
 
     // --- Fixtures: one profile dataset, one fleet catalog, both
     // dialects. The CSV is canonical (written from a dataset that was
     // itself parsed from CSV), so the text and binary files decode to
     // bit-identical containers and the three load paths must agree.
-    profile::CollectOptions collect;
-    collect.iterations = static_cast<int>(flags.getInt("train-iters"));
-    collect.multiGpuRuns = true;
-    const profile::ProfileDataset collected =
-        profile::collectProfiles(models::trainingSetNames(), collect);
+    const profile::ProfileDataset collected = bench::collectTrainingProfiles(
+        bench::fixtureConfig(static_cast<int>(flags.getInt("train-iters"))),
+        true);
     std::ostringstream first_csv;
     collected.saveCsv(first_csv);
     std::istringstream first_csv_in(first_csv.str());
@@ -194,10 +126,10 @@ main(int argc, char **argv)
             util::fatal("cannot write fixtures under " + scratch);
     }
 
-    // --- Timed profile-dataset loads. tryLoadFile sniffs by magic and
-    // takes the mmap path for CBF, so the "csv" and "mmap" rows time
-    // the exact entry points every tool and the profile cache use; the
-    // "stream" row times the checked read()-into-buffer fallback.
+    // --- The load paths. tryLoadFile sniffs by magic and takes the
+    // mmap path for CBF, so the "csv" and "mmap" rows time the exact
+    // entry points every tool and the profile cache use; the "stream"
+    // row times the checked read()-into-buffer fallback.
     const auto load_profile_file = [](const std::string &path) {
         profile::ProfileDataset dataset;
         std::string error;
@@ -205,7 +137,7 @@ main(int argc, char **argv)
             util::fatal(error);
         return dataset;
     };
-    const auto load_profile_stream = [&]() {
+    const auto load_profile_stream = [&] {
         io::CbfFile file;
         std::string error;
         profile::ProfileDataset dataset;
@@ -214,42 +146,6 @@ main(int argc, char **argv)
             util::fatal(error);
         return dataset;
     };
-    const double profile_csv_us =
-        bestOfUs(load_iters, [&] { load_profile_file(profile_csv); });
-    const double profile_stream_us =
-        bestOfUs(load_iters, [&] { load_profile_stream(); });
-    const double profile_mmap_us =
-        bestOfUs(load_iters, [&] { load_profile_file(profile_cbf); });
-
-    // Bit-identity across the three paths, fingerprinted as CBF bytes.
-    const profile::ProfileDataset from_csv =
-        load_profile_file(profile_csv);
-    const profile::ProfileDataset from_stream = load_profile_stream();
-    const profile::ProfileDataset from_mmap =
-        load_profile_file(profile_cbf);
-    const std::string fingerprint = datasetFingerprint(from_csv);
-    bool identity_ok =
-        fingerprint == datasetFingerprint(from_stream) &&
-        fingerprint == datasetFingerprint(from_mmap);
-    if (!identity_ok)
-        std::cerr << "FAIL: CSV/stream/mmap datasets are not "
-                     "bit-identical\n";
-
-    // Downstream identity: models trained from the CSV-parsed and the
-    // mmap-adopted datasets must serialize byte-identically (which
-    // pins every prediction made from them).
-    const core::CeerModel model_from_csv = core::trainCeer(from_csv);
-    const core::CeerModel model_from_mmap = core::trainCeer(from_mmap);
-    std::ostringstream model_a, model_b;
-    model_from_csv.save(model_a);
-    model_from_mmap.save(model_b);
-    const bool downstream_ok = model_a.str() == model_b.str();
-    if (!downstream_ok)
-        std::cerr << "FAIL: models trained from CSV- and mmap-loaded "
-                     "datasets differ\n";
-    identity_ok &= downstream_ok;
-
-    // --- Timed fleet-catalog loads (same three paths). ---
     const auto load_catalog_file = [](const std::string &path) {
         cloud::InstanceCatalog catalog;
         std::string error;
@@ -257,7 +153,7 @@ main(int argc, char **argv)
             util::fatal(error);
         return catalog;
     };
-    const auto load_catalog_stream = [&]() {
+    const auto load_catalog_stream = [&] {
         io::CbfFile file;
         std::string error;
         cloud::InstanceCatalog catalog;
@@ -266,52 +162,76 @@ main(int argc, char **argv)
             util::fatal(error);
         return catalog;
     };
-    const double fleet_csv_us =
-        bestOfUs(load_iters, [&] { load_catalog_file(fleet_csv); });
-    const double fleet_stream_us =
-        bestOfUs(load_iters, [&] { load_catalog_stream(); });
-    const double fleet_mmap_us =
-        bestOfUs(load_iters, [&] { load_catalog_file(fleet_cbf); });
 
-    const cloud::InstanceCatalog fleet_from_csv =
-        load_catalog_file(fleet_csv);
-    const cloud::InstanceCatalog fleet_from_mmap =
-        load_catalog_file(fleet_cbf);
-    const bool fleet_identity =
-        catalogFingerprint(fleet_from_csv) ==
-            catalogFingerprint(fleet_from_mmap) &&
-        catalogFingerprint(fleet_from_csv) ==
-            catalogFingerprint(load_catalog_stream());
-    if (!fleet_identity)
+    // Bit-identity across the three paths, fingerprinted as CBF bytes.
+    const profile::ProfileDataset from_csv =
+        load_profile_file(profile_csv);
+    const profile::ProfileDataset from_mmap =
+        load_profile_file(profile_cbf);
+    const std::string profile_bytes = fingerprint(from_csv);
+    bool identity_ok =
+        profile_bytes == fingerprint(load_profile_stream()) &&
+        profile_bytes == fingerprint(from_mmap);
+    if (!identity_ok)
+        std::cerr << "FAIL: CSV/stream/mmap datasets are not "
+                     "bit-identical\n";
+
+    // Downstream identity: models trained from the CSV-parsed and the
+    // mmap-adopted datasets must serialize byte-identically (which
+    // pins every prediction made from them).
+    std::ostringstream model_a, model_b;
+    core::trainCeer(from_csv).save(model_a);
+    core::trainCeer(from_mmap).save(model_b);
+    if (model_a.str() != model_b.str()) {
+        std::cerr << "FAIL: models trained from CSV- and mmap-loaded "
+                     "datasets differ\n";
+        identity_ok = false;
+    }
+
+    const std::string fleet_bytes =
+        fingerprint(load_catalog_file(fleet_csv));
+    if (fleet_bytes != fingerprint(load_catalog_file(fleet_cbf)) ||
+        fleet_bytes != fingerprint(load_catalog_stream())) {
         std::cerr << "FAIL: CSV/stream/mmap catalogs are not "
                      "bit-identical\n";
-    identity_ok &= fleet_identity;
+        identity_ok = false;
+    }
 
-    const double profile_stream_speedup =
-        profile_csv_us / profile_stream_us;
-    const double profile_mmap_speedup = profile_csv_us / profile_mmap_us;
-    const double fleet_stream_speedup = fleet_csv_us / fleet_stream_us;
-    const double fleet_mmap_speedup = fleet_csv_us / fleet_mmap_us;
+    // --- Timed loads: profile dataset, then fleet catalog; each
+    // fixture's first row (the CSV parse) is its speedup baseline.
+    const std::vector<Load> loads = {
+        {"profile_csv_parse",
+         bench::timeTrials([&] { return load_profile_file(profile_csv); })},
+        {"profile_cbf_stream", bench::timeTrials(load_profile_stream)},
+        {"profile_cbf_mmap",
+         bench::timeTrials([&] { return load_profile_file(profile_cbf); })},
+        {"fleet_csv_parse",
+         bench::timeTrials([&] { return load_catalog_file(fleet_csv); })},
+        {"fleet_cbf_stream", bench::timeTrials(load_catalog_stream)},
+        {"fleet_cbf_mmap",
+         bench::timeTrials([&] { return load_catalog_file(fleet_cbf); })},
+    };
 
-    util::TablePrinter load_table(
-        {"fixture", "path", "best load (us)", "speedup vs CSV"});
-    load_table.addRow({"profiles", "csv parse",
-                       util::format("%.1f", profile_csv_us), "1.00x"});
-    load_table.addRow({"profiles", "cbf stream",
-                       util::format("%.1f", profile_stream_us),
-                       util::format("%.2fx", profile_stream_speedup)});
-    load_table.addRow({"profiles", "cbf mmap",
-                       util::format("%.1f", profile_mmap_us),
-                       util::format("%.2fx", profile_mmap_speedup)});
-    load_table.addRow({"fleet", "csv parse",
-                       util::format("%.1f", fleet_csv_us), "1.00x"});
-    load_table.addRow({"fleet", "cbf stream",
-                       util::format("%.1f", fleet_stream_us),
-                       util::format("%.2fx", fleet_stream_speedup)});
-    load_table.addRow({"fleet", "cbf mmap",
-                       util::format("%.1f", fleet_mmap_us),
-                       util::format("%.2fx", fleet_mmap_speedup)});
-    load_table.print(std::cout);
+    util::TablePrinter table({"load path", "median (ms)", "min-max (ms)",
+                              "speedup vs CSV"});
+    std::vector<bench::JsonObject> rows;
+    double csv_ms = 0.0;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+        const bench::Trials &trials = loads[i].trials;
+        if (i % 3 == 0)
+            csv_ms = trials.medianWallMs();
+        const double speedup = csv_ms / trials.medianWallMs();
+        table.addRow({loads[i].name,
+                      util::format("%.3f", trials.medianWallMs()),
+                      util::format("%.3f-%.3f", trials.wallMs.front(),
+                                   trials.wallMs.back()),
+                      util::format("%.2fx", speedup)});
+        bench::JsonObject &row = rows.emplace_back();
+        row.str("path", loads[i].name);
+        trials.addTo(row);
+        row.num("speedup_vs_csv", speedup, "%.2f");
+    }
+    table.print(std::cout);
     std::cout << util::format(
         "profiles: %lld op rows, %lld iter rows, %lld B csv / %lld B "
         "cbf; fleet: %lld instances, %lld B csv / %lld B cbf\n",
@@ -322,137 +242,20 @@ main(int argc, char **argv)
         (long long)fleet.instances().size(),
         (long long)fileBytes(fleet_csv), (long long)fileBytes(fleet_cbf));
 
-    // --- Fleet-scale recommend() sweep over the mmap-loaded catalog,
-    // with the same thread-identity contract micro_ceer enforces.
-    const core::CeerPredictor predictor(model_from_mmap);
-    const graph::Graph g = models::buildModel(model_name, 32);
-    core::WorkloadSpec workload{&g, bench::kImageNetSamples, 32};
-    const std::vector<cloud::GpuInstance> &candidates =
-        fleet_from_mmap.instances();
-
-    std::vector<int> sweep{1, 2, 4};
-    for (int t = 8; t <= max_threads; t *= 2)
-        sweep.push_back(t);
-
-    struct Result
-    {
-        int threads;
-        double wallSeconds;
-        double speedup;
-        bool identical;
-        bool belowSerial;
-    };
-    // On a single-core host every multi-thread point measures
-    // scheduling, not speedup: identity is still checked, but the
-    // below-serial flag is suppressed and the JSON says so.
-    const bool scaling_meaningful = hardware >= 2;
-    std::vector<Result> results;
-    core::Recommendation reference;
-    double serial_wall = 0.0;
-    bool sweep_identical = true;
-
-    util::TablePrinter sweep_table(
-        {"threads", "wall (s)", "candidates/sec", "speedup",
-         "identical"});
-    for (int threads : sweep) {
-        const auto start = Clock::now();
-        const core::Recommendation recommendation = core::recommend(
-            predictor, workload, candidates, core::Objective::MinCost,
-            core::Constraints{}, threads);
-        const double wall =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        if (threads == 1) {
-            reference = recommendation;
-            serial_wall = wall;
-        }
-        Result r;
-        r.threads = threads;
-        r.wallSeconds = wall;
-        r.speedup = serial_wall / wall;
-        r.identical =
-            recommendation.bestIndex == reference.bestIndex &&
-            recommendation.evaluations.size() ==
-                reference.evaluations.size();
-        if (r.identical) {
-            for (std::size_t i = 0; i < reference.evaluations.size();
-                 ++i) {
-                if (!evaluationsIdentical(reference.evaluations[i],
-                                          recommendation
-                                              .evaluations[i])) {
-                    r.identical = false;
-                    break;
-                }
-            }
-        }
-        r.belowSerial =
-            scaling_meaningful && threads > 1 && r.speedup < 1.0;
-        sweep_identical &= r.identical;
-        results.push_back(r);
-        sweep_table.addRow(
-            {std::to_string(threads), util::format("%.3f", wall),
-             util::format("%.1f", candidates.size() / wall),
-             util::format("%.2fx", r.speedup),
-             r.identical ? "yes" : "NO"});
-        if (!r.identical) {
-            std::cerr << "FAIL: recommendation at " << threads
-                      << " threads differs from the serial sweep\n";
-        }
-    }
-    sweep_table.print(std::cout);
-    if (!scaling_meaningful) {
-        std::cout << "note: single hardware thread; scaling assertions "
-                     "skipped (identity still enforced)\n";
-    }
-    identity_ok &= sweep_identical;
-
-    int below_serial = 0;
-    for (const Result &r : results)
-        below_serial += r.belowSerial ? 1 : 0;
     bench::JsonObject doc;
     doc.str("benchmark", "io_load_throughput")
-        .str("model", model_name)
-        .num("load_iters", load_iters);
-    bench::addScalingFields(doc, hardware, scaling_meaningful);
-    doc.num("profile_op_rows",
-            static_cast<std::int64_t>(canonical.ops().size()))
+        .num("hardware_threads", bench::hardwareThreads())
+        .num("profile_op_rows",
+             static_cast<std::int64_t>(canonical.ops().size()))
         .num("profile_iter_rows",
              static_cast<std::int64_t>(canonical.iterations().size()))
         .num("profile_csv_bytes", fileBytes(profile_csv))
         .num("profile_cbf_bytes", fileBytes(profile_cbf))
-        .num("profile_csv_parse_us", profile_csv_us, "%.1f")
-        .num("profile_cbf_stream_us", profile_stream_us, "%.1f")
-        .num("profile_cbf_mmap_us", profile_mmap_us, "%.1f")
-        .num("profile_stream_speedup_vs_csv", profile_stream_speedup,
-             "%.2f")
-        .num("profile_mmap_speedup_vs_csv", profile_mmap_speedup, "%.2f")
-        // Headline number: zero-copy mmap vs CSV text parse on the
-        // profile dataset (the file every bench binary loads).
-        .num("mmap_speedup_vs_csv", profile_mmap_speedup, "%.2f")
         .num("fleet_instances",
              static_cast<std::int64_t>(fleet.instances().size()))
         .num("fleet_csv_bytes", fileBytes(fleet_csv))
         .num("fleet_cbf_bytes", fileBytes(fleet_cbf))
-        .num("fleet_csv_parse_us", fleet_csv_us, "%.1f")
-        .num("fleet_cbf_stream_us", fleet_stream_us, "%.1f")
-        .num("fleet_cbf_mmap_us", fleet_mmap_us, "%.1f")
-        .num("fleet_stream_speedup_vs_csv", fleet_stream_speedup, "%.2f")
-        .num("fleet_mmap_speedup_vs_csv", fleet_mmap_speedup, "%.2f")
         .boolean("identity_ok", identity_ok)
-        .boolean("recommender_identity_ok", sweep_identical)
-        .num("below_serial_measurements", below_serial);
-    std::vector<bench::JsonObject> rows;
-    for (const Result &r : results) {
-        bench::JsonObject row;
-        row.num("threads", r.threads)
-            .num("wall_s", r.wallSeconds, "%.6f")
-            .num("speedup", r.speedup, "%.4f")
-            .boolean("identical", r.identical)
-            .boolean("below_serial", r.belowSerial);
-        rows.push_back(std::move(row));
-    }
-    doc.array("recommender_sweep", std::move(rows));
-    if (!bench::writeBenchJson(flags.getString("out"), doc))
-        return 1;
-    bench::flushBenchMetrics();
-    return identity_ok ? 0 : 1;
+        .array("loads", std::move(rows));
+    return bench::finishBench(flags.getString("out"), doc, identity_ok);
 }

@@ -8,10 +8,10 @@
  * for. The disabled numbers are the cost every instrumented hot loop
  * pays when no one is watching (one relaxed atomic load + branch);
  * the enabled numbers are what a metrics-on run costs per event.
- * Writes BENCH_obs.json; docs/observability.md quotes these numbers.
+ * Each figure is the median of bench::kTrials trials; the contended
+ * sweep comes from bench::scalingSweep. Writes BENCH_obs.json; docs/observability.md quotes these numbers.
  */
 
-#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <thread>
@@ -26,26 +26,13 @@
 namespace {
 
 using namespace ceer;
-using Clock = std::chrono::steady_clock;
 
-/** One timed measurement: ns per operation over @p ops calls. */
-template <typename Body>
-double
-nsPerOp(std::int64_t ops, const Body &body)
-{
-    const auto start = Clock::now();
-    for (std::int64_t i = 0; i < ops; ++i)
-        body();
-    const auto elapsed = Clock::now() - start;
-    return std::chrono::duration<double, std::nano>(elapsed).count() /
-           static_cast<double>(ops);
-}
-
+/** One primitive's trials with observability on and off. */
 struct Row
 {
     std::string name;
-    double enabledNs = 0.0;
-    double disabledNs = 0.0;
+    bench::Trials enabled;
+    bench::Trials disabled;
 };
 
 } // namespace
@@ -56,22 +43,16 @@ main(int argc, char **argv)
     util::Flags flags;
     flags.defineInt("ops", 2'000'000, "operations per timed loop");
     flags.defineInt("threads", 8,
-                    "threads for the contended-counter measurement");
-    flags.defineString("out", "BENCH_obs.json",
-                       "machine-readable results ('' disables)");
-    flags.defineString("metrics-out", "",
-                       "write a metrics JSON snapshot here (enables "
-                       "observability for the run)");
-    flags.parse(argc, argv);
-    bench::setMetricsOut(flags.getString("metrics-out"));
+                    "largest thread count of the contended-counter "
+                    "sweep");
+    bench::parseMicroFlags(flags, "BENCH_obs.json", argc, argv);
 
     const std::int64_t ops = flags.getInt("ops");
     const int threads = static_cast<int>(flags.getInt("threads"));
-    const unsigned hardware = std::thread::hardware_concurrency();
-    // On a single-core host every multi-thread point measures
-    // scheduling, not shard behavior: the sweep still runs, but the
-    // below-serial flag is suppressed and the JSON says so.
-    const bool scaling_meaningful = hardware >= 2;
+    const unsigned hardware = bench::hardwareThreads();
+    const auto ns_per_op = [ops](const bench::Trials &trials) {
+        return trials.medianWallMs() * 1e6 / static_cast<double>(ops);
+    };
 
     util::printBanner(std::cout,
                       "micro_obs: metrics hot-path overhead (" +
@@ -80,17 +61,22 @@ main(int argc, char **argv)
 
     std::vector<Row> rows;
     const auto measure = [&](const std::string &name, auto body) {
+        const auto loop = [&] {
+            for (std::int64_t i = 0; i < ops; ++i)
+                body();
+            return ops;
+        };
         Row row;
         row.name = name;
         {
             obs::ScopedEnable on(true);
-            row.enabledNs = nsPerOp(ops, body);
+            row.enabled = bench::timeTrials(loop);
         }
         {
             obs::ScopedEnable off(false);
-            row.disabledNs = nsPerOp(ops, body);
+            row.disabled = bench::timeTrials(loop);
         }
-        rows.push_back(row);
+        rows.push_back(std::move(row));
     };
 
     measure("counter add", [] { OBS_COUNTER_INC("obs_bench.counter"); });
@@ -99,103 +85,62 @@ main(int argc, char **argv)
             [] { OBS_HISTOGRAM_RECORD("obs_bench.histogram", 17.0); });
     measure("scoped timer", [] { OBS_TIMER("obs_bench.timer_us"); });
 
-    // Contended counter: every thread hammers the same counter; the
-    // cache-line-aligned shards keep the aggregate throughput from
-    // collapsing when threads are added. Swept per thread count so the
-    // scaling trajectory (not just one point) is in the JSON.
-    struct ContendedPoint
-    {
-        int threads;
-        double nsPerOp;        ///< Amortized per-op cost.
-        double opsPerSecond;   ///< Aggregate across all threads.
-        bool belowSerial;      ///< Aggregate fell below 1-thread.
-    };
-    std::vector<int> sweep{1};
-    for (int t = 2; t <= std::max(threads, 1); t *= 2)
-        sweep.push_back(t);
-    std::vector<ContendedPoint> contended;
-    {
-        obs::ScopedEnable on(true);
-        obs::Counter &counter = obs::counter("obs_bench.contended");
-        for (int t : sweep) {
-            const std::int64_t per_thread = ops / t;
-            const auto start = Clock::now();
-            std::vector<std::thread> hammer;
-            for (int i = 0; i < t; ++i)
-                hammer.emplace_back([&counter, per_thread] {
-                    for (std::int64_t op = 0; op < per_thread; ++op)
-                        counter.add(1);
-                });
-            for (std::thread &thread : hammer)
-                thread.join();
-            const double seconds =
-                std::chrono::duration<double>(Clock::now() - start)
-                    .count();
-            ContendedPoint point;
-            point.threads = t;
-            point.opsPerSecond =
-                static_cast<double>(per_thread * t) / seconds;
-            point.nsPerOp = seconds * 1e9 /
-                            static_cast<double>(per_thread * t);
-            point.belowSerial =
-                scaling_meaningful && t > 1 &&
-                point.opsPerSecond < contended.front().opsPerSecond;
-            contended.push_back(point);
-        }
-    }
-    const double contended_ns = contended.back().nsPerOp;
-
     util::TablePrinter table(
         {"primitive", "enabled ns/op", "disabled ns/op"});
     for (const Row &row : rows)
-        table.addRow({row.name, util::format("%.1f", row.enabledNs),
-                      util::format("%.1f", row.disabledNs)});
+        table.addRow({row.name,
+                      util::format("%.1f", ns_per_op(row.enabled)),
+                      util::format("%.1f", ns_per_op(row.disabled))});
     table.print(std::cout);
 
-    util::TablePrinter contended_table(
-        {"threads", "ns/op", "Mops/sec"});
-    for (const ContendedPoint &point : contended)
-        contended_table.addRow(
-            {std::to_string(point.threads),
-             util::format("%.1f", point.nsPerOp),
-             util::format("%.1f", point.opsPerSecond / 1e6) +
-                 (point.belowSerial ? " (!)" : "")});
-    contended_table.print(std::cout);
-    if (!scaling_meaningful) {
-        std::cout << "note: single hardware thread; scaling assertions "
-                     "skipped\n";
-    }
+    // Contended counter: every thread hammers the same counter; the
+    // cache-line-aligned shards keep the aggregate throughput from
+    // collapsing when threads are added. The threads share the same
+    // `ops` adds, so the speedup is the aggregate throughput gain, and
+    // every run must land exactly `ops` adds in the counter.
+    obs::ScopedEnable on(true);
+    obs::Counter &counter = obs::counter("obs_bench.contended");
+    const bench::ScalingSweep sweep = bench::scalingSweep(
+        bench::threadSweep(threads),
+        [&](int count) {
+            const std::uint64_t before = counter.value();
+            std::vector<std::thread> hammer;
+            for (int i = 0; i < count; ++i) {
+                const std::int64_t share =
+                    ops / count + (i < ops % count ? 1 : 0);
+                hammer.emplace_back([&counter, share] {
+                    for (std::int64_t op = 0; op < share; ++op)
+                        counter.add(1);
+                });
+            }
+            for (std::thread &thread : hammer)
+                thread.join();
+            return counter.value() - before;
+        },
+        [](std::uint64_t serial, std::uint64_t adds) {
+            return adds == serial;
+        });
+    const double contended_ns = ns_per_op(sweep.rows.back().trials);
 
-    int below_serial = 0;
-    for (const ContendedPoint &point : contended)
-        below_serial += point.belowSerial ? 1 : 0;
     bench::JsonObject doc;
     doc.str("bench", "micro_obs").num("ops", ops);
-    bench::addScalingFields(doc, hardware, scaling_meaningful);
-    doc.num("below_serial_measurements", below_serial);
+    sweep.addFields(doc);
     std::vector<bench::JsonObject> row_docs;
     for (const Row &row : rows) {
-        bench::JsonObject r;
+        bench::JsonObject enabled, disabled;
+        row.enabled.addTo(enabled);
+        row.disabled.addTo(disabled);
+        bench::JsonObject &r = row_docs.emplace_back();
         r.str("name", row.name)
-            .num("enabled_ns", row.enabledNs, "%.2f")
-            .num("disabled_ns", row.disabledNs, "%.2f");
-        row_docs.push_back(std::move(r));
+            .num("enabled_ns", ns_per_op(row.enabled), "%.2f")
+            .num("disabled_ns", ns_per_op(row.disabled), "%.2f")
+            .object("enabled", enabled)
+            .object("disabled", disabled);
     }
-    doc.array("rows", std::move(row_docs));
-    std::vector<bench::JsonObject> scaling_docs;
-    for (const ContendedPoint &point : contended) {
-        bench::JsonObject p;
-        p.num("threads", point.threads)
-            .num("ns_per_op", point.nsPerOp, "%.2f")
-            .num("ops_per_sec", point.opsPerSecond, "%.0f")
-            .boolean("below_serial", point.belowSerial);
-        scaling_docs.push_back(std::move(p));
-    }
-    doc.array("contended_scaling", std::move(scaling_docs));
-    doc.num("contended_counter_ns", contended_ns, "%.2f")
-        .num("contended_threads", threads);
-    if (!bench::writeBenchJson(flags.getString("out"), doc))
-        return 1;
-    bench::flushBenchMetrics();
-    return 0;
+    doc.array("rows", std::move(row_docs))
+        .array("contended_scaling", sweep.rowsJson())
+        .num("contended_counter_ns", contended_ns, "%.2f")
+        .num("contended_threads", sweep.rows.back().threads);
+    return bench::finishBench(flags.getString("out"), doc,
+                              sweep.identical());
 }

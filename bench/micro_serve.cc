@@ -25,18 +25,15 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <thread>
 #include <vector>
 
 #include "bench/alloc_count.h"
 #include "bench/common.h"
 #include "cloud/instances.h"
 #include "core/recommender.h"
-#include "core/trainer.h"
 #include "io/cbf.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
-#include "profile/profiler.h"
 #include "serve/client.h"
 #include "serve/loadgen.h"
 #include "serve/net.h"
@@ -237,29 +234,22 @@ main(int argc, char **argv)
     flags.defineDouble("alloc-budget", 0.0,
                        "max heap allocations per warm recommend "
                        "request");
-    flags.defineString("out", "BENCH_serve.json",
-                       "machine-readable results ('' disables)");
-    flags.defineString("metrics-out", "",
-                       "write a metrics JSON snapshot here (enables "
-                       "observability for the run)");
-    flags.parse(argc, argv);
-    bench::setMetricsOut(flags.getString("metrics-out"));
+    bench::parseMicroFlags(flags, "BENCH_serve.json", argc, argv);
 
-    const unsigned hardware = std::thread::hardware_concurrency();
-    const bool scaling_meaningful = hardware >= 2;
+    const unsigned hardware = bench::hardwareThreads();
     util::printBanner(std::cout,
                       "micro_serve: ceerd serving path "
                       "(loadgen over loopback TCP)");
     std::cout << "hardware threads: " << hardware << "\n";
 
-    // A cheap but real model: two CNNs profiled briefly, then the
-    // standard trainer. Serving latency does not depend on the fit
+    // A cheap but real model: the training set profiled briefly, then
+    // the standard trainer. Serving latency does not depend on the fit
     // quality, only on the plan-evaluation shape.
-    profile::CollectOptions collect;
-    collect.iterations = static_cast<int>(flags.getInt("train-iters"));
-    const profile::ProfileDataset dataset = profile::collectProfiles(
-        {"vgg_11", "inception_v1"}, collect);
-    core::CeerModel model = core::trainCeer(dataset);
+    const core::CeerModel model =
+        bench::trainOnPaperTrainingSet(
+            bench::fixtureConfig(
+                static_cast<int>(flags.getInt("train-iters"))))
+            .model;
     const core::CeerPredictor predictor(model);
     const cloud::InstanceCatalog catalog =
         cloud::InstanceCatalog::awsOnDemand();
@@ -359,7 +349,7 @@ main(int argc, char **argv)
     // A 1-core host only gets the 1-reactor rows: piling reactors onto
     // one core measures scheduler noise, not scaling.
     std::vector<int> ladder_reactors{1};
-    if (scaling_meaningful)
+    if (hardware >= 2)
         ladder_reactors.push_back(2);
     std::vector<Point> points;
     bool load_ok = true;
@@ -429,7 +419,7 @@ main(int argc, char **argv)
 
     bench::JsonObject doc;
     doc.str("bench", "micro_serve");
-    bench::addScalingFields(doc, hardware, scaling_meaningful);
+    bench::addScalingFields(doc, hardware);
     doc.num("request_mix_models",
             static_cast<std::int64_t>(mix.size()));
     doc.num("connections", flags.getInt("connections"));
@@ -471,8 +461,6 @@ main(int argc, char **argv)
         rows.push_back(std::move(row));
     }
     doc.array("points", std::move(rows));
-    if (!bench::writeBenchJson(flags.getString("out"), doc))
-        return 1;
-    bench::flushBenchMetrics();
-    return identity_ok && alloc_gate.ok && load_ok ? 0 : 1;
+    return bench::finishBench(flags.getString("out"), doc,
+                              identity_ok && alloc_gate.ok && load_ok);
 }

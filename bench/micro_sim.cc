@@ -11,18 +11,15 @@
  * from the scalar definition. Writes BENCH_sim.json so future changes
  * can track the perf trajectory.
  *
- * The swept thread counts are capped at hardware_concurrency(): on an
- * oversubscribed host a "parallel speedup" below 1.0 is a scheduling
- * artifact, and any sub-1.0 measurement that still occurs is flagged
- * in the JSON rather than reported as a silent regression.
+ * Every timed figure is the median of bench::kTrials trials, reported
+ * with its wall and CPU spread (bench::timeTrials); the thread sweep
+ * comes from bench::scalingSweep, which judges speedups only up to the
+ * hardware's thread count.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "bench/common.h"
@@ -38,16 +35,7 @@
 namespace {
 
 using namespace ceer;
-using Clock = std::chrono::steady_clock;
-
-/** Bit pattern of a double (== would conflate +0.0 and -0.0). */
-std::uint64_t
-bits(double x)
-{
-    std::uint64_t u;
-    std::memcpy(&u, &x, sizeof u);
-    return u;
-}
+using bench::bits;
 
 /** mean/stddev/count/min/max of a RunStats triple, bit-for-bit. */
 bool
@@ -65,9 +53,6 @@ statsIdentical(const sim::RunStats &a, const sim::RunStats &b)
            same(a.computeUs, b.computeUs) && same(a.commUs, b.commUs);
 }
 
-/** Timed passes in the sample_kernel block. */
-constexpr int kKernelTrials = 21;
-
 /** Batch size of the kernel block's plans (the profiling default). */
 constexpr std::int64_t kKernelBatch = 32;
 
@@ -79,7 +64,7 @@ constexpr int kKernelReps = 64;
  * plans on every GPU, kKernelReps replica stream keys per plan. One
  * untimed observed pass checks every draw bit for bit against the
  * scalar definition base * fastExp(sigma * inverseNormalCdf(u)); then
- * kKernelTrials timed passes run the unobserved lane, the profiling
+ * bench::kTrials timed passes run the unobserved lane, the profiling
  * sweep's k > 1 path. Fills @p block and returns false on any
  * mismatch.
  */
@@ -123,26 +108,22 @@ measureSampleKernel(bench::JsonObject &block)
         }
     }
 
-    std::vector<double> wall_ms, cpu_ms;
     double checksum = 0.0;
-    for (int t = 0; t < kKernelTrials; ++t) {
-        const double cpu_start = bench::threadCpuSeconds();
-        const auto start = Clock::now();
-        for (const sim::ExecPlan &plan : plans)
-            for (int rep = 0; rep < kKernelReps; ++rep)
-                checksum += sim::kernel::gpuLaneUs(
-                    streamKey(rep), plan.gpuBaseUs.data(),
-                    plan.gpuSigma.data(), plan.gpuBaseUs.size(),
-                    scratch.data(), nullptr);
-        wall_ms.push_back(std::chrono::duration<double, std::milli>(
-                              Clock::now() - start)
-                              .count());
-        cpu_ms.push_back((bench::threadCpuSeconds() - cpu_start) * 1e3);
-    }
-    std::sort(wall_ms.begin(), wall_ms.end());
-    std::sort(cpu_ms.begin(), cpu_ms.end());
+    const bench::Trials trials = bench::timeTrials(
+        [&] {
+            double sum = 0.0;
+            for (const sim::ExecPlan &plan : plans)
+                for (int rep = 0; rep < kKernelReps; ++rep)
+                    sum += sim::kernel::gpuLaneUs(
+                        streamKey(rep), plan.gpuBaseUs.data(),
+                        plan.gpuSigma.data(), plan.gpuBaseUs.size(),
+                        scratch.data(), nullptr);
+            return sum;
+        },
+        [&](double sum) { checksum += sum; });
+    const double median_ms = trials.medianWallMs();
     const double ns_per_sample =
-        wall_ms[wall_ms.size() / 2] * 1e6 / static_cast<double>(draws);
+        median_ms * 1e6 / static_cast<double>(draws);
     const double tail_fraction =
         static_cast<double>(tail) / static_cast<double>(draws);
 
@@ -151,8 +132,8 @@ measureSampleKernel(bench::JsonObject &block)
         "%.3f ms wall over %d trials, %.3f ns/sample, tail fraction "
         "%.4f; checksum %.6e\n",
         names.size(), hw::allGpuModels().size(),
-        static_cast<unsigned long long>(draws),
-        wall_ms[wall_ms.size() / 2], kKernelTrials, ns_per_sample,
+        static_cast<unsigned long long>(draws), median_ms,
+        bench::kTrials, ns_per_sample,
         tail_fraction, checksum);
     std::cout << (mismatches == 0 ? "[PASS]" : "[FAIL]")
               << util::format(" sample kernel matches the scalar "
@@ -164,11 +145,9 @@ measureSampleKernel(bench::JsonObject &block)
         .num("gpus", static_cast<std::int64_t>(hw::allGpuModels().size()))
         .num("batch", kKernelBatch)
         .num("reps", kKernelReps)
-        .num("draws", static_cast<std::int64_t>(draws))
-        .num("trials", kKernelTrials)
-        .object("wall_ms", bench::spreadJson(wall_ms))
-        .object("thread_cpu_ms", bench::spreadJson(cpu_ms))
-        .num("ns_per_sample", ns_per_sample, "%.4f")
+        .num("draws", static_cast<std::int64_t>(draws));
+    trials.addTo(block);
+    block.num("ns_per_sample", ns_per_sample, "%.4f")
         .num("tail_fraction", tail_fraction, "%.5f")
         .boolean("identity_ok", mismatches == 0);
     return mismatches == 0;
@@ -181,26 +160,22 @@ main(int argc, char **argv)
 {
     util::Flags flags;
     flags.defineString("model", "inception_v1", "CNN to simulate");
-    // Large enough that the batched kernel's timed region is hundreds
-    // of milliseconds; at a few hundred iterations it finishes in
-    // single-digit milliseconds and the rate is mostly timer noise.
+    // Large enough that the batched kernel's timed region is tens of
+    // milliseconds; at a few hundred iterations it finishes in well
+    // under a millisecond and the rate is mostly timer noise.
     flags.defineInt("iters", 20000, "iterations per timed run");
     flags.defineInt("gpus", 1, "data-parallel replicas");
-    flags.defineString("out", "BENCH_sim.json",
-                       "machine-readable results ('' disables)");
-    flags.defineString("metrics-out", "",
-                       "write a metrics JSON snapshot here (enables "
-                       "observability for the run)");
-    flags.parse(argc, argv);
-    bench::setMetricsOut(flags.getString("metrics-out"));
+    bench::parseMicroFlags(flags, "BENCH_sim.json", argc, argv);
 
     const std::string model = flags.getString("model");
     const int iters = static_cast<int>(flags.getInt("iters"));
-    const unsigned hardware = std::thread::hardware_concurrency();
+    const unsigned hardware = bench::hardwareThreads();
 
     sim::SimConfig config;
     config.numGpus = static_cast<int>(flags.getInt("gpus"));
     const graph::Graph g = models::buildModel(model, 32);
+    const auto plan = std::make_shared<const sim::ExecPlan>(
+        sim::ExecPlan::build(g, config.gpu));
 
     util::printBanner(std::cout,
                       "micro_sim: simulation-kernel throughput (" +
@@ -212,114 +187,48 @@ main(int argc, char **argv)
     const bool kernel_ok = measureSampleKernel(sample_kernel);
 
     // --- Single-thread kernel throughput. ---
-    sim::TrainingSimulator batched(g, config);
-    double batched_checksum = 0.0;
-    const auto batched_start = Clock::now();
-    for (int i = 0; i < iters; ++i)
-        batched_checksum += batched.runIteration().totalUs();
-    const double batched_wall =
-        std::chrono::duration<double>(Clock::now() - batched_start)
-            .count();
-
-    const double batched_ips = iters / batched_wall;
+    sim::TrainingSimulator batched(plan, config);
     // The checksum keeps the loop from being optimized away.
+    double checksum = 0.0;
+    const bench::Trials batched_trials = bench::timeTrials(
+        [&] {
+            double sum = 0.0;
+            for (int i = 0; i < iters; ++i)
+                sum += batched.runIteration().totalUs();
+            return sum;
+        },
+        [&](double sum) { checksum += sum; });
+    const double batched_ips =
+        iters * 1e3 / batched_trials.medianWallMs();
     std::cout << util::format(
-        "batched kernel: %.3f s wall, %.1f iters/sec; checksum %.3e\n",
-        batched_wall, batched_ips, batched_checksum);
+        "batched kernel: median %.3f ms wall, %.1f iters/sec; checksum "
+        "%.3e\n",
+        batched_trials.medianWallMs(), batched_ips, checksum);
 
-    // --- Iteration-parallel runs: identity + scaling. ---
-    // Identity is always checked at 1/2/4 threads — the determinism
-    // contract holds at any thread count, oversubscribed or not — but
-    // larger counts are swept only up to the hardware, where speedup
-    // numbers stop meaning anything (any sub-1.0 point is flagged).
-    std::vector<int> sweep{1, 2, 4};
-    for (int t = 8; t <= static_cast<int>(hardware ? hardware : 1);
-         t *= 2)
-        sweep.push_back(t);
+    // --- Iteration-parallel runs: identity + scaling. Each run starts
+    // a fresh simulator on the shared plan, so every run draws the
+    // same iterations.
+    const bench::ScalingSweep sweep = bench::scalingSweep(
+        bench::threadSweep(static_cast<int>(hardware)),
+        [&](int threads) {
+            return sim::TrainingSimulator(plan, config)
+                .run(iters, threads);
+        },
+        statsIdentical);
 
-    struct Result
-    {
-        int threads;
-        double wallSeconds;
-        double itersPerSecond;
-        double speedup;
-        bool identical;
-        bool belowSerial;
-    };
-    // On a single-core host every multi-thread point measures
-    // scheduling, not speedup: identity is still checked, but the
-    // below-serial flag is suppressed and the JSON says so.
-    const bool scaling_meaningful = hardware >= 2;
-    std::vector<Result> results;
-    sim::RunStats reference;
-    double serial_wall = 0.0;
-    bool all_identical = true;
-
-    util::TablePrinter run_table(
-        {"threads", "wall (s)", "iters/sec", "speedup", "identical"});
-    for (int threads : sweep) {
-        sim::TrainingSimulator simulator(g, config);
-        const auto start = Clock::now();
-        const sim::RunStats stats = simulator.run(iters, threads);
-        const double wall =
-            std::chrono::duration<double>(Clock::now() - start).count();
-        if (threads == 1) {
-            reference = stats;
-            serial_wall = wall;
-        }
-        Result r;
-        r.threads = threads;
-        r.wallSeconds = wall;
-        r.itersPerSecond = iters / wall;
-        r.speedup = serial_wall / wall;
-        r.identical = statsIdentical(stats, reference);
-        r.belowSerial =
-            scaling_meaningful && threads > 1 && r.speedup < 1.0;
-        all_identical &= r.identical;
-        results.push_back(r);
-        run_table.addRow(
-            {std::to_string(threads), util::format("%.3f", wall),
-             util::format("%.1f", r.itersPerSecond),
-             util::format("%.2fx", r.speedup),
-             r.identical ? "yes" : "NO"});
-        if (!r.identical) {
-            std::cerr << "FAIL: RunStats at " << threads
-                      << " threads differ from the serial run\n";
-        }
-    }
-    run_table.print(std::cout);
-    if (!scaling_meaningful) {
-        std::cout << "note: single hardware thread; scaling assertions "
-                     "skipped (identity still enforced)\n";
-    }
-
-    int below_serial = 0;
-    for (const Result &r : results)
-        below_serial += r.belowSerial ? 1 : 0;
     bench::JsonObject doc;
     doc.str("benchmark", "sim_kernel_throughput")
         .str("model", model)
         .num("iterations", iters)
         .num("num_gpus", config.numGpus);
-    bench::addScalingFields(doc, hardware, scaling_meaningful);
+    sweep.addFields(doc);
+    bench::JsonObject batched_block;
+    batched_trials.addTo(batched_block);
     doc.num("batched_iters_per_sec", batched_ips, "%.1f")
-        .boolean("parallel_identity_ok", all_identical)
-        .num("below_serial_measurements", below_serial)
-        .object("sample_kernel", sample_kernel);
-    std::vector<bench::JsonObject> rows;
-    for (const Result &r : results) {
-        bench::JsonObject row;
-        row.num("threads", r.threads)
-            .num("wall_s", r.wallSeconds, "%.6f")
-            .num("iters_per_sec", r.itersPerSecond, "%.1f")
-            .num("speedup", r.speedup, "%.4f")
-            .boolean("identical", r.identical)
-            .boolean("below_serial", r.belowSerial);
-        rows.push_back(std::move(row));
-    }
-    doc.array("results", std::move(rows));
-    if (!bench::writeBenchJson(flags.getString("out"), doc))
-        return 1;
-    bench::flushBenchMetrics();
-    return all_identical && kernel_ok ? 0 : 1;
+        .object("batched", batched_block)
+        .boolean("parallel_identity_ok", sweep.identical())
+        .object("sample_kernel", sample_kernel)
+        .array("results", sweep.rowsJson());
+    return bench::finishBench(flags.getString("out"), doc,
+                              sweep.identical() && kernel_ok);
 }

@@ -39,12 +39,15 @@
 # and its reason per line), and on any listed name that is no longer
 # defined or is reached now, so the list cannot go stale.
 #
-# `tools/check.sh scaling` runs the full micro benches and fails on
-# any below-serial scaling row. On a multi-core host a parallel path
-# running slower than serial is a scheduler regression, full stop; on
-# a single-core host the benches mark the run "skipped_scaling" and
-# the pass only verifies they said so (identity is still enforced by
-# the benches' own exit codes).
+# `tools/check.sh scaling` runs the full micro benches and judges
+# their thread-sweep rows with tools/scaling_gate.py: it fails on any
+# below-serial row and on a recommender sweep under 1.5x at 2 threads.
+# On a multi-core host a parallel path running slower than serial is a
+# scheduler regression, full stop; on a single-core host the benches
+# mark the run "skipped_scaling" and the pass only verifies they said
+# so (identity is still enforced by the benches' own exit codes). The
+# bench smoke pass checks that the gate rejects the forced-serial
+# fixture in tests/data/forced_serial.
 #
 # Every pass runs even if an earlier one failed; each pass's status is
 # checked explicitly, a one-line PASS/FAIL summary is printed at the
@@ -141,9 +144,18 @@ pass_bench_smoke() {
         --metrics-out build/check_obs_metrics.json
     grep -q obs_bench.counter build/check_obs_metrics.json
     # micro_io's nonzero exit asserts bit-identity across the CSV /
-    # streaming-CBF / mmap-CBF load paths and the fleet recommend sweep.
-    ./build/bench/micro_io --train-iters 10 --load-iters 3 \
-        --fleet 256 --out ''
+    # streaming-CBF / mmap-CBF load paths.
+    ./build/bench/micro_io --train-iters 10 --fleet 256 --out ''
+    # The scaling gate must reject a sweep that never ran faster than
+    # serial (exit 1: a gate failure, not a crash or an unreadable
+    # file, which exit 2).
+    local gate_status=0
+    python3 tools/scaling_gate.py tests/data/forced_serial \
+        > build/check_forced_serial_gate.txt || gate_status=$?
+    [[ "$gate_status" -eq 1 ]]
+    grep -q 'below-serial' build/check_forced_serial_gate.txt
+    grep -q 'recommender speedup at 2 threads' \
+        build/check_forced_serial_gate.txt
     # micro_serve's nonzero exit asserts the loadgen-vs-in-process
     # byte identity (across every reactor/thread combination, and
     # across hot reload) plus the steady-state allocation budget; the
@@ -340,48 +352,11 @@ pass_scaling() {
     ./build/bench/micro_ceer --out build/scaling/BENCH_ceer.json
     ./build/bench/micro_obs --out build/scaling/BENCH_obs.json
 
-    # On >= 2 hardware threads any below-serial row is a hard failure
-    # and the recommender sweep must clear 1.5x at 2 threads; on one
-    # hardware thread the benches must have declared the scaling
-    # numbers meaningless instead of reporting them as regressions.
-    python3 - <<'EOF'
-import json, os, sys
-
-multi_core = (os.cpu_count() or 1) >= 2
-failures = []
-for name in ("sim", "profile", "ceer", "obs"):
-    path = f"build/scaling/BENCH_{name}.json"
-    with open(path) as f:
-        doc = json.load(f)
-    skipped = doc.get("skipped_scaling")
-    below = doc.get("below_serial_measurements")
-    if multi_core:
-        if skipped is not False:
-            failures.append(f"{path}: skipped_scaling={skipped!r} "
-                            "on a multi-core host")
-        if below != 0:
-            failures.append(f"{path}: {below} below-serial scaling "
-                            "row(s)")
-    elif skipped is not True:
-        failures.append(f"{path}: single-core host but "
-                        f"skipped_scaling={skipped!r}")
-
-if multi_core:
-    with open("build/scaling/BENCH_ceer.json") as f:
-        ceer = json.load(f)
-    two = [r for r in ceer["recommender_sweep"] if r["threads"] == 2]
-    if not two:
-        failures.append("BENCH_ceer.json: no 2-thread sweep row")
-    elif two[0]["speedup"] < 1.5:
-        failures.append("BENCH_ceer.json: recommender speedup at 2 "
-                        f"threads is {two[0]['speedup']:.2f}x (< 1.5x)")
-
-for failure in failures:
-    print(f"FAIL: {failure}")
-if failures:
-    sys.exit(1)
-print(f"scaling gate clean (multi_core={multi_core})")
-EOF
+    # tools/scaling_gate.py judges the sweep rows: on >= 2 hardware
+    # threads any below-serial row fails and the recommender sweep must
+    # clear 1.5x at 2 threads; on one hardware thread the benches must
+    # have declared the scaling numbers meaningless instead.
+    python3 tools/scaling_gate.py build/scaling
 }
 
 pass_coverage() {
