@@ -8,19 +8,46 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <malloc.h>
 #include <new>
 
 namespace {
 
 std::atomic<bool> g_count_allocs{false};
 std::atomic<std::uint64_t> g_alloc_count{0};
+/// Bytes allocated minus bytes freed since the start (usable sizes);
+/// negative when the counted code frees blocks made before it.
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
 
 void *
 countedAlloc(std::size_t size)
 {
-    if (g_count_allocs.load(std::memory_order_relaxed))
+    void *p = std::malloc(size ? size : 1);
+    if (p && g_count_allocs.load(std::memory_order_relaxed)) {
         g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(size ? size : 1);
+        const auto bytes = static_cast<std::int64_t>(malloc_usable_size(p));
+        const std::int64_t live =
+            g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) +
+            bytes;
+        std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+        // A failed exchange reloads peak; retry while live is above it.
+        while (live > peak &&
+               !g_peak_bytes.compare_exchange_weak(
+                   peak, live, std::memory_order_relaxed)) {
+        }
+    }
+    return p;
+}
+
+void
+countedFree(void *p)
+{
+    if (p && g_count_allocs.load(std::memory_order_relaxed))
+        g_live_bytes.fetch_sub(
+            static_cast<std::int64_t>(malloc_usable_size(p)),
+            std::memory_order_relaxed);
+    std::free(p);
 }
 
 } // namespace
@@ -71,37 +98,37 @@ operator new[](std::size_t size, const std::nothrow_t &) noexcept
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 #endif // CEER_ALLOC_HOOK
 
@@ -118,6 +145,8 @@ void
 startAllocCount()
 {
     g_alloc_count.store(0, std::memory_order_relaxed);
+    g_live_bytes.store(0, std::memory_order_relaxed);
+    g_peak_bytes.store(0, std::memory_order_relaxed);
     g_count_allocs.store(true, std::memory_order_relaxed);
 }
 
@@ -126,6 +155,13 @@ stopAllocCount()
 {
     g_count_allocs.store(false, std::memory_order_relaxed);
     return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+std::uint64_t
+peakAllocBytes()
+{
+    return static_cast<std::uint64_t>(
+        g_peak_bytes.load(std::memory_order_relaxed));
 }
 
 } // namespace bench

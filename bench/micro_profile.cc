@@ -10,8 +10,9 @@
  * bench::scalingSweep: bench::kTrials runs per thread count, the
  * median/min/max of wall and process CPU time, and the speedup of the
  * medians. Each row adds the heap allocations of one collectProfiles()
- * call (the median over its trials, counted by a replaced operator
- * new across every sweep thread). Every run's dataset must be
+ * call and the most operator-new heap it held at once (the medians
+ * over its trials, counted by a replaced operator new and delete
+ * across every sweep thread). Every run's dataset must be
  * byte-identical in CBF, which carries every accumulator's exact bits
  * (the engine's determinism contract). Writes BENCH_profile.json so
  * future changes can track the perf trajectory.
@@ -73,6 +74,7 @@ main(int argc, char **argv)
     };
     std::string serial_cbf;
     std::map<int, std::vector<std::uint64_t>> allocs;
+    std::map<int, std::vector<std::uint64_t>> peak_bytes;
     const bench::ScalingSweep sweep = bench::scalingSweep(
         bench::threadSweep(max_threads),
         [&](int threads) {
@@ -81,6 +83,7 @@ main(int argc, char **argv)
             profile::ProfileDataset dataset =
                 profile::collectProfiles(cnns, options);
             allocs[threads].push_back(bench::stopAllocCount());
+            peak_bytes[threads].push_back(bench::peakAllocBytes());
             return dataset;
         },
         [&](const profile::ProfileDataset &serial,
@@ -92,21 +95,25 @@ main(int argc, char **argv)
 
     const bool hooked = bench::allocHookAvailable();
     std::vector<bench::JsonObject> rows = sweep.rowsJson();
+    const auto median = [](std::vector<std::uint64_t> &values) {
+        std::sort(values.begin(), values.end());
+        return values[values.size() / 2];
+    };
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        std::vector<std::uint64_t> &counts =
-            allocs[sweep.rows[i].threads];
-        std::sort(counts.begin(), counts.end());
-        const std::uint64_t median = counts[counts.size() / 2];
-        if (hooked) {
-            std::cout << util::format("allocs/call at %d threads: %llu\n",
-                                      sweep.rows[i].threads,
-                                      static_cast<unsigned long long>(
-                                          median));
-            rows[i].num("allocs_per_call",
-                        static_cast<std::int64_t>(median));
-        } else {
-            rows[i].nul("allocs_per_call");
+        const int threads = sweep.rows[i].threads;
+        if (!hooked) {
+            rows[i].nul("allocs_per_call").nul("peak_heap_mb");
+            continue;
         }
+        const std::uint64_t count = median(allocs[threads]);
+        const double peak_mb =
+            static_cast<double>(median(peak_bytes[threads])) / 1e6;
+        std::cout << util::format(
+            "allocs/call at %d threads: %llu, peak heap %.2f MB\n",
+            threads, static_cast<unsigned long long>(count), peak_mb);
+        rows[i]
+            .num("allocs_per_call", static_cast<std::int64_t>(count))
+            .num("peak_heap_mb", peak_mb, "%.3f");
     }
 
     bench::JsonObject doc;

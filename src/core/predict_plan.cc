@@ -111,6 +111,7 @@ CeerPredictor::compile(const graph::Graph &g) const
     plan.lightMedianUs_ = model_.lightMedianUs;
     plan.cpuMedianUs_ = model_.cpuMedianUs;
     plan.paramCount_ = static_cast<double>(g.totalParameters());
+    plan.batchSize_ = g.batchSize();
 
     std::size_t slots = 0;
     for (hw::GpuModel gpu : hw::allGpuModels())

@@ -14,8 +14,8 @@
  *  - the heavy groups' op types, in first-appearance order;
  *  - a groups x GPU-slot table of group sums, and their per-GPU
  *    total (the heavy term);
- *  - light / CPU op counts, the snapshotted medians and the cached
- *    parameter count.
+ *  - light / CPU op counts, the snapshotted medians, the cached
+ *    parameter count and the batch the graph was built at.
  *
  * A group sum is one dense matrix-vector product over the group's
  * feature matrix (quadratically expanded when the fitted model is
@@ -42,6 +42,7 @@
 #define CEER_CORE_PREDICT_PLAN_H
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "graph/op_type.h"
@@ -94,6 +95,9 @@ class PredictPlan
     /** Cached trainable-parameter count of the compiled graph. */
     double paramCount() const { return paramCount_; }
 
+    /** Batch the compiled graph was built at (0 when it records none). */
+    std::int64_t batchSize() const { return batchSize_; }
+
     /**
      * Heavy-term sum for @p gpu: the sum over all heavy nodes of their
      * clamped regression estimates, computed at compile.
@@ -130,6 +134,7 @@ class PredictPlan
     double lightMedianUs_ = 0.0;
     double cpuMedianUs_ = 0.0;
     double paramCount_ = 0.0;
+    std::int64_t batchSize_ = 0;
 };
 
 namespace plan_kernel {

@@ -91,17 +91,18 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
               const Constraints &constraints, int threads,
               Recommendation *out, const MemoryFitTable *fits)
 {
-    if (!workload.graph)
+    // The graph is read only for the memory-fit table; a caller that
+    // passes the table may have dropped the graph after compiling.
+    if (!workload.graph && !fits)
         util::panic("recommend: workload has no graph");
     if (!objective)
         util::panic("recommend: empty objective function");
-    if (workload.graph->batchSize() > 0 &&
-        workload.graph->batchSize() != workload.batchPerGpu) {
+    if (plan.batchSize() > 0 && plan.batchSize() != workload.batchPerGpu) {
         util::panic(util::format(
             "recommend: graph was built at batch %lld but the "
             "workload declares batch %lld — per-op input sizes would "
             "not match the iteration count",
-            static_cast<long long>(workload.graph->batchSize()),
+            static_cast<long long>(plan.batchSize()),
             static_cast<long long>(workload.batchPerGpu)));
     }
 

@@ -42,7 +42,10 @@ ObjectiveFn objectiveFunction(Objective objective);
 /** The workload to be placed. */
 struct WorkloadSpec
 {
-    const graph::Graph *graph = nullptr; ///< Training graph (batch B).
+    /// Training graph (batch B). recommendInto() reads it only to
+    /// compute memory fits, so it may be null when a fits table is
+    /// passed.
+    const graph::Graph *graph = nullptr;
     std::int64_t datasetSamples = 0;     ///< Dataset size D.
     std::int64_t batchPerGpu = 32;       ///< Per-GPU batch B.
 };
@@ -187,7 +190,8 @@ Recommendation recommend(const CeerPredictor &predictor,
  * @param fits Precomputed computeMemoryFits(*workload.graph), or null
  *             to compute it in place. Passing a cached table skips the
  *             per-query full-graph memory walk; the result is
- *             byte-identical either way.
+ *             byte-identical either way. With a table, workload.graph
+ *             may be null: the batch check reads @p plan.
  */
 void recommendInto(const CeerPredictor &predictor,
                    const PredictPlan &plan, const WorkloadSpec &workload,

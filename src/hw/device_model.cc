@@ -14,6 +14,36 @@ using graph::Device;
 using graph::Node;
 using graph::OpType;
 
+KernelWork::KernelWork(const Node &node)
+    : category(node.category()), cost(opCost(node))
+{
+    if (node.device() != Device::Gpu)
+        util::panic("GpuTimingModel: timing a CPU op " + node.name);
+    const std::int64_t input_bytes = node.inputBytes();
+    if (node.type == OpType::Conv2DBackpropFilter)
+        filterGradInputBytes = static_cast<double>(input_bytes);
+
+    // The wobble key: the full shape signature, so identical instances
+    // agree across runs. The GPU's salt is XORed in per GPU.
+    wobbleKey = 0x2545F4914F6CDD1Dull;
+    wobbleKey ^= static_cast<std::uint64_t>(node.type) * 0x9E3779B97F4A7C15ull;
+    wobbleKey ^= static_cast<std::uint64_t>(node.outputBytes()) *
+                 0xFF51AFD7ED558CCDull;
+    std::uint64_t mix = 1;
+    for (const auto &shape : node.inputShapes) {
+        mix = mix * 0x100000001B3ull +
+              static_cast<std::uint64_t>(shape.numElements());
+    }
+    wobbleKey ^= mix;
+
+    // The sigma key: {op type, input bytes}; the GPU model is XORed in
+    // per GPU.
+    sigmaKey = 0x6A09E667F3BCC909ull;
+    sigmaKey ^= static_cast<std::uint64_t>(node.type) * 0x9E3779B97F4A7C15ull;
+    sigmaKey ^=
+        static_cast<std::uint64_t>(input_bytes) * 0xC2B2AE3D27D4EB4Full;
+}
+
 GpuTimingModel::GpuTimingModel(GpuModel model) : spec_(&gpuSpec(model)) {}
 
 namespace {
@@ -28,18 +58,8 @@ namespace {
  * keeps Ceer's R^2 in the paper's 0.84-0.98 band instead of 1.0.
  */
 double
-instanceWobble(const Node &node, std::uint64_t salt, double amplitude)
+instanceWobble(std::uint64_t key, double amplitude)
 {
-    std::uint64_t key = 0x2545F4914F6CDD1Dull ^ salt;
-    key ^= static_cast<std::uint64_t>(node.type) * 0x9E3779B97F4A7C15ull;
-    key ^= static_cast<std::uint64_t>(node.outputBytes()) *
-           0xFF51AFD7ED558CCDull;
-    std::uint64_t mix = 1;
-    for (const auto &shape : node.inputShapes) {
-        mix = mix * 0x100000001B3ull +
-              static_cast<std::uint64_t>(shape.numElements());
-    }
-    key ^= mix;
     const double u =
         static_cast<double>(util::splitMix64(key) >> 11) * 0x1.0p-53;
     return 1.0 + amplitude * (2.0 * u - 1.0);
@@ -47,66 +67,48 @@ instanceWobble(const Node &node, std::uint64_t salt, double amplitude)
 
 } // namespace
 
-double
-GpuTimingModel::workUs(const Node &node) const
+KernelTiming
+GpuTimingModel::timing(const KernelWork &work) const
 {
-    const OpCost cost = opCost(node);
-    const CategoryThroughput &rate = spec_->throughput(node.category());
+    const CategoryThroughput &rate = spec_->throughput(work.category);
     double compute_us = 0.0;
     double memory_us = 0.0;
-    if (cost.flops > 0.0 && rate.tflops > 0.0)
-        compute_us = cost.flops / (rate.tflops * 1e6);
-    if (cost.bytes > 0.0 && rate.gbps > 0.0)
-        memory_us = cost.bytes / (rate.gbps * 1e3);
-    double work = std::max(compute_us, memory_us);
+    if (work.cost.flops > 0.0 && rate.tflops > 0.0)
+        compute_us = work.cost.flops / (rate.tflops * 1e6);
+    if (work.cost.bytes > 0.0 && rate.gbps > 0.0)
+        memory_us = work.cost.bytes / (rate.gbps * 1e3);
+    double work_us = std::max(compute_us, memory_us);
 
-    if (node.type == OpType::Conv2DBackpropFilter) {
+    if (work.filterGradInputBytes > 0.0) {
         // Atomics/workspace contention grows with the activation size,
         // making this kernel superlinear in its input (paper Sec. IV-B
         // fits it with a quadratic).
-        work *= 1.0 +
-                static_cast<double>(node.inputBytes()) /
-                    spec_->filterGradKneeBytes;
+        work_us *= 1.0 + work.filterGradInputBytes /
+                             spec_->filterGradKneeBytes;
     }
-    return work * instanceWobble(
-                      node, static_cast<std::uint64_t>(spec_->model),
-                      0.10);
+    work_us *= instanceWobble(
+        work.wobbleKey ^ static_cast<std::uint64_t>(spec_->model), 0.10);
+
+    const double sigma_inst = instanceSigma(work);
+    const double sigma_short = 0.32 * std::exp(-work_us / 7.0);
+    return {spec_->kernelLaunchUs + work_us,
+            std::sqrt(sigma_inst * sigma_inst +
+                      sigma_short * sigma_short)};
 }
 
 double
-GpuTimingModel::meanTimeUs(const Node &node) const
-{
-    if (node.device() != Device::Gpu)
-        util::panic("GpuTimingModel::meanTimeUs on CPU op " + node.name);
-    return spec_->kernelLaunchUs + workUs(node);
-}
-
-double
-GpuTimingModel::instanceSigma(const Node &node) const
+GpuTimingModel::instanceSigma(const KernelWork &work) const
 {
     // Hash {op type, input bytes, GPU model} into a stable uniform u,
     // then map through 0.012 + 0.10 * u^3: median sigma ~0.025, 95th
     // percentile ~0.098 and a small tail above 0.1 — reproducing the
     // paper's Fig. 5 CDF of normalized stddev across instances.
-    std::uint64_t key = 0x6A09E667F3BCC909ull;
-    key ^= static_cast<std::uint64_t>(node.type) * 0x9E3779B97F4A7C15ull;
-    key ^= static_cast<std::uint64_t>(node.inputBytes()) *
-           0xC2B2AE3D27D4EB4Full;
-    key ^= static_cast<std::uint64_t>(spec_->model) *
-           0x165667B19E3779F9ull;
+    std::uint64_t key =
+        work.sigmaKey ^
+        static_cast<std::uint64_t>(spec_->model) * 0x165667B19E3779F9ull;
     const double u =
         static_cast<double>(util::splitMix64(key) >> 11) * 0x1.0p-53;
     return 0.012 + 0.10 * u * u * u;
-}
-
-double
-GpuTimingModel::effectiveSigma(const Node &node) const
-{
-    const double work = workUs(node);
-    const double sigma_inst = instanceSigma(node);
-    const double sigma_short = 0.32 * std::exp(-work / 7.0);
-    return std::sqrt(sigma_inst * sigma_inst +
-                     sigma_short * sigma_short);
 }
 
 CpuTimingModel::CpuTimingModel(double speed_factor)

@@ -8,11 +8,12 @@
  * correction for Conv2DBackpropFilter.
  *
  * The models are deterministic: they give each GPU kernel its median
- * time and lognormal sigma, and each CPU op its mean time.
- * sim::ExecPlan copies these into its lanes, and the sampling kernel
- * (sim/sample_kernel.h) is the one place noise is drawn: lognormal
- * around the median for GPU ops, gamma with CV ~= 0.6 around the mean
- * for CPU ops.
+ * time and lognormal sigma, and each CPU op its mean time. A GPU
+ * kernel's GPU-independent inputs are read once into a KernelWork and
+ * timed per GPU. sim::ExecPlan copies these into its lanes, and the
+ * sampling kernel (sim/sample_kernel.h) is the one place noise is
+ * drawn: lognormal around the median for GPU ops, gamma with CV ~= 0.6
+ * around the mean for CPU ops.
  *
  * The noise reproduces the paper's Fig. 5: for a fixed {heavy op,
  * input size} pair, run-to-run variability is low (95% of pairs have
@@ -25,12 +26,52 @@
 #ifndef CEER_HW_DEVICE_MODEL_H
 #define CEER_HW_DEVICE_MODEL_H
 
+#include <cstdint>
+
 #include "graph/graph.h"
 #include "hw/gpu_spec.h"
 #include "hw/op_cost.h"
 
 namespace ceer {
 namespace hw {
+
+/**
+ * The GPU-independent inputs of a GPU kernel's timing: everything
+ * GpuTimingModel reads from the node, read once. sim::ExecPlan builds
+ * one per node and times it on every GPU model, so the analytic cost,
+ * the byte counts and the hash keys are not recomputed per GPU.
+ */
+struct KernelWork
+{
+    /**
+     * Reads @p node. Implicit, so a timing query can take a node.
+     * Panics if the node is CPU-placed.
+     */
+    KernelWork(const graph::Node &node);
+
+    graph::CostCategory category; ///< Selects the GPU's throughput row.
+    OpCost cost;                  ///< Analytic flops and bytes.
+    /// Input bytes of a Conv2DBackpropFilter kernel, whose time is
+    /// superlinear in them; 0 for every other op.
+    double filterGradInputBytes = 0.0;
+    /// The GPU-independent part of the efficiency-wobble hash key.
+    std::uint64_t wobbleKey = 0;
+    /// The GPU-independent part of the instance-sigma hash key.
+    std::uint64_t sigmaKey = 0;
+};
+
+/** A GPU kernel's median time and lognormal sigma on one GPU. */
+struct KernelTiming
+{
+    double meanUs = 0.0; ///< Noise-free (median) time in microseconds.
+    /**
+     * Total lognormal sigma: the instance sigma combined with a
+     * short-kernel term ~0.32*exp(-work/7us) that makes launch-bound
+     * kernels noisy while leaving kernels above ~20us inside the
+     * paper's Fig. 5 variability band.
+     */
+    double sigma = 0.0;
+};
 
 /** Compute-time model for one GPU model. */
 class GpuTimingModel
@@ -42,32 +83,18 @@ class GpuTimingModel
     /** The spec this model was built from. */
     const GpuSpec &spec() const { return *spec_; }
 
-    /**
-     * Noise-free (median) compute time of @p node in microseconds.
-     * Panics if the node is CPU-placed.
-     */
-    double meanTimeUs(const graph::Node &node) const;
+    /** Median time and effective sigma of @p work on this GPU. */
+    KernelTiming timing(const KernelWork &work) const;
 
     /**
      * Deterministic lognormal sigma for a {op type, input size, GPU}
      * instance. Heavy (work-dominated) kernels receive sigma in
-     * [0.012, 0.112] with ~95% below 0.1; an additional term that
-     * decays with kernel duration makes short kernels noisy.
+     * [0.012, 0.112] with ~95% below 0.1; timing() adds a term that
+     * decays with kernel duration to make short kernels noisy.
      */
-    double instanceSigma(const graph::Node &node) const;
-
-    /**
-     * Total lognormal sigma the kernel draws @p node with: the
-     * instance sigma combined with a short-kernel term
-     * ~0.32*exp(-work/7us) that makes launch-bound kernels noisy while
-     * leaving kernels above ~20us inside the paper's Fig. 5
-     * variability band.
-     */
-    double effectiveSigma(const graph::Node &node) const;
+    double instanceSigma(const KernelWork &work) const;
 
   private:
-    double workUs(const graph::Node &node) const;
-
     const GpuSpec *spec_;
 };
 

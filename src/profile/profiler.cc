@@ -457,25 +457,30 @@ namespace {
 struct SweepUnit
 {
     std::size_t modelIndex = 0;
-    hw::GpuModel gpu = hw::GpuModel::V100;
+    std::shared_ptr<const sim::ExecPlan> plan; ///< Its GPU's plan.
     std::span<OpProfile> ops;         ///< Rows of the observed k = 1 run.
     std::span<IterationProfile> runs; ///< Index k - 1.
 };
 
-/** What collectProfiles prepares once per CNN, shared by its units. */
+/**
+ * What collectProfiles prepares once per CNN on the calling thread,
+ * shared by its units: the graph itself is dropped once these exist.
+ */
 struct ModelInputs
 {
-    Graph graph;
     InstanceIndex index;
+    /// One plan per GPU, in hw::allGpuModels() order.
+    std::vector<std::shared_ptr<const sim::ExecPlan>> plans;
+    std::int64_t params = 0; ///< Trainable parameters.
 };
 
 void
 executeUnit(const SweepUnit &unit, const std::string &name,
-            const ModelInputs &inputs,
+            const InstanceIndex &index,
             const util::ReservoirSchedule &schedule,
             const CollectOptions &options)
 {
-    std::shared_ptr<const sim::ExecPlan> plan;
+    const hw::GpuModel gpu = unit.plan->gpu;
     for (int k = 1; k <= static_cast<int>(unit.runs.size()); ++k) {
         // The span name is formatted only when observability is on;
         // recording never feeds back into the run, so the dataset is
@@ -483,21 +488,18 @@ executeUnit(const SweepUnit &unit, const std::string &name,
         std::optional<obs::ScopedSpan> span;
         if (obs::enabled())
             span.emplace(util::format("profile %s %s k=%d", name.c_str(),
-                                      hw::gpuModelName(unit.gpu).c_str(),
+                                      hw::gpuModelName(gpu).c_str(),
                                       k),
                          "profile");
         OBS_TIMER("profile.run_us");
-        if (!plan)
-            plan = std::make_shared<const sim::ExecPlan>(
-                sim::ExecPlan::build(inputs.graph, unit.gpu));
         sim::SimConfig config;
-        config.gpu = unit.gpu;
+        config.gpu = gpu;
         config.numGpus = k;
         config.gpusPerHost = options.gpusPerHost;
-        config.seed = runSeed(options.seed, name, unit.gpu, k);
+        config.seed = runSeed(options.seed, name, gpu, k);
         // k >= 2 is run-level only: op times match the k=1 case by
         // construction (same per-GPU batch), as in the paper.
-        simulateRun(plan, k == 1 ? &inputs.index : nullptr, schedule,
+        simulateRun(unit.plan, k == 1 ? &index : nullptr, schedule,
                     config, options.iterations, unit.ops,
                     unit.runs[static_cast<std::size_t>(k - 1)]);
         OBS_COUNTER_INC("profile.runs");
@@ -512,19 +514,23 @@ collectProfiles(const std::vector<std::string> &model_names,
 {
     if (options.iterations < 1)
         util::panic("collectProfiles: iterations must be >= 1");
-    // Build each graph and its instance index once, on this thread,
-    // and share them read-only across the CNN's four GPU units.
-    // consumers() is the only lazily-built Graph cache; pre-warm it so
-    // concurrent readers never mutate shared state.
+    // Build each graph once, on this thread, and keep only what the
+    // sweep reads of it: its instance index, parameter count and one
+    // plan per GPU, the plans built in one walk. The graph is dropped
+    // before the next one is built, so at most one is alive and no
+    // worker ever touches one.
+    const std::vector<hw::GpuModel> &gpu_models = hw::allGpuModels();
     std::vector<ModelInputs> inputs;
     inputs.reserve(model_names.size());
     std::size_t max_offered = 0;
     for (const auto &name : model_names) {
-        Graph g = models::buildModel(name, options.batch);
-        g.consumers();
-        InstanceIndex index(g);
-        max_offered = std::max(max_offered, index.maxOccurrences);
-        inputs.push_back({std::move(g), std::move(index)});
+        const Graph g = models::buildModel(name, options.batch);
+        ModelInputs &input = inputs.emplace_back(
+            ModelInputs{InstanceIndex(g), {}, g.totalParameters()});
+        for (sim::ExecPlan &plan : sim::ExecPlan::build(g, gpu_models))
+            input.plans.push_back(
+                std::make_shared<const sim::ExecPlan>(std::move(plan)));
+        max_offered = std::max(max_offered, input.index.maxOccurrences);
     }
     // Every observed run replays the same reservoir draws; draw them
     // once for the longest instance stream of the sweep.
@@ -540,7 +546,7 @@ collectProfiles(const std::vector<std::string> &model_names,
     // vectors are reserved to their final sizes, so no span moves.
     const int max_k = options.multiGpuRuns ? std::max(options.maxGpus, 1)
                                            : 1;
-    const std::size_t gpus = hw::allGpuModels().size();
+    const std::size_t gpus = gpu_models.size();
     std::size_t op_rows = 0;
     for (const ModelInputs &input : inputs)
         op_rows += input.index.instances.size() * gpus;
@@ -550,16 +556,16 @@ collectProfiles(const std::vector<std::string> &model_names,
                                 static_cast<std::size_t>(max_k));
     std::vector<SweepUnit> units;
     for (std::size_t m = 0; m < model_names.size(); ++m) {
-        const std::int64_t params = inputs[m].graph.totalParameters();
-        for (hw::GpuModel gpu : hw::allGpuModels()) {
+        for (const auto &plan : inputs[m].plans) {
             const std::size_t op_row = dataset.ops_.size();
             const std::size_t iter_row = dataset.iterations_.size();
-            inputs[m].index.appendRows(&dataset.ops_, model_names[m], gpu);
+            inputs[m].index.appendRows(&dataset.ops_, model_names[m],
+                                       plan->gpu);
             for (int k = 1; k <= max_k; ++k)
                 dataset.iterations_.push_back(
-                    {model_names[m], gpu, k, params});
+                    {model_names[m], plan->gpu, k, inputs[m].params});
             units.push_back(
-                {m, gpu, std::span(dataset.ops_).subspan(op_row),
+                {m, plan, std::span(dataset.ops_).subspan(op_row),
                  std::span(dataset.iterations_).subspan(iter_row)});
         }
     }
@@ -569,13 +575,13 @@ collectProfiles(const std::vector<std::string> &model_names,
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                         return inputs[units[a].modelIndex].graph.size() >
-                                inputs[units[b].modelIndex].graph.size();
+                         return units[a].plan->nodeCount() >
+                                units[b].plan->nodeCount();
                      });
     auto execute = [&](std::size_t i) {
         const SweepUnit &unit = units[order[i]];
         executeUnit(unit, model_names[unit.modelIndex],
-                    inputs[unit.modelIndex], schedule, options);
+                    inputs[unit.modelIndex].index, schedule, options);
     };
 
     // Units are tens-of-milliseconds tasks: the static cost hint

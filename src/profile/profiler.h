@@ -299,10 +299,11 @@ std::uint64_t runSeed(std::uint64_t base_seed, const std::string &model,
  * Runs the paper's empirical study: profiles every named CNN on all
  * four GPU models (op level at k=1; run level at k=1..maxGpus).
  *
- * The calling thread sizes the whole dataset first; each (CNN, GPU)
- * pair is then one task on a thread pool (options.threads) that builds
- * one ExecPlan, runs k = 1..maxGpus on it and writes its numbers into
- * its own rows. The result is identical regardless of thread count or
+ * The calling thread builds each CNN's graph, its instance index and
+ * its four ExecPlans (one walk) and drops the graph before building
+ * the next, then sizes the whole dataset; each (CNN, GPU) pair is
+ * then one task on a thread pool (options.threads) that runs
+ * k = 1..maxGpus on its plan and writes its numbers into its own rows. The result is identical regardless of thread count or
  * schedule.
  */
 ProfileDataset collectProfiles(const std::vector<std::string> &models,

@@ -38,14 +38,16 @@ namespace ceer {
 namespace serve {
 
 /**
- * One immutable cached compilation: the graph (the request path needs
- * it for WorkloadSpec and the memory-fit check) plus the compiled
- * plan, stamped with the engine generation that compiled it.
+ * One immutable cached compilation: the compiled plan and the graph's
+ * memory-fit verdicts, stamped with the engine generation that
+ * compiled it. The request path needs nothing else of the graph.
  */
 struct PlanEntry
 {
     std::uint64_t fingerprint = 0; ///< Structural graph fingerprint.
     std::uint64_t generation = 0;  ///< Engine generation at compile.
+    /// Null in ceerd; set only by the perfbench layer harness, which
+    /// still passes it to the recommender.
     std::shared_ptr<const graph::Graph> graph;
     std::shared_ptr<const core::PredictPlan> plan;
     /** Per-GPU memory-fit verdicts, computed once at compile — the

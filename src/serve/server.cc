@@ -1,8 +1,10 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <poll.h>
 #include <set>
 #include <sys/socket.h>
@@ -522,17 +524,29 @@ Server::handleRequest(Session &session, const char *payload,
     key.push_back(':');
     appendDecimal(&key, static_cast<long long>(request.batch));
     std::uint64_t fingerprint = 0;
-    bool have_fingerprint = false;
-    const auto key_it = session.requestKeys.find(key);
-    if (key_it != session.requestKeys.end()) {
-        fingerprint = key_it->second;
-        have_fingerprint = true;
-    }
-    std::shared_ptr<const graph::Graph> graph;
-    if (!have_fingerprint) {
-        graph = std::make_shared<const graph::Graph>(
-            models::buildModel(request.model, request.batch));
-        fingerprint = graphFingerprint(*graph);
+    std::optional<graph::Graph> graph;
+    if (const auto it = session.requestKeys.find(key);
+        it != session.requestKeys.end()) {
+        fingerprint = it->second;
+    } else {
+        const auto old = session.previousKeys.find(key);
+        if (old != session.previousKeys.end()) {
+            fingerprint = old->second;
+        } else {
+            graph.emplace(
+                models::buildModel(request.model, request.batch));
+            fingerprint = graphFingerprint(*graph);
+        }
+        // Bounded like the plan cache: once the memo holds that many
+        // keys it becomes the previous generation and the one before
+        // is dropped, so a client walking many distinct keys holds at
+        // most twice the capacity, while keys in use get carried over.
+        if (session.requestKeys.size() >=
+            std::max<std::size_t>(options_.planCacheCapacity, 1)) {
+            session.previousKeys.swap(session.requestKeys);
+            session.requestKeys.clear();
+            OBS_COUNTER_INC("serve.request_keys_clears");
+        }
         session.requestKeys.emplace(key, fingerprint);
     }
 
@@ -541,36 +555,38 @@ Server::handleRequest(Session &session, const char *payload,
     // pinned for the duration of this request even if a hot reload
     // lands mid-flight. tryGet is the allocation-free hit path;
     // getOrCompile coordinates the (cold) compile across sessions.
+    // An entry keeps the plan and the memory fits only; the graph is
+    // dropped as soon as the entry is in hand.
     std::shared_ptr<const PlanEntry> entry =
         planCache_.tryGet(fingerprint, engine->generation);
     if (!entry) {
         entry = planCache_.getOrCompile(
             fingerprint, engine->generation, [&]() {
+                if (!graph)
+                    graph.emplace(models::buildModel(request.model,
+                                                     request.batch));
                 PlanEntry fresh;
                 fresh.fingerprint = fingerprint;
                 fresh.generation = engine->generation;
-                fresh.graph =
-                    graph ? graph
-                          : std::make_shared<const graph::Graph>(
-                                models::buildModel(request.model,
-                                                   request.batch));
                 OBS_TIMER("serve.compile_us");
                 OBS_COUNTER_INC("serve.plan_compiles");
                 auto plan =
                     std::make_shared<const core::PredictPlan>(
-                        engine->predictor.compile(*fresh.graph));
+                        engine->predictor.compile(*graph));
                 // The memory-fit walk is the recommender's only
                 // O(nodes) per-query step; bake the verdicts into the
                 // entry so warm sweeps skip it.
-                fresh.fits = core::computeMemoryFits(*fresh.graph);
+                fresh.fits = core::computeMemoryFits(*graph);
                 fresh.bytes = plan->approxBytes();
                 fresh.plan = std::move(plan);
                 return fresh;
             });
     }
+    graph.reset();
 
+    // No graph: recommendInto reads the entry's fits and checks the
+    // batch against its plan.
     core::WorkloadSpec workload;
-    workload.graph = entry->graph.get();
     workload.datasetSamples = request.datasetSamples;
     workload.batchPerGpu = request.batch;
     core::Constraints constraints;

@@ -20,7 +20,9 @@
  *
  * Compiled plans live in one process-wide PlanCache
  * (plan_cache.h) keyed by structural graph fingerprint: identical
- * graphs arriving on different connections compile exactly once, and
+ * graphs arriving on different connections compile exactly once. An
+ * entry holds the plan and its memory fits, never the graph, which a
+ * request drops once it is compiled and fingerprinted; and
  * a hot reload invalidates entries lazily by engine generation while
  * in-flight requests keep their pinned entry.
  *
@@ -143,6 +145,9 @@ class Server
         return planCache_.stats();
     }
 
+    /** The shared plan cache itself, for inspecting its entries. */
+    PlanCache &planCache() const { return planCache_; }
+
   private:
     /** An immutable predictor + its generation, swapped on reload. */
     struct Engine
@@ -165,8 +170,16 @@ class Server
         std::chrono::steady_clock::time_point lastActivity;
 
         /** Fingerprint memo keyed by "model:batch" request key —
-         *  avoids rebuilding the graph just to hash it. */
+         *  avoids rebuilding the graph just to hash it. When it
+         *  reaches the plan cache's capacity it replaces
+         *  previousKeys and starts empty (counted by
+         *  `serve.request_keys_clears`); a key found only in
+         *  previousKeys is carried back in. So a client walking many
+         *  keys holds at most twice the capacity, and the keys it
+         *  keeps using survive each clear. */
         std::unordered_map<std::string, std::uint64_t> requestKeys;
+        /** The memo's previous generation. */
+        std::unordered_map<std::string, std::uint64_t> previousKeys;
 
         /**
          * Reusable request-path scratch, touched only by the owning

@@ -16,6 +16,7 @@
 #define CEER_SIM_EXEC_PLAN_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -60,12 +61,23 @@ struct ExecPlan
 
     /**
      * Builds the plan for @p g on @p gpu: GPU-placed nodes use that
-     * GPU's timing model, CPU-placed nodes its host's.
+     * GPU's timing model, CPU-placed nodes its host's. The walk of
+     * build(g, gpus) over one GPU.
      *
      * @param g   Training graph (not retained).
      * @param gpu GPU model.
      */
     static ExecPlan build(const graph::Graph &g, hw::GpuModel gpu);
+
+    /**
+     * Builds one plan per entry of @p gpus in a single walk over
+     * @p g: each GPU-placed node's GPU-independent inputs
+     * (hw::KernelWork) are read once and timed on every GPU, so plan i
+     * equals build(g, gpus[i]) bit for bit and the graph can be
+     * dropped as soon as this returns.
+     */
+    static std::vector<ExecPlan> build(const graph::Graph &g,
+                                       std::span<const hw::GpuModel> gpus);
 };
 
 } // namespace sim

@@ -450,6 +450,46 @@ TEST(RecommenderTest, EmptyObjectiveFunctionPanics)
                  "empty objective");
 }
 
+TEST(RecommenderTest, SweepWithFitsNeedsNoGraphButChecksTheBatch)
+{
+    // ceerd sweeps a cached plan with its memory-fit table and no
+    // graph: the result matches the graph-based sweep, and a workload
+    // batch other than the plan's still panics.
+    const CeerPredictor predictor(trainedModel());
+    const Graph g = models::buildModel("alexnet", 32);
+    const PredictPlan plan = predictor.compile(g);
+    const MemoryFitTable fits = computeMemoryFits(g);
+    const cloud::InstanceCatalog catalog =
+        cloud::InstanceCatalog::awsOnDemand();
+    const ObjectiveFn objective = objectiveFunction(Objective::MinCost);
+
+    const Recommendation expected =
+        recommend(predictor, WorkloadSpec{&g, 1000, 32},
+                  catalog.instances(), objective);
+    Recommendation swept;
+    recommendInto(predictor, plan, WorkloadSpec{nullptr, 1000, 32},
+                  catalog.instances(), objective, Constraints{}, 1,
+                  &swept, &fits);
+    EXPECT_EQ(swept.bestIndex, expected.bestIndex);
+    ASSERT_EQ(swept.evaluations.size(), expected.evaluations.size());
+    for (std::size_t i = 0; i < swept.evaluations.size(); ++i) {
+        EXPECT_EQ(swept.evaluations[i].costUsd,
+                  expected.evaluations[i].costUsd);
+        EXPECT_EQ(swept.evaluations[i].fitsMemory,
+                  expected.evaluations[i].fitsMemory);
+    }
+
+    const WorkloadSpec wrong_batch{nullptr, 1000, 64};
+    EXPECT_DEATH(recommendInto(predictor, plan, wrong_batch,
+                               catalog.instances(), objective,
+                               Constraints{}, 1, &swept, &fits),
+                 "built at batch 32 but the workload declares batch 64");
+    EXPECT_DEATH(recommendInto(predictor, plan, wrong_batch,
+                               catalog.instances(), objective,
+                               Constraints{}, 1, &swept),
+                 "workload has no graph");
+}
+
 TEST(RecommenderTest, MinCostPicksG4AndMinTimePicksP3)
 {
     // Paper Sec. V: for Inception-v3 under AWS prices the cheapest

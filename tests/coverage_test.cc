@@ -64,15 +64,15 @@ TEST_P(OpTypeSweep, TimingModelHandlesEveryPlacement)
     if (node.device() == Device::Gpu) {
         for (hw::GpuModel gpu : hw::allGpuModels()) {
             hw::GpuTimingModel model(gpu);
-            const double mean = model.meanTimeUs(node);
+            const double mean = model.timing(node).meanUs;
             EXPECT_GE(mean, hw::gpuSpec(gpu).kernelLaunchUs * 0.99);
             EXPECT_TRUE(std::isfinite(mean));
             // Deterministic: two models agree on the same instance.
             EXPECT_DOUBLE_EQ(mean,
-                             hw::GpuTimingModel(gpu).meanTimeUs(node));
+                             hw::GpuTimingModel(gpu).timing(node).meanUs);
             // One draw through the kernel, with the lane inputs
             // sim::ExecPlan::build makes of this node.
-            const double sigma = model.effectiveSigma(node);
+            const double sigma = model.timing(node).sigma;
             double scratch[sim::kernel::kBlock];
             double sample = 0.0;
             sim::kernel::gpuLaneUs(sim::kernel::replicaStreamKey(3, 0, 0),

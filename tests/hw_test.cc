@@ -165,10 +165,10 @@ TEST(TimingModelTest, RelativeSpeedMatchesPaperOrdering)
 {
     // P3 fastest, then G4, then G3, then P2 (paper Sec. III-A).
     const Node conv = bigConv();
-    const double p3 = GpuTimingModel(GpuModel::V100).meanTimeUs(conv);
-    const double g4 = GpuTimingModel(GpuModel::T4).meanTimeUs(conv);
-    const double g3 = GpuTimingModel(GpuModel::M60).meanTimeUs(conv);
-    const double p2 = GpuTimingModel(GpuModel::K80).meanTimeUs(conv);
+    const double p3 = GpuTimingModel(GpuModel::V100).timing(conv).meanUs;
+    const double g4 = GpuTimingModel(GpuModel::T4).timing(conv).meanUs;
+    const double g3 = GpuTimingModel(GpuModel::M60).timing(conv).meanUs;
+    const double p2 = GpuTimingModel(GpuModel::K80).timing(conv).meanUs;
     EXPECT_LT(p3, g4);
     EXPECT_LT(g4, g3);
     EXPECT_LT(g3, p2);
@@ -177,9 +177,9 @@ TEST(TimingModelTest, RelativeSpeedMatchesPaperOrdering)
 TEST(TimingModelTest, ConvRatiosNearCalibrationTargets)
 {
     const Node conv = bigConv();
-    const double p3 = GpuTimingModel(GpuModel::V100).meanTimeUs(conv);
-    const double g4 = GpuTimingModel(GpuModel::T4).meanTimeUs(conv);
-    const double p2 = GpuTimingModel(GpuModel::K80).meanTimeUs(conv);
+    const double p3 = GpuTimingModel(GpuModel::V100).timing(conv).meanUs;
+    const double g4 = GpuTimingModel(GpuModel::T4).timing(conv).meanUs;
+    const double p2 = GpuTimingModel(GpuModel::K80).timing(conv).meanUs;
     // Conv kernels are compute-bound, so their cross-GPU gaps are
     // narrow (~1.9x G4, ~6.2x P2) — the wide 4x/10x gaps of the
     // paper's Fig. 2 are per-op-type averages dominated by the
@@ -191,8 +191,8 @@ TEST(TimingModelTest, ConvRatiosNearCalibrationTargets)
 TEST(TimingModelTest, PoolingFavorsV100EnoughToWinOnCost)
 {
     const Node pool = bigPool();
-    const double p3 = GpuTimingModel(GpuModel::V100).meanTimeUs(pool);
-    const double g4 = GpuTimingModel(GpuModel::T4).meanTimeUs(pool);
+    const double p3 = GpuTimingModel(GpuModel::V100).timing(pool).meanUs;
+    const double g4 = GpuTimingModel(GpuModel::T4).timing(pool).meanUs;
     // P3 wins pooling on cost despite 3.06/0.752 pricing iff the time
     // ratio exceeds ~4.07 (paper Sec. III-B).
     EXPECT_GT(g4 / p3, 4.07);
@@ -206,8 +206,9 @@ TEST(TimingModelTest, BatchNormGradIsG4sBestCostCase)
     const Node bn_grad =
         makeNode(OpType::FusedBatchNormGradV3, {shape, shape}, shape,
                  attrs);
-    const double p3 = GpuTimingModel(GpuModel::V100).meanTimeUs(bn_grad);
-    const double g4 = GpuTimingModel(GpuModel::T4).meanTimeUs(bn_grad);
+    const double p3 =
+        GpuTimingModel(GpuModel::V100).timing(bn_grad).meanUs;
+    const double g4 = GpuTimingModel(GpuModel::T4).timing(bn_grad).meanUs;
     // Cost ratio G4/P3 = time ratio * 0.752/3.06; the paper reports G4
     // ~29% cheaper on this op -> time ratio ~2.9.
     EXPECT_NEAR(g4 / p3, 2.9, 0.7);
@@ -229,8 +230,8 @@ TEST(TimingModelTest, FilterGradIsSuperlinear)
             TensorShape{3, 3, 64, 64}, attrs);
     };
     GpuTimingModel model(GpuModel::V100);
-    const double small = model.meanTimeUs(filter_grad_node(28));
-    const double large = model.meanTimeUs(filter_grad_node(56));
+    const double small = model.timing(filter_grad_node(28)).meanUs;
+    const double large = model.timing(filter_grad_node(56)).meanUs;
     // 4x the work; superlinearity should push the ratio well above 4
     // (wobble is deterministic per instance, at most +-10% each way).
     EXPECT_GT(large / small, 4.3);
@@ -244,8 +245,8 @@ TEST(TimingModelTest, HeavyOpNoiseIsLowAndDeterministic)
         kernelSamples(conv, GpuModel::V100, 7, 3000);
     // Heavy kernels: normalized stddev well below 0.15 (Fig. 5).
     EXPECT_LT(stats.normalizedStddev(), 0.15);
-    EXPECT_NEAR(stats.mean(), model.meanTimeUs(conv),
-                0.05 * model.meanTimeUs(conv));
+    EXPECT_NEAR(stats.mean(), model.timing(conv).meanUs,
+                0.05 * model.timing(conv).meanUs);
 
     // Identical instances have identical sigma (deterministic hash).
     EXPECT_DOUBLE_EQ(model.instanceSigma(conv),
@@ -311,7 +312,7 @@ TEST(CpuModelTest, DevicePlacementIsEnforced)
     const Node relu = makeNode(OpType::Relu, {shape}, shape);
     const Node sparse = makeNode(OpType::SparseToDense, {shape}, shape);
     EXPECT_DEATH(CpuTimingModel(1.0).meanTimeUs(relu), "GPU op");
-    EXPECT_DEATH(GpuTimingModel(GpuModel::V100).meanTimeUs(sparse),
+    EXPECT_DEATH(GpuTimingModel(GpuModel::V100).timing(sparse),
                  "CPU op");
 }
 

@@ -164,7 +164,8 @@ TEST_P(GpuSweep, TimeMonotoneInProblemSize)
     hw::GpuTimingModel model(GetParam());
     double previous = 0.0;
     for (int hw_dim : {14, 20, 28, 40, 56, 80, 112}) {
-        const double t = model.meanTimeUs(convNode(16, hw_dim, 32, 3, 1));
+        const double t =
+            model.timing(convNode(16, hw_dim, 32, 3, 1)).meanUs;
         EXPECT_GT(t, previous) << "at " << hw_dim;
         previous = t;
     }
@@ -177,7 +178,7 @@ TEST_P(GpuSweep, LaunchOverheadIsTheFloor)
     tiny.type = OpType::Identity;
     tiny.inputShapes = {TensorShape{1}};
     tiny.outputShape = TensorShape{1};
-    EXPECT_GE(model.meanTimeUs(tiny),
+    EXPECT_GE(model.timing(tiny).meanUs,
               hw::gpuSpec(GetParam()).kernelLaunchUs * 0.99);
 }
 
@@ -189,7 +190,7 @@ TEST_P(GpuSweep, SigmaWithinDesignRange)
         const double sigma = model.instanceSigma(node);
         EXPECT_GE(sigma, 0.012);
         EXPECT_LE(sigma, 0.112);
-        const double effective = model.effectiveSigma(node);
+        const double effective = model.timing(node).sigma;
         EXPECT_GE(effective, sigma);
         EXPECT_LE(effective, 0.40);
     }

@@ -829,6 +829,75 @@ TEST(ServeServerTest, PlanCacheIsSharedAcrossSessions)
     EXPECT_EQ(stats.entries, 1u);
 }
 
+TEST(ServeServerTest, PlanCacheEntriesHoldPlansAndFitsOnly)
+{
+    auto server = startServer();
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(
+        client.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+
+    // Each key compiles cold, then answers warm from its entry.
+    const std::vector<std::pair<std::string, std::int64_t>> keys = {
+        {"alexnet", 32}, {"vgg_11", 32}, {"alexnet", 16}};
+    for (const auto &[model, batch] : keys) {
+        RecommendRequest request;
+        request.model = model;
+        request.batch = batch;
+        RecommendResponse response;
+        for (int i = 0; i < 2; ++i)
+            ASSERT_TRUE(client.recommend(request, &response).ok);
+    }
+
+    // The cache's byte account is its plans and nothing else: no
+    // entry pins the graph it was compiled from.
+    const PlanCache::Stats stats = server->planCacheStats();
+    EXPECT_EQ(stats.entries, keys.size());
+    std::size_t plan_bytes = 0;
+    for (const auto &[model, batch] : keys) {
+        const std::shared_ptr<const PlanEntry> entry =
+            server->planCache().tryGet(
+                graphFingerprint(models::buildModel(model, batch)),
+                server->generation());
+        ASSERT_NE(entry, nullptr) << model << " at batch " << batch;
+        EXPECT_EQ(entry->graph, nullptr);
+        EXPECT_EQ(entry->plan->batchSize(), batch);
+        plan_bytes += entry->plan->approxBytes();
+    }
+    EXPECT_EQ(stats.bytes, plan_bytes);
+}
+
+TEST(ServeServerTest, RequestKeyMemoClearsAtPlanCacheCapacity)
+{
+    obs::ScopedEnable metrics(true);
+    obs::resetMetrics();
+    ServerOptions options;
+    options.planCacheCapacity = 3;
+    auto server = startServer(options);
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(
+        client.tryConnect("127.0.0.1", server->port(), 30000, &error))
+        << error;
+
+    // capacity + 1 distinct (model, batch) keys on one connection
+    // clear the memo exactly once, then the first key again: every
+    // reply matches an in-process recommend().
+    RecommendRequest request;
+    request.model = "alexnet";
+    for (std::int64_t batch : {1, 2, 3, 4, 1}) {
+        request.batch = batch;
+        RecommendResponse response;
+        std::string raw;
+        ASSERT_TRUE(client.recommend(request, &response, &raw).ok);
+        EXPECT_EQ(raw, localReplyBytes(request)) << "batch " << batch;
+    }
+    EXPECT_EQ(obs::snapshotMetrics().counterValue(
+                  "serve.request_keys_clears"),
+              1u);
+}
+
 // --- Multi-reactor -----------------------------------------------------
 
 /** Byte-identity across several concurrent connections against

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -132,6 +134,54 @@ TEST(SimulatorTest, SharedPlanMatchesOwnPlanBitForBit)
                                                        hw::GpuModel::T4)),
                                    other),
                  "another GPU");
+}
+
+/** Bit patterns of a lane, for byte-identity assertions. */
+std::vector<std::uint64_t>
+laneBits(const std::vector<double> &lane)
+{
+    std::vector<std::uint64_t> out;
+    for (double x : lane)
+        out.push_back(bitsOf(x));
+    return out;
+}
+
+TEST(ExecPlanTest, OneWalkMatchesSingleGpuBuildsAcrossZoo)
+{
+    // The sweep builds a CNN's four plans in one node walk; each must
+    // equal the plan built for its GPU alone, in every array, whatever
+    // the order of the GPUs.
+    std::vector<hw::GpuModel> gpus = hw::allGpuModels();
+    std::vector<hw::GpuModel> reversed(gpus.rbegin(), gpus.rend());
+    for (const std::string &name : models::allModelNames()) {
+        SCOPED_TRACE(name);
+        const Graph g = models::buildModel(name, 32);
+        for (const auto &order : {gpus, reversed}) {
+            const std::vector<ExecPlan> plans = ExecPlan::build(g, order);
+            ASSERT_EQ(plans.size(), order.size());
+            for (std::size_t p = 0; p < order.size(); ++p) {
+                SCOPED_TRACE(hw::gpuModelName(order[p]));
+                const ExecPlan &walked = plans[p];
+                const ExecPlan alone = ExecPlan::build(g, order[p]);
+                EXPECT_EQ(walked.gpu, order[p]);
+                EXPECT_EQ(laneBits(walked.gpuBaseUs),
+                          laneBits(alone.gpuBaseUs));
+                EXPECT_EQ(laneBits(walked.gpuSigma),
+                          laneBits(alone.gpuSigma));
+                EXPECT_EQ(laneBits(walked.cpuMeanUs),
+                          laneBits(alone.cpuMeanUs));
+                EXPECT_EQ(walked.gpuNode, alone.gpuNode);
+                EXPECT_EQ(walked.cpuNode, alone.cpuNode);
+                EXPECT_EQ(walked.nodeSlot, alone.nodeSlot);
+                EXPECT_EQ(walked.nodeOnGpu, alone.nodeOnGpu);
+                EXPECT_EQ(bitsOf(walked.paramBytes),
+                          bitsOf(alone.paramBytes));
+                EXPECT_EQ(bitsOf(walked.inputBytes),
+                          bitsOf(alone.inputBytes));
+                EXPECT_EQ(walked.nodeCount(), g.size());
+            }
+        }
+    }
 }
 
 TEST(SimulatorTest, IterationTimeRankingAcrossGpus)

@@ -32,7 +32,9 @@
 # inlined, and links with --gc-sections. The roots are every
 # production executable (the bench, example and tools binaries) plus
 # perfbench and perfbench_selftest, built through perfbench's own
-# CMakeLists.txt. A strong (`nm` type T) `ceer::` function defined in
+# CMakeLists.txt. The roots and the libraries are the targets CMake
+# configured (its File API codemodel), not the files the build
+# directory holds, so a stale binary of a deleted target is no root. A strong (`nm` type T) `ceer::` function defined in
 # one of the src/ libraries that survives in none of the roots is
 # unreachable: only tests call it. The pass fails on any unreachable
 # function missing from tools/deadcode_allow.txt (one demangled name
@@ -377,6 +379,9 @@ pass_deadcode() {
     if command -v ninja >/dev/null; then
         flags+=(-G Ninja)
     fi
+    # Ask CMake's File API for the codemodel: the configured targets.
+    mkdir -p build-deadcode/tree/.cmake/api/v1/query
+    touch build-deadcode/tree/.cmake/api/v1/query/codemodel-v2
     cmake -B build-deadcode/tree -S . "${flags[@]}" >/dev/null
     cmake --build build-deadcode/tree -j "$JOBS" \
           --target bench-build/all examples/all tools/all
@@ -385,7 +390,7 @@ pass_deadcode() {
           --target perfbench perfbench_selftest
 
     python3 - <<'EOF'
-import glob, os, subprocess, sys
+import glob, json, os, subprocess, sys
 
 STRING = ("std::__cxx11::basic_string<char, std::char_traits<char>, "
           "std::allocator<char> >")
@@ -402,12 +407,37 @@ def defined(path, types):
             names.add(parts[2].replace(STRING, "std::string"))
     return names
 
-libs = sorted(glob.glob("build-deadcode/tree/src/*/libceer_*.a"))
-roots = sorted(
-    path
-    for d in ("bench", "examples", "tools")
-    for path in glob.glob(f"build-deadcode/tree/{d}/*")
-    if os.path.isfile(path) and os.access(path, os.X_OK))
+def configured_targets(build):
+    """The target objects of the build's File API codemodel reply."""
+    reply = os.path.join(build, ".cmake/api/v1/reply")
+    with open(max(glob.glob(os.path.join(reply, "index-*.json")))) as f:
+        index = json.load(f)
+    with open(os.path.join(
+            reply, index["reply"]["codemodel-v2"]["jsonFile"])) as f:
+        codemodel = json.load(f)
+    for target in codemodel["configurations"][0]["targets"]:
+        with open(os.path.join(reply, target["jsonFile"])) as f:
+            yield json.load(f)
+
+def artifacts(build, target):
+    return [os.path.join(build, artifact["path"])
+            for artifact in target.get("artifacts", [])]
+
+TREE = "build-deadcode/tree"
+libs, roots = [], []
+for target in configured_targets(TREE):
+    top = target["paths"]["source"].split("/")[0]
+    if (target["type"] == "STATIC_LIBRARY" and
+            target["name"].startswith("ceer_")):
+        libs += artifacts(TREE, target)
+    elif (target["type"] == "EXECUTABLE" and
+            top in ("bench", "examples", "tools")):
+        roots += artifacts(TREE, target)
+libs.sort()
+roots.sort()
+missing = [path for path in libs + roots if not os.path.isfile(path)]
+if missing:
+    sys.exit(f"deadcode: configured but not built: {missing}")
 roots += ["build-deadcode/perfbench/perfbench",
           "build-deadcode/perfbench/perfbench_selftest"]
 if not libs or len(roots) <= 2:
