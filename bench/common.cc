@@ -10,7 +10,6 @@
 #include "core/trainer.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
-#include "profile/profile_cache.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -80,23 +79,17 @@ parseBenchFlags(int argc, char **argv, util::Flags *extra)
     flags.defineInt("threads", 0,
                     "profiling worker threads (0 = one per hardware "
                     "thread)");
-    flags.defineString("profile-cache", "build/profile-cache",
-                       "shared profile cache directory ('none' "
-                       "disables)");
     flags.defineString("metrics-out", "",
                        "write a metrics JSON snapshot here (enables "
                        "observability for the run)");
     flags.parse(argc, argv);
 
     BenchConfig config;
-    config.iterations = static_cast<int>(flags.getInt("iters"));
-    config.evalIterations = static_cast<int>(flags.getInt("eval-iters"));
+    config.iterations = flags.getIntAs<int>("iters");
+    config.evalIterations = flags.getIntAs<int>("eval-iters");
     config.batch = flags.getInt("batch");
     config.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
-    config.threads = static_cast<int>(flags.getInt("threads"));
-    config.profileCache = flags.getString("profile-cache");
-    if (config.profileCache == "none" || config.profileCache == "off")
-        config.profileCache.clear();
+    config.threads = flags.getIntAs<int>("threads");
     config.metricsOut = flags.getString("metrics-out");
     setMetricsOut(config.metricsOut);
     return config;
@@ -111,9 +104,7 @@ collectTrainingProfiles(const BenchConfig &config, bool multiGpu)
     options.seed = config.seed;
     options.multiGpuRuns = multiGpu;
     options.threads = config.threads;
-    return profile::collectProfilesCached(models::trainingSetNames(),
-                                          options,
-                                          config.profileCache);
+    return profile::collectProfiles(models::trainingSetNames(), options);
 }
 
 TrainedCeer
@@ -123,15 +114,6 @@ trainOnPaperTrainingSet(const BenchConfig &config)
     trained.dataset = collectTrainingProfiles(config, true);
     trained.model = core::trainCeer(trained.dataset);
     return trained;
-}
-
-BenchConfig
-fixtureConfig(int iterations)
-{
-    BenchConfig config;
-    config.iterations = iterations;
-    config.profileCache.clear();
-    return config;
 }
 
 const std::vector<OpType> &

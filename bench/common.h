@@ -54,12 +54,6 @@ struct BenchConfig
     std::int64_t batch = kDefaultBatch; ///< Per-GPU batch size.
     std::uint64_t seed = 42;   ///< Base RNG seed.
     int threads = 0;           ///< Profiling workers (0 = hardware).
-    /**
-     * Directory of the shared on-disk profile cache ("" or "none"
-     * disables). The whole bench suite shares one cache: the first
-     * binary profiles and saves, the rest load in milliseconds.
-     */
-    std::string profileCache = "build/profile-cache";
 
     /**
      * Metrics JSON snapshot path ("" disables). When set, the
@@ -71,7 +65,7 @@ struct BenchConfig
 
 /**
  * Parses the standard bench flags (--iters, --eval-iters, --batch,
- * --seed, --threads, --profile-cache, --metrics-out) plus --help.
+ * --seed, --threads, --metrics-out) plus --help.
  * A binary with flags of its own defines them in @p extra first and
  * reads them from it afterwards.
  *
@@ -93,16 +87,7 @@ struct TrainedCeer
 TrainedCeer trainOnPaperTrainingSet(const BenchConfig &config);
 
 /**
- * The micro benches' fixture configuration: the default study at
- * @p iterations profiling iterations, with the profile cache off so a
- * timed run never depends on what an earlier run left on disk.
- */
-BenchConfig fixtureConfig(int iterations);
-
-/**
- * Runs only the profiling half of the study (the 8 training CNNs),
- * behind the shared on-disk cache (profile::collectProfilesCached; a
- * corrupt cache entry degrades to a miss and a re-profile).
+ * Runs only the profiling half of the study (the 8 training CNNs).
  *
  * @param config   Bench configuration.
  * @param multiGpu Also collect k=2..4 run-level profiles (needed for

@@ -128,10 +128,10 @@ main(int argc, char **argv)
     bench::parseMicroFlags(flags, "BENCH_ceer.json", argc, argv);
 
     const std::string model_name = flags.getString("model");
-    const int iters = static_cast<int>(flags.getInt("iters"));
+    const int iters = flags.getIntAs<int>("iters");
     const unsigned hardware = bench::hardwareThreads();
     const int max_threads = flags.getInt("threads") > 0
-                                ? static_cast<int>(flags.getInt("threads"))
+                                ? flags.getIntAs<int>("threads")
                                 : static_cast<int>(hardware);
 
     util::printBanner(std::cout,
@@ -144,11 +144,10 @@ main(int argc, char **argv)
     bench::JsonObject graph_build;
     const bool graph_build_ok = measureGraphBuild(graph_build);
 
+    bench::BenchConfig fixture;
+    fixture.iterations = flags.getIntAs<int>("train-iters");
     const core::CeerPredictor predictor(
-        bench::trainOnPaperTrainingSet(
-            bench::fixtureConfig(
-                static_cast<int>(flags.getInt("train-iters"))))
-            .model);
+        bench::trainOnPaperTrainingSet(fixture).model);
     const graph::Graph g = models::buildModel(model_name, 32);
 
     // Every (GPU, k) candidate of one workload — the shape of a
@@ -189,8 +188,7 @@ main(int argc, char **argv)
     const cloud::InstanceCatalog base =
         cloud::InstanceCatalog::awsOnDemand();
     std::vector<cloud::GpuInstance> candidates;
-    const int copies =
-        static_cast<int>(flags.getInt("catalog-copies"));
+    const int copies = flags.getIntAs<int>("catalog-copies");
     for (int c = 0; c < copies; ++c) {
         for (cloud::GpuInstance instance : base.instances()) {
             if (c > 0) {

@@ -93,9 +93,10 @@ main(int argc, char **argv)
     // dialects. The CSV is canonical (written from a dataset that was
     // itself parsed from CSV), so the text and binary files decode to
     // bit-identical containers and the three load paths must agree.
-    const profile::ProfileDataset collected = bench::collectTrainingProfiles(
-        bench::fixtureConfig(static_cast<int>(flags.getInt("train-iters"))),
-        true);
+    bench::BenchConfig fixture;
+    fixture.iterations = flags.getIntAs<int>("train-iters");
+    const profile::ProfileDataset collected =
+        bench::collectTrainingProfiles(fixture, true);
     std::ostringstream first_csv;
     collected.saveCsv(first_csv);
     std::istringstream first_csv_in(first_csv.str());
@@ -128,8 +129,8 @@ main(int argc, char **argv)
 
     // --- The load paths. tryLoadFile sniffs by magic and takes the
     // mmap path for CBF, so the "csv" and "mmap" rows time the exact
-    // entry points every tool and the profile cache use; the "stream"
-    // row times the checked read()-into-buffer fallback.
+    // entry point every tool uses; the "stream" row times the checked
+    // read()-into-buffer fallback.
     const auto load_profile_file = [](const std::string &path) {
         profile::ProfileDataset dataset;
         std::string error;

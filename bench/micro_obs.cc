@@ -48,7 +48,7 @@ main(int argc, char **argv)
     bench::parseMicroFlags(flags, "BENCH_obs.json", argc, argv);
 
     const std::int64_t ops = flags.getInt("ops");
-    const int threads = static_cast<int>(flags.getInt("threads"));
+    const int threads = flags.getIntAs<int>("threads");
     const unsigned hardware = bench::hardwareThreads();
     const auto ns_per_op = [ops](const bench::Trials &trials) {
         return trials.medianWallMs() * 1e6 / static_cast<double>(ops);

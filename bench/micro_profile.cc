@@ -52,12 +52,12 @@ main(int argc, char **argv)
         cnns = util::split(flags.getString("models"), ',');
     const std::string model_list = util::join(cnns, ",");
     profile::CollectOptions options;
-    options.iterations = static_cast<int>(flags.getInt("iters"));
+    options.iterations = flags.getIntAs<int>("iters");
     options.multiGpuRuns = true;
 
     const unsigned hardware = bench::hardwareThreads();
     const int max_threads = flags.getInt("max-threads") > 0
-                                ? static_cast<int>(flags.getInt("max-threads"))
+                                ? flags.getIntAs<int>("max-threads")
                                 : static_cast<int>(hardware);
 
     util::printBanner(std::cout,

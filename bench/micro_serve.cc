@@ -245,11 +245,10 @@ main(int argc, char **argv)
     // A cheap but real model: the training set profiled briefly, then
     // the standard trainer. Serving latency does not depend on the fit
     // quality, only on the plan-evaluation shape.
+    bench::BenchConfig fixture;
+    fixture.iterations = flags.getIntAs<int>("train-iters");
     const core::CeerModel model =
-        bench::trainOnPaperTrainingSet(
-            bench::fixtureConfig(
-                static_cast<int>(flags.getInt("train-iters"))))
-            .model;
+        bench::trainOnPaperTrainingSet(fixture).model;
     const core::CeerPredictor predictor(model);
     const cloud::InstanceCatalog catalog =
         cloud::InstanceCatalog::awsOnDemand();
@@ -371,8 +370,7 @@ main(int argc, char **argv)
             point.targetQps = std::stod(token);
             serve::LoadgenOptions load;
             load.port = server.port();
-            load.connections =
-                static_cast<int>(flags.getInt("connections"));
+            load.connections = flags.getIntAs<int>("connections");
             load.seconds = flags.getDouble("seconds");
             load.targetQps = point.targetQps;
             load.requests = mix;

@@ -168,11 +168,11 @@ main(int argc, char **argv)
     bench::parseMicroFlags(flags, "BENCH_sim.json", argc, argv);
 
     const std::string model = flags.getString("model");
-    const int iters = static_cast<int>(flags.getInt("iters"));
+    const int iters = flags.getIntAs<int>("iters");
     const unsigned hardware = bench::hardwareThreads();
 
     sim::SimConfig config;
-    config.numGpus = static_cast<int>(flags.getInt("gpus"));
+    config.numGpus = flags.getIntAs<int>("gpus");
     const graph::Graph g = models::buildModel(model, 32);
     const auto plan = std::make_shared<const sim::ExecPlan>(
         sim::ExecPlan::build(g, config.gpu));

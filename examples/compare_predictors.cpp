@@ -33,12 +33,12 @@ main(int argc, char **argv)
     flags.defineInt("gpus", 1, "data-parallel width to evaluate");
     flags.defineInt("batch", 32, "per-GPU batch size");
     flags.parse(argc, argv);
-    const int k = static_cast<int>(flags.getInt("gpus"));
+    const int k = flags.getIntAs<int>("gpus");
     const std::int64_t batch = flags.getInt("batch");
 
     profile::CollectOptions options;
     options.batch = batch;
-    options.iterations = static_cast<int>(flags.getInt("iters"));
+    options.iterations = flags.getIntAs<int>("iters");
     std::cout << "training Ceer on the 8-CNN training set...\n";
     const core::CeerModel model = core::trainCeer(
         profile::collectProfiles(models::trainingSetNames(), options));

@@ -86,7 +86,7 @@ main(int argc, char **argv)
     // 2. Train Ceer once on the paper's training CNNs (the custom
     //    network itself is never profiled — that is the point).
     profile::CollectOptions options;
-    options.iterations = static_cast<int>(flags.getInt("iters"));
+    options.iterations = flags.getIntAs<int>("iters");
     std::cout << "training Ceer on the 8-CNN training set...\n";
     const core::CeerModel model = core::trainCeer(
         profile::collectProfiles(models::trainingSetNames(), options));

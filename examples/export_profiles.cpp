@@ -49,7 +49,7 @@ main(int argc, char **argv)
 
     profile::CollectOptions options;
     options.batch = flags.getInt("batch");
-    options.iterations = static_cast<int>(flags.getInt("iters"));
+    options.iterations = flags.getIntAs<int>("iters");
     std::cout << "profiling " << model_names.size()
               << " CNNs x 4 GPU models x k=1..4 ("
               << options.iterations << " iterations each)...\n";

@@ -51,7 +51,7 @@ main(int argc, char **argv)
     } else {
         profile::CollectOptions options;
         options.batch = flags.getInt("batch");
-        options.iterations = static_cast<int>(flags.getInt("iters"));
+        options.iterations = flags.getIntAs<int>("iters");
         std::cout << "no --ceer-model given; training on the 8-CNN "
                      "training set...\n";
         model = core::trainCeer(profile::collectProfiles(
@@ -62,7 +62,7 @@ main(int argc, char **argv)
     const std::string target = flags.getString("model");
     const std::int64_t batch = flags.getInt("batch");
     const std::int64_t samples = flags.getInt("samples");
-    const int max_gpus = static_cast<int>(flags.getInt("max-gpus"));
+    const int max_gpus = flags.getIntAs<int>("max-gpus");
     const graph::Graph g = models::buildModel(target, batch);
     const core::PredictPlan plan = predictor.compile(g);
     const cloud::InstanceCatalog catalog =

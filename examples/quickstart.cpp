@@ -36,7 +36,7 @@ main(int argc, char **argv)
 
     const std::string model_name = flags.getString("model");
     const std::int64_t batch = flags.getInt("batch");
-    const int iters = static_cast<int>(flags.getInt("iters"));
+    const int iters = flags.getIntAs<int>("iters");
 
     const graph::Graph g = models::buildModel(model_name, batch);
     std::cout << "model: " << g.name() << "\n"

@@ -48,7 +48,7 @@ main(int argc, char **argv)
     // 1. The empirical study: profile the training CNNs.
     profile::CollectOptions collect;
     collect.batch = batch;
-    collect.iterations = static_cast<int>(flags.getInt("iters"));
+    collect.iterations = flags.getIntAs<int>("iters");
     std::cout << "profiling " << models::trainingSetNames().size()
               << " training CNNs on 4 GPU models ("
               << collect.iterations << " iterations each)...\n";

@@ -533,7 +533,7 @@ CbfBuilder::tryWriteFile(const std::string &path,
 {
     const std::string data = build();
     // Process-unique temp + rename: concurrent readers never observe
-    // a half-written file (same discipline as the profile cache).
+    // a half-written file.
     const std::string temp =
         path + "." + std::to_string(::getpid()) + ".tmp";
     std::ofstream out(temp, std::ios::binary);

@@ -210,8 +210,7 @@ class ProfileDataset
      * stddev) summary of each op's timings and rebuilds approximate
      * moments on load; CBF stores every accumulator's exact state, so
      * its round trips are bit-exact. Every loader leaves @p dataset
-     * untouched on failure and names the row, column and value; the
-     * profile cache turns any such failure into a miss.
+     * untouched on failure and names the row, column and value.
      */
     static const io::FileSchema<ProfileDataset> &schema();
 

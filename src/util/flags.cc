@@ -156,6 +156,14 @@ Flags::getInt(const std::string &name) const
     return parsed.value;
 }
 
+void
+Flags::rejectOutOfRange(const std::string &name, std::int64_t value,
+                        const std::string &min, const std::string &max)
+{
+    fatal("flag --" + name + " expects a value in [" + min + ", " + max +
+          "], got " + std::to_string(value));
+}
+
 double
 Flags::getDouble(const std::string &name) const
 {

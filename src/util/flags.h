@@ -13,8 +13,11 @@
 #define CEER_UTIL_FLAGS_H
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace ceer {
@@ -50,6 +53,25 @@ class Flags
     /** Returns the value of a declared integer flag. */
     std::int64_t getInt(const std::string &name) const;
 
+    /**
+     * Returns the value of a declared integer flag as @p T; fatal,
+     * naming the flag, when the value does not fit in @p T (a
+     * negative value for an unsigned @p T included), so a huge value
+     * never wraps into a small one.
+     */
+    template <typename T>
+    T
+    getIntAs(const std::string &name) const
+    {
+        static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
+        const std::int64_t value = getInt(name);
+        if (!std::in_range<T>(value))
+            rejectOutOfRange(name, value,
+                             std::to_string(std::numeric_limits<T>::min()),
+                             std::to_string(std::numeric_limits<T>::max()));
+        return static_cast<T>(value);
+    }
+
     /** Returns the value of a declared double flag. */
     double getDouble(const std::string &name) const;
 
@@ -80,6 +102,11 @@ class Flags
     };
 
     const Flag &lookup(const std::string &name, Kind kind) const;
+
+    [[noreturn]] static void rejectOutOfRange(const std::string &name,
+                                              std::int64_t value,
+                                              const std::string &min,
+                                              const std::string &max);
 
     std::map<std::string, Flag> flags_;
     std::vector<std::string> positional_;

@@ -3,12 +3,11 @@
  * Checked, exception-free parsing of numeric fields.
  *
  * Every loader in the repo (profile CSVs, model files, instance
- * catalogs, the on-disk profile cache, command-line flags) goes through
- * these helpers instead of std::stod/std::stoll: a malformed byte in an
- * input file must surface as a value the caller can route to its own
- * failure policy (util::fatal with file/row/column context, or
- * cache-miss-and-recover) — never as an uncaught std::invalid_argument
- * terminating the process mid-load.
+ * catalogs, command-line flags) goes through these helpers instead of
+ * std::stod/std::stoll: a malformed byte in an input file must surface
+ * as a value the caller can route to its own failure policy (an error
+ * with file/row/column context, or util::fatal) — never as an uncaught
+ * std::invalid_argument terminating the process mid-load.
  *
  * The accepted grammar is exactly what our writers emit: an optional
  * sign, then a decimal/scientific number ("%.17g" output round-trips

@@ -640,10 +640,10 @@ TEST(SerializationTest, ReloadedModelPredictsBitIdenticallyAcrossZoo)
 
 TEST(SerializationTest, DatasetCsvRoundTripTrainsTheSameModel)
 {
-    // Regression for the profile cache: training from a reloaded
-    // profile CSV must reproduce the freshly-trained model (the
-    // two-point moment reconstruction in loadCsv is the only lossy
-    // step, and it must stay negligible).
+    // Training from a reloaded profile CSV (`ceer profile --out
+    // x.csv`, then `ceer train`) must reproduce the freshly-trained
+    // model: the two-point moment reconstruction in loadCsv is the
+    // only lossy step, and it must stay negligible.
     profile::CollectOptions options;
     options.iterations = 30;
     options.maxGpus = 2;

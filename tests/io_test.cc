@@ -751,24 +751,45 @@ TEST(CbfContainerTest, TryLoadFileSniffsTakesMmapAndFallsBack)
         << error;
     EXPECT_EQ(from_csv.ops().size(), fixture.ops().size());
 
-    // A corrupt CBF file fails with the path and offset context, and
-    // the output dataset stays untouched.
-    std::string corrupt;
+    // A damaged CBF file fails with the path in the error, and the
+    // output dataset stays untouched. A damaged magic no longer sniffs
+    // as CBF and fails as CSV text; the CBF reader catches every other
+    // damage and names its byte offset.
+    const std::string good = datasetCbf(fixture);
+    ASSERT_GT(good.size(), 100u);
+    struct Damage
     {
-        std::ifstream in(cbf_path, std::ios::binary);
-        std::stringstream buffer;
-        buffer << in.rdbuf();
-        corrupt = buffer.str();
-    }
-    corrupt.back() ^= 0x01;
+        const char *name;
+        std::string image;
+        bool sniffedCbf;
+    };
+    std::vector<Damage> damages = {
+        {"flipped last payload byte", good, true},
+        {"truncated to 100 bytes", good.substr(0, 100), true},
+        {"damaged magic", good, false},
+        {"future version", good, true},
+        {"flipped column-table bit", good, true},
+        {"truncated tail", good.substr(0, good.size() - 3), true},
+    };
+    damages[0].image.back() ^= 0x01;
+    damages[2].image[0] ^= 0x40;
+    damages[3].image[8] ^= 0x02;
+    damages[4].image[40] ^= 0x01;
     const std::string corrupt_path = tempPath("dataset-corrupt.cbf");
-    writeFile(corrupt_path, corrupt);
-    profile::ProfileDataset untouched = tinyDataset("sentinel");
-    EXPECT_FALSE(profile::ProfileDataset::tryLoadFile(
-        corrupt_path, &untouched, &error));
-    EXPECT_NE(error.find(corrupt_path), std::string::npos) << error;
-    EXPECT_NE(error.find("offset"), std::string::npos) << error;
-    EXPECT_EQ(untouched.ops()[0].model, "sentinel");
+    for (const Damage &damage : damages) {
+        writeFile(corrupt_path, damage.image);
+        profile::ProfileDataset untouched = tinyDataset("sentinel");
+        EXPECT_FALSE(profile::ProfileDataset::tryLoadFile(
+            corrupt_path, &untouched, &error))
+            << damage.name;
+        EXPECT_NE(error.find(corrupt_path), std::string::npos)
+            << damage.name << ": " << error;
+        if (damage.sniffedCbf) {
+            EXPECT_NE(error.find("offset"), std::string::npos)
+                << damage.name << ": " << error;
+        }
+        EXPECT_EQ(untouched.ops()[0].model, "sentinel") << damage.name;
+    }
 }
 
 TEST(CbfContainerTest, SyntheticFleetIsDeterministicAndDialectExact)

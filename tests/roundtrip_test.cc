@@ -314,8 +314,7 @@ TEST(RoundTripTest, MultiCountDatasetsReachAFixedPointAfterOneTrip)
     // Multi-sample stats are stored as (count, mean, stddev) and
     // reconstructed as a two-point distribution: the first save ->
     // load trip is mildly lossy by design, but the result must be
-    // stable — a second trip reproduces the CSV byte for byte (this
-    // is what makes warm cache hits identical to cold runs).
+    // stable — a second trip reproduces the CSV byte for byte.
     util::Rng rng(229);
     for (int trial = 0; trial < 40; ++trial) {
         profile::ProfileDataset dataset;

@@ -677,6 +677,53 @@ TEST(FlagsTest, UndeclaredLookupIsFatal)
     EXPECT_DEATH((void)flags.getString("iters"), "");
 }
 
+TEST(FlagsTest, IntAsReturnsValuesThatFit)
+{
+    Flags flags;
+    flags.defineInt("iters", 100, "iterations");
+    flags.defineInt("floor", 0, "lowest int");
+    flags.defineInt("count", 0, "count");
+    const char *argv[] = {"prog", "--iters=2147483647",
+                          "--floor=-2147483648", "--count",
+                          "4294967297"};
+    flags.parse(5, const_cast<char **>(argv));
+    EXPECT_EQ(flags.getIntAs<int>("iters"),
+              std::numeric_limits<int>::max());
+    EXPECT_EQ(flags.getIntAs<int>("floor"),
+              std::numeric_limits<int>::min());
+    EXPECT_EQ(flags.getIntAs<std::size_t>("count"), 4294967297u);
+    EXPECT_EQ(flags.getIntAs<std::uint64_t>("count"), 4294967297u);
+}
+
+TEST(FlagsTest, IntAsRejectsValuesThatWouldWrap)
+{
+    // A bare static_cast to int keeps the low 32 bits (`--iters
+    // 4294967297` would run 1 iteration), and -1 cast to size_t is
+    // 2^64 - 1.
+    Flags flags;
+    flags.defineInt("iters", 100, "iterations");
+    flags.defineInt("above", 0, "one past INT_MAX");
+    flags.defineInt("below", 0, "one below INT_MIN");
+    flags.defineInt("count", 0, "count");
+    const char *argv[] = {"prog", "--iters", "4294967297",
+                          "--above=2147483648", "--below=-2147483649",
+                          "--count=-1"};
+    flags.parse(6, const_cast<char **>(argv));
+    EXPECT_EXIT((void)flags.getIntAs<int>("iters"),
+                ::testing::ExitedWithCode(1),
+                "flag --iters expects a value in \\[-2147483648, "
+                "2147483647\\], got 4294967297");
+    EXPECT_EXIT((void)flags.getIntAs<int>("above"),
+                ::testing::ExitedWithCode(1), "--above .* got 2147483648");
+    EXPECT_EXIT((void)flags.getIntAs<int>("below"),
+                ::testing::ExitedWithCode(1), "--below .* got -2147483649");
+    EXPECT_EXIT((void)flags.getIntAs<std::size_t>("count"),
+                ::testing::ExitedWithCode(1),
+                "flag --count expects a value in \\[0, .*\\], got -1");
+    // The unchecked accessor still reads the full 64-bit value.
+    EXPECT_EQ(flags.getInt("iters"), 4294967297);
+}
+
 TEST(FlagsTest, BoolFlagConsumesSeparateTokenValue)
 {
     // `--verbose false` once left `false` behind as a positional

@@ -165,7 +165,7 @@ cmdSummary(int argc, char **argv)
     const graph::Graph g = models::buildModel(
         flags.getString("model"), flags.getInt("batch"));
     const graph::ModelSummary summary = graph::summarize(
-        g, static_cast<int>(flags.getInt("depth")),
+        g, flags.getIntAs<int>("depth"),
         [](const graph::Node &node) { return hw::opCost(node).flops; });
     summary.print(std::cout);
     flushObsArtifacts(flags);
@@ -210,10 +210,10 @@ cmdProfile(int argc, char **argv)
     const std::vector<std::string> names =
         modelListOrTrainingSet(flags.getString("models"));
     profile::CollectOptions options;
-    options.iterations = static_cast<int>(flags.getInt("iters"));
+    options.iterations = flags.getIntAs<int>("iters");
     options.batch = flags.getInt("batch");
     options.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
-    options.threads = static_cast<int>(flags.getInt("threads"));
+    options.threads = flags.getIntAs<int>("threads");
     const profile::ProfileDataset dataset =
         profile::collectProfiles(names, options);
 
@@ -251,7 +251,7 @@ cmdTrain(int argc, char **argv)
     const profile::ProfileDataset dataset =
         profile::ProfileDataset::loadFile(flags.getString("profiles"));
     core::TrainOptions train_options;
-    train_options.threads = static_cast<int>(flags.getInt("threads"));
+    train_options.threads = flags.getIntAs<int>("threads");
     const core::CeerModel model = core::trainCeer(dataset,
                                                   train_options);
 
@@ -332,10 +332,9 @@ cmdEvaluate(int argc, char **argv)
     }
     options.batch = flags.getInt("batch");
     options.datasetSamples = flags.getInt("samples");
-    options.evalIterations =
-        static_cast<int>(flags.getInt("eval-iters"));
+    options.evalIterations = flags.getIntAs<int>("eval-iters");
     options.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
-    options.threads = static_cast<int>(flags.getInt("threads"));
+    options.threads = flags.getIntAs<int>("threads");
 
     const baselines::EvalReport report =
         baselines::runEvaluation(dataset, predictors, options);
@@ -390,7 +389,7 @@ cmdPredict(int argc, char **argv)
                                               flags.getInt("batch"));
     const core::TrainingPrediction prediction =
         predictor.predictTraining(predictor.compile(g), gpu,
-                                  static_cast<int>(flags.getInt("gpus")),
+                                  flags.getIntAs<int>("gpus"),
                                   flags.getInt("samples"),
                                   flags.getInt("batch"));
     std::cout << flags.getString("model") << " on "
@@ -438,7 +437,7 @@ cmdRecommend(int argc, char **argv)
     flags.parse(argc, argv);
     applyObsFlags(flags);
 
-    const int threads = static_cast<int>(flags.getInt("threads"));
+    const int threads = flags.getIntAs<int>("threads");
     const core::CeerPredictor predictor = [&] {
         if (!flags.getBool("auto-train"))
             return core::CeerPredictor(
@@ -447,8 +446,7 @@ cmdRecommend(int argc, char **argv)
         // here, so one command exercises (and can observe) profiler,
         // trainer, predictor and recommender together.
         profile::CollectOptions collect;
-        collect.iterations =
-            static_cast<int>(flags.getInt("profile-iters"));
+        collect.iterations = flags.getIntAs<int>("profile-iters");
         collect.batch = flags.getInt("batch");
         collect.threads = threads;
         const profile::ProfileDataset dataset = profile::collectProfiles(
@@ -672,7 +670,7 @@ cmdGenCatalog(int argc, char **argv)
 
     const cloud::InstanceCatalog catalog =
         cloud::InstanceCatalog::syntheticFleet(
-            static_cast<std::size_t>(flags.getInt("count")),
+            flags.getIntAs<std::size_t>("count"),
             static_cast<std::uint64_t>(flags.getInt("seed")));
     std::ofstream out(flags.getString("out"), std::ios::binary);
     if (!out)
@@ -737,16 +735,12 @@ cmdServe(int argc, char **argv)
 
     serve::ServerOptions options;
     options.host = flags.getString("host");
-    options.port = static_cast<int>(flags.getInt("port"));
-    options.maxQueueDepth =
-        static_cast<std::size_t>(flags.getInt("queue-depth"));
-    options.maxPayloadBytes =
-        static_cast<std::size_t>(flags.getInt("max-payload"));
-    options.readTimeoutMs =
-        static_cast<int>(flags.getInt("read-timeout-ms"));
-    options.reactors = static_cast<int>(flags.getInt("reactors"));
-    options.planCacheCapacity =
-        static_cast<std::size_t>(flags.getInt("plan-cache"));
+    options.port = flags.getIntAs<int>("port");
+    options.maxQueueDepth = flags.getIntAs<std::size_t>("queue-depth");
+    options.maxPayloadBytes = flags.getIntAs<std::size_t>("max-payload");
+    options.readTimeoutMs = flags.getIntAs<int>("read-timeout-ms");
+    options.reactors = flags.getIntAs<int>("reactors");
+    options.planCacheCapacity = flags.getIntAs<std::size_t>("plan-cache");
 
     cloud::InstanceCatalog catalog =
         flags.getBool("market") ? cloud::InstanceCatalog::marketPriced()
@@ -829,13 +823,12 @@ cmdLoadgen(int argc, char **argv)
 
     serve::LoadgenOptions options;
     options.host = flags.getString("host");
-    options.port = static_cast<int>(flags.getInt("port"));
-    options.connections =
-        static_cast<int>(flags.getInt("connections"));
+    options.port = flags.getIntAs<int>("port");
+    options.connections = flags.getIntAs<int>("connections");
     options.seconds = flags.getDouble("seconds");
     options.targetQps = flags.getDouble("qps");
-    options.timeoutMs = static_cast<int>(flags.getInt("timeout-ms"));
-    options.warmupRequests = static_cast<int>(flags.getInt("warmup"));
+    options.timeoutMs = flags.getIntAs<int>("timeout-ms");
+    options.warmupRequests = flags.getIntAs<int>("warmup");
 
     std::vector<std::string> names = models::allModelNames();
     if (!flags.getString("models").empty()) {

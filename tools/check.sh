@@ -41,6 +41,14 @@
 # and its reason per line), and on any listed name that is no longer
 # defined or is reached now, so the list cannot go stale.
 #
+# `tools/check.sh paper-seeds` runs every paper binary (the 24 ctests
+# under the `paper` label) at --seed 1..8, [jobs] runs at a time, and
+# fails on any nonzero exit: a binary exits 1 when one of its [CHECK]
+# bands is missed, so this catches a band that passes only at the
+# default seed. Each run profiles the code it was built from. It prints
+# the number of checks in band; each run's stdout is kept under
+# build/paper-seeds/.
+#
 # `tools/check.sh scaling` runs the full micro benches and judges
 # their thread-sweep rows with tools/scaling_gate.py: it fails on any
 # below-serial row and on a recommender sweep under 1.5x at 2 threads.
@@ -55,7 +63,7 @@
 # checked explicitly, a one-line PASS/FAIL summary is printed at the
 # end, and the script exits nonzero if ANY pass failed.
 #
-# Usage: tools/check.sh [coverage|deadcode|scaling] [jobs]
+# Usage: tools/check.sh [coverage|deadcode|paper-seeds|scaling] [jobs]
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -66,6 +74,9 @@ if [[ "${1:-}" == "coverage" ]]; then
     shift
 elif [[ "${1:-}" == "deadcode" ]]; then
     MODE=deadcode
+    shift
+elif [[ "${1:-}" == "paper-seeds" ]]; then
+    MODE=paper-seeds
     shift
 elif [[ "${1:-}" == "scaling" ]]; then
     MODE=scaling
@@ -281,8 +292,7 @@ pass_ubsan() {
           -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build build-ubsan -j "$JOBS" \
           --target obs_test util_test regression_test robustness_test \
-                   roundtrip_test profile_cache_test io_test \
-                   sample_kernel_test
+                   roundtrip_test io_test sample_kernel_test
 
     # Checked parsing must be UB-free on adversarial input:
     # overflowing integers, huge exponents, garbled bytes.
@@ -295,7 +305,6 @@ pass_ubsan() {
     ./build-ubsan/tests/robustness_test \
         --gtest_filter='CsvRobustnessTest.*:ModelFileTest.*'
     ./build-ubsan/tests/roundtrip_test
-    ./build-ubsan/tests/profile_cache_test
     # The CBF reader's corruption matrix under UBSan: misaligned and
     # short sections must be validation failures, never UB.
     ./build-ubsan/tests/io_test
@@ -342,6 +351,37 @@ pass_asan() {
     # dialects, including the cross-dialect rejection table.
     ./build-asan/tests/roundtrip_test
     ./build-asan/tests/io_test
+}
+
+pass_paper_seeds() {
+    cmake -B build -S . >/dev/null
+    cmake --build build -j "$JOBS"
+    local out=build/paper-seeds
+    local names
+    mapfile -t names < <(ctest --test-dir build -N -L paper |
+                             sed -n 's/^ *Test *#[0-9]*: paper_//p')
+    [[ "${#names[@]}" -gt 0 ]]
+    rm -rf "$out"
+    mkdir -p "$out"
+    # One line per (binary, seed); a failed run appends its name to
+    # $out/failed.
+    for name in "${names[@]}"; do
+        for seed in $(seq 1 8); do
+            echo "$name $seed"
+        done
+    done | xargs -P "$JOBS" -L 1 sh -c \
+        'build/bench/"$0" --seed "$1" > "build/paper-seeds/$0.seed$1.txt" 2>&1 ||
+         echo "$0 --seed $1: exit $?" >> build/paper-seeds/failed'
+    local runs in_band total
+    runs=$(ls "$out"/*.txt | wc -l)
+    in_band=$(cat "$out"/*.txt | grep -c '^\[PASS\]' || true)
+    total=$(cat "$out"/*.txt | grep -c '^\[\(PASS\|CHECK\)\]' || true)
+    echo "${runs} runs of ${#names[@]} binaries: ${in_band}/${total} checks in band"
+    if [[ -s "$out/failed" ]]; then
+        sort "$out/failed"
+        false
+    fi
+    [[ "$runs" -eq $((8 * ${#names[@]})) && "$in_band" -eq "$total" ]]
 }
 
 pass_scaling() {
@@ -482,6 +522,8 @@ if [[ "$MODE" == "coverage" ]]; then
     run_pass "coverage build + tests + line-coverage floor" pass_coverage
 elif [[ "$MODE" == "deadcode" ]]; then
     run_pass "unreachable library functions vs allow-list" pass_deadcode
+elif [[ "$MODE" == "paper-seeds" ]]; then
+    run_pass "paper binaries at seeds 1..8" pass_paper_seeds
 elif [[ "$MODE" == "scaling" ]]; then
     run_pass "micro-bench scaling gate (below-serial rows)" pass_scaling
 else
