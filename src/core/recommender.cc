@@ -74,11 +74,12 @@ MemoryFitTable
 computeMemoryFits(const graph::Graph &g)
 {
     MemoryFitTable fits{};
+    const hw::MemoryEstimate estimate = hw::estimateTrainingMemory(g);
     for (hw::GpuModel gpu : hw::allGpuModels()) {
         const std::size_t slot = static_cast<std::size_t>(gpu);
         if (slot >= fits.size())
             util::panic("recommend: GpuModel beyond fits table");
-        fits[slot] = hw::fitsInGpuMemory(g, gpu);
+        fits[slot] = hw::fitsInGpuMemory(estimate, gpu);
     }
     return fits;
 }

@@ -98,7 +98,8 @@ struct CandidateEvaluation
  */
 using MemoryFitTable = std::array<bool, 16>;
 
-/** Fills a MemoryFitTable for @p g (hw::fitsInGpuMemory per model). */
+/** Fills a MemoryFitTable for @p g: one hw::estimateTrainingMemory,
+ *  then hw::fitsInGpuMemory against each GPU model's budget. */
 MemoryFitTable computeMemoryFits(const graph::Graph &g);
 
 /** Result of a recommendation query. */

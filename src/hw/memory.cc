@@ -55,10 +55,11 @@ estimateTrainingMemory(const graph::Graph &g)
 }
 
 bool
-fitsInGpuMemory(const graph::Graph &g, GpuModel gpu, double margin)
+fitsInGpuMemory(const MemoryEstimate &estimate, GpuModel gpu,
+                double margin)
 {
     const double budget = gpuSpec(gpu).memoryGB * 1e9 * (1.0 - margin);
-    return estimateTrainingMemory(g).totalBytes() <= budget;
+    return estimate.totalBytes() <= budget;
 }
 
 } // namespace hw

@@ -54,14 +54,14 @@ struct MemoryEstimate
 MemoryEstimate estimateTrainingMemory(const graph::Graph &g);
 
 /**
- * True when @p g's training footprint fits in @p gpu's memory with
- * a safety margin.
+ * True when a training footprint of @p estimate fits in @p gpu's
+ * memory with a safety margin. One estimate serves every GPU.
  *
- * @param g      Training graph at the per-GPU batch size.
- * @param gpu    Target GPU model.
- * @param margin Fraction of device memory kept free (default 5%).
+ * @param estimate Per-GPU footprint (estimateTrainingMemory).
+ * @param gpu      Target GPU model.
+ * @param margin   Fraction of device memory kept free (default 5%).
  */
-bool fitsInGpuMemory(const graph::Graph &g, GpuModel gpu,
+bool fitsInGpuMemory(const MemoryEstimate &estimate, GpuModel gpu,
                      double margin = 0.05);
 
 } // namespace hw

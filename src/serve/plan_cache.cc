@@ -37,10 +37,10 @@ PlanCache::evictOver()
 }
 
 std::shared_ptr<const PlanEntry>
-PlanCache::tryGet(std::uint64_t fingerprint, std::uint64_t generation)
+PlanCache::tryGet(std::uint64_t key, std::uint64_t generation)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    auto it = slots_.find(fingerprint);
+    auto it = slots_.find(key);
     if (it == slots_.end())
         return nullptr;
     Slot &slot = it->second;
@@ -54,19 +54,18 @@ PlanCache::tryGet(std::uint64_t fingerprint, std::uint64_t generation)
 }
 
 std::shared_ptr<const PlanEntry>
-PlanCache::getOrCompile(std::uint64_t fingerprint,
-                        std::uint64_t generation,
+PlanCache::getOrCompile(std::uint64_t key, std::uint64_t generation,
                         const CompileFn &compile)
 {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-        auto it = slots_.find(fingerprint);
+        auto it = slots_.find(key);
         if (it == slots_.end())
             break; // absent -> claim below
         Slot &slot = it->second;
         if (slot.compiling) {
-            // Another session is compiling this fingerprint right
-            // now; share its result instead of duplicating the work.
+            // Another session is compiling this key right now;
+            // share its result instead of duplicating the work.
             compiled_.wait(lock);
             continue;
         }
@@ -80,9 +79,8 @@ PlanCache::getOrCompile(std::uint64_t fingerprint,
     }
 
     // Claim the slot and compile outside the lock: plan compilation
-    // takes milliseconds and must not stall hits on other
-    // fingerprints.
-    Slot &claimed = slots_[fingerprint];
+    // takes milliseconds and must not stall hits on other keys.
+    Slot &claimed = slots_[key];
     claimed.compiling = true;
     ++misses_;
     OBS_COUNTER_INC("serve.plan_cache.misses");
@@ -97,7 +95,7 @@ PlanCache::getOrCompile(std::uint64_t fingerprint,
     }
 
     lock.lock();
-    auto it = slots_.find(fingerprint);
+    auto it = slots_.find(key);
     if (it == slots_.end())
         util::panic("PlanCache: compiling slot vanished");
     Slot &slot = it->second;

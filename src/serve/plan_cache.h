@@ -2,19 +2,20 @@
  * @file
  * Process-wide plan cache for ceerd.
  *
- * One cache is shared by every session and reactor, keyed by the
- * structural graph fingerprint, so ten connections asking for vgg_19
- * compile it once and a reconnecting client finds it warm. It is one
- * map under one mutex with one global LRU order, so `capacity` is the
- * exact entry cap. It is engine-generation-aware: a hot reload flushes
- * nothing eagerly, but an entry compiled under an older generation
- * misses and is recompiled on next use, while in-flight requests keep
- * the pinned entry they started with (shared_ptr keeps the old plan
- * alive until its last request finishes).
+ * One cache is shared by every session and reactor, keyed by a 64-bit
+ * plan key (ceerd's is serve::planKey of the request's model and
+ * batch), so ten connections asking for vgg_19 compile it once and a
+ * reconnecting client finds it warm. It is one map under one mutex
+ * with one global LRU order, so `capacity` is the exact entry cap. It
+ * is engine-generation-aware: a hot reload flushes nothing eagerly,
+ * but an entry compiled under an older generation misses and is
+ * recompiled on next use, while in-flight requests keep the pinned
+ * entry they started with (shared_ptr keeps the old plan alive until
+ * its last request finishes).
  *
- * Concurrent requests for the same fingerprint compile exactly once:
- * the first claims the slot and compiles OUTSIDE the lock, the rest
- * wait on the condition variable and share the result.
+ * Concurrent requests for the same key compile exactly once: the
+ * first claims the slot and compiles OUTSIDE the lock, the rest wait
+ * on the condition variable and share the result.
  *
  * Metrics: `serve.plan_cache.{hits,misses,evictions}` counters and a
  * `serve.plan_cache.bytes` gauge (plan approxBytes accounting).
@@ -44,7 +45,7 @@ namespace serve {
  */
 struct PlanEntry
 {
-    std::uint64_t fingerprint = 0; ///< Structural graph fingerprint.
+    std::uint64_t fingerprint = 0; ///< The plan key it is cached under.
     std::uint64_t generation = 0;  ///< Engine generation at compile.
     /// Null in ceerd; set only by the perfbench layer harness, which
     /// still passes it to the recommender.
@@ -56,7 +57,7 @@ struct PlanEntry
     std::size_t bytes = 0;         ///< approxBytes accounting.
 };
 
-/** Shared, LRU-capped fingerprint -> PlanEntry cache. */
+/** Shared, LRU-capped plan key -> PlanEntry cache. */
 class PlanCache
 {
   public:
@@ -80,23 +81,23 @@ class PlanCache
 
     /**
      * Allocation-free hit path: returns the cached entry for
-     * @p fingerprint under @p generation, or null on a cold, stale or
+     * @p key under @p generation, or null on a cold, stale or
      * still-compiling slot (no waiting, no miss accounted — callers
      * fall through to getOrCompile, which counts the miss and
      * coordinates the compile). Thread-safe.
      */
     std::shared_ptr<const PlanEntry>
-    tryGet(std::uint64_t fingerprint, std::uint64_t generation);
+    tryGet(std::uint64_t key, std::uint64_t generation);
 
     /**
-     * Returns the entry for @p fingerprint compiled under
+     * Returns the entry for @p key compiled under
      * @p generation, invoking @p compile on a miss (stale generation
      * or absent). Hits pin the shared entry; a concurrent miss on the
-     * same fingerprint waits for the in-progress compile instead of
+     * same key waits for the in-progress compile instead of
      * duplicating it. Thread-safe.
      */
     std::shared_ptr<const PlanEntry>
-    getOrCompile(std::uint64_t fingerprint, std::uint64_t generation,
+    getOrCompile(std::uint64_t key, std::uint64_t generation,
                  const CompileFn &compile);
 
     Stats stats() const;

@@ -242,8 +242,9 @@ bool decodeReloadDone(const std::string &payload, ReloadDone *out,
  * Structural fingerprint of a graph: a 64-bit hash over the graph
  * name, batch size, every node (type, dtype, gradient flag, inputs,
  * shapes, attributes) and every trainable variable. Two graphs with
- * the same fingerprint predict identically, so the server keys its
- * per-session plan caches on it.
+ * the same fingerprint predict identically. The golden graph digests
+ * pin every builder's output with it; ceerd keys plans by request
+ * (planKey), so a request never builds a graph just to hash it.
  */
 std::uint64_t graphFingerprint(const graph::Graph &g);
 

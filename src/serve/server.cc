@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
-#include <optional>
 #include <poll.h>
-#include <set>
 #include <sys/socket.h>
 #include <unistd.h>
 #include <utility>
@@ -28,22 +25,23 @@ namespace {
 constexpr int kListenBacklog = 64;
 
 /**
- * models::buildModel fatals on unknown names, so the server validates
- * against the full buildable set (the 12-CNN zoo plus the
- * out-of-family extras) and answers `unknown_model` instead of dying.
+ * Every name models::buildModel accepts (the 12-CNN zoo plus the
+ * out-of-family extras), sorted. buildModel fatals on any other name,
+ * so the server validates against this table and answers
+ * `unknown_model` instead of dying; a name's index here is the model
+ * half of its plan key.
  */
-bool
-isKnownModelName(const std::string &name)
+const std::vector<std::string> &
+buildableModelNames()
 {
-    static const std::set<std::string> known = [] {
-        std::set<std::string> names(models::allModelNames().begin(),
-                                    models::allModelNames().end());
-        names.insert("transformer_encoder");
-        names.insert("lstm_classifier");
-        names.insert("mobilenet_v1");
-        return names;
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> all = models::allModelNames();
+        all.insert(all.end(), {"transformer_encoder", "lstm_classifier",
+                               "mobilenet_v1"});
+        std::sort(all.begin(), all.end());
+        return all;
     }();
-    return known.count(name) > 0;
+    return names;
 }
 
 /** Sends a typed Error frame and counts the rejection. */
@@ -63,17 +61,18 @@ sendTypedError(int fd, const std::string &code,
     OBS_COUNTER_INC("serve.rejected");
 }
 
-/** Appends the decimal rendering of @p value without allocating. */
-void
-appendDecimal(std::string *out, long long value)
-{
-    char buf[32];
-    const int len = std::snprintf(buf, sizeof buf, "%lld", value);
-    if (len > 0)
-        out->append(buf, static_cast<std::size_t>(len));
-}
-
 } // namespace
+
+std::optional<std::uint64_t>
+planKey(std::string_view model, std::int64_t batch)
+{
+    const std::vector<std::string> &names = buildableModelNames();
+    const auto it = std::lower_bound(names.begin(), names.end(), model);
+    if (it == names.end() || *it != model)
+        return std::nullopt;
+    const auto index = static_cast<std::uint64_t>(it - names.begin());
+    return (index << 32) | static_cast<std::uint32_t>(batch);
+}
 
 Server::Session::~Session() { closeFd(fd); }
 
@@ -496,16 +495,20 @@ Server::handleRequest(Session &session, const char *payload,
         sendTypedError(session.fd, errc::kBadRequest, error);
         return false;
     }
-    if (!isKnownModelName(request.model)) {
+    const std::optional<std::uint64_t> key =
+        planKey(request.model, request.batch);
+    if (!key) {
         sendTypedError(session.fd, errc::kUnknownModel,
                        "unknown model '" + request.model + "'");
         return false;
     }
-    if (request.batch < 1 || request.batch > 65536) {
+    if (request.batch < 1 || request.batch > kMaxRequestBatch) {
         sendTypedError(session.fd, errc::kBadRequest,
-                       util::format("batch %lld out of range [1, 65536]",
+                       util::format("batch %lld out of range [1, %lld]",
                                     static_cast<long long>(
-                                        request.batch)));
+                                        request.batch),
+                                    static_cast<long long>(
+                                        kMaxRequestBatch)));
         return false;
     }
     if (request.datasetSamples < 1) {
@@ -516,73 +519,37 @@ Server::handleRequest(Session &session, const char *payload,
 
     const std::shared_ptr<const Engine> engine = currentEngine();
 
-    // model:batch -> fingerprint memo, so the warm path never
-    // rebuilds a graph just to hash it.
-    std::string &key = session.keyScratch;
-    key.clear();
-    key.append(request.model);
-    key.push_back(':');
-    appendDecimal(&key, static_cast<long long>(request.batch));
-    std::uint64_t fingerprint = 0;
-    std::optional<graph::Graph> graph;
-    if (const auto it = session.requestKeys.find(key);
-        it != session.requestKeys.end()) {
-        fingerprint = it->second;
-    } else {
-        const auto old = session.previousKeys.find(key);
-        if (old != session.previousKeys.end()) {
-            fingerprint = old->second;
-        } else {
-            graph.emplace(
-                models::buildModel(request.model, request.batch));
-            fingerprint = graphFingerprint(*graph);
-        }
-        // Bounded like the plan cache: once the memo holds that many
-        // keys it becomes the previous generation and the one before
-        // is dropped, so a client walking many distinct keys holds at
-        // most twice the capacity, while keys in use get carried over.
-        if (session.requestKeys.size() >=
-            std::max<std::size_t>(options_.planCacheCapacity, 1)) {
-            session.previousKeys.swap(session.requestKeys);
-            session.requestKeys.clear();
-            OBS_COUNTER_INC("serve.request_keys_clears");
-        }
-        session.requestKeys.emplace(key, fingerprint);
-    }
-
-    // Process-wide shared plan cache: identical graphs compile once
-    // no matter how many connections ask for them, and the entry is
+    // Process-wide shared plan cache: a (model, batch) compiles once
+    // no matter how many connections ask for it, and the entry is
     // pinned for the duration of this request even if a hot reload
     // lands mid-flight. tryGet is the allocation-free hit path;
     // getOrCompile coordinates the (cold) compile across sessions.
-    // An entry keeps the plan and the memory fits only; the graph is
-    // dropped as soon as the entry is in hand.
+    // Only a miss builds the graph, and an entry keeps the plan and
+    // the memory fits only: the graph dies with the lambda.
     std::shared_ptr<const PlanEntry> entry =
-        planCache_.tryGet(fingerprint, engine->generation);
+        planCache_.tryGet(*key, engine->generation);
     if (!entry) {
         entry = planCache_.getOrCompile(
-            fingerprint, engine->generation, [&]() {
-                if (!graph)
-                    graph.emplace(models::buildModel(request.model,
-                                                     request.batch));
+            *key, engine->generation, [&]() {
+                const graph::Graph graph =
+                    models::buildModel(request.model, request.batch);
                 PlanEntry fresh;
-                fresh.fingerprint = fingerprint;
+                fresh.fingerprint = *key;
                 fresh.generation = engine->generation;
                 OBS_TIMER("serve.compile_us");
                 OBS_COUNTER_INC("serve.plan_compiles");
                 auto plan =
                     std::make_shared<const core::PredictPlan>(
-                        engine->predictor.compile(*graph));
+                        engine->predictor.compile(graph));
                 // The memory-fit walk is the recommender's only
                 // O(nodes) per-query step; bake the verdicts into the
                 // entry so warm sweeps skip it.
-                fresh.fits = core::computeMemoryFits(*graph);
+                fresh.fits = core::computeMemoryFits(graph);
                 fresh.bytes = plan->approxBytes();
                 fresh.plan = std::move(plan);
                 return fresh;
             });
     }
-    graph.reset();
 
     // No graph: recommendInto reads the entry's fits and checks the
     // batch against its plan.

@@ -19,20 +19,19 @@
  * most one request in flight.
  *
  * Compiled plans live in one process-wide PlanCache
- * (plan_cache.h) keyed by structural graph fingerprint: identical
- * graphs arriving on different connections compile exactly once. An
- * entry holds the plan and its memory fits, never the graph, which a
- * request drops once it is compiled and fingerprinted; and
- * a hot reload invalidates entries lazily by engine generation while
- * in-flight requests keep their pinned entry.
+ * (plan_cache.h) keyed by the request itself (planKey: model and
+ * batch): the same (model, batch) arriving on different connections
+ * compiles exactly once. Only a miss builds the graph; the entry
+ * holds the plan and its memory fits, never the graph, which is
+ * dropped once compiled. A hot reload invalidates entries lazily by
+ * engine generation while in-flight requests keep their pinned entry.
  *
- * The steady-state request path performs a fixed handful of heap
- * allocations (2 per warm request, both temporary strings): frames
- * are decoded in place from the session's input buffer (CBF view
- * parse), the candidate sweep, response projection and encode all
- * write into per-session reusable scratch, and the response frame is
- * built into a reusable output buffer. bench/micro_serve enforces a
- * budget with an operator-new counting gate.
+ * A warm request allocates nothing: frames are decoded in place from
+ * the session's input buffer (CBF view parse), the candidate sweep,
+ * response projection and encode all write into per-session reusable
+ * scratch, and the response frame is built into a reusable output
+ * buffer. bench/micro_serve enforces that with an operator-new
+ * counting gate.
  *
  * Admission control is a bounded queue: once `maxQueueDepth` requests
  * are admitted and not yet answered (across all reactors), further
@@ -54,7 +53,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -67,6 +68,19 @@
 
 namespace ceer {
 namespace serve {
+
+/** Largest per-GPU batch a request may ask for. */
+constexpr std::int64_t kMaxRequestBatch = 65536;
+
+/**
+ * The plan-cache key of a (model, batch) request: the model's index in
+ * the table of names ceerd can build, shifted left 32 bits, OR'd with
+ * the batch. Exact (one key per request, no hashing) for every batch
+ * in [1, kMaxRequestBatch]. Nullopt when @p model is not buildable,
+ * which ceerd answers with `unknown_model`.
+ */
+std::optional<std::uint64_t> planKey(std::string_view model,
+                                     std::int64_t batch);
 
 /** ceerd configuration. */
 struct ServerOptions
@@ -169,18 +183,6 @@ class Server
         std::string inBuf;
         std::chrono::steady_clock::time_point lastActivity;
 
-        /** Fingerprint memo keyed by "model:batch" request key —
-         *  avoids rebuilding the graph just to hash it. When it
-         *  reaches the plan cache's capacity it replaces
-         *  previousKeys and starts empty (counted by
-         *  `serve.request_keys_clears`); a key found only in
-         *  previousKeys is carried back in. So a client walking many
-         *  keys holds at most twice the capacity, and the keys it
-         *  keeps using survive each clear. */
-        std::unordered_map<std::string, std::uint64_t> requestKeys;
-        /** The memo's previous generation. */
-        std::unordered_map<std::string, std::uint64_t> previousKeys;
-
         /**
          * Reusable request-path scratch, touched only by the owning
          * reactor thread. Once warm, a recommend request reuses these
@@ -193,7 +195,6 @@ class Server
         ResponseEncodeScratch encodeScratch; ///< CBF encode scratch.
         std::string payloadScratch;          ///< Encoded payload.
         std::string frameScratch;            ///< Outgoing frame.
-        std::string keyScratch;              ///< "model:batch" key.
 
         ~Session();
     };

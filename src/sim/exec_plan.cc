@@ -30,9 +30,7 @@ ExecPlan::build(const graph::Graph &g, std::span<const hw::GpuModel> gpus)
         plan.gpu = gpus[p];
         plan.gpuBaseUs.reserve(gpu_nodes);
         plan.gpuSigma.reserve(gpu_nodes);
-        plan.gpuNode.reserve(gpu_nodes);
         plan.cpuMeanUs.reserve(n - gpu_nodes);
-        plan.cpuNode.reserve(n - gpu_nodes);
         plan.nodeSlot.reserve(n);
         plan.nodeOnGpu.reserve(n);
     }
@@ -40,7 +38,6 @@ ExecPlan::build(const graph::Graph &g, std::span<const hw::GpuModel> gpus)
     double input_bytes = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
         const Node &node = g.nodes()[i];
-        const auto index = static_cast<std::uint32_t>(i);
         if (node.device() == Device::Gpu) {
             const hw::KernelWork work(node);
             for (std::size_t p = 0; p < plans.size(); ++p) {
@@ -49,7 +46,6 @@ ExecPlan::build(const graph::Graph &g, std::span<const hw::GpuModel> gpus)
                 plan.nodeOnGpu.push_back(1);
                 plan.nodeSlot.push_back(
                     static_cast<std::uint32_t>(plan.gpuBaseUs.size()));
-                plan.gpuNode.push_back(index);
                 plan.gpuBaseUs.push_back(timing.meanUs);
                 plan.gpuSigma.push_back(timing.sigma);
             }
@@ -59,7 +55,6 @@ ExecPlan::build(const graph::Graph &g, std::span<const hw::GpuModel> gpus)
                 plan.nodeOnGpu.push_back(0);
                 plan.nodeSlot.push_back(
                     static_cast<std::uint32_t>(plan.cpuMeanUs.size()));
-                plan.cpuNode.push_back(index);
                 plan.cpuMeanUs.push_back(cpu_models[p].meanTimeUs(node));
             }
         }

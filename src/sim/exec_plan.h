@@ -8,8 +8,8 @@
  * per node. The ExecPlan partitions the graph at construction into two
  * contiguous lanes — GPU ops (base time + lognormal sigma) and CPU ops
  * (gamma mean) — so the sampling kernel can run branch-free over dense
- * arrays, while index maps preserve the graph-order view needed by the
- * observer path (profiling, tracing).
+ * arrays, while a node -> slot map preserves the graph-order view
+ * needed by the observer path (profiling, tracing).
  */
 
 #ifndef CEER_SIM_EXEC_PLAN_H
@@ -42,10 +42,6 @@ struct ExecPlan
     /// Mean CPU-op times in microseconds, in graph order (dense).
     std::vector<double> cpuMeanUs;
 
-    /// GPU lane slot -> graph node index.
-    std::vector<std::uint32_t> gpuNode;
-    /// CPU lane slot -> graph node index.
-    std::vector<std::uint32_t> cpuNode;
     /// Graph node index -> slot within its lane.
     std::vector<std::uint32_t> nodeSlot;
     /// Graph node index -> true when the node is in the GPU lane.

@@ -66,29 +66,60 @@ TEST(MemoryTest, EveryZooModelFitsEverywhereAtDefaultBatch)
     // that batch everything must fit on the smallest (8 GB M60) —
     // except the deepest models, which genuinely exceed 8 GB.
     for (const std::string &name : models::allModelNames()) {
-        const Graph g = models::buildModel(name, 32);
-        EXPECT_TRUE(fitsInGpuMemory(g, GpuModel::V100)) << name;
-        EXPECT_TRUE(fitsInGpuMemory(g, GpuModel::K80)) << name;
+        const MemoryEstimate estimate =
+            estimateTrainingMemory(models::buildModel(name, 32));
+        EXPECT_TRUE(fitsInGpuMemory(estimate, GpuModel::V100)) << name;
+        EXPECT_TRUE(fitsInGpuMemory(estimate, GpuModel::K80)) << name;
     }
-    EXPECT_TRUE(
-        fitsInGpuMemory(models::buildAlexNet(32), GpuModel::M60));
-    EXPECT_TRUE(
-        fitsInGpuMemory(models::buildVgg(19, 32), GpuModel::M60));
+    EXPECT_TRUE(fitsInGpuMemory(
+        estimateTrainingMemory(models::buildAlexNet(32)), GpuModel::M60));
+    EXPECT_TRUE(fitsInGpuMemory(
+        estimateTrainingMemory(models::buildVgg(19, 32)), GpuModel::M60));
 }
 
 TEST(MemoryTest, LargeBatchOverflowsSmallGpus)
 {
-    const Graph g = models::buildVgg(19, 128);
-    EXPECT_FALSE(fitsInGpuMemory(g, GpuModel::M60));  // 8 GB.
-    EXPECT_TRUE(fitsInGpuMemory(g, GpuModel::K80));   // 12 GB.
-    EXPECT_TRUE(fitsInGpuMemory(g, GpuModel::V100));  // 16 GB.
+    const MemoryEstimate estimate =
+        estimateTrainingMemory(models::buildVgg(19, 128));
+    EXPECT_FALSE(fitsInGpuMemory(estimate, GpuModel::M60)); // 8 GB.
+    EXPECT_TRUE(fitsInGpuMemory(estimate, GpuModel::K80));  // 12 GB.
+    EXPECT_TRUE(fitsInGpuMemory(estimate, GpuModel::V100)); // 16 GB.
 }
 
 TEST(MemoryTest, MarginTightensTheCheck)
 {
-    const Graph g = models::buildResNetV2(200, 32); // ~9.2 GB.
-    EXPECT_TRUE(fitsInGpuMemory(g, GpuModel::K80, 0.05));
-    EXPECT_FALSE(fitsInGpuMemory(g, GpuModel::K80, 0.30));
+    const MemoryEstimate estimate =
+        estimateTrainingMemory(models::buildResNetV2(200, 32)); // ~9.2 GB.
+    EXPECT_TRUE(fitsInGpuMemory(estimate, GpuModel::K80, 0.05));
+    EXPECT_FALSE(fitsInGpuMemory(estimate, GpuModel::K80, 0.30));
+}
+
+TEST(MemoryTest, FitTableMatchesEachGpuBudget)
+{
+    // computeMemoryFits estimates once per graph; every verdict must
+    // equal the check against that GPU's own budget: device memory
+    // less the default 5% margin.
+    bool mixed = false;
+    for (const std::string &name : models::allModelNames()) {
+        for (std::int64_t batch : {1, 32, 128, 256}) {
+            SCOPED_TRACE(name + " at batch " + std::to_string(batch));
+            const Graph g = models::buildModel(name, batch);
+            const core::MemoryFitTable fits = core::computeMemoryFits(g);
+            const double bytes = estimateTrainingMemory(g).totalBytes();
+            std::size_t fitting = 0;
+            for (GpuModel gpu : allGpuModels()) {
+                const bool expected =
+                    bytes <= gpuSpec(gpu).memoryGB * 1e9 * 0.95;
+                EXPECT_EQ(fits[static_cast<std::size_t>(gpu)], expected)
+                    << gpuModelName(gpu);
+                fitting += expected;
+            }
+            mixed |= fitting > 0 && fitting < allGpuModels().size();
+        }
+    }
+    // At least one (CNN, batch) fits some GPUs and not others, so the
+    // table is not one verdict copied four times.
+    EXPECT_TRUE(mixed);
 }
 
 TEST(MemoryRecommenderTest, OversizedBatchExcludesSmallGpuFamilies)

@@ -17,7 +17,10 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -856,11 +859,12 @@ TEST(ServeServerTest, PlanCacheEntriesHoldPlansAndFitsOnly)
     EXPECT_EQ(stats.entries, keys.size());
     std::size_t plan_bytes = 0;
     for (const auto &[model, batch] : keys) {
+        const std::optional<std::uint64_t> key = planKey(model, batch);
+        ASSERT_TRUE(key.has_value()) << model;
         const std::shared_ptr<const PlanEntry> entry =
-            server->planCache().tryGet(
-                graphFingerprint(models::buildModel(model, batch)),
-                server->generation());
+            server->planCache().tryGet(*key, server->generation());
         ASSERT_NE(entry, nullptr) << model << " at batch " << batch;
+        EXPECT_EQ(entry->fingerprint, *key);
         EXPECT_EQ(entry->graph, nullptr);
         EXPECT_EQ(entry->plan->batchSize(), batch);
         plan_bytes += entry->plan->approxBytes();
@@ -868,34 +872,68 @@ TEST(ServeServerTest, PlanCacheEntriesHoldPlansAndFitsOnly)
     EXPECT_EQ(stats.bytes, plan_bytes);
 }
 
-TEST(ServeServerTest, RequestKeyMemoClearsAtPlanCacheCapacity)
+TEST(ServeServerTest, PlanKeyIsExactPerRequest)
+{
+    std::vector<std::string> names = models::allModelNames();
+    names.insert(names.end(),
+                 {"transformer_encoder", "lstm_classifier", "mobilenet_v1"});
+    std::set<std::uint64_t> keys;
+    for (const std::string &name : names) {
+        for (std::int64_t batch : {std::int64_t{1}, std::int64_t{32},
+                                   kMaxRequestBatch}) {
+            const std::optional<std::uint64_t> key = planKey(name, batch);
+            ASSERT_TRUE(key.has_value()) << name;
+            EXPECT_EQ(planKey(name, batch), key) << name;
+            EXPECT_TRUE(keys.insert(*key).second)
+                << name << " at batch " << batch << " shares a key";
+        }
+    }
+    EXPECT_EQ(keys.size(), names.size() * 3);
+    EXPECT_FALSE(planKey("definitely_not_a_model", 32).has_value());
+    EXPECT_FALSE(planKey("", 32).has_value());
+    EXPECT_FALSE(planKey("alexnet_", 32).has_value());
+}
+
+TEST(ServeServerTest, RepeatedRequestsCompileOncePerKey)
 {
     obs::ScopedEnable metrics(true);
     obs::resetMetrics();
     ServerOptions options;
     options.planCacheCapacity = 3;
     auto server = startServer(options);
-    ServeClient client;
-    std::string error;
-    ASSERT_TRUE(
-        client.tryConnect("127.0.0.1", server->port(), 30000, &error))
-        << error;
 
-    // capacity + 1 distinct (model, batch) keys on one connection
-    // clear the memo exactly once, then the first key again: every
-    // reply matches an in-process recommend().
-    RecommendRequest request;
-    request.model = "alexnet";
-    for (std::int64_t batch : {1, 2, 3, 4, 1}) {
-        request.batch = batch;
-        RecommendResponse response;
-        std::string raw;
-        ASSERT_TRUE(client.recommend(request, &response, &raw).ok);
-        EXPECT_EQ(raw, localReplyBytes(request)) << "batch " << batch;
+    // Three distinct (model, batch) keys, repeated across two
+    // connections, fit a 3-entry cache: each compiles exactly once and
+    // every reply matches an in-process recommend().
+    const std::vector<std::pair<std::string, std::int64_t>> stream = {
+        {"alexnet", 32}, {"vgg_11", 32}, {"alexnet", 16},
+        {"alexnet", 32}, {"alexnet", 16}, {"vgg_11", 32},
+        {"alexnet", 32}};
+    std::map<std::pair<std::string, std::int64_t>, std::string> expected;
+    for (int connection = 0; connection < 2; ++connection) {
+        ServeClient client;
+        std::string error;
+        ASSERT_TRUE(client.tryConnect("127.0.0.1", server->port(), 30000,
+                                      &error))
+            << error;
+        for (const auto &request_key : stream) {
+            RecommendRequest request;
+            request.model = request_key.first;
+            request.batch = request_key.second;
+            auto [it, fresh] = expected.try_emplace(request_key);
+            if (fresh)
+                it->second = localReplyBytes(request);
+            RecommendResponse response;
+            std::string raw;
+            ASSERT_TRUE(client.recommend(request, &response, &raw).ok);
+            EXPECT_EQ(raw, it->second)
+                << request.model << " at batch " << request.batch;
+        }
     }
-    EXPECT_EQ(obs::snapshotMetrics().counterValue(
-                  "serve.request_keys_clears"),
-              1u);
+    EXPECT_EQ(
+        obs::snapshotMetrics().counterValue("serve.plan_compiles"),
+        expected.size());
+    EXPECT_EQ(server->planCacheStats().misses, expected.size());
 }
 
 // --- Multi-reactor -----------------------------------------------------

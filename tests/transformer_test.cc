@@ -89,7 +89,8 @@ TEST(TransformerTest, AttentionDominatesComputeRealistically)
     const double iter_us = simulator.run(10).iterationUs.mean();
     EXPECT_GT(iter_us, 100e3);
     EXPECT_LT(iter_us, 900e3);
-    EXPECT_TRUE(hw::fitsInGpuMemory(bertBase(), hw::GpuModel::V100));
+    EXPECT_TRUE(hw::fitsInGpuMemory(
+        hw::estimateTrainingMemory(bertBase()), hw::GpuModel::V100));
 }
 
 TEST(TransformerTest, BatchMatMulFlopsMatchAttentionMath)
