@@ -30,7 +30,7 @@ main(int argc, char **argv)
     const profile::ProfileDataset dataset =
         bench::collectTrainingProfiles(config, true);
     const std::vector<std::unique_ptr<baselines::Predictor>>
-        predictors = baselines::makeAllPredictors();
+        predictors = baselines::makePredictors({}, dataset);
 
     baselines::EvalOptions options;
     options.models = models::testSetNames();
@@ -38,9 +38,9 @@ main(int argc, char **argv)
     options.datasetSamples = bench::kImageNetSamples;
     options.evalIterations = config.evalIterations;
     options.seed = config.seed;
-    options.threads = config.threads == 0 ? 0 : config.threads;
+    options.threads = config.threads;
     const baselines::EvalReport report =
-        baselines::runEvaluation(dataset, predictors, options);
+        baselines::runEvaluation(predictors, options);
 
     util::TablePrinter table({"predictor", "MAPE (%)", "RMSE (ms)",
                               "rank corr", "agreement"});

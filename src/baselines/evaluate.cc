@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <span>
 #include <utility>
 
 #include "cloud/instances.h"
@@ -12,6 +13,7 @@
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
+#include "profile/profiler.h"
 #include "sim/simulator.h"
 #include "util/logging.h"
 #include "util/stats.h"
@@ -124,14 +126,10 @@ EvalReport::saveCbf(std::ostream &out) const
 }
 
 EvalReport
-runEvaluation(const profile::ProfileDataset &dataset,
-              const std::vector<Predictor *> &predictors,
+runEvaluation(const std::vector<std::unique_ptr<Predictor>> &predictors,
               const EvalOptions &options)
 {
     OBS_SPAN("eval.run", "eval");
-    if (dataset.ops().empty() && dataset.iterations().empty())
-        util::fatal(
-            "evaluate: empty profile dataset (no op or run rows)");
     if (predictors.empty())
         util::fatal("evaluate: no predictors to evaluate");
     if (options.models.empty())
@@ -144,39 +142,31 @@ runEvaluation(const profile::ProfileDataset &dataset,
                                      k));
     }
 
-    // Train every engine up front; a dataset missing what an engine
-    // needs fatals here, before any sweep work.
-    for (Predictor *predictor : predictors) {
-        OBS_TIMER("eval.train_us");
-        predictor->trainFrom(dataset);
-    }
-
-    // Graphs are built once, serially, before any prediction: the
-    // plan-memoizing engines key on graph addresses, so the vector is
-    // fully sized first and never reallocates.
+    // Each model's graph is built once: every cell of the model
+    // simulates on it, and every engine predicts it.
     const std::size_t n_models = options.models.size();
     const std::size_t n_gpus = options.gpus.size();
     const std::size_t n_ks = options.ks.size();
+    const std::size_t n_grid = n_gpus * n_ks;
     std::vector<graph::Graph> graphs;
     graphs.reserve(n_models);
     for (const std::string &model : options.models)
         graphs.push_back(models::buildModel(model, options.batch));
 
-    // The parallel sweep: one task per (model, GPU, k) grid cell.
-    // Each task simulates its own observed run — seeded per cell via
+    // The parallel sweep: one task per (model, GPU, k) grid cell, each
+    // simulating its own observed run — seeded per cell via
     // profile::runSeed, so the value is independent of sweep order —
-    // and evaluates every engine, writing into preallocated slots.
-    const std::size_t n_cells = n_models * n_gpus * n_ks;
+    // then one task per (predictor, model) filling that model's slice
+    // of the predictor's row. Every task writes preallocated slots.
+    const std::size_t n_cells = n_models * n_grid;
     std::vector<double> observed(n_cells, 0.0);
     std::vector<std::vector<double>> predicted(
         predictors.size(), std::vector<double>(n_cells, 0.0));
-    const auto evaluateCell = [&](std::size_t index) {
+    const auto observeCell = [&](std::size_t index) {
         OBS_TIMER("eval.cell_us");
-        const std::size_t m = index / (n_gpus * n_ks);
-        const std::size_t g = (index / n_ks) % n_gpus;
-        const std::size_t ki = index % n_ks;
-        const hw::GpuModel gpu = options.gpus[g];
-        const int k = options.ks[ki];
+        const std::size_t m = index / n_grid;
+        const hw::GpuModel gpu = options.gpus[(index / n_ks) % n_gpus];
+        const int k = options.ks[index % n_ks];
         sim::SimConfig config;
         config.gpu = gpu;
         config.numGpus = k;
@@ -186,10 +176,6 @@ runEvaluation(const profile::ProfileDataset &dataset,
         sim::TrainingSimulator simulator(graphs[m], config);
         observed[index] =
             simulator.run(options.evalIterations).iterationUs.mean();
-        for (std::size_t p = 0; p < predictors.size(); ++p) {
-            predicted[p][index] =
-                predictors[p]->predictIterationUs(graphs[m], gpu, k);
-        }
         OBS_COUNTER_INC("eval.cells");
     };
     util::ParallelOptions parallel;
@@ -198,7 +184,18 @@ runEvaluation(const profile::ProfileDataset &dataset,
     util::ThreadPool::shared().parallelForRange(
         n_cells, parallel, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t i = lo; i < hi; ++i)
-                evaluateCell(i);
+                observeCell(i);
+        });
+    util::ThreadPool::shared().parallelForRange(
+        predictors.size() * n_models, parallel,
+        [&](std::size_t lo, std::size_t hi) {
+            for (std::size_t i = lo; i < hi; ++i) {
+                const std::size_t p = i / n_models, m = i % n_models;
+                predictors[p]->predictGrid(
+                    graphs[m], options.gpus, options.ks,
+                    std::span<double>(predicted[p])
+                        .subspan(m * n_grid, n_grid));
+            }
         });
 
     // The recommendation-agreement candidates: catalog instances whose
@@ -314,18 +311,6 @@ runEvaluation(const profile::ProfileDataset &dataset,
     OBS_COUNTER_ADD("eval.predictions",
                     predictors.size() * n_cells);
     return report;
-}
-
-EvalReport
-runEvaluation(const profile::ProfileDataset &dataset,
-              const std::vector<std::unique_ptr<Predictor>> &predictors,
-              const EvalOptions &options)
-{
-    std::vector<Predictor *> raw;
-    raw.reserve(predictors.size());
-    for (const std::unique_ptr<Predictor> &predictor : predictors)
-        raw.push_back(predictor.get());
-    return runEvaluation(dataset, raw, options);
 }
 
 } // namespace baselines

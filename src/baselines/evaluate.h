@@ -4,9 +4,10 @@
  * over a model x GPU x k grid against simulated ground truth, reduced
  * to the paper's Table-5-style accuracy report.
  *
- * Grid cells are independent tasks fanned out on ThreadPool::shared()
- * with slot-indexed writes and a serial canonical-order reduction, so
- * the report is byte-identical at any thread count. Serialization is
+ * Observed grid cells and (predictor, model) prediction slices are
+ * independent tasks fanned out on ThreadPool::shared() with
+ * slot-indexed writes and a serial canonical-order reduction, so the
+ * report is byte-identical at any thread count. Serialization is
  * deterministic (fixed key order, %.17g numerics) with a CSV
  * interchange dialect and a bit-exact CBF binary dialect
  * (schema ceer.evalreport.v1); see docs/evaluation.md.
@@ -22,7 +23,6 @@
 
 #include "baselines/predictor.h"
 #include "hw/gpu_spec.h"
-#include "profile/profiler.h"
 
 namespace ceer {
 
@@ -123,31 +123,25 @@ struct EvalReport
 };
 
 /**
- * Trains every predictor on @p dataset, sweeps the full grid and
- * reduces the report.
+ * Sweeps every trained predictor over the full grid and reduces the
+ * report.
  *
  * Observed cell values come from the simulated substrate: a dedicated
  * deterministic run per (model, GPU, k) cell, seeded independently of
- * sweep order and thread count. Fatal on an empty dataset, an empty
- * predictor list, or an empty/invalid grid.
+ * sweep order and thread count. Each predictor fills a model's whole
+ * GPU x k sub-grid in one predictGrid call. Fatal on an empty
+ * predictor list or an empty/invalid grid.
  *
  * The instance-recommendation agreement restricts the candidate
  * catalog (cloud::InstanceCatalog::awsOnDemand) to instances whose
  * (GPU, width) lies on the evaluated grid, so every engine is judged
  * from exactly the cells the report shows.
  *
- * @param dataset    Training profiles (op + run level).
- * @param predictors Engines to evaluate (trained in place).
+ * @param predictors Trained engines to evaluate (see makePredictors).
  * @param options    Grid and ground-truth knobs.
  */
-EvalReport runEvaluation(const profile::ProfileDataset &dataset,
-                         const std::vector<Predictor *> &predictors,
-                         const EvalOptions &options);
-
-/** Convenience overload for owning containers. */
 EvalReport
-runEvaluation(const profile::ProfileDataset &dataset,
-              const std::vector<std::unique_ptr<Predictor>> &predictors,
+runEvaluation(const std::vector<std::unique_ptr<Predictor>> &predictors,
               const EvalOptions &options);
 
 } // namespace baselines

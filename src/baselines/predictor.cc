@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
-#include <optional>
 
 #include "baselines/baselines.h"
 #include "core/predictor.h"
@@ -12,6 +10,7 @@
 #include "graph/net_features.h"
 #include "hw/op_cost.h"
 #include "models/model_zoo.h"
+#include "obs/metrics.h"
 #include "profile/features.h"
 #include "util/logging.h"
 #include "util/stats.h"
@@ -38,98 +37,70 @@ engineFatal(const std::string &engine, const std::string &message)
 
 /**
  * The three Ceer-backed engines: the full model and its two paper
- * ablations, differing only in PredictOptions. Compiled plans are
- * memoized per graph address under a mutex so grid sweeps pay one
- * compile per (engine, graph); a plan is immutable after compile, so
- * concurrent evaluations share it without a lock (see
- * core/predict_plan.h).
+ * ablations, differing only in PredictOptions. They share one trained
+ * CeerPredictor; each predictGrid compiles the graph once into a local
+ * plan and evaluates every (GPU, k) cell from it.
  */
 class CeerVariantPredictor final : public Predictor
 {
   public:
-    CeerVariantPredictor(std::string name, core::PredictOptions options)
-        : name_(std::move(name)), options_(options)
+    CeerVariantPredictor(std::string name,
+                         std::shared_ptr<const core::CeerPredictor> ceer,
+                         core::PredictOptions options)
+        : name_(std::move(name)), ceer_(std::move(ceer)),
+          options_(options)
     {
     }
 
     const std::string &name() const override { return name_; }
 
-    void
-    trainFrom(const profile::ProfileDataset &dataset) override
-    {
-        if (dataset.ops().empty())
-            engineFatal(name_, "profile dataset has no op rows");
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            plans_.clear();
-        }
-        ceer_.emplace(core::trainCeer(dataset));
-    }
-
-    double
-    predictIterationUs(const Graph &g, GpuModel gpu,
-                       int num_gpus) const override
-    {
-        if (!ceer_)
-            engineFatal(name_, "predict before trainFrom()");
-        std::shared_ptr<const core::PredictPlan> plan;
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            auto it = plans_.find(&g);
-            if (it == plans_.end()) {
-                it = plans_
-                         .emplace(&g,
-                                  std::make_shared<core::PredictPlan>(
-                                      ceer_->compile(g)))
-                         .first;
-            }
-            plan = it->second;
-        }
-        return ceer_->predictIterationUs(*plan, gpu, num_gpus,
-                                         options_);
-    }
-
   private:
+    void
+    fillGrid(const Graph &g, std::span<const GpuModel> gpus,
+             std::span<const int> ks,
+             std::span<double> out) const override
+    {
+        const core::PredictPlan plan = ceer_->compile(g);
+        for (std::size_t gi = 0; gi < gpus.size(); ++gi) {
+            for (std::size_t ki = 0; ki < ks.size(); ++ki)
+                out[gi * ks.size() + ki] = ceer_->predictIterationUs(
+                    plan, gpus[gi], ks[ki], options_);
+        }
+    }
+
     std::string name_;
+    std::shared_ptr<const core::CeerPredictor> ceer_;
     core::PredictOptions options_;
-    std::optional<core::CeerPredictor> ceer_;
-    mutable std::mutex mutex_;
-    mutable std::map<const Graph *,
-                     std::shared_ptr<const core::PredictPlan>>
-        plans_;
 };
 
-/** PALEO-style wrapper; training is a no-op (analytic model). */
+/** PALEO-style wrapper: analytic, nothing to fit, constant in k. */
 class PaleoFlopsPredictor final : public Predictor
 {
   public:
-    PaleoFlopsPredictor() : name_("paleo_flops") {}
+    explicit PaleoFlopsPredictor(const profile::ProfileDataset &dataset)
+        : name_("paleo_flops")
+    {
+        // Nothing to fit, but an empty dataset is still an error, not
+        // a silent no-op.
+        if (dataset.ops().empty() && dataset.iterations().empty())
+            engineFatal(name_, "profile dataset is empty");
+    }
 
     const std::string &name() const override { return name_; }
 
-    void
-    trainFrom(const profile::ProfileDataset &dataset) override
-    {
-        // Analytic: nothing to fit, but honor the harness's contract
-        // that an empty dataset is an error, not a silent no-op.
-        if (dataset.ops().empty() && dataset.iterations().empty())
-            engineFatal(name_, "profile dataset is empty");
-        trained_ = true;
-    }
-
-    double
-    predictIterationUs(const Graph &g, GpuModel gpu,
-                       int /*num_gpus*/) const override
-    {
-        if (!trained_)
-            engineFatal(name_, "predict before trainFrom()");
-        return flops_.predictIterationUs(g, gpu);
-    }
-
   private:
+    void
+    fillGrid(const Graph &g, std::span<const GpuModel> gpus,
+             std::span<const int> ks,
+             std::span<double> out) const override
+    {
+        for (std::size_t gi = 0; gi < gpus.size(); ++gi)
+            std::fill_n(out.begin() + gi * ks.size(), ks.size(),
+                        flops_.predictIterationUs(g, gpus[gi]));
+    }
+
     std::string name_;
     FlopsPredictor flops_;
-    bool trained_ = false;
 };
 
 /**
@@ -150,22 +121,10 @@ class PaleoFlopsPredictor final : public Predictor
 class ProfetPredictor final : public Predictor
 {
   public:
-    explicit ProfetPredictor(GpuModel reference = GpuModel::V100)
+    explicit ProfetPredictor(const profile::ProfileDataset &dataset,
+                             GpuModel reference = GpuModel::V100)
         : name_("profet"), reference_(reference)
     {
-    }
-
-    const std::string &name() const override { return name_; }
-
-    void
-    trainFrom(const profile::ProfileDataset &dataset) override
-    {
-        opModels_.clear();
-        scales_.clear();
-        refFallbackUs_ = kMinOpUs;
-        cpuMedianUs_ = kMinOpUs;
-        trained_ = false;
-
         const auto ref_rows = dataset.opsFor(reference_);
         bool has_ref_gpu_rows = false;
         for (const profile::OpProfile *row : ref_rows)
@@ -228,21 +187,23 @@ class ProfetPredictor final : public Predictor
                                     target / ref);
             }
         }
-        trained_ = true;
     }
 
-    double
-    predictIterationUs(const Graph &g, GpuModel gpu,
-                       int /*num_gpus*/) const override
+    const std::string &name() const override { return name_; }
+
+  private:
+    void
+    fillGrid(const Graph &g, std::span<const GpuModel> gpus,
+             std::span<const int> ks,
+             std::span<double> out) const override
     {
-        if (!trained_)
-            engineFatal(name_, "predict before trainFrom()");
-        double total = 0.0;
-        for (const graph::Node &node : g.nodes()) {
-            if (node.device() == graph::Device::Cpu) {
-                total += cpuMedianUs_;
+        // The reference-GPU estimate of every GPU node does not depend
+        // on the target GPU, so it is computed once per graph.
+        std::vector<double> estimates(g.size(), 0.0);
+        for (std::size_t i = 0; i < g.size(); ++i) {
+            const graph::Node &node = g.nodes()[i];
+            if (node.device() == graph::Device::Cpu)
                 continue;
-            }
             double estimate = refFallbackUs_;
             const auto model = opModels_.find(node.type);
             if (model != opModels_.end()) {
@@ -252,13 +213,21 @@ class ProfetPredictor final : public Predictor
                               profile::opFeatures(node))
                         : model->second.medianUs;
             }
-            estimate = std::max(estimate, kMinOpUs);
-            total += estimate * transferScale(gpu, node);
+            estimates[i] = std::max(estimate, kMinOpUs);
         }
-        return total;
+        for (std::size_t gi = 0; gi < gpus.size(); ++gi) {
+            double total = 0.0;
+            for (std::size_t i = 0; i < g.size(); ++i) {
+                const graph::Node &node = g.nodes()[i];
+                if (node.device() == graph::Device::Cpu)
+                    total += cpuMedianUs_;
+                else
+                    total += estimates[i] * transferScale(gpus[gi], node);
+            }
+            std::fill_n(out.begin() + gi * ks.size(), ks.size(), total);
+        }
     }
 
-  private:
     struct OpEstimator
     {
         core::LinearModel model;
@@ -299,7 +268,6 @@ class ProfetPredictor final : public Predictor
     std::map<std::pair<GpuModel, OpType>, double> scales_;
     double refFallbackUs_ = kMinOpUs;
     double cpuMedianUs_ = kMinOpUs;
-    bool trained_ = false;
 };
 
 /**
@@ -317,18 +285,10 @@ class ProfetPredictor final : public Predictor
 class DnnAbacusPredictor final : public Predictor
 {
   public:
-    explicit DnnAbacusPredictor(std::int64_t batch = 32)
-        : name_("dnnabacus"), batch_(batch)
+    explicit DnnAbacusPredictor(const profile::ProfileDataset &dataset,
+                                std::int64_t batch = 32)
+        : name_("dnnabacus")
     {
-    }
-
-    const std::string &name() const override { return name_; }
-
-    void
-    trainFrom(const profile::ProfileDataset &dataset) override
-    {
-        perGpu_.clear();
-        trained_ = false;
         if (dataset.iterations().empty())
             engineFatal(name_,
                         "no run-level iteration profiles in dataset "
@@ -340,7 +300,7 @@ class DnnAbacusPredictor final : public Predictor
              dataset.iterations()) {
             if (features.count(run.model))
                 continue;
-            const Graph g = models::buildModel(run.model, batch_);
+            const Graph g = models::buildModel(run.model, batch);
             features.emplace(run.model, graph::netFeatures(g, flops));
         }
 
@@ -390,32 +350,37 @@ class DnnAbacusPredictor final : public Predictor
                     : 0.0;
             perGpu_.emplace(gpu, std::move(fit));
         }
-        trained_ = true;
     }
 
-    double
-    predictIterationUs(const Graph &g, GpuModel gpu,
-                       int num_gpus) const override
-    {
-        if (!trained_)
-            engineFatal(name_, "predict before trainFrom()");
-        const auto it = perGpu_.find(gpu);
-        if (it == perGpu_.end())
-            engineFatal(name_,
-                        "no iteration profiles for GPU " +
-                            hw::gpuModelName(gpu) + " in dataset");
-        const std::vector<double> x = graph::netFeatures(g, flops);
-        const double compute =
-            std::max(it->second.compute.predict(x), kMinOpUs);
-        const double comm =
-            it->second.commBaseUs +
-            it->second.commSlopeUsPerParam *
-                static_cast<double>(num_gpus - 1) *
-                static_cast<double>(g.totalParameters());
-        return compute + comm;
-    }
+    const std::string &name() const override { return name_; }
 
   private:
+    void
+    fillGrid(const Graph &g, std::span<const GpuModel> gpus,
+             std::span<const int> ks,
+             std::span<double> out) const override
+    {
+        const std::vector<double> x = graph::netFeatures(g, flops);
+        for (std::size_t gi = 0; gi < gpus.size(); ++gi) {
+            const auto it = perGpu_.find(gpus[gi]);
+            if (it == perGpu_.end())
+                engineFatal(name_,
+                            "no iteration profiles for GPU " +
+                                hw::gpuModelName(gpus[gi]) +
+                                " in dataset");
+            const double compute =
+                std::max(it->second.compute.predict(x), kMinOpUs);
+            for (std::size_t ki = 0; ki < ks.size(); ++ki) {
+                const double comm =
+                    it->second.commBaseUs +
+                    it->second.commSlopeUsPerParam *
+                        static_cast<double>(ks[ki] - 1) *
+                        static_cast<double>(g.totalParameters());
+                out[gi * ks.size() + ki] = compute + comm;
+            }
+        }
+    }
+
     struct PerGpuFit
     {
         core::LinearModel compute;
@@ -430,12 +395,22 @@ class DnnAbacusPredictor final : public Predictor
     }
 
     std::string name_;
-    std::int64_t batch_;
     std::map<GpuModel, PerGpuFit> perGpu_;
-    bool trained_ = false;
 };
 
 } // namespace
+
+void
+Predictor::predictGrid(const Graph &g, std::span<const GpuModel> gpus,
+                       std::span<const int> ks,
+                       std::span<double> out) const
+{
+    if (out.size() != gpus.size() * ks.size())
+        util::panic(util::format(
+            "%s: predictGrid output has %zu slots for a %zu x %zu grid",
+            name().c_str(), out.size(), gpus.size(), ks.size()));
+    fillGrid(g, gpus, ks, out);
+}
 
 const std::vector<std::string> &
 allPredictorNames()
@@ -447,41 +422,45 @@ allPredictorNames()
     return names;
 }
 
-std::unique_ptr<Predictor>
-makePredictor(const std::string &name)
-{
-    if (name == "ceer")
-        return std::make_unique<CeerVariantPredictor>(
-            name, core::PredictOptions{});
-    if (name == "ceer_heavy_only")
-        return std::make_unique<CeerVariantPredictor>(
-            name, heavyOnlyOptions());
-    if (name == "ceer_no_comm")
-        return std::make_unique<CeerVariantPredictor>(name,
-                                                      noCommOptions());
-    if (name == "paleo_flops")
-        return std::make_unique<PaleoFlopsPredictor>();
-    if (name == "profet")
-        return std::make_unique<ProfetPredictor>();
-    if (name == "dnnabacus")
-        return std::make_unique<DnnAbacusPredictor>();
-    util::fatal("unknown predictor '" + name + "' (have: " +
-                util::join(allPredictorNames(), ", ") + ")");
-}
-
 std::vector<std::unique_ptr<Predictor>>
-makeAllPredictors()
+makePredictors(const std::vector<std::string> &names,
+               const profile::ProfileDataset &dataset)
 {
-    return makePredictors({});
-}
+    const std::vector<std::string> &all = allPredictorNames();
+    const std::vector<std::string> &requested =
+        names.empty() ? all : names;
+    for (const std::string &name : requested) {
+        if (std::find(all.begin(), all.end(), name) == all.end())
+            util::fatal("unknown predictor '" + name + "' (have: " +
+                        util::join(all, ", ") + ")");
+    }
 
-std::vector<std::unique_ptr<Predictor>>
-makePredictors(const std::vector<std::string> &names)
-{
+    // Trained on the first ceer* request, shared by every variant.
+    std::shared_ptr<const core::CeerPredictor> ceer;
     std::vector<std::unique_ptr<Predictor>> out;
-    for (const std::string &name :
-         names.empty() ? allPredictorNames() : names)
-        out.push_back(makePredictor(name));
+    for (const std::string &name : requested) {
+        OBS_TIMER("eval.train_us");
+        if (name == "paleo_flops") {
+            out.push_back(std::make_unique<PaleoFlopsPredictor>(dataset));
+        } else if (name == "profet") {
+            out.push_back(std::make_unique<ProfetPredictor>(dataset));
+        } else if (name == "dnnabacus") {
+            out.push_back(std::make_unique<DnnAbacusPredictor>(dataset));
+        } else {
+            if (!ceer) {
+                if (dataset.ops().empty())
+                    engineFatal(name, "profile dataset has no op rows");
+                ceer = std::make_shared<const core::CeerPredictor>(
+                    core::trainCeer(dataset));
+            }
+            const core::PredictOptions options =
+                name == "ceer_heavy_only" ? heavyOnlyOptions()
+                : name == "ceer_no_comm"  ? noCommOptions()
+                                          : core::PredictOptions{};
+            out.push_back(std::make_unique<CeerVariantPredictor>(
+                name, ceer, options));
+        }
+    }
     return out;
 }
 

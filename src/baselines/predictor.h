@@ -20,11 +20,13 @@
  *                    plus a non-negative comm slope in (k-1) * params
  *
  * Contract every implementation honors (tests/property_test.cc):
- *  - predictIterationUs is a pure const function after trainFrom():
- *    deterministic, thread-safe, finite and non-negative on the whole
- *    model zoo, and monotone non-decreasing in k;
- *  - trainFrom() fully resets state, so retraining is safe;
- *  - training on a dataset missing what the engine needs is a fatal
+ *  - an engine is trained when the factory returns it and immutable
+ *    after that: predictGrid is a pure const function, deterministic,
+ *    thread-safe, finite and non-negative on the whole model zoo, and
+ *    monotone non-decreasing in k;
+ *  - it keeps no per-graph state, so any graph (a temporary included)
+ *    may be predicted in any order;
+ *  - building from a dataset missing what the engine needs is a fatal
  *    error naming the engine, never UB.
  */
 
@@ -32,6 +34,7 @@
 #define CEER_BASELINES_PREDICTOR_H
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +45,7 @@
 namespace ceer {
 namespace baselines {
 
-/** One per-iteration training-time prediction engine. */
+/** One trained per-iteration training-time prediction engine. */
 class Predictor
 {
   public:
@@ -52,45 +55,44 @@ class Predictor
     virtual const std::string &name() const = 0;
 
     /**
-     * Fits the engine from op- and run-level profiles. Replaces any
-     * previous fit. Fatal (naming the engine) when the dataset lacks
-     * the rows this engine trains on.
+     * Predicted per-iteration training time in microseconds of @p g
+     * on every (GPU, k) pair of the grid: out[gi * ks.size() + ki] is
+     * the time on gpus[gi] at data-parallel width ks[ki]. Thread-safe
+     * and deterministic; panics unless out.size() is
+     * gpus.size() * ks.size().
+     *
+     * @param g    Training graph at the per-GPU batch size.
+     * @param gpus GPU models of the grid.
+     * @param ks   Data-parallel widths of the grid (each >= 1).
+     * @param out  One slot per (GPU, k) cell, GPU-major.
      */
-    virtual void trainFrom(const profile::ProfileDataset &dataset) = 0;
+    void predictGrid(const graph::Graph &g,
+                     std::span<const hw::GpuModel> gpus,
+                     std::span<const int> ks,
+                     std::span<double> out) const;
 
-    /**
-     * Predicted per-iteration training time in microseconds.
-     *
-     * Thread-safe and deterministic; requires trainFrom() first
-     * (fatal otherwise). @p g must outlive the predictor when the
-     * engine memoizes per-graph state (the Ceer variants cache a
-     * compiled plan keyed by graph address).
-     *
-     * @param g        Training graph at the per-GPU batch size.
-     * @param gpu      GPU model.
-     * @param num_gpus Data-parallel width k (>= 1).
-     */
-    virtual double predictIterationUs(const graph::Graph &g,
-                                      hw::GpuModel gpu,
-                                      int num_gpus) const = 0;
+  private:
+    /** predictGrid after the size check. */
+    virtual void fillGrid(const graph::Graph &g,
+                          std::span<const hw::GpuModel> gpus,
+                          std::span<const int> ks,
+                          std::span<double> out) const = 0;
 };
 
 /** Registry names, in canonical report order. */
 const std::vector<std::string> &allPredictorNames();
 
-/** Constructs one engine by registry name; fatal on an unknown name. */
-std::unique_ptr<Predictor> makePredictor(const std::string &name);
-
-/** Constructs every registered engine, in registry order. */
-std::vector<std::unique_ptr<Predictor>> makeAllPredictors();
-
 /**
- * Constructs the engines named in @p names (registry order is NOT
- * imposed — the report shows predictors in the order requested).
- * An empty list means all engines. Fatal on an unknown name.
+ * Builds the engines named in @p names, trained on @p dataset
+ * (registry order is NOT imposed — the report shows predictors in the
+ * order requested). An empty list means all engines, in registry
+ * order. Ceer is trained at most once per call, and only when a
+ * ceer* engine is requested; its variants share that one model.
+ * Fatal on an unknown name before any training.
  */
 std::vector<std::unique_ptr<Predictor>>
-makePredictors(const std::vector<std::string> &names);
+makePredictors(const std::vector<std::string> &names,
+               const profile::ProfileDataset &dataset);
 
 } // namespace baselines
 } // namespace ceer

@@ -53,19 +53,28 @@ chromeThreadNameEvent(std::ostream &out, int tid,
 }
 
 void
-chromeCompleteEvent(std::ostream &out, const std::string &name,
-                    const std::string &category, double ts_us,
-                    double duration_us, int tid, bool last)
+writeChromeTrace(std::ostream &out, std::span<const TraceSpan> spans,
+                 std::span<const std::string> lane_names)
 {
-    char buffer[512];
-    std::snprintf(buffer, sizeof buffer,
-                  "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": "
-                  "\"X\", \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, "
-                  "\"tid\": %d}%s\n",
-                  chromeJsonEscape(name).c_str(),
-                  chromeJsonEscape(category).c_str(), ts_us,
-                  duration_us, tid, last ? "" : ",");
-    out << buffer;
+    out << "[\n";
+    for (std::size_t lane = 0; lane < lane_names.size(); ++lane)
+        chromeThreadNameEvent(out, static_cast<int>(lane),
+                              lane_names[lane]);
+    // One complete ("X") event per span; no comma after the last.
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const TraceSpan &span = spans[i];
+        char buffer[512];
+        std::snprintf(buffer, sizeof buffer,
+                      "  {\"name\": \"%s\", \"cat\": \"%s\", \"ph\": "
+                      "\"X\", \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, "
+                      "\"tid\": %d}%s\n",
+                      chromeJsonEscape(span.name).c_str(),
+                      chromeJsonEscape(span.category).c_str(),
+                      span.startUs, span.durationUs, span.lane,
+                      i + 1 == spans.size() ? "" : ",");
+        out << buffer;
+    }
+    out << "]\n";
 }
 
 TraceSink &
@@ -129,20 +138,10 @@ TraceSink::writeChromeTrace(std::ostream &out) const
     int max_lane = -1;
     for (const TraceSpan &span : spans)
         max_lane = span.lane > max_lane ? span.lane : max_lane;
-
-    out << "[\n";
-    for (int lane = 0; lane <= max_lane; ++lane) {
-        char name[32];
-        std::snprintf(name, sizeof name, "worker %d", lane);
-        chromeThreadNameEvent(out, lane, name);
-    }
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-        const TraceSpan &span = spans[i];
-        chromeCompleteEvent(out, span.name, span.category, span.startUs,
-                            span.durationUs, span.lane,
-                            i + 1 == spans.size());
-    }
-    out << "]\n";
+    std::vector<std::string> lane_names;
+    for (int lane = 0; lane <= max_lane; ++lane)
+        lane_names.push_back("worker " + std::to_string(lane));
+    obs::writeChromeTrace(out, spans, lane_names);
 }
 
 bool

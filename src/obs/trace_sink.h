@@ -2,9 +2,8 @@
  * @file
  * Cross-subsystem trace spans: a process-wide sink collecting timed
  * spans from any layer (profiling runs, trainer fits, recommender
- * sweeps) and exporting them in the Chrome tracing JSON format — the
- * same array-of-"X"-events document sim::IterationTrace emits, via the
- * shared writer helpers below.
+ * sweeps) and exporting them in the Chrome tracing JSON format through
+ * writeChromeTrace() below, the writer sim::IterationTrace uses too.
  *
  * Recording is gated on obs::enabled(): a ScopedSpan constructed while
  * observability is off arms nothing and its destructor is a branch.
@@ -20,6 +19,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -42,9 +42,7 @@ struct TraceSpan
                            const TraceSpan &) = default;
 };
 
-// Shared Chrome-trace building blocks (also used by sim's
-// IterationTrace writer; output is byte-compatible with the
-// historical util::format-based implementation).
+// Chrome-trace writing, shared by TraceSink and sim::IterationTrace.
 
 /** Escapes a string for embedding in a JSON literal. */
 std::string chromeJsonEscape(const std::string &text);
@@ -54,12 +52,12 @@ void chromeThreadNameEvent(std::ostream &out, int tid,
                            const std::string &name);
 
 /**
- * Emits one complete ("X") event line. @p last suppresses the
- * trailing comma on the final event of the document.
+ * Writes @p spans as a Chrome tracing JSON document (array-of-events
+ * form with "X" complete events), preceded by one `thread_name`
+ * metadata event per entry of @p lane_names (lane i is tid i).
  */
-void chromeCompleteEvent(std::ostream &out, const std::string &name,
-                         const std::string &category, double ts_us,
-                         double duration_us, int tid, bool last);
+void writeChromeTrace(std::ostream &out, std::span<const TraceSpan> spans,
+                      std::span<const std::string> lane_names);
 
 /**
  * Process-wide span collector. All methods are thread-safe; record()

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <ostream>
 
-#include "obs/trace_sink.h"
 #include "util/strings.h"
 
 namespace ceer {
@@ -13,44 +12,17 @@ using graph::Device;
 using graph::Node;
 
 void
-IterationTrace::add(TraceEvent event)
+IterationTrace::add(obs::TraceSpan event)
 {
     events_.push_back(std::move(event));
 }
 
-namespace {
-
-const char *
-laneName(int lane)
-{
-    switch (lane) {
-      case 0: return "GPU stream";
-      case 1: return "host (CPU ops)";
-      case 2: return "synchronization";
-    }
-    return "?";
-}
-
-} // namespace
-
 void
 IterationTrace::writeChromeTrace(std::ostream &out) const
 {
-    // The event lines come from the shared obs chrome-trace helpers
-    // (byte-identical to the historical inline formatting; pinned by
-    // TraceTest.ChromeTraceUsesSharedWriter).
-    out << "[\n";
-    // Thread-name metadata per lane.
-    for (int lane = 0; lane <= 2; ++lane)
-        obs::chromeThreadNameEvent(out, lane, laneName(lane));
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-        const TraceEvent &event = events_[i];
-        obs::chromeCompleteEvent(out, event.name, event.category,
-                                 event.startUs, event.durationUs,
-                                 event.lane,
-                                 i + 1 == events_.size());
-    }
-    out << "]\n";
+    static const std::string lane_names[] = {
+        "GPU stream", "host (CPU ops)", "synchronization"};
+    obs::writeChromeTrace(out, events_, lane_names);
 }
 
 IterationTrace
@@ -64,7 +36,7 @@ traceIteration(const graph::Graph &g, const SimConfig &config)
         [&](std::span<const double> times_us) {
             for (std::size_t i = 0; i < times_us.size(); ++i) {
                 const Node &node = g.nodes()[i];
-                TraceEvent event;
+                obs::TraceSpan event;
                 event.name = node.name;
                 event.category = graph::opTypeName(node.type);
                 event.durationUs = times_us[i];
@@ -81,7 +53,7 @@ traceIteration(const graph::Graph &g, const SimConfig &config)
             }
         });
 
-    TraceEvent sync;
+    obs::TraceSpan sync;
     sync.name = util::format("sync (k=%d)", config.numGpus);
     sync.category = "Communication";
     sync.lane = 2;

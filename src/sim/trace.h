@@ -17,33 +17,28 @@
 #include <string>
 #include <vector>
 
+#include "obs/trace_sink.h"
 #include "sim/simulator.h"
 
 namespace ceer {
 namespace sim {
 
-/** One timed op occurrence in the timeline. */
-struct TraceEvent
-{
-    std::string name;     ///< Node name.
-    std::string category; ///< Op type name.
-    double startUs = 0.0; ///< Start offset within the iteration.
-    double durationUs = 0.0; ///< Sampled compute time.
-    int lane = 0;         ///< 0 = GPU stream, 1 = host, 2 = comm.
-};
-
 /** A recorded iteration. */
 class IterationTrace
 {
   public:
-    /** All events, in start order per lane. */
-    const std::vector<TraceEvent> &events() const { return events_; }
+    /**
+     * All events, in start order per lane: op spans (category = op
+     * type name) on lane 0 (GPU stream) or 1 (host), then the
+     * "Communication" sync span on lane 2.
+     */
+    const std::vector<obs::TraceSpan> &events() const { return events_; }
 
     /** Total iteration span in microseconds. */
     double totalUs() const { return totalUs_; }
 
     /** Appends one event (used by traceIteration). */
-    void add(TraceEvent event);
+    void add(obs::TraceSpan event);
 
     /** Sets the iteration span. */
     void setTotalUs(double total) { totalUs_ = total; }
@@ -55,7 +50,7 @@ class IterationTrace
     void writeChromeTrace(std::ostream &out) const;
 
   private:
-    std::vector<TraceEvent> events_;
+    std::vector<obs::TraceSpan> events_;
     double totalUs_ = 0.0;
 };
 

@@ -12,8 +12,10 @@
 #include "baselines/evaluate.h"
 #include "baselines/predictor.h"
 #include "cloud/instances.h"
+#include "core/trainer.h"
 #include "hw/op_cost.h"
 #include "models/model_zoo.h"
+#include "obs/metrics.h"
 #include "profile/profiler.h"
 
 namespace ceer {
@@ -138,10 +140,18 @@ evalDataset()
     return dataset;
 }
 
+/** The one engine of a single-name factory call. */
+std::unique_ptr<Predictor>
+onlyEngine(const std::string &name,
+           const profile::ProfileDataset &dataset)
+{
+    return std::move(makePredictors({name}, dataset).front());
+}
+
 TEST(EvalSweepTest, ParallelSweepIsByteIdentical)
 {
     const std::vector<std::unique_ptr<Predictor>> predictors =
-        makeAllPredictors();
+        makePredictors({}, evalDataset());
     EvalOptions options;
     options.models = {"alexnet", "vgg_19"};
     options.ks = {1, 2, 4};
@@ -150,8 +160,7 @@ TEST(EvalSweepTest, ParallelSweepIsByteIdentical)
     std::string serial_csv, serial_cbf;
     for (const int threads : {1, 4}) {
         options.threads = threads;
-        const EvalReport report =
-            runEvaluation(evalDataset(), predictors, options);
+        const EvalReport report = runEvaluation(predictors, options);
         std::ostringstream csv, cbf;
         report.saveCsv(csv);
         report.saveCbf(cbf);
@@ -169,13 +178,12 @@ TEST(EvalSweepTest, ParallelSweepIsByteIdentical)
 TEST(EvalSweepTest, ReportCoversTheFullGrid)
 {
     const std::vector<std::unique_ptr<Predictor>> predictors =
-        makeAllPredictors();
+        makePredictors({}, evalDataset());
     EvalOptions options;
     options.models = {"alexnet"};
     options.ks = {1, 2};
     options.evalIterations = 5;
-    const EvalReport report =
-        runEvaluation(evalDataset(), predictors, options);
+    const EvalReport report = runEvaluation(predictors, options);
     // predictors x models x gpus x ks cells, one model row per
     // (predictor, model), one summary row per predictor.
     EXPECT_EQ(report.cells.size(), predictors.size() * 1 * 4 * 2);
@@ -192,35 +200,49 @@ TEST(EvalSweepTest, ReportCoversTheFullGrid)
         EXPECT_EQ(report.summary[p].predictor, predictors[p]->name());
 }
 
+TEST(EvalSweepTest, CompilesOnePlanPerCeerEngineAndModel)
+{
+    // Each Ceer engine compiles a model once for its whole GPU x k
+    // slice; the other engines compile nothing.
+    const std::vector<std::unique_ptr<Predictor>> predictors =
+        makePredictors({}, evalDataset());
+    EvalOptions options;
+    options.models = {"alexnet", "vgg_19"};
+    options.ks = {1, 2, 4};
+    options.evalIterations = 2;
+    options.threads = 4;
+    const obs::ScopedEnable on(true);
+    const auto builds = [] {
+        return obs::snapshotMetrics().counterValue(
+            "predictor.plan_builds");
+    };
+    const std::uint64_t before = builds();
+    (void)runEvaluation(predictors, options);
+    EXPECT_EQ(builds() - before, 3u * options.models.size());
+}
+
 TEST(EvalSweepTest, EmptyDatasetIsFatal)
 {
+    // Engines are trained when built, so an empty dataset stops an
+    // evaluation at its first engine, before any sweep work.
     const profile::ProfileDataset empty;
-    const std::vector<std::unique_ptr<Predictor>> predictors =
-        makeAllPredictors();
-    EvalOptions options;
-    options.models = {"alexnet"};
-    EXPECT_DEATH(runEvaluation(empty, predictors, options),
-                 "empty profile dataset");
+    EXPECT_DEATH(makePredictors({}, empty),
+                 "ceer: profile dataset has no op rows");
 }
 
 TEST(EvalSweepTest, EmptyGridOrPredictorListIsFatal)
 {
     const std::vector<std::unique_ptr<Predictor>> predictors =
-        makeAllPredictors();
+        makePredictors({}, evalDataset());
     EvalOptions options;
-    EXPECT_DEATH(runEvaluation(evalDataset(), predictors, options),
-                 "no models");
+    EXPECT_DEATH(runEvaluation(predictors, options), "no models");
     options.models = {"alexnet"};
-    EXPECT_DEATH(
-        runEvaluation(evalDataset(), std::vector<Predictor *>{},
-                      options),
-        "no predictors");
+    EXPECT_DEATH(runEvaluation({}, options), "no predictors");
     options.ks = {};
-    EXPECT_DEATH(runEvaluation(evalDataset(), predictors, options),
+    EXPECT_DEATH(runEvaluation(predictors, options),
                  "empty GPU or k grid");
     options.ks = {0};
-    EXPECT_DEATH(runEvaluation(evalDataset(), predictors, options),
-                 "invalid width");
+    EXPECT_DEATH(runEvaluation(predictors, options), "invalid width");
 }
 
 // --- The predictor registry ---
@@ -228,24 +250,87 @@ TEST(EvalSweepTest, EmptyGridOrPredictorListIsFatal)
 TEST(PredictorRegistryTest, HasAtLeastSixEngines)
 {
     EXPECT_GE(allPredictorNames().size(), 6u);
-    for (const std::string &name : allPredictorNames())
-        EXPECT_EQ(makePredictor(name)->name(), name);
+    // Empty request means every registered engine, registry order.
+    const auto predictors = makePredictors({}, evalDataset());
+    ASSERT_EQ(predictors.size(), allPredictorNames().size());
+    for (std::size_t p = 0; p < predictors.size(); ++p)
+        EXPECT_EQ(predictors[p]->name(), allPredictorNames()[p]);
 }
 
 TEST(PredictorRegistryTest, UnknownNameIsFatal)
 {
-    EXPECT_DEATH(makePredictor("linear_scaling"), "unknown predictor");
-    EXPECT_DEATH(makePredictors({"ceer", "nope"}), "unknown predictor");
+    const profile::ProfileDataset &dataset = evalDataset();
+    EXPECT_DEATH(makePredictors({"linear_scaling"}, dataset),
+                 "unknown predictor");
+    EXPECT_DEATH(makePredictors({"ceer", "nope"}, dataset),
+                 "unknown predictor");
 }
 
 TEST(PredictorRegistryTest, MakePredictorsPreservesRequestOrder)
 {
-    const auto predictors = makePredictors({"profet", "ceer"});
+    const auto predictors = makePredictors({"profet", "ceer"},
+                                           evalDataset());
     ASSERT_EQ(predictors.size(), 2u);
     EXPECT_EQ(predictors[0]->name(), "profet");
     EXPECT_EQ(predictors[1]->name(), "ceer");
-    // Empty request means every registered engine, registry order.
-    EXPECT_EQ(makePredictors({}).size(), allPredictorNames().size());
+}
+
+TEST(PredictorRegistryTest, CeerIsTrainedOncePerFactoryCall)
+{
+    // The three Ceer variants share one trained model, and a request
+    // without a Ceer variant trains none.
+    const profile::ProfileDataset &dataset = evalDataset();
+    const obs::ScopedEnable on(true);
+    const auto cells = [] {
+        return obs::snapshotMetrics().counterValue("trainer.cells");
+    };
+    std::uint64_t before = cells();
+    (void)core::trainCeer(dataset);
+    const std::uint64_t one_training = cells() - before;
+    ASSERT_GT(one_training, 0u);
+
+    before = cells();
+    EXPECT_EQ(makePredictors({}, dataset).size(),
+              allPredictorNames().size());
+    EXPECT_EQ(cells() - before, one_training);
+
+    before = cells();
+    (void)makePredictors({"profet"}, dataset);
+    EXPECT_EQ(cells() - before, 0u);
+}
+
+TEST(PredictorRegistryTest, GraphsAtOneAddressPredictIndependently)
+{
+    // alexnet and then vgg_19 are built in the same loop-body slot, so
+    // they share a stack address. Each must get its own prediction,
+    // the one a fresh engine gives it, not the plan of the graph that
+    // lived there before.
+    const profile::ProfileDataset &dataset = evalDataset();
+    const std::unique_ptr<Predictor> engine =
+        onlyEngine("ceer", dataset);
+    const std::vector<GpuModel> gpus = hw::allGpuModels();
+    const std::vector<int> ks = {1, 4};
+    for (const char *model : {"alexnet", "vgg_19"}) {
+        const graph::Graph g = models::buildModel(model, 32);
+        std::vector<double> shared(gpus.size() * ks.size());
+        std::vector<double> fresh(shared.size());
+        engine->predictGrid(g, gpus, ks, shared);
+        onlyEngine("ceer", dataset)->predictGrid(g, gpus, ks, fresh);
+        EXPECT_EQ(shared, fresh) << model;
+    }
+}
+
+TEST(PredictorRegistryTest, MisSizedGridOutputPanics)
+{
+    const std::unique_ptr<Predictor> engine =
+        onlyEngine("paleo_flops", evalDataset());
+    const graph::Graph g = models::buildAlexNet(32);
+    const std::vector<GpuModel> gpus = {GpuModel::V100, GpuModel::K80};
+    const std::vector<int> ks = {1, 2};
+    std::vector<double> out(3);
+    EXPECT_DEATH(engine->predictGrid(g, gpus, ks, out),
+                 "paleo_flops: predictGrid output has 3 slots for a "
+                 "2 x 2 grid");
 }
 
 /** The fixture dataset re-serialized without the rows named by @p drop
@@ -283,24 +368,15 @@ TEST(PredictorRegistryTest, MissingTrainingRowsAreContextualFatals)
     // is missing, not crash or mispredict.
     const profile::ProfileDataset no_ref =
         datasetWithout("op", "V100");
-    EXPECT_DEATH(makePredictor("profet")->trainFrom(no_ref),
+    EXPECT_DEATH(makePredictors({"profet"}, no_ref),
                  "profet.*reference GPU");
     const profile::ProfileDataset no_iters = datasetWithout("iter", "");
-    EXPECT_DEATH(makePredictor("dnnabacus")->trainFrom(no_iters),
+    EXPECT_DEATH(makePredictors({"dnnabacus"}, no_iters),
                  "dnnabacus.*iteration profiles");
     const profile::ProfileDataset empty;
-    EXPECT_DEATH(makePredictor("ceer")->trainFrom(empty),
-                 "ceer.*no op rows");
-    EXPECT_DEATH(makePredictor("paleo_flops")->trainFrom(empty),
+    EXPECT_DEATH(makePredictors({"ceer"}, empty), "ceer.*no op rows");
+    EXPECT_DEATH(makePredictors({"paleo_flops"}, empty),
                  "paleo_flops.*empty");
-}
-
-TEST(PredictorRegistryTest, PredictBeforeTrainIsFatal)
-{
-    const graph::Graph g = models::buildInceptionV1(32);
-    EXPECT_DEATH(makePredictor("ceer")->predictIterationUs(
-                     g, GpuModel::V100, 1),
-                 "before trainFrom");
 }
 
 } // namespace

@@ -273,11 +273,11 @@ INSTANTIATE_TEST_SUITE_P(Dims, RegressionDimSweep,
 
 // --- Predictor contract: every registered baseline engine ---
 //
-// The baselines::Predictor documentation promises that after
-// trainFrom() every engine is deterministic, finite and non-negative
-// on the whole model zoo, and monotone non-decreasing in the
-// data-parallel width. These sweeps hold each registered engine to
-// that contract, so a new engine cannot land without inheriting it.
+// The baselines::Predictor documentation promises that every engine
+// the factory builds is deterministic, finite and non-negative on the
+// whole model zoo, and monotone non-decreasing in the data-parallel
+// width. These sweeps hold each registered engine to that contract,
+// so a new engine cannot land without inheriting it.
 
 class PredictorContract : public ::testing::TestWithParam<std::string>
 {
@@ -295,11 +295,7 @@ class PredictorContract : public ::testing::TestWithParam<std::string>
         return d;
     }
 
-    /**
-     * The whole zoo, built once and kept alive for the suite: the
-     * plan-memoizing engines key on graph addresses, so per-test
-     * stack graphs would alias across iterations.
-     */
+    /** The whole zoo, built once for the suite. */
     static const std::vector<graph::Graph> &
     zoo()
     {
@@ -312,53 +308,71 @@ class PredictorContract : public ::testing::TestWithParam<std::string>
         }();
         return z;
     }
+
+    /** The engine under test, trained on dataset(). */
+    static std::unique_ptr<baselines::Predictor>
+    engine()
+    {
+        return std::move(
+            baselines::makePredictors({GetParam()}, dataset()).front());
+    }
+
+    /** The engine's V100 x {1, 2, 4, 8} grid for @p g. */
+    static std::vector<double>
+    grid(const baselines::Predictor &predictor, const graph::Graph &g)
+    {
+        const std::vector<hw::GpuModel> gpus = {hw::GpuModel::V100};
+        const std::vector<int> ks = {1, 2, 4, 8};
+        std::vector<double> out(ks.size());
+        predictor.predictGrid(g, gpus, ks, out);
+        return out;
+    }
 };
 
 TEST_P(PredictorContract, FiniteDeterministicAndMonotoneInK)
 {
-    const std::unique_ptr<baselines::Predictor> predictor =
-        baselines::makePredictor(GetParam());
+    const std::unique_ptr<baselines::Predictor> predictor = engine();
     EXPECT_EQ(predictor->name(), GetParam());
-    predictor->trainFrom(dataset());
+    const std::vector<hw::GpuModel> &gpus = hw::allGpuModels();
+    const std::vector<int> ks = {1, 2, 4, 8};
     for (std::size_t m = 0; m < zoo().size(); ++m) {
         const graph::Graph &g = zoo()[m];
-        for (const hw::GpuModel gpu : hw::allGpuModels()) {
+        std::vector<double> us(gpus.size() * ks.size());
+        predictor->predictGrid(g, gpus, ks, us);
+        for (std::size_t gi = 0; gi < gpus.size(); ++gi) {
             double previous = 0.0;
-            for (const int k : {1, 2, 4, 8}) {
-                const double us =
-                    predictor->predictIterationUs(g, gpu, k);
-                EXPECT_TRUE(std::isfinite(us))
-                    << models::allModelNames()[m] << " k=" << k;
-                EXPECT_GE(us, 0.0)
-                    << models::allModelNames()[m] << " k=" << k;
-                EXPECT_GE(us, previous)
+            for (std::size_t ki = 0; ki < ks.size(); ++ki) {
+                const double cell = us[gi * ks.size() + ki];
+                EXPECT_TRUE(std::isfinite(cell))
+                    << models::allModelNames()[m] << " k=" << ks[ki];
+                EXPECT_GE(cell, 0.0)
+                    << models::allModelNames()[m] << " k=" << ks[ki];
+                EXPECT_GE(cell, previous)
                     << models::allModelNames()[m]
-                    << ": prediction decreased from k=" << k;
-                EXPECT_EQ(us, predictor->predictIterationUs(g, gpu, k))
-                    << models::allModelNames()[m]
-                    << ": repeated call differed at k=" << k;
-                previous = us;
+                    << ": prediction decreased from k=" << ks[ki];
+                previous = cell;
             }
         }
+        std::vector<double> again(us.size());
+        predictor->predictGrid(g, gpus, ks, again);
+        EXPECT_EQ(us, again) << models::allModelNames()[m]
+                             << ": repeated call differed";
     }
 }
 
 TEST_P(PredictorContract, RetrainingIsIdempotent)
 {
-    const std::unique_ptr<baselines::Predictor> predictor =
-        baselines::makePredictor(GetParam());
-    predictor->trainFrom(dataset());
-    const double first = predictor->predictIterationUs(
-        zoo()[0], hw::GpuModel::V100, 4);
-    predictor->trainFrom(dataset());
-    EXPECT_EQ(first, predictor->predictIterationUs(
-                         zoo()[0], hw::GpuModel::V100, 4));
+    // Two engines built from one dataset predict bit-identically.
+    const std::unique_ptr<baselines::Predictor> first = engine();
+    const std::unique_ptr<baselines::Predictor> second = engine();
+    for (const graph::Graph &g : zoo())
+        EXPECT_EQ(grid(*first, g), grid(*second, g)) << g.name();
 }
 
 TEST_P(PredictorContract, EvaluationReportIsThreadInvariant)
 {
-    const std::unique_ptr<baselines::Predictor> predictor =
-        baselines::makePredictor(GetParam());
+    const std::vector<std::unique_ptr<baselines::Predictor>>
+        predictors = baselines::makePredictors({GetParam()}, dataset());
     baselines::EvalOptions options;
     options.models = {"alexnet", "inception_v1"};
     options.ks = {1, 2, 4};
@@ -366,8 +380,8 @@ TEST_P(PredictorContract, EvaluationReportIsThreadInvariant)
     std::string baseline;
     for (const int threads : {1, 2, 4, 8}) {
         options.threads = threads;
-        const baselines::EvalReport report = baselines::runEvaluation(
-            dataset(), {predictor.get()}, options);
+        const baselines::EvalReport report =
+            baselines::runEvaluation(predictors, options);
         std::ostringstream csv;
         report.saveCsv(csv);
         if (threads == 1)

@@ -113,10 +113,11 @@ TEST(TraceTest, ChromeJsonEscapesControlCharacters)
     EXPECT_NE(escaped.find("\\\""), std::string::npos);
     EXPECT_NE(escaped.find("\\\\"), std::string::npos);
 
-    // Round trip through a full event line: the document stays
-    // structurally sound (quotes balance, no raw control bytes).
+    // Round trip through a full document: it stays structurally
+    // sound (quotes balance, no raw control bytes).
     std::ostringstream out;
-    obs::chromeCompleteEvent(out, hostile, "cat", 0.0, 1.0, 0, true);
+    const obs::TraceSpan span{hostile, "cat", 0.0, 1.0, 0};
+    obs::writeChromeTrace(out, {&span, 1}, {});
     const std::string line = out.str();
     for (char c : line) {
         if (c != '\n') {
@@ -127,27 +128,34 @@ TEST(TraceTest, ChromeJsonEscapesControlCharacters)
 
 TEST(TraceTest, ChromeTraceUsesSharedWriter)
 {
-    // Pins sim::IterationTrace::writeChromeTrace to the shared obs
-    // chrome-trace helpers: a document built event by event from
-    // obs::chromeThreadNameEvent / obs::chromeCompleteEvent must be
-    // byte-identical (the historical inline-formatted output).
-    const IterationTrace trace = sampleTrace();
-    std::ostringstream actual;
-    trace.writeChromeTrace(actual);
+    // obs::TraceSink and sim::IterationTrace both write through
+    // obs::writeChromeTrace; its document format is pinned here.
+    const std::vector<obs::TraceSpan> spans = {
+        {"conv", "Conv2D", 0.0, 1.5, 0},
+        {"sync (k=2)", "Communication", 1.5, 0.25, 2}};
+    const std::string lanes[] = {"GPU stream", "host"};
+    std::ostringstream doc;
+    obs::writeChromeTrace(doc, spans, lanes);
+    EXPECT_EQ(doc.str(),
+              "[\n"
+              "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+              "\"tid\": 0, \"args\": {\"name\": \"GPU stream\"}},\n"
+              "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+              "\"tid\": 1, \"args\": {\"name\": \"host\"}},\n"
+              "  {\"name\": \"conv\", \"cat\": \"Conv2D\", \"ph\": \"X\", "
+              "\"ts\": 0.000, \"dur\": 1.500, \"pid\": 1, \"tid\": 0},\n"
+              "  {\"name\": \"sync (k=2)\", \"cat\": \"Communication\", "
+              "\"ph\": \"X\", \"ts\": 1.500, \"dur\": 0.250, \"pid\": 1, "
+              "\"tid\": 2}\n"
+              "]\n");
 
-    std::ostringstream expected;
-    expected << "[\n";
-    const char *lane_names[] = {"GPU stream", "host (CPU ops)",
-                                "synchronization"};
-    for (int lane = 0; lane <= 2; ++lane)
-        obs::chromeThreadNameEvent(expected, lane, lane_names[lane]);
-    const auto &events = trace.events();
-    for (std::size_t i = 0; i < events.size(); ++i)
-        obs::chromeCompleteEvent(expected, events[i].name,
-                                 events[i].category, events[i].startUs,
-                                 events[i].durationUs, events[i].lane,
-                                 i + 1 == events.size());
-    expected << "]\n";
+    // An iteration timeline is that document over its three lanes.
+    const IterationTrace trace = sampleTrace();
+    std::ostringstream actual, expected;
+    trace.writeChromeTrace(actual);
+    const std::string lane_names[] = {"GPU stream", "host (CPU ops)",
+                                      "synchronization"};
+    obs::writeChromeTrace(expected, trace.events(), lane_names);
     EXPECT_EQ(actual.str(), expected.str());
 }
 

@@ -307,14 +307,6 @@ cmdEvaluate(int argc, char **argv)
     const profile::ProfileDataset dataset =
         profile::ProfileDataset::loadFile(flags.getString("profiles"));
 
-    std::vector<std::string> predictor_names;
-    for (const auto &name :
-         util::split(flags.getString("predictors"), ','))
-        if (!name.empty())
-            predictor_names.push_back(util::trim(name));
-    const std::vector<std::unique_ptr<baselines::Predictor>>
-        predictors = baselines::makePredictors(predictor_names);
-
     baselines::EvalOptions options;
     options.models = flags.getString("models").empty()
                          ? models::allModelNames()
@@ -336,8 +328,13 @@ cmdEvaluate(int argc, char **argv)
     options.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
     options.threads = flags.getIntAs<int>("threads");
 
-    const baselines::EvalReport report =
-        baselines::runEvaluation(dataset, predictors, options);
+    std::vector<std::string> predictor_names;
+    for (const auto &name :
+         util::split(flags.getString("predictors"), ','))
+        if (!name.empty())
+            predictor_names.push_back(util::trim(name));
+    const baselines::EvalReport report = baselines::runEvaluation(
+        baselines::makePredictors(predictor_names, dataset), options);
 
     std::ofstream out(flags.getString("out"), std::ios::binary);
     if (!out)

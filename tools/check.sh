@@ -274,11 +274,12 @@ pass_tsan() {
     # and without observability.
     ./build-tsan/tests/predict_plan_test \
         --gtest_filter='ParallelRecommenderTest.*:ParallelTrainerTest.*:SerialAndParallel/*'
-    # The cross-predictor evaluation sweep under TSan: every engine
-    # predicting concurrently (the Ceer variants' first-touch plan
-    # memo included) while per-cell simulators run on the pool.
+    # The cross-predictor evaluation sweep under TSan: per-cell
+    # simulators, then every engine filling its (predictor, model)
+    # slices concurrently, the three Ceer variants reading one shared
+    # trained model.
     ./build-tsan/tests/baselines_test \
-        --gtest_filter='EvalSweepTest.ParallelSweepIsByteIdentical'
+        --gtest_filter='EvalSweepTest.*'
     # The full ceerd stack under TSan: the multi-reactor accept
     # handoff, the shared plan cache's concurrent compile-once
     # path, large-catalog sweeps forking from reactor threads onto the
