@@ -11,7 +11,9 @@
  * It also times graph construction of the 12-CNN zoo at batch 32
  * (the cold cost ahead of every first-time plan compile) and fails
  * the run when a build makes more than kGraphBuildAllocBudget heap
- * allocations per node, counted by a replaced operator new.
+ * allocations per node, counted by a replaced operator new, and
+ * records the trainer's heap high-water mark on its fixture
+ * (train_peak_heap_mb).
  * Writes BENCH_ceer.json so future changes can track the perf
  * trajectory.
  *
@@ -30,6 +32,7 @@
 #include "cloud/instances.h"
 #include "core/predictor.h"
 #include "core/recommender.h"
+#include "core/trainer.h"
 #include "models/model_zoo.h"
 #include "util/flags.h"
 #include "util/strings.h"
@@ -146,8 +149,21 @@ main(int argc, char **argv)
 
     bench::BenchConfig fixture;
     fixture.iterations = flags.getIntAs<int>("train-iters");
-    const core::CeerPredictor predictor(
-        bench::trainOnPaperTrainingSet(fixture).model);
+    // The trainer's heap high-water mark on the fixture: the most
+    // operator-new heap one trainCeer call holds at once.
+    const profile::ProfileDataset dataset =
+        bench::collectTrainingProfiles(fixture, true);
+    bench::startAllocCount();
+    core::CeerModel model = core::trainCeer(dataset);
+    bench::stopAllocCount();
+    const bool hooked = bench::allocHookAvailable();
+    const double train_peak_mb =
+        static_cast<double>(bench::peakAllocBytes()) / 1e6;
+    if (hooked)
+        std::cout << util::format("trainer peak heap: %.3f MB over %zu "
+                                  "op rows\n",
+                                  train_peak_mb, dataset.ops().size());
+    const core::CeerPredictor predictor(std::move(model));
     const graph::Graph g = models::buildModel(model_name, 32);
 
     // Every (GPU, k) candidate of one workload — the shape of a
@@ -221,9 +237,13 @@ main(int argc, char **argv)
     doc.num("compile_us", compile_us, "%.1f")
         .object("compile", compile_block)
         .num("compiled_rounds_per_sec", rounds_per_sec, "%.1f")
-        .object("compiled_rounds", rounds_block)
-        .num("recommender_candidates",
-             static_cast<std::int64_t>(candidates.size()))
+        .object("compiled_rounds", rounds_block);
+    if (hooked)
+        doc.num("train_peak_heap_mb", train_peak_mb, "%.3f");
+    else
+        doc.nul("train_peak_heap_mb");
+    doc.num("recommender_candidates",
+            static_cast<std::int64_t>(candidates.size()))
         .boolean("recommender_identity_ok", sweep.identical())
         .object("graph_build", graph_build)
         .array("recommender_sweep", sweep.rowsJson());

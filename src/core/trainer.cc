@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/trace_sink.h"
@@ -107,21 +109,6 @@ fitOpModel(GpuModel gpu, OpType op,
     }
     fitted.usable = true;
     return fitted;
-}
-
-/** Pools reservoir samples of all profiles passing @p predicate. */
-template <typename Predicate>
-double
-pooledMedian(const ProfileDataset &dataset, Predicate predicate)
-{
-    std::vector<double> pooled;
-    for (const OpProfile &profile : dataset.ops()) {
-        if (!predicate(profile))
-            continue;
-        const auto &samples = profile.samples.samples();
-        pooled.insert(pooled.end(), samples.begin(), samples.end());
-    }
-    return util::median(std::move(pooled));
 }
 
 /** Fits S_1 and the D_k (k >= 2) comm regressions for every GPU. */
@@ -246,12 +233,19 @@ trainCeer(const ProfileDataset &dataset, const TrainOptions &options)
                                std::move(fitted[i]));
     }
 
-    model.lightMedianUs = pooledMedian(
-        dataset, [&](const OpProfile &p) {
-            return !p.onCpu && !model.heavyOps.count(p.op);
-        });
-    model.cpuMedianUs = pooledMedian(
-        dataset, [](const OpProfile &p) { return p.onCpu; });
+    // The fallback medians pool the reservoir samples of every light
+    // GPU row and of every CPU row. One pass gathers views of the
+    // rows' samples; the medians are selected in place, so nothing the
+    // size of the pools is copied.
+    std::vector<std::span<const double>> light, cpu;
+    for (const OpProfile &p : dataset.ops()) {
+        if (p.onCpu)
+            cpu.emplace_back(p.samples.samples());
+        else if (!model.heavyOps.count(p.op))
+            light.emplace_back(p.samples.samples());
+    }
+    model.lightMedianUs = util::median(light);
+    model.cpuMedianUs = util::median(cpu);
 
     model.comm = fitCommModel(dataset);
 

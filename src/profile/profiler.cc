@@ -64,12 +64,19 @@ InstanceIndex::appendRows(std::vector<OpProfile> *rows,
 }
 
 Profiler::Profiler(const InstanceIndex &index,
-                   const util::ReservoirSchedule &schedule)
-    : index_(&index), schedule_(&schedule),
-      stats_(index.instances.size()), samples_(index.instances.size())
+                   const util::ReservoirSchedule &schedule,
+                   std::span<OpProfile> rows)
+    : index_(&index), schedule_(&schedule), rows_(rows)
 {
     if (schedule.capacity() != kProfileSamples)
         util::panic("Profiler: reservoir schedule has the wrong capacity");
+    if (rows.size() != index.instances.size())
+        util::panic("Profiler: rows do not match the instances");
+    for (const OpProfile &row : rows)
+        if (row.timeUs.count() != 0 || row.samples.offered() != 0 ||
+            row.samples.capacity() != kProfileSamples)
+            util::panic("Profiler: rows must be empty, of capacity "
+                        "kProfileSamples");
 }
 
 void
@@ -81,28 +88,12 @@ Profiler::observe(std::span<const double> times_us)
     if (iterations_ * index_->maxOccurrences > schedule_->maxOffered())
         util::panic("Profiler::observe: reservoir schedule too short");
     const std::uint32_t *instance_of = index_->nodeInstance.data();
+    OpProfile *rows = rows_.data();
     for (std::size_t i = 0; i < times_us.size(); ++i) {
-        const std::uint32_t instance = instance_of[i];
+        OpProfile &row = rows[instance_of[i]];
         const double t = times_us[i];
-        stats_[instance].add(t);
-        // SampleReservoir::add, branch-free: the schedule sends a
-        // dropped offer to the block's spare last slot.
-        SampleBlock &block = samples_[instance];
-        block.slots[schedule_->slot(++block.offered)] = t;
-    }
-}
-
-void
-Profiler::fill(std::span<OpProfile> rows) const
-{
-    if (rows.size() != samples_.size())
-        util::panic("Profiler::fill: rows do not match the instances");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const SampleBlock &block = samples_[i];
-        rows[i].timeUs = stats_[i];
-        rows[i].samples.assign(
-            block.offered, schedule_->rngState(block.offered),
-            {block.slots, std::min(block.offered, kProfileSamples)});
+        row.timeUs.add(t);
+        row.samples.replay(t, *schedule_);
     }
 }
 
@@ -395,9 +386,10 @@ namespace {
 /**
  * Runs @p iterations iterations on @p plan and writes the run-level
  * means into @p run. When @p index is set the run is observed through
- * a Profiler that fills @p ops, one row per instance. Every run of the
- * sweep, and profileRun(), goes through here; it writes only into rows
- * its caller made, so nothing it keeps is allocated on this thread.
+ * a Profiler that accumulates into @p ops, one row per instance. Every
+ * run of the sweep, and profileRun(), goes through here; it writes only
+ * into rows its caller made, so nothing it keeps is allocated on this
+ * thread.
  */
 void
 simulateRun(const std::shared_ptr<const sim::ExecPlan> &plan,
@@ -413,9 +405,8 @@ simulateRun(const std::shared_ptr<const sim::ExecPlan> &plan,
         // observer contract): parallelism lives one level up, across
         // the sweep's (CNN, GPU) tasks, so profile datasets stay
         // byte-identical regardless of either thread count.
-        Profiler profiler(*index, schedule);
+        Profiler profiler(*index, schedule, ops);
         stats = simulator.run(iterations, profiler.observer());
-        profiler.fill(ops);
     } else {
         stats = simulator.run(iterations);
     }

@@ -93,7 +93,7 @@ struct InstanceIndex
     /**
      * Appends one row per instance to @p rows, in instance order, with
      * every column but the timings set and the reservoir storage
-     * reserved, so Profiler::fill() allocates nothing.
+     * reserved, so a Profiler bound to them allocates nothing.
      */
     void appendRows(std::vector<OpProfile> *rows, const std::string &model,
                     hw::GpuModel gpu) const;
@@ -104,12 +104,13 @@ struct InstanceIndex
 };
 
 /**
- * Observer that accumulates op executions per instance.
+ * Observer that accumulates op executions into the rows of their
+ * instances.
  *
- * Each instance keeps one RunningStats and one fixed block of
- * kProfileSamples reservoir slots, replayed through a shared
- * util::ReservoirSchedule, so fill() writes exactly what per-instance
- * RunningStats::add and SampleReservoir::add would have produced.
+ * Each execution goes straight into its row: RunningStats::add, and
+ * SampleReservoir::replay through a shared util::ReservoirSchedule, so
+ * every row always holds exactly what per-instance add() calls would
+ * have produced. The profiler itself keeps no per-instance state.
  * Bind one profiler per run; pass observer() to TrainingSimulator::run.
  */
 class Profiler
@@ -120,11 +121,15 @@ class Profiler
      * @param schedule Replacement draws of capacity kProfileSamples;
      *                 it must cover every offer of the run (panics
      *                 otherwise).
+     * @param rows     One empty row per instance, as
+     *                 InstanceIndex::appendRows() made them (panics
+     *                 otherwise); only their timings change.
      *
-     * @p index and @p schedule must outlive the profiler.
+     * @p index, @p schedule and @p rows must outlive the profiler.
      */
     Profiler(const InstanceIndex &index,
-             const util::ReservoirSchedule &schedule);
+             const util::ReservoirSchedule &schedule,
+             std::span<OpProfile> rows);
 
     // observer() hands out callbacks holding this object's address.
     Profiler(const Profiler &) = delete;
@@ -142,26 +147,11 @@ class Profiler
         };
     }
 
-    /**
-     * Writes the timings and reservoir state observed so far into
-     * @p rows, one per instance as InstanceIndex::appendRows() made
-     * them; no other column changes and nothing is allocated.
-     */
-    void fill(std::span<OpProfile> rows) const;
-
   private:
-    /** Reservoir state of one instance; the last slot is a sink. */
-    struct SampleBlock
-    {
-        std::size_t offered = 0;
-        double slots[kProfileSamples + 1] = {};
-    };
-
     const InstanceIndex *index_;
     const util::ReservoirSchedule *schedule_;
+    std::span<OpProfile> rows_;
     std::size_t iterations_ = 0;
-    std::vector<util::RunningStats> stats_; ///< Per instance.
-    std::vector<SampleBlock> samples_;      ///< Per instance.
 };
 
 struct CollectOptions;

@@ -1,6 +1,7 @@
 #include "util/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -81,9 +82,6 @@ RunningStats::max() const
 
 namespace {
 
-/// Replacement-RNG state of a default-constructed reservoir.
-constexpr std::uint64_t kReservoirSeed = 0xA02BDBF7BB3C0A7ull;
-
 /**
  * The reservoir's replacement rule, shared by SampleReservoir::add()
  * and ReservoirSchedule: advances @p state and returns the slot the
@@ -109,16 +107,13 @@ SampleReservoir::SampleReservoir(std::size_t capacity)
 void
 SampleReservoir::add(double x)
 {
-    ++offered_;
-    if (samples_.size() < capacity_) {
-        samples_.push_back(x);
-        return;
-    }
-    // Classic reservoir sampling: replace a random slot with probability
-    // capacity / offered.
-    const std::uint64_t pick = replacementDraw(rngState_, offered_);
-    if (pick < capacity_)
-        samples_[pick] = x;
+    // Classic reservoir sampling: fill, then replace a random slot with
+    // probability capacity / offered (a draw past the last slot drops
+    // the offer).
+    offerAt(samples_.size() < capacity_
+                ? samples_.size()
+                : replacementDraw(rngState_, offered_ + 1),
+            x);
 }
 
 SampleReservoir
@@ -138,17 +133,6 @@ SampleReservoir::fromState(std::size_t capacity, std::size_t offered,
     return reservoir;
 }
 
-void
-SampleReservoir::assign(std::size_t offered, std::uint64_t rng_state,
-                        std::span<const double> samples)
-{
-    if (samples.size() != std::min(offered, capacity_))
-        panic("SampleReservoir::assign: inconsistent state");
-    offered_ = offered;
-    rngState_ = rng_state;
-    samples_.assign(samples.begin(), samples.end());
-}
-
 ReservoirSchedule::ReservoirSchedule(std::size_t capacity,
                                      std::size_t max_offered)
     : capacity_(capacity), slots_(max_offered)
@@ -166,37 +150,141 @@ ReservoirSchedule::ReservoirSchedule(std::size_t capacity,
     }
 }
 
+namespace {
+
+/**
+ * Maps a double to a 64-bit key whose unsigned order is the double's
+ * order: flip every bit of a negative value, only the sign bit of a
+ * positive one.
+ */
 std::uint64_t
-ReservoirSchedule::rngState(std::size_t offered) const
+orderKey(double x)
 {
-    const std::size_t draws = offered > capacity_ ? offered - capacity_ : 0;
-    return splitMix64Skip(kReservoirSeed, draws);
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    return bits ^ ((0 - (bits >> 63)) | (std::uint64_t{1} << 63));
 }
 
+/** Inverse of orderKey(). */
 double
-median(std::vector<double> values)
+fromOrderKey(std::uint64_t key)
 {
-    return percentile(std::move(values), 50.0);
+    return std::bit_cast<double>(
+        key ^ ((0 - (~key >> 63)) | (std::uint64_t{1} << 63)));
 }
 
-double
-percentile(std::vector<double> values, double p)
+/** Key of the rank-th smallest value, and how many values share it. */
+struct RankKey
 {
-    if (values.empty())
+    std::uint64_t key = 0;
+    std::size_t below = 0; ///< Values with a smaller key.
+    std::size_t equal = 0; ///< Values with this key.
+};
+
+/** Digit width of the radix select: a 16 KiB stack histogram. */
+constexpr int kDigitBits = 11;
+
+/**
+ * Most-significant-digit radix select of the @p rank-th smallest key
+ * (0-based) over @p parts. Each pass histograms the next digit of the
+ * keys that share the digits fixed so far and fixes the digit whose
+ * bucket holds the rank; it stops early once that bucket holds a
+ * single value. Panics on a NaN value (checked in the first pass).
+ */
+RankKey
+selectRank(std::span<const std::span<const double>> parts, std::size_t rank)
+{
+    RankKey out;
+    std::uint64_t prefix = 0; // fixed high bits, in place
+    std::uint64_t fixed_mask = 0;
+    for (int fixed = 0; fixed < 64;) {
+        const int bits = std::min(kDigitBits, 64 - fixed);
+        const int shift = 64 - fixed - bits;
+        const std::uint64_t digit_mask = (std::uint64_t{1} << bits) - 1;
+        std::size_t histogram[std::size_t{1} << kDigitBits] = {};
+        for (std::span<const double> part : parts) {
+            for (double x : part) {
+                if (fixed == 0 && std::isnan(x))
+                    panic("percentile: NaN value");
+                const std::uint64_t key = orderKey(x);
+                if ((key & fixed_mask) == prefix)
+                    ++histogram[(key >> shift) & digit_mask];
+            }
+        }
+        std::uint64_t digit = 0;
+        while (out.below + histogram[digit] <= rank)
+            out.below += histogram[digit++];
+        prefix |= digit << shift;
+        fixed_mask |= digit_mask << shift;
+        fixed += bits;
+        out.equal = histogram[digit];
+        if (out.equal == 1 && fixed < 64) {
+            // One value carries this prefix: it is the answer.
+            for (std::span<const double> part : parts)
+                for (double x : part) {
+                    const std::uint64_t key = orderKey(x);
+                    if ((key & fixed_mask) == prefix)
+                        out.key = key;
+                }
+            return out;
+        }
+    }
+    out.key = prefix;
+    return out;
+}
+
+} // namespace
+
+double
+percentile(std::span<const std::span<const double>> parts, double p)
+{
+    if (std::isnan(p))
+        panic("percentile: NaN rank");
+    std::size_t n = 0;
+    for (std::span<const double> part : parts)
+        n += part.size();
+    if (n == 0)
         return 0.0;
     p = std::clamp(p, 0.0, 100.0);
-    const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
+    const double rank = p / 100.0 * static_cast<double>(n - 1);
     const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
     const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
-    // Select the two closest ranks instead of sorting: after
-    // nth_element, rank hi is the smallest value above position lo.
-    const auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
-    std::nth_element(values.begin(), lo_it, values.end());
+    const RankKey lower = selectRank(parts, lo);
+    const double lower_value = fromOrderKey(lower.key);
     if (lo == hi)
-        return *lo_it;
-    const double upper = *std::min_element(lo_it + 1, values.end());
+        return lower_value;
+    // Rank hi is the next value up: the same key while it has copies
+    // left, else the smallest key above it.
+    std::uint64_t upper = lower.key;
+    if (lower.below + lower.equal <= hi) {
+        upper = ~std::uint64_t{0};
+        for (std::span<const double> part : parts)
+            for (double x : part) {
+                const std::uint64_t key = orderKey(x);
+                if (key > lower.key)
+                    upper = std::min(upper, key);
+            }
+    }
     const double frac = rank - static_cast<double>(lo);
-    return *lo_it * (1.0 - frac) + upper * frac;
+    return lower_value * (1.0 - frac) + fromOrderKey(upper) * frac;
+}
+
+double
+median(std::span<const std::span<const double>> parts)
+{
+    return percentile(parts, 50.0);
+}
+
+double
+percentile(const std::vector<double> &values, double p)
+{
+    const std::span<const double> part(values);
+    return percentile(std::span(&part, 1), p);
+}
+
+double
+median(const std::vector<double> &values)
+{
+    return percentile(values, 50.0);
 }
 
 std::vector<CdfPoint>

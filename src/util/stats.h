@@ -12,6 +12,8 @@
 #include <span>
 #include <vector>
 
+#include "util/random.h"
+
 namespace ceer {
 namespace util {
 
@@ -98,12 +100,17 @@ RunningStats::add(double x)
     m2_ += delta * (x - mean_);
 }
 
+class ReservoirSchedule;
+
+/// Replacement-RNG state of a default-constructed SampleReservoir.
+inline constexpr std::uint64_t kReservoirSeed = 0xA02BDBF7BB3C0A7ull;
+
 /**
  * Bounded reservoir of samples for order statistics.
  *
  * Keeps at most @c capacity samples via reservoir sampling so that
- * median() and percentile() over samples() stay O(capacity log
- * capacity) regardless of how many observations were offered.
+ * median() and percentile() over samples() stay O(capacity)
+ * regardless of how many observations were offered.
  * Deterministic given the insertion order.
  */
 class SampleReservoir
@@ -141,18 +148,27 @@ class SampleReservoir
                                      std::vector<double> samples);
 
     /**
-     * Overwrites this reservoir, in place, with the state fromState()
-     * would build at its capacity. It allocates nothing while @p
-     * samples fits the storage the constructor reserved. Panics when
-     * the sample count is not min(@p offered, capacity()).
+     * Offers one observation in place, replaying @p schedule instead of
+     * drawing: it writes slot(offered() + 1) and leaves the RNG at
+     * rngState(offered() + 1), so a default reservoir of the schedule's
+     * capacity ends up exactly as add() would leave it. It allocates
+     * nothing past the storage the constructor reserved. The schedule
+     * must have this reservoir's capacity and cover the offer; the
+     * caller checks both.
      */
-    void assign(std::size_t offered, std::uint64_t rng_state,
-                std::span<const double> samples);
+    void replay(double x, const ReservoirSchedule &schedule);
 
     /** Currently retained samples (unsorted). */
     const std::vector<double> &samples() const { return samples_; }
 
   private:
+    /**
+     * Counts one offer and stores @p x at @p slot: past the retained
+     * samples it is appended while there is room and dropped once
+     * there is not. add() and replay() both end here.
+     */
+    void offerAt(std::size_t slot, double x);
+
     std::size_t capacity_;
     std::size_t offered_ = 0;
     std::uint64_t rngState_;
@@ -166,10 +182,9 @@ class SampleReservoir
  * constant and advances it once per offer past capacity, so the slot
  * that offer number j writes depends only on (capacity, j), never on
  * the values offered. Drawing that sequence once lets any number of
- * equal-capacity reservoirs replay add() exactly: offer j stores its
- * value at slot(j) of a (capacity + 1)-slot block, whose last slot
- * absorbs the dropped offers, and SampleReservoir::assign() with
- * rngState() finishes the reservoir add() would have reached.
+ * equal-capacity reservoirs replay add() exactly, in place, through
+ * SampleReservoir::replay(): offer j writes slot(j), and slot
+ * capacity() marks a dropped offer.
  */
 class ReservoirSchedule
 {
@@ -199,22 +214,56 @@ class ReservoirSchedule
     }
 
     /** The replacement-RNG state add() reaches after @p offered offers. */
-    std::uint64_t rngState(std::size_t offered) const;
+    std::uint64_t rngState(std::size_t offered) const
+    {
+        // One draw per offer past the capacity; each only adds a
+        // constant to the state.
+        return splitMix64Skip(kReservoirSeed,
+                              offered > capacity_ ? offered - capacity_ : 0);
+    }
 
   private:
     std::size_t capacity_;
     std::vector<std::uint8_t> slots_;
 };
 
-/** Returns the median of @p values (copied and partially reordered). */
-double median(std::vector<double> values);
+// Inline: the profiler replays once per observed op execution.
+inline void
+SampleReservoir::offerAt(std::size_t slot, double x)
+{
+    ++offered_;
+    if (slot < samples_.size())
+        samples_[slot] = x;
+    else if (samples_.size() < capacity_)
+        samples_.push_back(x);
+}
+
+inline void
+SampleReservoir::replay(double x, const ReservoirSchedule &schedule)
+{
+    offerAt(schedule.slot(offered_ + 1), x);
+    rngState_ = schedule.rngState(offered_);
+}
 
 /**
- * Returns the @p p percentile (0-100) of @p values with linear
- * interpolation between closest ranks; 0 for an empty vector. The two
- * ranks are selected (std::nth_element), not sorted for.
+ * Returns the @p p percentile (0-100) of the values of @p parts taken
+ * together, with linear interpolation between closest ranks; 0 when
+ * they hold no value. The two ranks are found in place by a radix
+ * select over order-preserving 64-bit keys: nothing is copied or
+ * allocated, and the result is the one a sort of the concatenation
+ * gives, bit for bit (-0.0 orders below +0.0). Panics when @p p or any
+ * value is NaN.
  */
-double percentile(std::vector<double> values, double p);
+double percentile(std::span<const std::span<const double>> parts, double p);
+
+/** percentile(@p parts, 50). */
+double median(std::span<const std::span<const double>> parts);
+
+/** percentile() of the one span @p values. */
+double percentile(const std::vector<double> &values, double p);
+
+/** median() of the one span @p values. */
+double median(const std::vector<double> &values);
 
 /** One point of an empirical CDF: P(X <= value) = cumulative. */
 struct CdfPoint

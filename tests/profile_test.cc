@@ -95,10 +95,10 @@ TEST(ProfilerTest, AggregatesEveryExecution)
 
 TEST(ProfilerTest, CompactSlotsMatchPerInstanceAccumulators)
 {
-    // The profiler's contiguous stats and scheduled sample blocks must
-    // equal one RunningStats plus one SampleReservoir per instance fed
-    // through add(), bit for bit. 100 iterations take every instance
-    // past the 64-sample capacity.
+    // The rows the profiler accumulates into, their reservoirs replayed
+    // through the shared schedule, must equal one RunningStats plus one
+    // SampleReservoir per instance fed through add(), bit for bit. 100
+    // iterations take every instance past the 64-sample capacity.
     const Graph g = models::buildResNetV2(50, 8);
     const InstanceIndex index(g);
     const util::ReservoirSchedule schedule(
@@ -106,7 +106,9 @@ TEST(ProfilerTest, CompactSlotsMatchPerInstanceAccumulators)
     std::vector<util::RunningStats> stats(index.instances.size());
     std::vector<util::SampleReservoir> samples(
         index.instances.size(), util::SampleReservoir(kProfileSamples));
-    Profiler profiler(index, schedule);
+    std::vector<OpProfile> profiles;
+    index.appendRows(&profiles, "resnet_50", hw::GpuModel::T4);
+    Profiler profiler(index, schedule, profiles);
     sim::SimConfig config;
     config.gpu = hw::GpuModel::T4;
     sim::TrainingSimulator simulator(g, config);
@@ -118,9 +120,6 @@ TEST(ProfilerTest, CompactSlotsMatchPerInstanceAccumulators)
         }
     });
 
-    std::vector<OpProfile> profiles;
-    index.appendRows(&profiles, "resnet_50", hw::GpuModel::T4);
-    profiler.fill(profiles);
     ASSERT_EQ(profiles.size(), index.instances.size());
     for (std::size_t i = 0; i < profiles.size(); ++i) {
         const OpProfile &profile = profiles[i];
@@ -152,13 +151,39 @@ TEST(ProfilerTest, ShortScheduleOrWrongSizeDies)
     // its end.
     const util::ReservoirSchedule schedule(kProfileSamples,
                                            index.maxOccurrences);
-    Profiler profiler(index, schedule);
+    std::vector<OpProfile> rows;
+    index.appendRows(&rows, "alexnet", hw::GpuModel::K80);
+    Profiler profiler(index, schedule, rows);
     profiler.observe(times);
     EXPECT_DEATH(profiler.observe(times), "schedule too short");
 
-    Profiler sized(index, schedule);
+    std::vector<OpProfile> fresh;
+    index.appendRows(&fresh, "alexnet", hw::GpuModel::K80);
+    Profiler sized(index, schedule, fresh);
     const std::vector<double> wrong(g.size() + 1, 1.0);
     EXPECT_DEATH(sized.observe(wrong), "do not match");
+}
+
+TEST(ProfilerTest, RowsThatDoNotFitTheRunDie)
+{
+    // The profiler accumulates into the rows it is given, so they must
+    // be one empty row per instance with the schedule's capacity.
+    const Graph g = models::buildAlexNet(4);
+    const InstanceIndex index(g);
+    const util::ReservoirSchedule schedule(kProfileSamples,
+                                           index.maxOccurrences);
+    std::vector<OpProfile> rows;
+    index.appendRows(&rows, "alexnet", hw::GpuModel::K80);
+    EXPECT_DEATH(Profiler(index, schedule,
+                          std::span(rows).first(rows.size() - 1)),
+                 "rows do not match");
+    rows.back().timeUs.add(1.0);
+    EXPECT_DEATH(Profiler(index, schedule, rows), "must be empty");
+    rows.back() = OpProfile{};
+    rows.back().samples = util::SampleReservoir(kProfileSamples + 1);
+    EXPECT_DEATH(Profiler(index, schedule, rows), "must be empty");
+    const util::ReservoirSchedule narrow(kProfileSamples - 1, 100);
+    EXPECT_DEATH(Profiler(index, narrow, rows), "wrong capacity");
 }
 
 TEST(ProfilerTest, HeavyInstancesHaveLowVariability)

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -156,7 +157,7 @@ TEST(MedianTest, OddAndEvenCounts)
 {
     EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
     EXPECT_DOUBLE_EQ(median({4.0, 1.0, 3.0, 2.0}), 2.5);
-    EXPECT_DOUBLE_EQ(median({}), 0.0);
+    EXPECT_DOUBLE_EQ(median(std::vector<double>{}), 0.0);
 }
 
 TEST(PercentileTest, InterpolatesBetweenRanks)
@@ -205,6 +206,96 @@ TEST(PercentileTest, SelectionMatchesSortedReferenceBitForBit)
     }
 }
 
+TEST(PercentileTest, SpansMatchSortedConcatenationBitForBit)
+{
+    // The span form selects in place over the parts; the reference
+    // concatenates and sorts (-0.0 below +0.0). Every result must agree
+    // to the bit: empty and one-element spans, heavy duplicates, odd
+    // and even totals, subnormal and huge values, split anywhere.
+    const auto before = [](double a, double b) {
+        return a < b || (a == b && std::signbit(a) && !std::signbit(b));
+    };
+    const auto reference = [&](std::vector<double> values, double p) {
+        if (values.empty())
+            return 0.0;
+        std::sort(values.begin(), values.end(), before);
+        const double rank =
+            p / 100.0 * static_cast<double>(values.size() - 1);
+        const std::size_t lo = static_cast<std::size_t>(std::floor(rank));
+        const std::size_t hi = static_cast<std::size_t>(std::ceil(rank));
+        if (lo == hi)
+            return values[lo];
+        const double frac = rank - static_cast<double>(lo);
+        return values[lo] * (1.0 - frac) + values[hi] * frac;
+    };
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    const double extremes[] = {
+        0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(), 4.9e-320, 2.2e-308,
+        1.0, -1.0, 1e300, -1e300, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest()};
+    Rng rng(2025);
+    for (std::size_t n : {0u, 1u, 2u, 3u, 10u, 11u, 64u, 257u, 1000u,
+                          4099u}) {
+        for (int trial = 0; trial < 12; ++trial) {
+            std::vector<double> values(n);
+            for (double &v : values) {
+                switch (trial % 4) {
+                case 0: // a few values, repeated heavily
+                    v = std::floor(rng.uniform(1.0, 4.0));
+                    break;
+                case 1: // distinct timings
+                    v = rng.uniform(0.5, 1000.0);
+                    break;
+                case 2: // subnormal, huge, signed and zero values
+                    v = extremes[static_cast<std::size_t>(
+                        rng.uniform(0.0, 12.0))];
+                    break;
+                default: // one value throughout but the sign of zero
+                    v = rng.uniform(0.0, 1.0) < 0.5 ? 0.0 : -0.0;
+                }
+            }
+            // Cut the values into up to 5 spans at random points, empty
+            // and one-element spans included.
+            std::vector<std::size_t> cuts{0, n};
+            const int extra = static_cast<int>(rng.uniform(0.0, 5.0));
+            for (int c = 0; c < extra; ++c)
+                cuts.push_back(
+                    static_cast<std::size_t>(rng.uniform(0.0, 1.0) * n));
+            if (n > 1 && trial % 3 == 0) {
+                cuts.push_back(1);
+                cuts.push_back(n - 1);
+            }
+            std::sort(cuts.begin(), cuts.end());
+            std::vector<std::span<const double>> parts;
+            for (std::size_t c = 0; c + 1 < cuts.size(); ++c)
+                parts.push_back(std::span(values).subspan(
+                    cuts[c], cuts[c + 1] - cuts[c]));
+            SCOPED_TRACE(testing::Message()
+                         << n << "/" << trial << ", " << parts.size()
+                         << " spans");
+            EXPECT_EQ(bits(median(parts)), bits(reference(values, 50.0)));
+            for (double p : {0.0, 50.0, 90.0, 95.0, 99.0, 100.0, 12.5,
+                             rng.uniform(0.0, 100.0)})
+                EXPECT_EQ(bits(percentile(parts, p)),
+                          bits(reference(values, p)))
+                    << "p = " << p;
+        }
+    }
+}
+
+TEST(PercentileTest, NaNRankOrValueDies)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> clean{1.0, 2.0, 3.0};
+    const std::vector<double> dirty{4.0, nan};
+    const std::span<const double> parts[] = {clean, dirty};
+    EXPECT_DEATH(percentile(clean, nan), "NaN rank");
+    EXPECT_DEATH(median(std::span(parts)), "NaN value");
+    EXPECT_DEATH(percentile(dirty, 100.0), "NaN value");
+    EXPECT_DEATH(percentile(std::vector<double>{}, nan), "NaN rank");
+}
+
 TEST(SampleReservoirTest, RetainsEverythingBelowCapacity)
 {
     SampleReservoir reservoir(100);
@@ -227,9 +318,10 @@ TEST(SampleReservoirTest, BoundedAboveCapacityAndRepresentative)
 
 TEST(ReservoirScheduleTest, ReplaysAddBitForBit)
 {
-    // A (capacity + 1)-slot block written at schedule.slot(j) must
-    // rebuild exactly the reservoir add() keeps: same samples in the
-    // same slots, same offered count, same RNG state.
+    // Offers replayed in place through the schedule must rebuild
+    // exactly the reservoir add() keeps: same samples in the same
+    // slots, same offered count, same RNG state. Each slot the schedule
+    // draws is a kept slot or capacity(), the drop mark.
     for (std::size_t capacity : {1u, 7u, 64u}) {
         const ReservoirSchedule schedule(capacity, 5000);
         ASSERT_EQ(schedule.maxOffered(), 5000u);
@@ -238,18 +330,17 @@ TEST(ReservoirScheduleTest, ReplaysAddBitForBit)
               std::size_t{777}, std::size_t{5000}}) {
             SCOPED_TRACE(testing::Message() << capacity << "/" << offered);
             SampleReservoir expected(capacity);
-            std::vector<double> block(capacity + 1, 0.0);
+            SampleReservoir replayed(capacity);
             for (std::size_t j = 1; j <= offered; ++j) {
                 const double x = std::sin(static_cast<double>(j)) * 100.0;
                 expected.add(x);
-                block[schedule.slot(j)] = x;
+                replayed.replay(x, schedule);
+                ASSERT_LE(schedule.slot(j), capacity);
             }
-            block.resize(std::min(offered, capacity));
-            SampleReservoir replayed(capacity);
-            replayed.assign(offered, schedule.rngState(offered), block);
             EXPECT_EQ(replayed.capacity(), expected.capacity());
             EXPECT_EQ(replayed.offered(), expected.offered());
             EXPECT_EQ(replayed.rngState(), expected.rngState());
+            EXPECT_EQ(replayed.rngState(), schedule.rngState(offered));
             EXPECT_EQ(replayed.samples(), expected.samples());
         }
     }

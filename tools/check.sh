@@ -14,11 +14,12 @@
 #             the parallel cross-predictor evaluation sweep, the ceerd
 #             serving stack)
 #   ubsan     UBSanitizer build of the serialization/I-O boundary
-#             and of the sampling kernel
+#             and of the sampling kernel and the radix select
 #   asan      AddressSanitizer build of the prediction path (compiled
 #             plans, the predictor, the baseline engines), of the
-#             profiling path (simulator observer, profiler slot blocks,
-#             the sampling kernel's tail pass), of graph
+#             profiling path (simulator observer, in-row reservoir
+#             replay, the pooled radix select, the sampling kernel's
+#             tail pass), of graph
 #             construction (inline shapes, name index) and of the
 #             file codecs (roundtrip_test, io_test)
 #
@@ -264,7 +265,7 @@ pass_tsan() {
     ./build-tsan/tests/obs_test
     ./build-tsan/tests/thread_pool_test --gtest_repeat=3
     ./build-tsan/tests/profile_test \
-        --gtest_filter='SeedingTest.*:DatasetTest.LoadedDatasetServesIndexedQueries'
+        --gtest_filter='SeedingTest.*:DatasetTest.LoadedDatasetServesIndexedQueries:ProfilerTest.*'
     # Exercise the iteration-parallel run() under TSan: chunked
     # fan-out across the thread pool with deterministic merge.
     ./build-tsan/tests/sim_test \
@@ -301,6 +302,11 @@ pass_ubsan() {
     export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
     ./build-ubsan/tests/obs_test --gtest_filter='ObsJsonTest.*'
     ./build-ubsan/tests/util_test --gtest_filter='CsvTest.*:ParseTest.*'
+    # The in-place radix select: order keys are bit casts of doubles,
+    # shifted and masked digit by digit, over subnormal, huge, signed
+    # and NaN inputs.
+    ./build-ubsan/tests/util_test \
+        --gtest_filter='PercentileTest.*:MedianTest.*'
     ./build-ubsan/tests/regression_test \
         --gtest_filter='LinearModelTest.*'
     ./build-ubsan/tests/robustness_test \
@@ -322,7 +328,7 @@ pass_asan() {
           --target predict_plan_test ceer_test baselines_test \
                    profile_test sim_test graph_test models_test \
                    transformer_test sample_kernel_test roundtrip_test \
-                   io_test
+                   io_test util_test
 
     # The compiled-plan evaluator end to end: the kernel's blocked
     # reads over the feature matrices, per-group/per-GPU recipe
@@ -333,9 +339,13 @@ pass_asan() {
     ./build-asan/tests/ceer_test
     ./build-asan/tests/baselines_test
     # The profiling sweep: the simulator's graph-order gather, the
-    # profiler's node -> instance table, its fixed per-instance sample
-    # blocks and the reservoir schedule they index.
+    # profiler's node -> instance table into the rows it accumulates
+    # into, and the reservoir schedule their in-place replay indexes.
     ./build-asan/tests/profile_test
+    # The reservoirs' in-place replay and the radix select that reads
+    # the pooled samples through spans without copying them.
+    ./build-asan/tests/util_test \
+        --gtest_filter='PercentileTest.*:MedianTest.*:SampleReservoirTest.*:ReservoirScheduleTest.*'
     ./build-asan/tests/sim_test
     # The sampling kernel's tail pass: gathers and scatters through the
     # index list over its fixed stack arrays (this build compiles the
