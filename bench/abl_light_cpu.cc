@@ -46,10 +46,10 @@ main(int argc, char **argv)
         for (GpuModel gpu : hw::allGpuModels()) {
             const double observed = bench::observedIterationUs(
                 g, gpu, 1, config, ++salt);
-            const double full =
-                predictor.predictIterationUs(plan, gpu, 1);
-            const double ablated = predictor.predictIterationUs(
-                plan, gpu, 1, baselines::heavyOnlyOptions());
+            const core::IterationTerms terms =
+                predictor.terms(plan, gpu, 1);
+            const double full = terms.totalUs();
+            const double ablated = baselines::heavyOnlyUs(terms);
             const double fe = std::abs(full / observed - 1.0);
             const double ae = std::abs(ablated / observed - 1.0);
             full_error += fe;

@@ -42,10 +42,10 @@ main(int argc, char **argv)
             for (GpuModel gpu : hw::allGpuModels()) {
                 const double observed = bench::observedIterationUs(
                     g, gpu, k, config, ++salt);
-                const double full =
-                    predictor.predictIterationUs(plan, gpu, k);
-                const double ablated = predictor.predictIterationUs(
-                    plan, gpu, k, baselines::noCommOptions());
+                const core::IterationTerms terms =
+                    predictor.terms(plan, gpu, k);
+                const double full = terms.totalUs();
+                const double ablated = baselines::noCommUs(terms);
                 full_sum += std::abs(full / observed - 1.0);
                 ablated_sum += std::abs(ablated / observed - 1.0);
             }

@@ -85,9 +85,9 @@ parseBenchFlags(int argc, char **argv, util::Flags *extra)
     flags.parse(argc, argv);
 
     BenchConfig config;
-    config.iterations = flags.getIntAs<int>("iters");
-    config.evalIterations = flags.getIntAs<int>("eval-iters");
-    config.batch = flags.getInt("batch");
+    config.iterations = flags.getIntAs<int>("iters", 1);
+    config.evalIterations = flags.getIntAs<int>("eval-iters", 1);
+    config.batch = flags.getIntAs<std::int64_t>("batch", 1);
     config.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
     config.threads = flags.getIntAs<int>("threads");
     config.metricsOut = flags.getString("metrics-out");

@@ -55,13 +55,13 @@ main(int argc, char **argv)
 
         const double cheapest_cost =
             predictor
-                .predictTraining(plan, cheapest, bench::kImageNetSamples,
-                                 config.batch)
+                .predictTraining(plan, cheapest.gpu, cheapest.numGpus,
+                                 bench::kImageNetSamples, config.batch)
                 .costUsd(cheapest.hourlyUsd);
         const double latest_cost =
             predictor
-                .predictTraining(plan, latest, bench::kImageNetSamples,
-                                 config.batch)
+                .predictTraining(plan, latest.gpu, latest.numGpus,
+                                 bench::kImageNetSamples, config.batch)
                 .costUsd(latest.hourlyUsd);
         const double saving_cheapest =
             1.0 - best.costUsd / cheapest_cost;

@@ -61,12 +61,12 @@ main(int argc, char **argv)
             const double observed =
                 simulator.run(options.iterations).iterationUs.mean();
 
+            const core::IterationTerms terms =
+                predictor.terms(plan, gpu, k);
             const double predictions[4] = {
-                predictor.predictIterationUs(plan, gpu, k),
-                predictor.predictIterationUs(
-                    plan, gpu, k, baselines::heavyOnlyOptions()),
-                predictor.predictIterationUs(
-                    plan, gpu, k, baselines::noCommOptions()),
+                terms.totalUs(),
+                baselines::heavyOnlyUs(terms),
+                baselines::noCommUs(terms),
                 paleo.predictIterationUs(g, gpu),
             };
             std::vector<std::string> row{name, hw::gpuModelName(gpu)};

@@ -11,7 +11,10 @@
  *       [--samples 1200000] [--batch 32]
  */
 
+#include <algorithm>
 #include <iostream>
+#include <numeric>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "cloud/instances.h"
@@ -132,32 +135,38 @@ main(int argc, char **argv)
                   << " for " << util::format("$%.2f", best.costUsd)
                   << "\n";
 
-        // Explain where Ceer thinks the time goes on that instance.
-        const core::PredictionBreakdown breakdown =
-            predictor.breakdown(plan, best.instance.gpu,
-                                best.instance.numGpus);
+        // Explain where Ceer thinks the time goes on that instance:
+        // the Eq. 2 terms, then the three heaviest op-type groups
+        // (ties keep the graph's first-appearance order).
+        const hw::GpuModel gpu = best.instance.gpu;
+        const core::IterationTerms terms =
+            predictor.terms(plan, gpu, best.instance.numGpus);
         std::cout << "per-iteration breakdown: heavy "
-                  << util::humanMicros(breakdown.heavyUs) << ", light "
-                  << util::humanMicros(breakdown.lightUs) << ", CPU "
-                  << util::humanMicros(breakdown.cpuUs) << ", comm "
-                  << util::humanMicros(breakdown.commUs)
-                  << "; top ops:";
+                  << util::humanMicros(terms.heavyUs) << ", light "
+                  << util::humanMicros(terms.lightUs) << ", CPU "
+                  << util::humanMicros(terms.cpuUs) << ", comm "
+                  << util::humanMicros(terms.commUs) << "; top ops:";
+        std::vector<std::size_t> groups(plan.groupCount());
+        std::iota(groups.begin(), groups.end(), std::size_t{0});
+        std::stable_sort(groups.begin(), groups.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return plan.groupHeavyUs(a, gpu) >
+                                    plan.groupHeavyUs(b, gpu);
+                         });
         for (std::size_t i = 0;
-             i < std::min<std::size_t>(3, breakdown.heavyByType.size());
-             ++i) {
-            std::cout << " "
-                      << graph::opTypeName(
-                             breakdown.heavyByType[i].first)
+             i < std::min<std::size_t>(3, groups.size()); ++i) {
+            std::cout << " " << graph::opTypeName(plan.groupOp(groups[i]))
                       << " ("
                       << util::humanMicros(
-                             breakdown.heavyByType[i].second)
+                             plan.groupHeavyUs(groups[i], gpu))
                       << ")";
         }
         std::cout << "\n";
         const auto &cheap =
             baselines::cheapestInstance(catalog.instances());
         const auto cheap_prediction =
-            predictor.predictTraining(plan, cheap, samples, batch);
+            predictor.predictTraining(plan, cheap.gpu, cheap.numGpus,
+                                      samples, batch);
         std::cout << "baseline (cheapest instance, " << cheap.name
                   << "): "
                   << util::format("%.2fh", cheap_prediction.hours)

@@ -40,20 +40,16 @@ latestGenerationInstance(
     return *best;
 }
 
-core::PredictOptions
-heavyOnlyOptions()
+double
+heavyOnlyUs(const core::IterationTerms &terms)
 {
-    core::PredictOptions options;
-    options.includeLightAndCpu = false;
-    return options;
+    return terms.heavyUs + terms.commUs;
 }
 
-core::PredictOptions
-noCommOptions()
+double
+noCommUs(const core::IterationTerms &terms)
 {
-    core::PredictOptions options;
-    options.includeComm = false;
-    return options;
+    return terms.heavyUs + terms.lightUs + terms.cpuUs;
 }
 
 FlopsPredictor::FlopsPredictor(double utilization)

@@ -40,11 +40,17 @@ const cloud::GpuInstance &latestGenerationInstance(
     const std::vector<cloud::GpuInstance> &candidates,
     double hourly_budget = std::numeric_limits<double>::infinity());
 
-/** Ceer ablation: no light/CPU median terms (Sec. IV-B, 15-25% err). */
-core::PredictOptions heavyOnlyOptions();
+/**
+ * Ceer ablation without the light/CPU median terms (Sec. IV-B, 15-25%
+ * err): heavy + comm.
+ */
+double heavyOnlyUs(const core::IterationTerms &terms);
 
-/** Ceer ablation: no communication overhead (Sec. IV-A, 5-30% err). */
-core::PredictOptions noCommOptions();
+/**
+ * Ceer ablation without the communication overhead (Sec. IV-A, 5-30%
+ * err): (heavy + light) + cpu.
+ */
+double noCommUs(const core::IterationTerms &terms);
 
 /**
  * PALEO-style FLOP-count predictor: iteration time is the summed FLOPs

@@ -35,20 +35,29 @@ engineFatal(const std::string &engine, const std::string &message)
     util::fatal(engine + ": " + message);
 }
 
+/** Which sum of the Eq. 2 terms a Ceer-backed engine reports. */
+using TermsTotal = double (*)(const core::IterationTerms &);
+
+double
+fullUs(const core::IterationTerms &terms)
+{
+    return terms.totalUs();
+}
+
 /**
  * The three Ceer-backed engines: the full model and its two paper
- * ablations, differing only in PredictOptions. They share one trained
- * CeerPredictor; each predictGrid compiles the graph once into a local
- * plan and evaluates every (GPU, k) cell from it.
+ * ablations, differing only in which sum of the Eq. 2 terms they
+ * report. They share one trained CeerPredictor; each predictGrid
+ * compiles the graph once into a local plan and evaluates every
+ * (GPU, k) cell from it.
  */
 class CeerVariantPredictor final : public Predictor
 {
   public:
     CeerVariantPredictor(std::string name,
                          std::shared_ptr<const core::CeerPredictor> ceer,
-                         core::PredictOptions options)
-        : name_(std::move(name)), ceer_(std::move(ceer)),
-          options_(options)
+                         TermsTotal total)
+        : name_(std::move(name)), ceer_(std::move(ceer)), total_(total)
     {
     }
 
@@ -63,14 +72,14 @@ class CeerVariantPredictor final : public Predictor
         const core::PredictPlan plan = ceer_->compile(g);
         for (std::size_t gi = 0; gi < gpus.size(); ++gi) {
             for (std::size_t ki = 0; ki < ks.size(); ++ki)
-                out[gi * ks.size() + ki] = ceer_->predictIterationUs(
-                    plan, gpus[gi], ks[ki], options_);
+                out[gi * ks.size() + ki] =
+                    total_(ceer_->terms(plan, gpus[gi], ks[ki]));
         }
     }
 
     std::string name_;
     std::shared_ptr<const core::CeerPredictor> ceer_;
-    core::PredictOptions options_;
+    TermsTotal total_;
 };
 
 /** PALEO-style wrapper: analytic, nothing to fit, constant in k. */
@@ -453,12 +462,11 @@ makePredictors(const std::vector<std::string> &names,
                 ceer = std::make_shared<const core::CeerPredictor>(
                     core::trainCeer(dataset));
             }
-            const core::PredictOptions options =
-                name == "ceer_heavy_only" ? heavyOnlyOptions()
-                : name == "ceer_no_comm"  ? noCommOptions()
-                                          : core::PredictOptions{};
+            const TermsTotal total = name == "ceer_heavy_only" ? heavyOnlyUs
+                                     : name == "ceer_no_comm"  ? noCommUs
+                                                               : fullUs;
             out.push_back(std::make_unique<CeerVariantPredictor>(
-                name, ceer, options));
+                name, ceer, total));
         }
     }
     return out;

@@ -1,8 +1,9 @@
 /**
  * @file
  * Compiled prediction plans: the one-time workload featurization half
- * of the predictor's compile -> evaluate split, and the only Eq. 2
- * evaluator in the library.
+ * of the predictor's compile -> evaluate split. The evaluate half is
+ * CeerPredictor::terms (predictor.h), the library's one Eq. 2
+ * evaluator.
  *
  * Eq. 2 is additive over graph operations, so a CNN's heavy-op term
  * on a given GPU is one fixed number: only the communication term
@@ -21,7 +22,7 @@
  * feature matrix (quadratically expanded when the fitted model is
  * quadratic) with the per-node max(., 1.0) clamp applied lane-wise
  * in a vectorized kernel, or rows * the flat fallback. The feature
- * matrices live only inside compile(), so predictIterationUs(plan,
+ * matrices live only inside compile(), so CeerPredictor::terms(plan,
  * gpu, k) is a table lookup plus the communication term, and the
  * plan's size does not grow with the graph's node count.
  *
@@ -55,8 +56,8 @@ class CeerPredictor;
 
 /**
  * A graph compiled against one predictor's model. Obtain via
- * CeerPredictor::compile(); evaluate via predictIterationUs /
- * predictTraining / predictBatch / breakdown on the SAME predictor
+ * CeerPredictor::compile(); evaluate via terms / predictIterationUs /
+ * predictTraining / predictBatch on the SAME predictor
  * (the plan holds the op models' results, but the communication
  * model is read from the live predictor at evaluation time).
  */

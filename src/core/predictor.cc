@@ -1,7 +1,5 @@
 #include "core/predictor.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 #include "util/logging.h"
 
@@ -14,45 +12,24 @@ CeerPredictor::CeerPredictor(CeerModel model) : model_(std::move(model))
 {
 }
 
-double
-CeerPredictor::predictIterationUs(const PredictPlan &plan, GpuModel gpu,
-                                  int num_gpus,
-                                  const PredictOptions &options) const
+IterationTerms
+CeerPredictor::terms(const PredictPlan &plan, GpuModel gpu,
+                     int num_gpus) const
 {
-    double total = plan.heavyUs(gpu);
-    if (options.includeLightAndCpu) {
-        total += plan.lightUs();
-        total += plan.cpuUs();
-    }
-    if (options.includeComm) {
-        total += model_.comm.overheadUs(gpu, num_gpus,
-                                        plan.paramCount());
-    }
-    return total;
+    IterationTerms terms;
+    terms.heavyUs = plan.heavyUs(gpu);
+    terms.lightUs = plan.lightUs();
+    terms.cpuUs = plan.cpuUs();
+    terms.commUs =
+        model_.comm.overheadUs(gpu, num_gpus, plan.paramCount());
+    return terms;
 }
 
-PredictionBreakdown
-CeerPredictor::breakdown(const PredictPlan &plan, GpuModel gpu,
-                         int num_gpus) const
+double
+CeerPredictor::predictIterationUs(const PredictPlan &plan, GpuModel gpu,
+                                  int num_gpus) const
 {
-    // Same terms, in the same order, as predictIterationUs(plan, ...),
-    // so totalUs() is bit-equal to the prediction.
-    PredictionBreakdown result;
-    result.heavyUs = plan.heavyUs(gpu);
-    result.lightUs = plan.lightUs();
-    result.cpuUs = plan.cpuUs();
-    result.commUs =
-        model_.comm.overheadUs(gpu, num_gpus, plan.paramCount());
-    for (std::size_t i = 0; i < plan.groupCount(); ++i) {
-        result.heavyByType.emplace_back(plan.groupOp(i),
-                                        plan.groupHeavyUs(i, gpu));
-    }
-    std::stable_sort(result.heavyByType.begin(),
-                     result.heavyByType.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.second > b.second;
-                     });
-    return result;
+    return terms(plan, gpu, num_gpus).totalUs();
 }
 
 TrainingPrediction
@@ -78,29 +55,16 @@ TrainingPrediction
 CeerPredictor::predictTraining(const PredictPlan &plan, GpuModel gpu,
                                int num_gpus,
                                std::int64_t dataset_samples,
-                               std::int64_t batch_per_gpu,
-                               const PredictOptions &options) const
+                               std::int64_t batch_per_gpu) const
 {
-    return makeTrainingPrediction(
-        predictIterationUs(plan, gpu, num_gpus, options), num_gpus,
-        dataset_samples, batch_per_gpu);
-}
-
-TrainingPrediction
-CeerPredictor::predictTraining(const PredictPlan &plan,
-                               const cloud::GpuInstance &instance,
-                               std::int64_t dataset_samples,
-                               std::int64_t batch_per_gpu,
-                               const PredictOptions &options) const
-{
-    return predictTraining(plan, instance.gpu, instance.numGpus,
-                           dataset_samples, batch_per_gpu, options);
+    return makeTrainingPrediction(predictIterationUs(plan, gpu, num_gpus),
+                                  num_gpus, dataset_samples,
+                                  batch_per_gpu);
 }
 
 std::vector<double>
 CeerPredictor::predictBatch(const PredictPlan &plan,
-                            const std::vector<PredictRequest> &requests,
-                            const PredictOptions &options) const
+                            const std::vector<PredictRequest> &requests) const
 {
     // Batch sizes land in power-of-two buckets (1..4096, then
     // overflow) rather than the default latency ladder.
@@ -113,8 +77,8 @@ CeerPredictor::predictBatch(const PredictPlan &plan,
     std::vector<double> out;
     out.reserve(requests.size());
     for (const PredictRequest &request : requests) {
-        out.push_back(predictIterationUs(plan, request.gpu,
-                                         request.numGpus, options));
+        out.push_back(
+            predictIterationUs(plan, request.gpu, request.numGpus));
     }
     return out;
 }

@@ -13,7 +13,6 @@
 #ifndef CEER_CORE_PREDICTOR_H
 #define CEER_CORE_PREDICTOR_H
 
-#include "cloud/instances.h"
 #include "core/ceer_model.h"
 #include "core/predict_plan.h"
 #include "graph/graph.h"
@@ -21,17 +20,24 @@
 namespace ceer {
 namespace core {
 
-/** Ablation switches (all on = full Ceer). */
-struct PredictOptions
+/**
+ * The four terms of a per-iteration prediction (Eq. 2). Every total
+ * the library reports is a sum over one of these, so a total and its
+ * ablations are bit-consistent by construction.
+ */
+struct IterationTerms
 {
-    /** Include S_GPU (Eq. 2). Off reproduces the Sec. IV-A ablation. */
-    bool includeComm = true;
+    double heavyUs = 0.0; ///< Sum of heavy-op regression estimates.
+    double lightUs = 0.0; ///< n_l * light median.
+    double cpuUs = 0.0;   ///< n_c * CPU median.
+    double commUs = 0.0;  ///< S_GPU(k, params).
 
-    /**
-     * Include the median terms for light GPU and CPU ops. Off
-     * reproduces the heavy-only ablation of Sec. IV-B (15-25% error).
-     */
-    bool includeLightAndCpu = true;
+    /** Full per-iteration prediction: ((heavy + light) + cpu) + comm. */
+    double
+    totalUs() const
+    {
+        return heavyUs + lightUs + cpuUs + commUs;
+    }
 };
 
 /** A full training-run prediction. */
@@ -47,31 +53,6 @@ struct TrainingPrediction
     {
         return hours * hourly_usd;
     }
-};
-
-/**
- * Attribution of a per-iteration prediction (Eq. 2), for explaining
- * where Ceer thinks the time goes.
- */
-struct PredictionBreakdown
-{
-    double heavyUs = 0.0; ///< Sum of heavy-op regression estimates.
-    double lightUs = 0.0; ///< n_l * light median.
-    double cpuUs = 0.0;   ///< n_c * CPU median.
-    double commUs = 0.0;  ///< S_GPU(k, params).
-
-    /** Total per-iteration prediction. */
-    double
-    totalUs() const
-    {
-        return heavyUs + lightUs + cpuUs + commUs;
-    }
-
-    /**
-     * Per-op-type contribution of the heavy term, descending; ties
-     * keep the graph's first-appearance order.
-     */
-    std::vector<std::pair<graph::OpType, double>> heavyByType;
 };
 
 /**
@@ -122,17 +103,21 @@ class CeerPredictor
     PredictPlan compile(const graph::Graph &g) const;
 
     /**
-     * Predicted per-iteration training time (Eq. 2). The heavy term
-     * is read from the plan.
+     * The Eq. 2 terms of one per-iteration prediction: the heavy term
+     * is read from the plan, the light and CPU terms are the plan's
+     * count * median products, and only the communication term is
+     * computed here. Allocates nothing.
      *
      * @param plan     Training graph (per-GPU batch) compiled here.
      * @param gpu      GPU model.
      * @param num_gpus Data-parallel width k.
-     * @param options  Ablation switches.
      */
+    IterationTerms terms(const PredictPlan &plan, hw::GpuModel gpu,
+                         int num_gpus) const;
+
+    /** Predicted per-iteration training time: terms(...).totalUs(). */
     double predictIterationUs(const PredictPlan &plan, hw::GpuModel gpu,
-                              int num_gpus,
-                              const PredictOptions &options = {}) const;
+                              int num_gpus) const;
 
     /**
      * Predicted full-training time (Eq. 2 scaled by D / (k * B)).
@@ -142,21 +127,11 @@ class CeerPredictor
      * @param num_gpus        Data-parallel width.
      * @param dataset_samples Dataset size D.
      * @param batch_per_gpu   Per-GPU batch B.
-     * @param options         Ablation switches.
      */
     TrainingPrediction
     predictTraining(const PredictPlan &plan, hw::GpuModel gpu,
                     int num_gpus, std::int64_t dataset_samples,
-                    std::int64_t batch_per_gpu,
-                    const PredictOptions &options = {}) const;
-
-    /** Convenience: predictTraining for a catalog instance. */
-    TrainingPrediction
-    predictTraining(const PredictPlan &plan,
-                    const cloud::GpuInstance &instance,
-                    std::int64_t dataset_samples,
-                    std::int64_t batch_per_gpu,
-                    const PredictOptions &options = {}) const;
+                    std::int64_t batch_per_gpu) const;
 
     /**
      * Evaluates every (GPU, k) candidate against one compiled plan.
@@ -166,16 +141,7 @@ class CeerPredictor
      */
     std::vector<double>
     predictBatch(const PredictPlan &plan,
-                 const std::vector<PredictRequest> &requests,
-                 const PredictOptions &options = {}) const;
-
-    /**
-     * Attributes a per-iteration prediction to heavy ops (per type),
-     * light ops, CPU ops and communication. totalUs() is bit-equal to
-     * predictIterationUs(plan, gpu, num_gpus) with default options.
-     */
-    PredictionBreakdown breakdown(const PredictPlan &plan,
-                                  hw::GpuModel gpu, int num_gpus) const;
+                 const std::vector<PredictRequest> &requests) const;
 
   private:
     CeerModel model_;

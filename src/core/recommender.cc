@@ -140,7 +140,7 @@ recommendInto(const CeerPredictor &predictor, const PredictPlan &plan,
             !constraints.enforceGpuMemory ||
             (*fits)[static_cast<std::size_t>(instance.gpu)];
         evaluation.prediction = predictor.predictTraining(
-            plan, instance, workload.datasetSamples,
+            plan, instance.gpu, instance.numGpus, workload.datasetSamples,
             workload.batchPerGpu);
         evaluation.costUsd =
             evaluation.prediction.costUsd(instance.hourlyUsd);

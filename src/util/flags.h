@@ -57,17 +57,17 @@ class Flags
      * Returns the value of a declared integer flag as @p T; fatal,
      * naming the flag, when the value does not fit in @p T (a
      * negative value for an unsigned @p T included), so a huge value
-     * never wraps into a small one.
+     * never wraps into a small one, or when it is below @p min.
      */
     template <typename T>
     T
-    getIntAs(const std::string &name) const
+    getIntAs(const std::string &name,
+             T min = std::numeric_limits<T>::min()) const
     {
         static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
         const std::int64_t value = getInt(name);
-        if (!std::in_range<T>(value))
-            rejectOutOfRange(name, value,
-                             std::to_string(std::numeric_limits<T>::min()),
+        if (!std::in_range<T>(value) || static_cast<T>(value) < min)
+            rejectOutOfRange(name, value, std::to_string(min),
                              std::to_string(std::numeric_limits<T>::max()));
         return static_cast<T>(value);
     }

@@ -62,10 +62,15 @@ TEST(StrategyTest, EmptyOrUnsatisfiableIsFatal)
 
 TEST(AblationOptionsTest, TogglesMatchTheirNames)
 {
-    EXPECT_FALSE(heavyOnlyOptions().includeLightAndCpu);
-    EXPECT_TRUE(heavyOnlyOptions().includeComm);
-    EXPECT_FALSE(noCommOptions().includeComm);
-    EXPECT_TRUE(noCommOptions().includeLightAndCpu);
+    // Distinct powers of two: each sum names exactly its terms.
+    core::IterationTerms terms;
+    terms.heavyUs = 1.0;
+    terms.lightUs = 2.0;
+    terms.cpuUs = 4.0;
+    terms.commUs = 8.0;
+    EXPECT_EQ(heavyOnlyUs(terms), 9.0);
+    EXPECT_EQ(noCommUs(terms), 7.0);
+    EXPECT_EQ(terms.totalUs(), 15.0);
 }
 
 TEST(FlopsPredictorTest, OrdersGpusByPeakOnly)

@@ -68,6 +68,19 @@ sweepRows()
     return rows;
 }
 
+TEST(BenchFlagsTest, NonPositiveSizesExitNamingTheFlag)
+{
+    // Each would otherwise reach a library panic (SIGABRT) mid-run.
+    for (const char *flag : {"--iters", "--eval-iters", "--batch"}) {
+        const char *argv[] = {"bench", flag, "0"};
+        EXPECT_EXIT(parseBenchFlags(3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(1),
+                    std::string("flag ") + flag + " expects a value in "
+                                                  "\\[1, ")
+            << flag;
+    }
+}
+
 TEST(TrialRunnerTest, MedianMinMaxOfOddAndEvenCounts)
 {
     EXPECT_DOUBLE_EQ(median({1.0, 2.0, 9.0}), 2.0);

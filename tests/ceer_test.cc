@@ -301,12 +301,10 @@ TEST(PredictorTest, AblationsDegradeAccuracy)
     const double observed = simulator.run(40).iterationUs.mean();
 
     const PredictPlan plan = predictor.compile(g);
-    const double full =
-        predictor.predictIterationUs(plan, GpuModel::V100, 1);
-    const double no_comm = predictor.predictIterationUs(
-        plan, GpuModel::V100, 1, baselines::noCommOptions());
-    const double heavy_only = predictor.predictIterationUs(
-        plan, GpuModel::V100, 1, baselines::heavyOnlyOptions());
+    const IterationTerms terms = predictor.terms(plan, GpuModel::V100, 1);
+    const double full = terms.totalUs();
+    const double no_comm = baselines::noCommUs(terms);
+    const double heavy_only = baselines::heavyOnlyUs(terms);
 
     const double full_error = std::abs(full / observed - 1.0);
     const double no_comm_error = std::abs(no_comm / observed - 1.0);
@@ -369,24 +367,22 @@ TEST(PredictorTest, BreakdownSumsToThePrediction)
         predictor.compile(models::buildModel("resnet_101", 32));
     for (GpuModel gpu : hw::allGpuModels()) {
         for (int k : {1, 4}) {
-            const PredictionBreakdown breakdown =
-                predictor.breakdown(plan, gpu, k);
-            // Same terms in the same order as the prediction: exact.
-            EXPECT_EQ(breakdown.totalUs(),
+            const IterationTerms terms = predictor.terms(plan, gpu, k);
+            // Every total is the same sum of the same terms: exact.
+            EXPECT_EQ(terms.totalUs(),
                       predictor.predictIterationUs(plan, gpu, k));
-            EXPECT_EQ(breakdown.heavyUs, plan.heavyUs(gpu));
-            EXPECT_GT(breakdown.heavyUs, breakdown.lightUs);
-            EXPECT_GT(breakdown.commUs, 0.0);
-            // Per-type attribution covers the heavy sum and is sorted.
+            EXPECT_EQ(terms.totalUs(),
+                      predictor.predictTraining(plan, gpu, k, 1'200'000, 32)
+                          .iterationUs);
+            EXPECT_EQ(terms.heavyUs, plan.heavyUs(gpu));
+            EXPECT_GT(terms.heavyUs, terms.lightUs);
+            EXPECT_GT(terms.commUs, 0.0);
+            // The plan's per-type groups, summed in group order, are
+            // the heavy term.
             double by_type_sum = 0.0;
-            double previous = 1e300;
-            for (const auto &[type, value] : breakdown.heavyByType) {
-                by_type_sum += value;
-                EXPECT_LE(value, previous);
-                previous = value;
-            }
-            EXPECT_NEAR(by_type_sum, breakdown.heavyUs,
-                        1e-6 * breakdown.heavyUs);
+            for (std::size_t i = 0; i < plan.groupCount(); ++i)
+                by_type_sum += plan.groupHeavyUs(i, gpu);
+            EXPECT_EQ(by_type_sum, terms.heavyUs);
         }
     }
 }
@@ -394,15 +390,20 @@ TEST(PredictorTest, BreakdownSumsToThePrediction)
 TEST(PredictorTest, BreakdownTopOpIsConvForResNet)
 {
     const CeerPredictor predictor(trainedModel());
-    const PredictionBreakdown breakdown = predictor.breakdown(
-        predictor.compile(models::buildModel("resnet_101", 32)),
-        GpuModel::V100, 1);
-    ASSERT_FALSE(breakdown.heavyByType.empty());
-    const OpType top = breakdown.heavyByType.front().first;
-    EXPECT_TRUE(top == OpType::Conv2D ||
-                top == OpType::Conv2DBackpropFilter ||
-                top == OpType::Conv2DBackpropInput)
-        << graph::opTypeName(top);
+    const PredictPlan plan =
+        predictor.compile(models::buildModel("resnet_101", 32));
+    ASSERT_GT(plan.groupCount(), 0u);
+    std::size_t top = 0;
+    for (std::size_t i = 1; i < plan.groupCount(); ++i) {
+        if (plan.groupHeavyUs(i, GpuModel::V100) >
+            plan.groupHeavyUs(top, GpuModel::V100))
+            top = i;
+    }
+    const OpType op = plan.groupOp(top);
+    EXPECT_TRUE(op == OpType::Conv2D ||
+                op == OpType::Conv2DBackpropFilter ||
+                op == OpType::Conv2DBackpropInput)
+        << graph::opTypeName(op);
 }
 
 TEST(RecommenderTest, CustomObjectiveBlendsTimeAndCost)

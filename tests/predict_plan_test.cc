@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/baselines.h"
 #include "cloud/instances.h"
 #include "core/predictor.h"
 #include "core/recommender.h"
@@ -69,33 +70,16 @@ cheapPredictor()
     return predictor;
 }
 
-/** Every ablation combination of PredictOptions. */
-std::vector<PredictOptions>
-allOptions()
-{
-    std::vector<PredictOptions> combos;
-    for (bool comm : {true, false}) {
-        for (bool light : {true, false}) {
-            PredictOptions options;
-            options.includeComm = comm;
-            options.includeLightAndCpu = light;
-            combos.push_back(options);
-        }
-    }
-    return combos;
-}
-
 /**
- * Scalar Eq. 2 reference built only from the public model API: one
+ * Scalar Eq. 2 terms built only from the public model API: one
  * classification per node; heavy estimates from OpTimeModel::predictUs
  * grouped per op type in first-appearance order, nodes in graph order;
  * a group with no usable fit on @p gpu (never profiled: light median;
  * unusable fit: clamped median) adds count * its flat estimate.
  */
-double
-referenceIterationUs(const CeerModel &model, const Graph &g,
-                     GpuModel gpu, int num_gpus,
-                     const PredictOptions &options = {})
+IterationTerms
+referenceTerms(const CeerModel &model, const Graph &g, GpuModel gpu,
+               int num_gpus)
 {
     struct Group
     {
@@ -144,20 +128,29 @@ referenceIterationUs(const CeerModel &model, const Graph &g,
         }
     }
 
-    double total = 0.0;
+    IterationTerms terms;
     for (const Group &group : groups) {
-        total += group.fit
-                     ? group.sumUs
-                     : static_cast<double>(group.count) * group.flatUs;
+        terms.heavyUs +=
+            group.fit ? group.sumUs
+                      : static_cast<double>(group.count) * group.flatUs;
     }
-    if (options.includeLightAndCpu) {
-        total += static_cast<double>(light) * model.lightMedianUs;
-        total += static_cast<double>(cpu) * model.cpuMedianUs;
-    }
-    if (options.includeComm) {
-        total += model.comm.overheadUs(
-            gpu, num_gpus, static_cast<double>(g.totalParameters()));
-    }
+    terms.lightUs = static_cast<double>(light) * model.lightMedianUs;
+    terms.cpuUs = static_cast<double>(cpu) * model.cpuMedianUs;
+    terms.commUs = model.comm.overheadUs(
+        gpu, num_gpus, static_cast<double>(g.totalParameters()));
+    return terms;
+}
+
+/** The scalar full prediction: ((heavy + light) + cpu) + comm. */
+double
+referenceIterationUs(const CeerModel &model, const Graph &g,
+                     GpuModel gpu, int num_gpus)
+{
+    const IterationTerms t = referenceTerms(model, g, gpu, num_gpus);
+    double total = t.heavyUs;
+    total += t.lightUs;
+    total += t.cpuUs;
+    total += t.commUs;
     return total;
 }
 
@@ -195,18 +188,34 @@ TEST(PredictPlanTest, MatchesScalarWalkBitForBit)
                 seen.insert(
                     recipeOf(predictor.model(), gpu, plan.groupOp(i)));
             for (int k : {1, 2, 4, 8}) {
-                for (const PredictOptions &options : allOptions()) {
-                    const double scalar = referenceIterationUs(
-                        predictor.model(), g, gpu, k, options);
-                    const double compiled =
-                        predictor.predictIterationUs(plan, gpu, k,
-                                                     options);
-                    EXPECT_EQ(bits(scalar), bits(compiled))
-                        << name << " gpu=" << hw::gpuModelName(gpu)
-                        << " k=" << k
-                        << " comm=" << options.includeComm
-                        << " light=" << options.includeLightAndCpu;
-                }
+                const IterationTerms scalar =
+                    referenceTerms(predictor.model(), g, gpu, k);
+                const IterationTerms compiled =
+                    predictor.terms(plan, gpu, k);
+                const std::string where = name + " gpu=" +
+                                          hw::gpuModelName(gpu) +
+                                          " k=" + std::to_string(k);
+                EXPECT_EQ(bits(scalar.heavyUs), bits(compiled.heavyUs))
+                    << where;
+                EXPECT_EQ(bits(scalar.lightUs), bits(compiled.lightUs))
+                    << where;
+                EXPECT_EQ(bits(scalar.cpuUs), bits(compiled.cpuUs))
+                    << where;
+                EXPECT_EQ(bits(scalar.commUs), bits(compiled.commUs))
+                    << where;
+                // The full prediction and the two ablations, each
+                // summed left to right as written here.
+                EXPECT_EQ(bits(referenceIterationUs(predictor.model(), g,
+                                                    gpu, k)),
+                          bits(compiled.totalUs()))
+                    << where;
+                EXPECT_EQ(bits(scalar.heavyUs + scalar.commUs),
+                          bits(baselines::heavyOnlyUs(compiled)))
+                    << where;
+                EXPECT_EQ(
+                    bits(scalar.heavyUs + scalar.lightUs + scalar.cpuUs),
+                    bits(baselines::noCommUs(compiled)))
+                    << where;
             }
         }
     }
@@ -265,7 +274,7 @@ TEST(PredictPlanTest, TrainingPredictionMatchesScalar)
                                  instance.numGpus),
             instance.numGpus, 1'200'000, 32);
         const TrainingPrediction compiled = predictor.predictTraining(
-            plan, instance, 1'200'000, 32);
+            plan, instance.gpu, instance.numGpus, 1'200'000, 32);
         EXPECT_EQ(scalar.iterations, compiled.iterations);
         EXPECT_EQ(bits(scalar.iterationUs), bits(compiled.iterationUs));
         EXPECT_EQ(bits(scalar.hours), bits(compiled.hours));

@@ -815,6 +815,22 @@ TEST(FlagsTest, IntAsRejectsValuesThatWouldWrap)
     EXPECT_EQ(flags.getInt("iters"), 4294967297);
 }
 
+TEST(FlagsTest, IntAsRejectsValuesBelowTheMinimum)
+{
+    Flags flags;
+    flags.defineInt("gpus", 1, "width");
+    flags.defineInt("batch", 32, "batch");
+    const char *argv[] = {"prog", "--gpus=0", "--batch", "1"};
+    flags.parse(4, const_cast<char **>(argv));
+    EXPECT_EXIT((void)flags.getIntAs<int>("gpus", 1),
+                ::testing::ExitedWithCode(1),
+                "flag --gpus expects a value in \\[1, 2147483647\\], "
+                "got 0");
+    EXPECT_EQ(flags.getIntAs<std::int64_t>("batch", 1), 1);
+    // Without a minimum the full range of the type is accepted.
+    EXPECT_EQ(flags.getIntAs<int>("gpus"), 0);
+}
+
 TEST(FlagsTest, BoolFlagConsumesSeparateTokenValue)
 {
     // `--verbose false` once left `false` behind as a positional

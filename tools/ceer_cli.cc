@@ -163,7 +163,7 @@ cmdSummary(int argc, char **argv)
     flags.parse(argc, argv);
     applyObsFlags(flags);
     const graph::Graph g = models::buildModel(
-        flags.getString("model"), flags.getInt("batch"));
+        flags.getString("model"), flags.getIntAs<std::int64_t>("batch", 1));
     const graph::ModelSummary summary = graph::summarize(
         g, flags.getIntAs<int>("depth"),
         [](const graph::Node &node) { return hw::opCost(node).flops; });
@@ -181,8 +181,8 @@ cmdDot(int argc, char **argv)
     defineObsFlags(flags);
     flags.parse(argc, argv);
     applyObsFlags(flags);
-    const graph::Graph g =
-        models::buildModel(flags.getString("model"), flags.getInt("batch"));
+    const graph::Graph g = models::buildModel(
+        flags.getString("model"), flags.getIntAs<std::int64_t>("batch", 1));
     std::cout << g.toDot();
     flushObsArtifacts(flags);
     return 0;
@@ -210,8 +210,8 @@ cmdProfile(int argc, char **argv)
     const std::vector<std::string> names =
         modelListOrTrainingSet(flags.getString("models"));
     profile::CollectOptions options;
-    options.iterations = flags.getIntAs<int>("iters");
-    options.batch = flags.getInt("batch");
+    options.iterations = flags.getIntAs<int>("iters", 1);
+    options.batch = flags.getIntAs<std::int64_t>("batch", 1);
     options.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
     options.threads = flags.getIntAs<int>("threads");
     const profile::ProfileDataset dataset =
@@ -322,9 +322,9 @@ cmdEvaluate(int argc, char **argv)
             util::fatal("evaluate: bad --ks value '" + field + "'");
         options.ks.push_back(static_cast<int>(k.value));
     }
-    options.batch = flags.getInt("batch");
-    options.datasetSamples = flags.getInt("samples");
-    options.evalIterations = flags.getIntAs<int>("eval-iters");
+    options.batch = flags.getIntAs<std::int64_t>("batch", 1);
+    options.datasetSamples = flags.getIntAs<std::int64_t>("samples", 1);
+    options.evalIterations = flags.getIntAs<int>("eval-iters", 1);
     options.seed = static_cast<std::uint64_t>(flags.getInt("seed"));
     options.threads = flags.getIntAs<int>("threads");
 
@@ -377,21 +377,21 @@ cmdPredict(int argc, char **argv)
     flags.parse(argc, argv);
     applyObsFlags(flags);
 
+    const int gpus = flags.getIntAs<int>("gpus", 1);
+    const auto batch = flags.getIntAs<std::int64_t>("batch", 1);
+    const auto samples = flags.getIntAs<std::int64_t>("samples", 1);
     hw::GpuModel gpu;
     if (!hw::gpuModelFromName(flags.getString("gpu"), gpu))
         util::fatal("unknown GPU '" + flags.getString("gpu") + "'");
     const core::CeerPredictor predictor(
         core::CeerModel::loadFile(flags.getString("ceer-model")));
-    const graph::Graph g = models::buildModel(flags.getString("model"),
-                                              flags.getInt("batch"));
-    const core::TrainingPrediction prediction =
-        predictor.predictTraining(predictor.compile(g), gpu,
-                                  flags.getIntAs<int>("gpus"),
-                                  flags.getInt("samples"),
-                                  flags.getInt("batch"));
-    std::cout << flags.getString("model") << " on "
-              << flags.getInt("gpus") << "x " << hw::gpuModelName(gpu)
-              << ": " << util::humanMicros(prediction.iterationUs)
+    const graph::Graph g =
+        models::buildModel(flags.getString("model"), batch);
+    const core::TrainingPrediction prediction = predictor.predictTraining(
+        predictor.compile(g), gpu, gpus, samples, batch);
+    std::cout << flags.getString("model") << " on " << gpus << "x "
+              << hw::gpuModelName(gpu) << ": "
+              << util::humanMicros(prediction.iterationUs)
               << "/iteration, " << prediction.iterations
               << " iterations, "
               << util::format("%.2fh", prediction.hours) << " total\n";
@@ -435,6 +435,8 @@ cmdRecommend(int argc, char **argv)
     applyObsFlags(flags);
 
     const int threads = flags.getIntAs<int>("threads");
+    const auto batch = flags.getIntAs<std::int64_t>("batch", 1);
+    const auto samples = flags.getIntAs<std::int64_t>("samples", 1);
     const core::CeerPredictor predictor = [&] {
         if (!flags.getBool("auto-train"))
             return core::CeerPredictor(
@@ -443,8 +445,8 @@ cmdRecommend(int argc, char **argv)
         // here, so one command exercises (and can observe) profiler,
         // trainer, predictor and recommender together.
         profile::CollectOptions collect;
-        collect.iterations = flags.getIntAs<int>("profile-iters");
-        collect.batch = flags.getInt("batch");
+        collect.iterations = flags.getIntAs<int>("profile-iters", 1);
+        collect.batch = batch;
         collect.threads = threads;
         const profile::ProfileDataset dataset = profile::collectProfiles(
             modelListOrTrainingSet(flags.getString("train-models")),
@@ -454,8 +456,8 @@ cmdRecommend(int argc, char **argv)
         return core::CeerPredictor(
             core::trainCeer(dataset, train_options));
     }();
-    const graph::Graph g = models::buildModel(flags.getString("model"),
-                                              flags.getInt("batch"));
+    const graph::Graph g =
+        models::buildModel(flags.getString("model"), batch);
     cloud::InstanceCatalog catalog =
         flags.getBool("market") ? cloud::InstanceCatalog::marketPriced()
                                 : cloud::InstanceCatalog::awsOnDemand();
@@ -463,8 +465,7 @@ cmdRecommend(int argc, char **argv)
         catalog =
             cloud::InstanceCatalog::fromFile(flags.getString("catalog"));
 
-    core::WorkloadSpec workload{&g, flags.getInt("samples"),
-                                flags.getInt("batch")};
+    core::WorkloadSpec workload{&g, samples, batch};
     core::Constraints constraints;
     constraints.hourlyBudgetUsd = flags.getDouble("hourly-budget");
     constraints.totalBudgetUsd = flags.getDouble("total-budget");

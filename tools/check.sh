@@ -50,6 +50,14 @@
 # the number of checks in band; each run's stdout is kept under
 # build/paper-seeds/.
 #
+# `tools/check.sh paper-golden` runs the 24 paper ctests, each of
+# which also fails when its binary's stdout digest differs from its
+# line in tests/data/paper_stdout.sha256. `tools/check.sh paper-golden
+# --update` is the reviewed way to change that table: it runs every
+# paper binary (any missed band fails the pass and writes nothing),
+# rewrites the table from their stdout in sha256sum format, and prints
+# the diff to review before committing.
+#
 # `tools/check.sh scaling` runs the full micro benches and judges
 # their thread-sweep rows with tools/scaling_gate.py: it fails on any
 # below-serial row and on a recommender sweep under 1.5x at 2 threads.
@@ -65,6 +73,7 @@
 # end, and the script exits nonzero if ANY pass failed.
 #
 # Usage: tools/check.sh [coverage|deadcode|paper-seeds|scaling] [jobs]
+#        tools/check.sh paper-golden [--update] [jobs]
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -79,6 +88,13 @@ elif [[ "${1:-}" == "deadcode" ]]; then
 elif [[ "${1:-}" == "paper-seeds" ]]; then
     MODE=paper-seeds
     shift
+elif [[ "${1:-}" == "paper-golden" ]]; then
+    MODE=paper-golden
+    shift
+    if [[ "${1:-}" == "--update" ]]; then
+        MODE=paper-golden-update
+        shift
+    fi
 elif [[ "${1:-}" == "scaling" ]]; then
     MODE=scaling
     shift
@@ -364,13 +380,19 @@ pass_asan() {
     ./build-asan/tests/io_test
 }
 
+# The paper binaries' names: the ctests under the `paper` label, less
+# their `paper_` prefix, sorted.
+paper_names() {
+    ctest --test-dir build -N -L paper |
+        sed -n 's/^ *Test *#[0-9]*: paper_//p' | LC_ALL=C sort
+}
+
 pass_paper_seeds() {
     cmake -B build -S . >/dev/null
     cmake --build build -j "$JOBS"
     local out=build/paper-seeds
     local names
-    mapfile -t names < <(ctest --test-dir build -N -L paper |
-                             sed -n 's/^ *Test *#[0-9]*: paper_//p')
+    mapfile -t names < <(paper_names)
     [[ "${#names[@]}" -gt 0 ]]
     rm -rf "$out"
     mkdir -p "$out"
@@ -393,6 +415,30 @@ pass_paper_seeds() {
         false
     fi
     [[ "$runs" -eq $((8 * ${#names[@]})) && "$in_band" -eq "$total" ]]
+}
+
+pass_paper_golden() {
+    cmake -B build -S . >/dev/null
+    cmake --build build -j "$JOBS"
+    ctest --test-dir build --output-on-failure -j "$JOBS" -L paper
+}
+
+pass_paper_golden_update() {
+    cmake -B build -S . >/dev/null
+    cmake --build build -j "$JOBS"
+    local out=build/paper-stdout
+    local table=tests/data/paper_stdout.sha256
+    local names
+    mapfile -t names < <(paper_names)
+    [[ "${#names[@]}" -gt 0 ]]
+    mkdir -p "$out"
+    for name in "${names[@]}"; do
+        "build/bench/$name" > "$out/$name"
+    done
+    (cd "$out" && sha256sum "${names[@]}") > "$out.sha256"
+    mv "$out.sha256" "$table"
+    echo "rewrote $table (${#names[@]} binaries); review before committing:"
+    git --no-pager diff -- "$table"
 }
 
 pass_scaling() {
@@ -535,6 +581,11 @@ elif [[ "$MODE" == "deadcode" ]]; then
     run_pass "unreachable library functions vs allow-list" pass_deadcode
 elif [[ "$MODE" == "paper-seeds" ]]; then
     run_pass "paper binaries at seeds 1..8" pass_paper_seeds
+elif [[ "$MODE" == "paper-golden" ]]; then
+    run_pass "paper binaries: bands + stdout digests" pass_paper_golden
+elif [[ "$MODE" == "paper-golden-update" ]]; then
+    run_pass "paper binaries: rewrite the stdout digests" \
+        pass_paper_golden_update
 elif [[ "$MODE" == "scaling" ]]; then
     run_pass "micro-bench scaling gate (below-serial rows)" pass_scaling
 else
